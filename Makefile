@@ -2,8 +2,9 @@
 # suite + a short -race job over the concurrency-bearing packages (the
 # live CSP runtime, the harness, and the scenario engine, whose
 # differential test exercises goroutine-per-node execution) + the
-# backend smoke job. `.github/workflows/ci.yml` runs the gate on every
-# push/PR, plus the baseline-drift, vuln and gobench jobs.
+# backend smoke job + the benchmark module's toy test.
+# `.github/workflows/ci.yml` runs the gate on every push/PR, plus the
+# baseline-drift, vuln and gobench jobs.
 
 GO ?= go
 
@@ -14,10 +15,10 @@ STATICCHECK_VERSION ?= 2024.1.1
 
 RACE_PKGS = ./internal/sim/... ./internal/harness/... ./internal/scenario/... ./internal/netrun/... ./internal/detect/... ./internal/metrics/... ./internal/auditlog/...
 
-.PHONY: ci lint vet build test race smoke bench gobench matrix drift vuln clean
+.PHONY: ci lint vet build test race smoke benchtest bench gobench matrix drift vuln clean
 
 # (lint already ends with `go vet ./...`, so `vet` is not repeated here.)
-ci: lint build test race smoke
+ci: lint build test race smoke benchtest
 
 # gofmt -l prints unformatted files; any output fails the target.
 # staticcheck mirrors the vuln soft-fail pattern: absent tool = warning,
@@ -82,6 +83,15 @@ smoke:
 	$(GO) test -short -run 'TestMetricsOverControlChannel|TestControlClientDisconnectMidRequest' ./internal/netrun/
 	$(GO) test -run 'TestMetricsWallBackends|TestAuditChainGenesisCrossBackend' ./internal/harness/
 
+# The repository benchmark (benchmark/) is its own Go module, so the root
+# `go test ./...` does not reach its test. That test runs every workload
+# at toy size (~5 s): the emitted metric names must match
+# BENCHMARK.json, no run may fail, the traced repetition must replay the
+# untraced one, and two invocations with one seed must print one
+# behaviour digest — the contract a simulator optimisation must keep.
+benchtest:
+	cd benchmark && $(GO) test ./...
+
 # The committed benchmarks. BENCH_scale.json (the n=256/512/1024 ladder
 # on the incremental simulator hot path, the event-core closure cells at
 # n=4096/16384, plus the full-rehash baseline comparison) holds
@@ -97,9 +107,11 @@ bench:
 	mv BENCH_tcp.json.tmp BENCH_tcp.json
 	@tail -14 BENCH_tcp.json
 
-# Reduced-sweep Go benchmark pass (one iteration per benchmark).
+# Reduced-sweep Go benchmark pass (one iteration per benchmark) over
+# every package that declares Go benchmarks: the root package's
+# experiment benches and the simulator's round and allocation benches.
 gobench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/sim/
 
 # The default 108-run scenario matrix across all CPUs.
 matrix:

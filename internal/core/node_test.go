@@ -348,3 +348,27 @@ func TestDisableReduction(t *testing.T) {
 		t.Fatal("reduction messages sent in disabled mode")
 	}
 }
+
+// TestSteadyGossipAllocsPerTick is the allocation gate for gossip: on a
+// converged wheel with reduction off, a sync round is n InfoMsg ticks
+// plus the deliveries of the previous round's gossip. sendInfo boxes the
+// message once per tick and shares it across the links, so a round may
+// allocate at most once per node tick; boxing at every Send would cost
+// Σdeg = 2m allocations instead.
+func TestSteadyGossipAllocsPerTick(t *testing.T) {
+	g := graph.Wheel(16)
+	cfg := DefaultConfig(g.N())
+	cfg.DisableReduction = true
+	net := BuildNetwork(g, cfg, 3)
+	sched := sim.NewSyncScheduler()
+	res := net.Run(sim.RunConfig{Scheduler: sched, MaxRounds: 2000,
+		QuiesceRounds: 56, ActiveKinds: ReductionKinds()})
+	if !res.Converged {
+		t.Fatal("wheel did not converge")
+	}
+	allocs := testing.AllocsPerRun(20, func() { sched.RunRound(net) })
+	if allocs > float64(g.N()) {
+		t.Fatalf("steady sync round allocates %.1f times for %d node ticks (2m = %d)",
+			allocs, g.N(), 2*g.M())
+	}
+}

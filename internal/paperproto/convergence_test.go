@@ -293,3 +293,24 @@ func TestCorruptionMidChoreography(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyGossipAllocsPerTick is the literal variant's allocation
+// gate for gossip (see core's twin): a steady sync round on a converged
+// wheel with reduction off may allocate at most once per node tick.
+func TestSteadyGossipAllocsPerTick(t *testing.T) {
+	g := graph.Wheel(16)
+	cfg := DefaultConfig(g.N())
+	cfg.DisableReduction = true
+	net := BuildNetwork(g, cfg, 3)
+	sched := sim.NewSyncScheduler()
+	res := net.Run(sim.RunConfig{Scheduler: sched, MaxRounds: 2000,
+		QuiesceRounds: 56, ActiveKinds: core.ReductionKinds()})
+	if !res.Converged {
+		t.Fatal("wheel did not converge")
+	}
+	allocs := testing.AllocsPerRun(20, func() { sched.RunRound(net) })
+	if allocs > float64(g.N()) {
+		t.Fatalf("steady sync round allocates %.1f times for %d node ticks (2m = %d)",
+			allocs, g.N(), 2*g.M())
+	}
+}

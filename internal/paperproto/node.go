@@ -315,9 +315,11 @@ func (n *Node) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 	}
 }
 
-// sendInfo gossips the current variables to every neighbor.
+// sendInfo gossips the current variables to every neighbor. The
+// message is boxed once and the interface value shared: messages are
+// immutable once sent, so one allocation per tick serves every link.
 func (n *Node) sendInfo(ctx *sim.Context) {
-	msg := core.InfoMsg{
+	var msg sim.Message = core.InfoMsg{
 		Root:     n.root,
 		Parent:   n.parent,
 		Distance: n.distance,

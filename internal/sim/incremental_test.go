@@ -144,16 +144,22 @@ func TestInvalidateFingerprintsAfterDirectMutation(t *testing.T) {
 	}
 }
 
-// TestPendingKindCountsStayConsistent cross-checks the O(1) per-kind
-// counters against a direct link scan through sends, deliveries and
-// drops.
+// TestPendingKindCountsStayConsistent cross-checks the per-kind counter
+// table and the on-demand prefix-sum index against direct link scans
+// through sends, deliveries and drops. Sync and async rounds alternate on
+// one lossy network, so the index is built mid-run from whatever queues
+// the sync rounds left, then maintained through later sync rounds.
 func TestPendingKindCountsStayConsistent(t *testing.T) {
 	g := graph.RandomGnp(10, 0.5, rand.New(rand.NewSource(2)))
 	net := newMinNetwork(g, 31)
 	net.SetDropRate(0.4)
-	sched := NewAsyncScheduler()
-	for round := 0; round < 25; round++ {
-		sched.RunRound(net)
+	syncSched, asyncSched := NewSyncScheduler(), NewAsyncScheduler()
+	for round := 0; round < 40; round++ {
+		if round%2 == 0 {
+			syncSched.RunRound(net)
+		} else {
+			asyncSched.RunRound(net)
+		}
 		scan := 0
 		for _, li := range net.NonEmptyLinks() {
 			scan += net.LinkLen(li)
@@ -163,6 +169,25 @@ func TestPendingKindCountsStayConsistent(t *testing.T) {
 		}
 		if net.PendingKind("nope") != 0 {
 			t.Fatal("unknown kind has pending messages")
+		}
+		m := net.Metrics()
+		if sent, settled := m.SentByKind["min"], m.Deliveries+net.Dropped()+int64(scan); sent != settled {
+			t.Fatalf("round %d: SentByKind[min]=%d, deliveries+drops+pending=%d", round, sent, settled)
+		}
+		if net.idxLive != (round > 0) {
+			t.Fatalf("round %d: prefix-sum index live=%v before/after the first async round", round, net.idxLive)
+		}
+		if !net.idxLive {
+			continue
+		}
+		// Every selection must match the naive cumulative walk.
+		k := 0
+		for p, li := range net.NonEmptyLinks() {
+			for c := 0; c < net.LinkLen(li); c, k = c+1, k+1 {
+				if got := net.pendingIdx.Select(k); got != p {
+					t.Fatalf("round %d: Select(%d)=%d, cumulative walk gives position %d", round, k, got, p)
+				}
+			}
 		}
 	}
 }

@@ -15,8 +15,14 @@
 // n=256 (the per-round work used to be dominated by quiescence
 // bookkeeping): per-node fingerprints are cached and re-hashed only for
 // nodes whose state version moved since the last round; round accounting
-// is an epoch-stamped step array (no per-round map churn); and pending
-// messages are counted per kind on send/consume so PendingKind is O(1).
+// is an epoch-stamped step array (no per-round map churn). The message
+// path does no hashing: a send finds its link from the sender's link
+// offset plus a binary search of its sorted neighbor list, and sent and
+// pending messages are counted per kind in a small per-network table
+// (a network sees a handful of kinds) that Metrics copies into
+// SentByKind. The prefix-sum index behind RandomPendingLink is built on
+// its first call, so only networks that draw random deliveries (the
+// async scheduler) keep it up to date on every send and delivery.
 //
 // # Dual execution cores
 //
@@ -53,6 +59,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"mdst/internal/detect"
@@ -182,7 +189,7 @@ type Metrics struct {
 	Events          int64
 	Deliveries      int64
 	Ticks           int64
-	SentByKind      map[string]int64
+	SentByKind      map[string]int64 // refreshed by each Network.Metrics call
 	MaxMsgSize      int
 	MaxMsgSizeKind  string
 	MaxQueueLen     int
@@ -225,15 +232,21 @@ type Network struct {
 	procs []Process
 	ctxs  []*Context
 
+	// links holds node u's outgoing links at linkOff[u] onward, in the
+	// order of u's sorted neighbor list, so the link from u to its i-th
+	// neighbor is links[linkOff[u]+i].
 	links    []*link
-	linkIdx  map[[2]NodeID]int
+	linkOff  []int
 	nonEmpty []int // indices of non-empty links
 	nePos    []int // link index -> position in nonEmpty (-1 when empty)
 	// pendingIdx mirrors the queue length of nonEmpty[p] at position p:
 	// the prefix-sum index that makes RandomPendingLink O(log links)
 	// while preserving the exact idx→link mapping of the old linear walk
-	// (same nonEmpty order, same cumulative-length threshold).
+	// (same nonEmpty order, same cumulative-length threshold). It is
+	// built by the first RandomPendingLink call and maintained from then
+	// on (idxLive); until then sends and deliveries skip it.
 	pendingIdx fenwick
+	idxLive    bool
 	nextSeq    uint64
 
 	// sendHook, when set, observes every enqueued message by link index.
@@ -242,8 +255,8 @@ type Network struct {
 	// predictable branch) on every other path.
 	sendHook func(li int)
 
-	pendingTotal  int            // undelivered messages across all links
-	pendingByKind map[string]int // undelivered messages per message kind
+	pendingTotal int         // undelivered messages across all links
+	kinds        []kindCount // per-kind counters, in first-send order
 
 	// Lossy-link fault injection (violates the paper's reliable-links
 	// assumption; used by the robustness extension E9): each delivery is
@@ -276,29 +289,35 @@ type Network struct {
 	metrics *Metrics
 }
 
+// kindCount is one message kind's row of the per-network counter table.
+type kindCount struct {
+	kind    string
+	sent    int64
+	pending int
+}
+
 // NewNetwork builds a simulated network over g. The factory is called
 // once per node, in ID order, to create the process; seed drives every
 // scheduling decision, making runs fully reproducible.
 func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Process, seed int64) *Network {
 	n := g.N()
 	net := &Network{
-		g:             g,
-		procs:         make([]Process, n),
-		ctxs:          make([]*Context, n),
-		linkIdx:       make(map[[2]NodeID]int),
-		pendingByKind: make(map[string]int),
-		stepped:       make([]uint32, n),
-		fps:           make([]uint64, n),
-		versions:      make([]uint64, n),
-		versioners:    make([]StateVersioner, n),
-		dirtyMark:     make([]bool, n),
-		rehashAll:     fullRehash.Load(),
-		rng:           rand.New(rand.NewSource(seed)),
-		metrics:       newMetrics(),
+		g:          g,
+		procs:      make([]Process, n),
+		ctxs:       make([]*Context, n),
+		linkOff:    make([]int, n),
+		stepped:    make([]uint32, n),
+		fps:        make([]uint64, n),
+		versions:   make([]uint64, n),
+		versioners: make([]StateVersioner, n),
+		dirtyMark:  make([]bool, n),
+		rehashAll:  fullRehash.Load(),
+		rng:        rand.New(rand.NewSource(seed)),
+		metrics:    newMetrics(),
 	}
 	for u := 0; u < n; u++ {
+		net.linkOff[u] = len(net.links)
 		for _, v := range g.Neighbors(u) {
-			net.linkIdx[[2]NodeID{u, v}] = len(net.links)
 			net.links = append(net.links, &link{from: u, to: v})
 		}
 	}
@@ -306,7 +325,6 @@ func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Proc
 	for i := range net.nePos {
 		net.nePos[i] = -1
 	}
-	net.pendingIdx = newFenwick(len(net.links))
 	for id := 0; id < n; id++ {
 		ctx := &Context{id: id, nbrs: g.Neighbors(id), send: net.send}
 		net.ctxs[id] = ctx
@@ -333,8 +351,17 @@ func (n *Network) Process(id NodeID) Process { return n.procs[id] }
 // handlers directly while still sending over the network's real links.
 func (n *Network) Context(id NodeID) *Context { return n.ctxs[id] }
 
-// Metrics returns the accumulated execution metrics.
-func (n *Network) Metrics() *Metrics { return n.metrics }
+// Metrics returns the accumulated execution metrics. The send path
+// counts messages per kind in the network's own table, so SentByKind is
+// refreshed from it at each call: read it through a fresh Metrics call
+// after the steps it should cover, not through a pointer kept from
+// before them.
+func (n *Network) Metrics() *Metrics {
+	for _, k := range n.kinds {
+		n.metrics.SentByKind[k.kind] = k.sent
+	}
+	return n.metrics
+}
 
 // Rand returns the scheduling RNG (shared with schedulers for
 // determinism).
@@ -350,6 +377,15 @@ func (n *Network) RandomPendingLink() int {
 	if n.pendingTotal <= 0 {
 		panic("sim: RandomPendingLink with no pending messages")
 	}
+	if !n.idxLive {
+		// First draw on this network: index the current queues; sends
+		// and deliveries keep the index current from here on.
+		n.pendingIdx = newFenwick(len(n.links))
+		for p, li := range n.nonEmpty {
+			n.pendingIdx.Add(p, n.links[li].len())
+		}
+		n.idxLive = true
+	}
 	// Fenwick selection over positions in nonEmpty order: identical to
 	// the old linear cumulative-length walk (first position whose prefix
 	// sum exceeds idx), in O(log links) instead of O(nonEmpty). The
@@ -360,36 +396,62 @@ func (n *Network) RandomPendingLink() int {
 }
 
 // PendingKind returns the number of undelivered messages of the given
-// kind, maintained incrementally on send and consume (O(1)).
+// kind, maintained incrementally on send and consume.
 func (n *Network) PendingKind(kind string) int {
-	return n.pendingByKind[kind]
+	for _, k := range n.kinds {
+		if k.kind == kind {
+			return k.pending
+		}
+	}
+	return 0
 }
 
-func (n *Network) send(from, to NodeID, m Message) {
-	key := [2]NodeID{from, to}
-	li, ok := n.linkIdx[key]
+// kindOf returns kind's row of the counter table, adding it on the
+// kind's first send. Kinds are few and their names are constants, so the
+// scan is a handful of pointer-equal string compares.
+func (n *Network) kindOf(kind string) *kindCount {
+	for i := range n.kinds {
+		if n.kinds[i].kind == kind {
+			return &n.kinds[i]
+		}
+	}
+	n.kinds = append(n.kinds, kindCount{kind: kind})
+	return &n.kinds[len(n.kinds)-1]
+}
+
+// linkOf returns the index of the link from node from to node to.
+func (n *Network) linkOf(from, to NodeID) int {
+	i, ok := slices.BinarySearch(n.ctxs[from].nbrs, to)
 	if !ok {
 		panic(fmt.Sprintf("sim: node %d sent to non-neighbor %d", from, to))
 	}
+	return n.linkOff[from] + i
+}
+
+func (n *Network) send(from, to NodeID, m Message) {
+	li := n.linkOf(from, to)
 	l := n.links[li]
 	wasEmpty := l.empty()
 	n.nextSeq++
 	l.push(envelope{from: from, msg: m, seq: n.nextSeq})
 	n.pendingTotal++
 	kind := m.Kind()
-	n.pendingByKind[kind]++
+	kc := n.kindOf(kind)
+	kc.sent++
+	kc.pending++
 	if wasEmpty {
 		n.nePos[li] = len(n.nonEmpty)
 		n.nonEmpty = append(n.nonEmpty, li)
 	}
-	n.pendingIdx.Add(n.nePos[li], 1)
+	if n.idxLive {
+		n.pendingIdx.Add(n.nePos[li], 1)
+	}
 	if n.sendHook != nil {
 		n.sendHook(li)
 	}
 	if ql := l.len(); ql > n.metrics.MaxQueueLen {
 		n.metrics.MaxQueueLen = ql
 	}
-	n.metrics.SentByKind[kind]++
 	if s := m.Size(); s > n.metrics.MaxMsgSize {
 		n.metrics.MaxMsgSize = s
 		n.metrics.MaxMsgSizeKind = kind
@@ -404,9 +466,11 @@ func (n *Network) removeNonEmpty(li int) {
 	last := len(n.nonEmpty) - 1
 	if pos != last {
 		moved := n.nonEmpty[last]
-		m := n.links[moved].len()
-		n.pendingIdx.Add(last, -m)
-		n.pendingIdx.Add(pos, m)
+		if n.idxLive {
+			m := n.links[moved].len()
+			n.pendingIdx.Add(last, -m)
+			n.pendingIdx.Add(pos, m)
+		}
 		n.nonEmpty[pos] = moved
 		n.nePos[moved] = pos
 	}
@@ -445,8 +509,10 @@ func (n *Network) Deliver(li int) {
 	}
 	env := l.pop()
 	n.pendingTotal--
-	n.pendingByKind[env.msg.Kind()]--
-	n.pendingIdx.Add(n.nePos[li], -1)
+	n.kindOf(env.msg.Kind()).pending--
+	if n.idxLive {
+		n.pendingIdx.Add(n.nePos[li], -1)
+	}
 	if l.empty() {
 		n.removeNonEmpty(li)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -166,17 +167,38 @@ func TestFIFOOrderPerLink(t *testing.T) {
 }
 
 func TestSendToNonNeighborPanics(t *testing.T) {
-	g := graph.Path(3)
-	net := NewNetwork(g, func(id NodeID, _ []NodeID) Process {
-		return &minProc{id: id, min: id}
-	}, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-neighbor send")
-		}
-	}()
-	// Node 0's only neighbor is 1; sending to 2 must panic.
-	net.ctxs[0].Send(2, minMsg{0})
+	// The link lookup is a binary search of the sender's sorted neighbor
+	// list, so the targets miss below, between and above the neighbors,
+	// and also name the sender itself and IDs outside the graph.
+	// Neighbors: 0:{1,2} 1:{0} 2:{0,4} 3:{4} 4:{2,3,5} 5:{4}.
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 4}, {3, 4}, {4, 5}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	net := newMinNetwork(g, 1)
+	for _, c := range []struct{ from, to NodeID }{
+		{0, 3},  // above the largest neighbor
+		{2, 1},  // between two neighbors, next to the smaller
+		{2, 3},  // between two neighbors, next to the larger
+		{2, 5},  // above the largest neighbor
+		{4, 0},  // below the smallest neighbor
+		{2, 2},  // the sender itself
+		{1, 6},  // beyond the last node
+		{1, -1}, // negative ID
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for send %d -> %d (neighbors %v)",
+						c.from, c.to, g.Neighbors(c.from))
+				}
+			}()
+			net.ctxs[c.from].Send(c.to, minMsg{0})
+		}()
+	}
+	if net.Pending() != 0 {
+		t.Fatalf("rejected sends left %d messages queued", net.Pending())
+	}
 }
 
 func TestRunStopsAtMaxRounds(t *testing.T) {
@@ -267,12 +289,27 @@ func TestDeliverEmptyLinkPanics(t *testing.T) {
 	net.Deliver(0)
 }
 
+// TestLinkEnds checks the link lookup on every directed edge of a
+// random graph: a send from u to v must enqueue on the one link whose
+// LinkEnds is (u, v).
 func TestLinkEnds(t *testing.T) {
-	g := graph.Path(2)
+	g := graph.RandomGnp(24, 0.3, rand.New(rand.NewSource(5)))
 	net := newMinNetwork(g, 1)
-	from, to := net.LinkEnds(0)
-	if from != 0 || to != 1 {
-		t.Fatalf("link0 = %d->%d", from, to)
+	if len(net.links) != 2*g.M() {
+		t.Fatalf("%d links for %d edges", len(net.links), g.M())
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			net.Context(u).Send(v, minMsg{u})
+			if ne := net.NonEmptyLinks(); len(ne) != 1 || net.LinkLen(ne[0]) != 1 {
+				t.Fatalf("send %d -> %d: non-empty links %v", u, v, ne)
+			}
+			li := net.NonEmptyLinks()[0]
+			if from, to := net.LinkEnds(li); from != u || to != v {
+				t.Fatalf("send %d -> %d enqueued on link %d = %d->%d", u, v, li, from, to)
+			}
+			net.Deliver(li)
+		}
 	}
 }
 
