@@ -117,9 +117,11 @@ gobench:
 matrix:
 	$(GO) run ./cmd/mdstmatrix
 
-# Baseline drift: regenerate the two committed deterministic artifacts —
-# the 108-run default matrix JSON and BENCH_scale.json — and fail on any
-# byte difference, enforcing the determinism contract on every CI run
+# Baseline drift: regenerate the three committed deterministic artifacts —
+# the 108-run default matrix JSON (chain exchange), the 216-run literal
+# matrix JSON (the paper's Remove/Back exchange) and BENCH_scale.json —
+# and fail on any byte difference, enforcing the determinism contract on
+# every CI run
 # (the wall-clock cross-backend table is NOT diffed here: its invariant
 # claims are regression-tested in internal/scenario instead, because
 # wall-clock output is not byte-reproducible).
@@ -127,8 +129,11 @@ matrix:
 # matrix bytes are a compat-core artifact, and the pin keeps them stable
 # even if the default engine axis ever changes. BENCH_scale.json is
 # dual-core by construction (compat ladder + event-core closure cells).
+LITERAL_MATRIX = -variants literal -engines compat -families ring+chords,gnp,geometric -sizes 16,24 -scheds sync,async,adversarial -faults none,corrupt:3,lossy:0.05 -backoff off,on -seeds 2
+
 drift:
 	$(GO) run ./cmd/mdstmatrix -engines compat -format json -quiet | diff - internal/scenario/testdata/default_matrix_pr2.json
+	$(GO) run ./cmd/mdstmatrix $(LITERAL_MATRIX) -format json -quiet | diff - internal/scenario/testdata/literal_matrix.json
 	$(GO) run ./cmd/mdstmatrix -scale -quiet | diff - BENCH_scale.json
 	@echo "make drift: committed baselines byte-identical"
 

@@ -1,6 +1,6 @@
 package mdst
 
-// One benchmark per experiment of EXPERIMENTS.md (E1–E11), plus
+// One benchmark per experiment table of internal/benchtab (E1–E11), plus
 // micro-benchmarks of the hot substrates and the scenario-matrix
 // engine. Each experiment bench runs one complete workload cell per
 // iteration; `go test -bench=. -benchmem` regenerates every number the
@@ -137,7 +137,7 @@ func BenchmarkE12SearchTraffic(b *testing.B) {
 }
 
 // BenchmarkLiteralProtocolConvergence measures one full stabilization
-// run of the literal variant (the paperproto counterpart of
+// run of the literal exchange (the counterpart of
 // BenchmarkProtocolConvergence).
 func BenchmarkLiteralProtocolConvergence(b *testing.B) {
 	for _, n := range []int{16, 32} {

@@ -5,13 +5,19 @@
 // The public surface lives in the commands (cmd/mdstsim, cmd/mdstbench,
 // cmd/mdstmatrix, cmd/mdstnet, cmd/mdstviz, cmd/graphgen) and the
 // examples; the library packages are under internal/ (graph, spanning,
-// mdstseq, sim, pif, core, paperproto, localview, detect, netrun,
-// harness, scenario, benchtab, trace, analysis, viz, mc, metrics,
-// auditlog). The protocol
-// is implemented twice — internal/core with the tree-preserving chain
-// exchange and internal/paperproto with the paper's literal Remove/Back
-// choreography, both storing neighbor views in the shared dense
-// localview tables — and runs under three pluggable execution backends
+// mdstseq, sim, core, paperproto, localview, detect, netrun, harness,
+// scenario, benchtab, trace, analysis, viz, mc, metrics, auditlog).
+// The protocol is one engine, internal/core, with two edge exchanges
+// chosen when a node is built: core.NewNode carries out an improving
+// exchange as a chain of single-parent moves that keeps a spanning tree
+// at every step, and core.NewLiteralNode runs the paper's literal
+// Remove/Back choreography of Figures 1-2, whose intermediate
+// configurations are not trees. The spanning-tree, maximum-degree,
+// cycle-search, suppression, Deblock and UpdateDist modules are shared,
+// and the harness variant axis (harness.RunSpec.Variant, `mdstmatrix
+// -variants core,literal`) selects the exchange; internal/paperproto
+// only keeps the old literal-variant names for the repository
+// benchmark. The protocol runs under three pluggable execution backends
 // behind one harness orchestration (harness.RunSpec.Backend): "sim",
 // the deterministic seeded simulator (sim.Network — the default and the
 // only bit-reproducible backend); "live", the goroutine-per-node CSP
@@ -178,13 +184,14 @@
 // CI lives in .github/workflows/ci.yml: every push/PR runs the full
 // `make ci` gate (lint — gofmt + vet + pinned staticcheck, soft-fail
 // when the tool is absent offline — build + tests + -race + smoke), a
-// baseline-drift job that regenerates the committed 108-run matrix JSON
-// and BENCH_scale.json and fails on any byte difference (uploading the
+// baseline-drift job that regenerates the committed 108-run matrix JSON,
+// the 216-run literal-exchange matrix JSON and BENCH_scale.json and
+// fails on any byte difference (uploading the
 // regenerated artifacts on failure for inspection), a soft-fail
 // govulncheck job re-run weekly on a schedule against fresh advisories,
 // and a 1x-benchtime pass over every Go benchmark. One workflow runs
 // per ref (superseded pushes are cancelled) and every job carries a
 // timeout.
-// See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the reproduced evaluation.
+// See ROADMAP.md for the open work and CHANGES.md for what each change
+// did.
 package mdst

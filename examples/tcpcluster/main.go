@@ -1,6 +1,6 @@
 // TCP cluster: run the protocol over real loopback TCP sockets — one
 // goroutine per node, one socket per edge, gob-encoded messages — and
-// compare both protocol implementations (the S3 chain exchange and the
+// compare both edge exchanges (the chain of single-parent moves and the
 // paper's literal Remove/Back choreography) on the same topology.
 //
 //	go run ./examples/tcpcluster
@@ -16,7 +16,6 @@ import (
 	"mdst/internal/graph"
 	"mdst/internal/mdstseq"
 	"mdst/internal/netrun"
-	"mdst/internal/paperproto"
 	"mdst/internal/sim"
 )
 
@@ -27,64 +26,42 @@ func main() {
 	lo := mdstseq.LowerBoundDelta(g)
 	fmt.Printf("Δ* >= %d, so the protocol guarantees degree <= Δ*+1\n\n", lo)
 
-	// --- Primary implementation over TCP -------------------------------
-	coreCfg := core.DefaultConfig(g.N())
-	cluster := netrun.NewCluster(g, func(id int, nbrs []int) sim.Process {
-		return core.NewNode(id, nbrs, coreCfg)
-	}, netrun.Config{})
-	coreNodes := func() []*core.Node {
-		out := make([]*core.Node, g.N())
-		for i := range out {
-			out[i] = cluster.Process(i).(*core.Node)
+	exchanges := []struct {
+		name    string
+		newNode func(id int, nbrs []int, cfg core.Config) *core.Node
+	}{
+		{"chain", core.NewNode},
+		{"literal", core.NewLiteralNode},
+	}
+	for _, x := range exchanges {
+		cfg := core.DefaultConfig(g.N())
+		cluster := netrun.NewCluster(g, func(id int, nbrs []int) sim.Process {
+			return x.newNode(id, nbrs, cfg)
+		}, netrun.Config{})
+		nodes := func() []*core.Node {
+			out := make([]*core.Node, g.N())
+			for i := range out {
+				out[i] = cluster.Process(i).(*core.Node)
+			}
+			return out
 		}
-		return out
-	}
-	for _, nd := range coreNodes() {
-		nd.Corrupt(rng, g.N()) // Definition 1: arbitrary initial state
-	}
-	start := time.Now()
-	ok, err := cluster.RunUntil(250*time.Millisecond, 40, func() bool {
-		return core.CheckLegitimacy(g, coreNodes()).OK()
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	tree, err := core.ExtractTree(g, coreNodes())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("core variant over TCP:    legitimate=%v in %v, tree degree %d\n",
-		ok, time.Since(start).Round(time.Millisecond), tree.MaxDegree())
-
-	// --- Literal choreography over TCP ---------------------------------
-	litCfg := paperproto.DefaultConfig(g.N())
-	lit := netrun.NewCluster(g, func(id int, nbrs []int) sim.Process {
-		return paperproto.NewNode(id, nbrs, litCfg)
-	}, netrun.Config{})
-	litNodes := func() []*paperproto.Node {
-		out := make([]*paperproto.Node, g.N())
-		for i := range out {
-			out[i] = lit.Process(i).(*paperproto.Node)
+		for _, nd := range nodes() {
+			nd.Corrupt(rng, g.N()) // Definition 1: arbitrary initial state
 		}
-		return out
+		start := time.Now()
+		ok, err := cluster.RunUntil(250*time.Millisecond, 40, func() bool {
+			return core.CheckLegitimacy(g, nodes()).OK()
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		tree, err := core.ExtractTree(g, nodes())
+		if err != nil {
+			log.Fatal(err)
+		}
+		st := core.AggregateStats(nodes())
+		fmt.Printf("%-7s exchange over TCP: legitimate=%v in %v, tree degree %d\n",
+			x.name, ok, time.Since(start).Round(time.Millisecond), tree.MaxDegree())
+		fmt.Printf("  %d exchanges completed, %d hops aborted\n", st.ExchangesComplete, st.Aborted())
 	}
-	for _, nd := range litNodes() {
-		nd.Corrupt(rng, g.N())
-	}
-	start = time.Now()
-	ok, err = lit.RunUntil(250*time.Millisecond, 40, func() bool {
-		return paperproto.CheckLegitimacy(g, litNodes()).OK()
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	litTree, err := paperproto.ExtractTree(g, litNodes())
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := paperproto.AggregateStats(litNodes())
-	fmt.Printf("literal variant over TCP: legitimate=%v in %v, tree degree %d\n",
-		ok, time.Since(start).Round(time.Millisecond), litTree.MaxDegree())
-	fmt.Printf("  choreography: %d exchanges completed (%d via Back), %d hops aborted\n",
-		st.ExchangesComplete, st.BacksStarted, st.ChoreoAborted)
 }

@@ -43,8 +43,8 @@ const (
 	// the abandoned parent, New the node itself.
 	KindReset Kind = 2
 	// KindExchange is a re-parenting applied by the degree-reduction
-	// choreography (chain reversal hops in core, Remove/Back/Reverse
-	// hops in paperproto). Old and New are parent IDs.
+	// choreography (chain reversal hops, or the literal exchange's
+	// Remove/Back/Reverse hops). Old and New are parent IDs.
 	KindExchange Kind = 3
 )
 

@@ -7,16 +7,17 @@ import (
 	"mdst/internal/scenario"
 )
 
-// E11Choreography compares the two protocol implementations — the
-// primary S3 ordered-chain exchange (internal/core) and the literal
-// Remove/Back/Reverse choreography of the paper's Figures 1-2
-// (internal/paperproto) — on identical workloads, seeds and schedulers.
+// E11Choreography compares the two edge exchanges of internal/core —
+// the ordered chain of single-parent moves (the "core" variant) and the
+// literal Remove/Back/Reverse choreography of the paper's Figures 1-2 —
+// on identical workloads, seeds and schedulers.
 // Both variants are axes of ONE scenario matrix (sharded across CPUs);
 // the engine's instance-derived seeding guarantees the same graphs per
 // cell, and Spec.TrackSafety surfaces the per-run broken-round counts.
 //
-// The expectation (DESIGN.md S3, paperproto package comment): both
-// converge to legitimate configurations within the Theorem 2 bound; the
+// The expectation: both converge to legitimate configurations within
+// the Theorem 2 bound, because the chain keeps a spanning tree at every
+// step and the tree module repairs the literal choreography; the
 // literal variant transiently breaks the spanning tree mid-exchange
 // (brokenRounds > 0 is legal for it, never for core) and pays extra
 // repair churn, which this table quantifies.

@@ -57,9 +57,6 @@ func runTracedSeries(g *graph.Graph, spec harness.RunSpec) (harness.Result, *tra
 	if g.N() > 32 {
 		every = 4
 	}
-	if spec.Variant == harness.VariantLiteral {
-		return harness.RunTracedLiteral(spec, every)
-	}
 	return harness.RunTraced(spec, every)
 }
 

@@ -1,13 +1,15 @@
-package paperproto
+package core
 
 import (
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"mdst/internal/graph"
 	"mdst/internal/sim"
 )
 
-// Figure 5 replay for the literal choreography: the Remove continuation
+// Figure 5 replay for the literal exchange: the Remove continuation
 // (a), the Back retrace (b), and the apex case (interpretation I1),
 // driven end-to-end through real messages with ticks suppressed.
 
@@ -24,7 +26,7 @@ func caseAFixture(t *testing.T) (*graph.Graph, *sim.Network) {
 	g.MustAddEdge(3, 4)
 	g.MustAddEdge(0, 4)
 	g.MustAddEdge(2, 5)
-	net := BuildNetwork(g, DefaultConfig(6), 1)
+	net := buildNet(g, DefaultConfig(6), 1, NewLiteralNode)
 	tree := chainTree(t, g, [][2]int{{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 2}})
 	loadTree(g, net, tree)
 	return g, net
@@ -79,7 +81,7 @@ func caseBFixture(t *testing.T) (*graph.Graph, *sim.Network) {
 	g.MustAddEdge(0, 4)
 	g.MustAddEdge(2, 5)
 	g.MustAddEdge(2, 6)
-	net := BuildNetwork(g, DefaultConfig(7), 1)
+	net := buildNet(g, DefaultConfig(7), 1, NewLiteralNode)
 	tree := chainTree(t, g, [][2]int{{4, 0}, {3, 4}, {2, 3}, {1, 2}, {5, 2}, {6, 2}})
 	loadTree(g, net, tree)
 	return g, net
@@ -129,7 +131,7 @@ func apexFixture(t *testing.T) (*graph.Graph, *sim.Network) {
 	g.MustAddEdge(1, 5)
 	g.MustAddEdge(0, 2)
 	g.MustAddEdge(2, 6)
-	net := BuildNetwork(g, DefaultConfig(7), 1)
+	net := buildNet(g, DefaultConfig(7), 1, NewLiteralNode)
 	tree := chainTree(t, g, [][2]int{{2, 0}, {1, 2}, {3, 2}, {4, 3}, {5, 4}, {6, 2}})
 	loadTree(g, net, tree)
 	return g, net
@@ -251,14 +253,14 @@ func TestChoreoRoutingSurvivesDeletedEdge(t *testing.T) {
 // chain re-parents every node onto the message sender.
 func TestReverseHandlerFlipsChain(t *testing.T) {
 	g := graph.Path(4) // 0-1-2-3, tree = the path itself
-	net := BuildNetwork(g, DefaultConfig(4), 1)
+	net := buildNet(g, DefaultConfig(4), 1, NewLiteralNode)
 	tree := chainTree(t, g, [][2]int{{1, 0}, {2, 1}, {3, 2}})
 	loadTree(g, net, tree)
 	nodes := NodesOf(net)
 
 	// Node 3 wants the chain up to node 1 reversed: send Reverse
 	// targeting 1 to its parent 2.
-	net.Context(3).Send(2, ReverseMsg{Target: 1})
+	net.Context(3).Send(2, ReverseAuxMsg{Target: 1})
 	drain(net, 100)
 
 	// 2 forwarded to its old parent 1 and adopted 3; 1 is the target so
@@ -272,28 +274,115 @@ func TestReverseHandlerFlipsChain(t *testing.T) {
 	}
 }
 
-// Search guard: tokens are dropped while the neighborhood is not locally
-// stabilized (the paper's freeze).
-func TestSearchGuardDropsWhenNotStabilized(t *testing.T) {
-	g := graph.Ring(4)
-	net := BuildNetwork(g, DefaultConfig(4), 1)
-	preload(t, g, net)
-	nodes := NodesOf(net)
-	nodes[2].SetView(1, View{Root: 0, Parent: 0, Dmax: 9})
-	msg := sim.Message(nil)
-	_ = msg
-	before := nodes[2].NodeStats().CyclesClassified
-	nodes[2].handleSearch(net.Context(2), 1, searchToken(t))
-	if nodes[2].NodeStats().CyclesClassified != before {
-		t.Fatal("token processed despite destabilized neighborhood")
+// Fault injection in the middle of a running exchange: corruptions
+// landing while Remove/Back messages are in flight must not prevent
+// re-convergence (the choreography's staleness checks abort against
+// corrupted parents and the periodic search retries).
+func TestCorruptionMidChoreography(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 10 + rng.Intn(6)
+		g := graph.RandomGnp(n, 0.4, rng)
+		net := buildNet(g, DefaultConfig(n), seed, NewLiteralNode)
+		corruptAll(net, rng)
+		hits := 0
+		net.Run(sim.RunConfig{
+			Scheduler: sim.NewSyncScheduler(),
+			MaxRounds: 60 * n,
+			OnRound: func(r int) bool {
+				// Whenever choreography traffic is in flight, corrupt a
+				// random node (at most 3 times per run).
+				if hits < 3 && (net.PendingKind(KindRemove) > 0 || net.PendingKind(KindBack) > 0) {
+					NodesOf(net)[rng.Intn(n)].Corrupt(rng, n)
+					hits++
+				}
+				return true
+			},
+		})
+		res := runToQuiescence(net, g, sim.NewSyncScheduler(), 0)
+		if !res.Converged {
+			t.Fatalf("seed %d: no quiescence after %d mid-exchange corruptions", seed, hits)
+		}
+		leg := CheckLegitimacy(g, NodesOf(net))
+		if !leg.OK() {
+			t.Fatalf("seed %d: not legitimate after mid-exchange faults: %+v", seed, leg)
+		}
 	}
 }
 
-// searchToken builds a minimal token addressed at node 2 of a 4-ring.
-func searchToken(t *testing.T) (m coreSearch) {
-	t.Helper()
-	m.Init = graph.Edge{U: 1, V: 2}
-	m.Block = -1
-	m.Path = []corePathEntry{{Node: 1, Deg: 2, Parent: 0, Cursor: 2}}
-	return m
+// Message length property: a Remove carrying a cycle of c nodes is
+// O(c) words — the paper's O(n log n)-bit buffer bound.
+func TestQuickRemoveSizeLinearInPath(t *testing.T) {
+	f := func(k uint8) bool {
+		c := int(k%64) + 2
+		m := RemoveMsg{Path: make([]int, c)}
+		return m.Size() == c+8
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sentMsg is one send captured from a handler.
+type sentMsg struct {
+	to  int
+	msg sim.Message
+}
+
+// scanRuleSends classifies a hand-built Search terminus and returns the
+// terminus and what it sent. x = 4 ends a plain Search for the non-tree
+// edge {1, 4} whose recorded path 1-2-3 reads dmax = 3 at the initiator
+// y = 1 (the min-ID maximum-degree node on it) and at the interior node
+// 2, while x's view of y reads degree 1 < dmax-1.
+func scanRuleSends(newNode func(int, []int, Config) *Node) (*Node, []sentMsg) {
+	g := graph.New(5)
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 2)
+	g.MustAddEdge(2, 3)
+	g.MustAddEdge(3, 4)
+	g.MustAddEdge(1, 4)
+	x := newNode(4, g.Neighbors(4), DefaultConfig(5))
+	x.SetState(0, 3, 4, 3, 3, false)
+	x.SetView(1, View{Root: 0, Parent: 0, Distance: 1, Dmax: 3, Submax: 3, Deg: 1})
+	x.SetView(3, View{Root: 0, Parent: 2, Distance: 3, Dmax: 3, Submax: 3, Deg: 2})
+	var sent []sentMsg
+	ctx := sim.NewContext(4, g.Neighbors(4), func(_, to int, m sim.Message) {
+		sent = append(sent, sentMsg{to, m})
+	})
+	x.actionOnCycle(ctx, SearchMsg{
+		Init:  graph.Edge{U: 1, V: 4},
+		Block: -1,
+		Path: []PathEntry{
+			{Node: 1, Deg: 3, Parent: 0, Cursor: 2},
+			{Node: 2, Deg: 3, Parent: 1, Cursor: 3},
+			{Node: 3, Deg: 2, Parent: 2, Cursor: 4},
+		},
+	})
+	return x, sent
+}
+
+// The chain exchange picks the min-ID maximum-degree node over the whole
+// recorded path; when that is the initiator it does nothing.
+func TestScanRuleChainSkipsInitiatorPick(t *testing.T) {
+	x, sent := scanRuleSends(NewNode)
+	if x.NodeStats().CyclesClassified != 1 {
+		t.Fatal("cycle not classified")
+	}
+	if len(sent) != 0 || x.Parent() != 3 {
+		t.Fatalf("chain exchange acted: sent %v, parent %d", sent, x.Parent())
+	}
+}
+
+// The literal exchange picks among interior nodes only, so it targets
+// the interior maximum-degree node: a Remove to the initiator whose
+// target edge is {2, 3}.
+func TestScanRuleLiteralTargetsInterior(t *testing.T) {
+	_, sent := scanRuleSends(NewLiteralNode)
+	if len(sent) != 1 {
+		t.Fatalf("sent %v, want one Remove", sent)
+	}
+	rm, ok := sent[0].msg.(RemoveMsg)
+	if !ok || sent[0].to != 1 || rm.Target != (graph.Edge{U: 2, V: 3}) {
+		t.Fatalf("sent %#v, want a Remove targeting {2,3} to 1", sent[0])
+	}
 }

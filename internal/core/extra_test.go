@@ -23,14 +23,26 @@ func TestMessageSizes(t *testing.T) {
 	if (DeblockMsg{}).Size() != 2 || (UpdateDistMsg{}).Size() != 1 {
 		t.Fatal("small message sizes")
 	}
-	// Kinds are distinct.
+	rm := RemoveMsg{Path: []int{1, 2, 3}}
+	b := BackMsg{Path: []int{1, 2}}
+	if rm.Size() != 11 || b.Size() != 6 || (ReverseAuxMsg{}).Size() != 1 {
+		t.Fatalf("literal sizes: Remove %d, Back %d", rm.Size(), b.Size())
+	}
+	// Kinds are distinct, except that both exchanges' reversal messages
+	// are "reverse".
 	kinds := map[string]bool{}
 	for _, k := range []string{(InfoMsg{}).Kind(), s.Kind(), r.Kind(),
-		(DeblockMsg{}).Kind(), (UpdateDistMsg{}).Kind()} {
+		(DeblockMsg{}).Kind(), (UpdateDistMsg{}).Kind(), rm.Kind(), b.Kind()} {
 		if kinds[k] {
 			t.Fatalf("duplicate kind %s", k)
 		}
 		kinds[k] = true
+	}
+	if (ReverseAuxMsg{}).Kind() != KindReverse {
+		t.Fatal("literal Reverse kind")
+	}
+	if len(ReductionKinds()) != 2 || len(LiteralReductionKinds()) != 4 {
+		t.Fatalf("reduction kinds %v / %v", ReductionKinds(), LiteralReductionKinds())
 	}
 }
 

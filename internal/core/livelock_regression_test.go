@@ -26,7 +26,7 @@ func TestLivelockRegressionSeed(t *testing.T) {
 	g := graph.RandomGnp(n, 0.35, rng)
 	net := BuildNetwork(g, DefaultConfig(n), seed)
 	tree := spanning.BFSTree(g, 0)
-	loadTreeQ(g, net, tree)
+	loadTree(g, net, tree)
 	broken := 0
 	net.Run(sim.RunConfig{
 		Scheduler: sim.NewSyncScheduler(),

@@ -3,23 +3,35 @@ package core
 import "mdst/internal/graph"
 
 // Message kinds, exported for metric queries and stop conditions.
+// Remove and Back travel only in the literal exchange; Reverse names the
+// chain exchange's hops and the literal exchange's Reverse alike.
 const (
 	KindInfo       = "info"
 	KindSearch     = "search"
 	KindReverse    = "reverse"
+	KindRemove     = "remove"
+	KindBack       = "back"
 	KindDeblock    = "deblock"
 	KindUpdateDist = "updatedist"
 )
 
 // ReductionKinds lists the message kinds that must drain before a
-// configuration can be considered quiescent (an in-flight reversal can
-// still change the tree). Search and Deblock are deliberately absent:
-// both keep flowing forever at a fixed point by design (periodic
-// searches, deblock floods that find nothing), and neither mutates state
-// by itself; runners pair this list with a fingerprint-stability window
-// of at least 2n rounds, which covers any token still in flight.
+// configuration of chain-exchange nodes (NewNode) can be considered
+// quiescent (an in-flight reversal can still change the tree). Search
+// and Deblock are deliberately absent: both keep flowing forever at a
+// fixed point by design (periodic searches, deblock floods that find
+// nothing), and neither mutates state by itself; runners pair this list
+// with a fingerprint-stability window of at least 2n rounds, which
+// covers any token still in flight.
 func ReductionKinds() []string {
 	return []string{KindReverse, KindUpdateDist}
+}
+
+// LiteralReductionKinds is ReductionKinds for literal-exchange nodes
+// (NewLiteralNode): an in-flight Remove, Back, Reverse or UpdateDist can
+// still change the tree.
+func LiteralReductionKinds() []string {
+	return []string{KindRemove, KindBack, KindReverse, KindUpdateDist}
 }
 
 // InfoMsg is the paper's InfoMsg: the periodic gossip carrying a node's
@@ -71,11 +83,11 @@ func (SearchMsg) Kind() string { return KindSearch }
 // O(n log n) bits in the worst case, matching the paper's buffer bound.
 func (m SearchMsg) Size() int { return 4*len(m.Path) + 5 }
 
-// ReverseMsg executes an edge exchange: it travels along the fundamental
-// cycle re-parenting each chain node onto the message's sender, realizing
-// the paper's Remove/Back/Reverse orientation correction (Fig. 5) as a
-// sequence of single-parent moves, each of which keeps the structure a
-// spanning tree.
+// ReverseMsg is the chain exchange's hop: it travels along the
+// fundamental cycle re-parenting each chain node onto the message's
+// sender, realizing the paper's Remove/Back/Reverse orientation
+// correction (Fig. 5) as a sequence of single-parent moves, each of
+// which keeps the structure a spanning tree.
 //
 // Nodes[0] is the next node to re-parent; the final element is the
 // terminator (the old parent of the last re-parented node) and is never
@@ -121,3 +133,64 @@ func (UpdateDistMsg) Kind() string { return KindUpdateDist }
 
 // Size implements sim.Message.
 func (UpdateDistMsg) Size() int { return 1 }
+
+// RemoveMsg is the literal exchange's Remove message: ⟨Remove,
+// init_edge, deg_max, target, path⟩. It is routed from the search
+// terminus across the initiating non-tree edge and then along the
+// fundamental cycle to the target edge; past the target edge it drives
+// the reorientation of the detached segment (Figure 5a).
+//
+// Path holds the cycle node IDs in traversal order: the initiator
+// (Init.U) first, the terminus (Init.V) last. Pos is the index of the
+// node the message is currently addressed to — the paper encodes the
+// same information as the list1 ⊕ v ⊕ list2 split of the carried path.
+// Reorient marks that the target edge has been processed (the "w,z ∉
+// list2" state of Figure 2, line 10).
+type RemoveMsg struct {
+	Init     graph.Edge // Init.U = initiator (low ID), Init.V = terminus
+	DegMax   int        // deg(T) frozen at decision time
+	Target   graph.Edge // Target.U = w (the node whose degree drops), Target.V = z
+	WDeg     int        // degree of w at decision time (target_remove check)
+	Path     []int
+	Pos      int
+	Reorient bool
+}
+
+// Kind implements sim.Message.
+func (RemoveMsg) Kind() string { return KindRemove }
+
+// Size implements sim.Message: one word per path entry plus header,
+// O(n log n) bits as in the paper's buffer-length analysis.
+func (m RemoveMsg) Size() int { return len(m.Path) + 8 }
+
+// BackMsg is the literal exchange's Back message: ⟨Back, init_edge,
+// path⟩. It retraces the already-traversed prefix of the cycle in
+// reverse order (Figure 5b), re-parenting each node onto its
+// predecessor, and finally re-attaches the detached segment through the
+// initiating edge.
+type BackMsg struct {
+	Init graph.Edge
+	Path []int // reversed prefix: Path[0] is the first node to re-parent
+	Pos  int
+}
+
+// Kind implements sim.Message.
+func (BackMsg) Kind() string { return KindBack }
+
+// Size implements sim.Message.
+func (m BackMsg) Size() int { return len(m.Path) + 4 }
+
+// ReverseAuxMsg is the literal exchange's Reverse message (Figure 2,
+// lines 23-24): it walks up the parent chain re-parenting every
+// traversed node onto the message's sender until it reaches Target,
+// reversing the chain's orientation. It is the messenger half of the
+// Reverse_Aux handshake.
+type ReverseAuxMsg struct {
+	Target int
+}
+
+// Kind implements sim.Message.
+func (ReverseAuxMsg) Kind() string { return KindReverse }
+
+// Size implements sim.Message.
+func (ReverseAuxMsg) Size() int { return 1 }

@@ -5,8 +5,16 @@
 // (§3.2): the spanning-tree module (rules R1/R2), the maximum-degree
 // module (continuous PIF piggybacked on InfoMsg), the fundamental-cycle
 // detection module (Search DFS tokens) and the degree-reduction module
-// (Action_on_Cycle / Improve / Deblock with the Remove/Back/Reverse edge
-// exchange and UpdateDist repair).
+// (Action_on_Cycle / Improve / Deblock with an edge exchange and
+// UpdateDist repair).
+//
+// The edge exchange is the one place where the protocol is implemented
+// twice, and a node's exchange is fixed when it is built. NewNode builds
+// the chain exchange (reduce.go): an ordered chain of single-parent
+// Reverse hops that keeps a spanning tree after every step.
+// NewLiteralNode builds the paper's literal Remove/Back/Reverse
+// choreography of Figures 1-2 (choreo.go), whose intermediate
+// configurations are not spanning trees. Every other module is shared.
 //
 // Starting from an arbitrary configuration the network converges to a
 // single spanning tree rooted at the minimum ID whose degree is at most
@@ -22,7 +30,8 @@ import (
 )
 
 // RepairPolicy selects how the tree module reacts to a distance
-// incoherence (ablation A-repair in DESIGN.md).
+// incoherence (an ablation: resetting is the paper's rule, patching cuts
+// the churn that edge reversals cause).
 type RepairPolicy int
 
 const (
@@ -50,7 +59,7 @@ type Config struct {
 	// DeblockTTL bounds the recursion depth of blocking-node reduction.
 	DeblockTTL int
 	// DeblockTieBreak enables the ID tie-break for equal-potential
-	// deblock exchanges (DESIGN.md substitution S4).
+	// deblock exchanges, without which such exchanges can oscillate.
 	DeblockTieBreak bool
 	// DisableReduction turns off modules 3-4, leaving only the
 	// self-stabilizing BFS tree (baseline mode for E6).
@@ -175,8 +184,8 @@ func bitsFor(x int) int {
 	return b
 }
 
-// View is a node's local copy of one neighbor's variables; the storage
-// is the dense table shared with the literal variant (localview).
+// View is a node's local copy of one neighbor's variables, kept in the
+// dense localview table.
 type View = localview.View
 
 // Node is one protocol participant.
@@ -217,8 +226,8 @@ type Node struct {
 	restVersion uint64
 	tickMoved   bool
 	// suppress is the duplicate-token pruning state (nil unless
-	// Config.SuppressSearches); see SearchSuppressor.
-	suppress *SearchSuppressor
+	// Config.SuppressSearches); see searchSuppressor.
+	suppress *searchSuppressor
 	// Adaptive-backoff state (Config.BackoffSearches). Transient like
 	// the suppressor: never fingerprinted, and moving it must not bump
 	// the state version — the backoff observes quiescence, it is not
@@ -235,6 +244,11 @@ type Node struct {
 	// MutationHook). It lives on the Node — not on Config — because
 	// Config must stay comparable (the harness keys caches by it).
 	audit MutationHook
+
+	// literal selects the edge exchange this node initiates: the paper's
+	// Remove/Back choreography (NewLiteralNode) instead of the Reverse
+	// chain (NewNode). Every node handles both exchanges' messages.
+	literal bool
 
 	stats Stats
 }
@@ -261,8 +275,7 @@ const (
 // its parent pointer (or re-rooted) with the given old and new parent.
 // Hooks fire inside the mutation site, after the changed-value guard
 // accepted the write — never on no-op module runs — so the call
-// sequence is a pure function of the node's execution. Shared with the
-// literal variant (paperproto aliases this type).
+// sequence is a pure function of the node's execution.
 type MutationHook func(kind MutationKind, oldParent, newParent int)
 
 // SetMutationHook installs the audit observer (nil disables). Drivers
@@ -271,22 +284,45 @@ type MutationHook func(kind MutationKind, oldParent, newParent int)
 func (n *Node) SetMutationHook(h MutationHook) { n.audit = h }
 
 // Stats counts protocol events at this node (observability only; not
-// part of the protocol state or the memory-complexity accounting).
+// part of the protocol state or the memory-complexity accounting). The
+// exchange counters of the exchange a node does not run stay zero.
 type Stats struct {
 	SearchesLaunched  int // DFS tokens this node initiated
 	CyclesClassified  int // actionOnCycle invocations at this node
-	ExchangesApplied  int // reversal hops applied (first/middle/final)
-	ExchangesComplete int // final hops: one per completed edge exchange
-	ChainsAborted     int // reversal hops dropped by a staleness check
+	ExchangesComplete int // one per completed edge exchange
 	DeblocksTriggered int // Deblock floods this node started or forwarded
 	// SearchesSuppressed counts Search launches and token arrivals
 	// dropped by the duplicate-pruning module (Config.SuppressSearches);
 	// always zero with the knob off.
 	SearchesSuppressed int
+
+	// Chain exchange.
+	ExchangesApplied int // reversal hops applied (first/middle/final)
+	ChainsAborted    int // reversal hops dropped by a staleness check
+
+	// Literal exchange.
+	RemovesStarted int // Improve invocations (Remove sent across the init edge)
+	ReorientHops   int // re-parenting hops applied in the reorientation phase
+	BacksStarted   int // case-(b) Back messages emitted at the target edge
+	ChoreoAborted  int // Remove/Back hops discarded by a staleness check
+	ReversesSent   int // Reverse messages forwarded (Reverse_Aux path)
 }
 
-// NewNode creates a node in a clean initial state (its own root). Use
-// Corrupt or SetState to start from an arbitrary configuration.
+// Aborted is the number of exchange hops dropped by a staleness check,
+// whichever exchange ran.
+func (s Stats) Aborted() int { return s.ChainsAborted + s.ChoreoAborted }
+
+// NewLiteralNode is NewNode for a node that carries out improving edge
+// exchanges with the paper's literal Remove/Back choreography.
+func NewLiteralNode(id int, neighbors []int, cfg Config) *Node {
+	n := NewNode(id, neighbors, cfg)
+	n.literal = true
+	return n
+}
+
+// NewNode creates a chain-exchange node in a clean initial state (its
+// own root). Use Corrupt or SetState to start from an arbitrary
+// configuration.
 func NewNode(id int, neighbors []int, cfg Config) *Node {
 	n := &Node{
 		id:          id,
@@ -301,7 +337,7 @@ func NewNode(id int, neighbors []int, cfg Config) *Node {
 		tickMoved:   true, // never ticked: the first tick must run
 	}
 	if cfg.SuppressSearches {
-		n.suppress = NewSearchSuppressor()
+		n.suppress = newSearchSuppressor()
 	}
 	for _, u := range n.nbrs {
 		*n.views.Get(u) = View{Root: u, Parent: u}
@@ -323,7 +359,7 @@ func (n *Node) Clone() *Node {
 		c.lastDeblock[k] = v
 	}
 	if n.suppress != nil {
-		c.suppress = n.suppress.Clone()
+		c.suppress = n.suppress.clone()
 	}
 	return &c
 }
@@ -518,6 +554,18 @@ func (n *Node) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 	case ReverseMsg:
 		if !n.cfg.DisableReduction {
 			n.handleReverse(ctx, from, msg)
+		}
+	case RemoveMsg:
+		if !n.cfg.DisableReduction {
+			n.handleRemove(ctx, from, msg)
+		}
+	case BackMsg:
+		if !n.cfg.DisableReduction {
+			n.handleBack(ctx, from, msg)
+		}
+	case ReverseAuxMsg:
+		if !n.cfg.DisableReduction {
+			n.handleReverseAux(ctx, from, msg)
 		}
 	case DeblockMsg:
 		if !n.cfg.DisableReduction {

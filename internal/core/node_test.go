@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"mdst/internal/graph"
 	"mdst/internal/mdstseq"
@@ -261,9 +262,38 @@ func TestCorruptRandomizes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		nd.Corrupt(rng, 6)
 		seen[nd.Fingerprint()] = true
+		if nd.Root() < 0 || nd.Root() >= 6 {
+			t.Fatalf("corrupted root %d out of ID space", nd.Root())
+		}
 	}
 	if len(seen) < 5 {
 		t.Fatalf("corruption not random enough: %d distinct states", len(seen))
+	}
+}
+
+// Property: the memory stays within the paper's O(δ log n) bound with a
+// small constant across random graphs (experiment E3).
+func TestQuickMemoryWithinDeltaLogN(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(20)
+		g := graph.RandomGnp(n, 0.4, rng)
+		net := BuildNetwork(g, DefaultConfig(n), seed)
+		delta := 0
+		for v := 0; v < n; v++ {
+			if d := g.Degree(v); d > delta {
+				delta = d
+			}
+		}
+		logN := 1
+		for v := n; v > 1; v >>= 1 {
+			logN++
+		}
+		bound := 16 * (delta + 1) * logN // generous constant; the point is the shape
+		return net.MaxStateBits() <= bound
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 

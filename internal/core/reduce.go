@@ -15,11 +15,13 @@ import (
 // when an endpoint is a blocking node (degree dmax-1); for deblock
 // searches (Block >= 0) the same tests target the blocked node instead.
 //
-// The exchange itself (improve) is a ReverseMsg chain along the cycle:
-// each hop re-parents one node onto the message sender, so the tree
-// remains a spanning tree after every atomic step, and the final hop
-// both removes the target edge and flips the local color (the paper's
-// Remove/Back/Reverse + color toggle, substitution S3 in DESIGN.md).
+// The chain exchange (startReversal) is a ReverseMsg chain along the
+// cycle: each hop re-parents one node onto the message sender, so the
+// tree remains a spanning tree after every atomic step, and the final
+// hop both removes the target edge and flips the local color. It stands
+// in for the paper's Remove/Back/Reverse + color toggle, whose
+// intermediate configurations are not trees; literal nodes run that
+// choreography instead (choreo.go).
 
 // actionOnCycle classifies the completed cycle and reacts.
 func (n *Node) actionOnCycle(ctx *sim.Context, msg SearchMsg) {
@@ -49,14 +51,23 @@ func (n *Node) actionOnCycle(ctx *sim.Context, msg SearchMsg) {
 		case endMax < n.dmax-1:
 			// Improving edge (the paper's Eq. 1): pick the min-ID node of
 			// maximum degree on the path and remove its successor edge.
+			// The chain exchange picks over the whole path and gives up
+			// when the pick is the initiator, whose recorded degree then
+			// contradicts this node's view of it; the literal exchange
+			// picks among interior nodes only. The two rules choose
+			// differently on real runs, and each exchange keeps its own.
+			first := 0
+			if n.literal {
+				first = 1
+			}
 			wi := -1
-			for i := range path {
+			for i := first; i < len(path); i++ {
 				if path[i].Deg == dpath && (wi == -1 || path[i].Node < path[wi].Node) {
 					wi = i
 				}
 			}
 			if wi > 0 { // endpoints can never be targets (degree < dmax-1)
-				n.startReversal(ctx, msg.Init, path, wi, path[wi].Deg)
+				n.exchange(ctx, msg, wi)
 			}
 		case endMax == n.dmax-1:
 			// A blocking endpoint: try to reduce its degree first.
@@ -86,9 +97,9 @@ func (n *Node) actionOnCycle(ctx *sim.Context, msg SearchMsg) {
 	switch {
 	case endMax < n.dmax-1:
 		if n.cfg.DeblockTieBreak {
-			// Equal-potential exchange guard (DESIGN.md S4): an endpoint
-			// rising to dmax-1 must have a smaller ID than the blocked
-			// node it replaces, or the exchange could oscillate. When the
+			// Equal-potential exchange guard: an endpoint rising to
+			// dmax-1 must have a smaller ID than the blocked node it
+			// replaces, or the exchange could oscillate. When the
 			// removed edge (b, successor) is incident to this node (the
 			// successor is the terminus itself), its degree change nets
 			// to zero and the guard does not apply to it.
@@ -100,10 +111,20 @@ func (n *Node) actionOnCycle(ctx *sim.Context, msg SearchMsg) {
 				return
 			}
 		}
-		n.startReversal(ctx, msg.Init, path, bi, path[bi].Deg)
+		n.exchange(ctx, msg, bi)
 	case endMax == n.dmax-1 && msg.TTL > 0:
 		n.triggerDeblockTTL(ctx, y, myDeg, vy.Deg, msg.TTL-1)
 	}
+}
+
+// exchange starts the node's edge exchange on the completed cycle,
+// removing the cycle edge from path[wi] to its successor.
+func (n *Node) exchange(ctx *sim.Context, msg SearchMsg, wi int) {
+	if n.literal {
+		n.improve(ctx, msg, wi)
+		return
+	}
+	n.startReversal(ctx, msg.Init, msg.Path, wi, msg.Path[wi].Deg)
 }
 
 // triggerDeblock starts a deblock for whichever endpoint of the init
@@ -290,7 +311,8 @@ func (n *Node) handleReverse(ctx *sim.Context, from int, msg ReverseMsg) {
 
 // notifyChildrenDist floods UpdateDist to the node's children (except the
 // chain successor, which re-parents itself) so their subtree distances
-// are repaired proactively rather than by R2 churn.
+// are repaired proactively rather than by R2 churn (Figure 2, lines
+// 25-27).
 func (n *Node) notifyChildrenDist(ctx *sim.Context, except int) {
 	for _, u := range n.nbrs {
 		if u == except {

@@ -39,48 +39,40 @@ type searchSeen struct {
 // sweep on every subsequent pass.
 const seenSearchCap = 512
 
-// SearchSuppressor holds one node's duplicate-token pruning records —
-// the search-suppression module's only state, shared by both protocol
-// variants (paperproto embeds it too, exactly as it reuses SearchMsg).
-// It is transient bookkeeping like the retry schedule: never
-// fingerprinted, and recording a pass must not bump the node's state
-// version, or quiescence could never be reached.
-type SearchSuppressor struct {
+// searchSuppressor holds one node's duplicate-token pruning records —
+// the search-suppression module's only state. It is transient
+// bookkeeping like the retry schedule: never fingerprinted, and
+// recording a pass must not bump the node's state version, or
+// quiescence could never be reached.
+type searchSuppressor struct {
 	seen map[searchKey]searchSeen
 }
 
-// NewSearchSuppressor returns an empty record set.
-func NewSearchSuppressor() *SearchSuppressor {
-	return &SearchSuppressor{seen: make(map[searchKey]searchSeen)}
+func newSearchSuppressor() *searchSuppressor {
+	return &searchSuppressor{seen: make(map[searchKey]searchSeen)}
 }
 
-// Clone deep-copies the records (model-checker branching).
-func (s *SearchSuppressor) Clone() *SearchSuppressor {
-	c := &SearchSuppressor{seen: make(map[searchKey]searchSeen, len(s.seen))}
+// clone deep-copies the records (model-checker branching).
+func (s *searchSuppressor) clone() *searchSuppressor {
+	c := &searchSuppressor{seen: make(map[searchKey]searchSeen, len(s.seen))}
 	for k, v := range s.seen {
 		c.seen[k] = v
 	}
 	return c
 }
 
-// Suppress is the duplicate-pruning decision: true when an equivalent
+// suppress is the duplicate-pruning decision: pruned when an equivalent
 // token (same fundamental-cycle key) already passed this node within
 // `window` ticks and the node's state version is unchanged since —
 // re-walking the cycle could not reach a different classification
-// sooner than the recorded token's retry will. On false the pass is
-// recorded.
-func (s *SearchSuppressor) Suppress(window, tick int, version uint64, init graph.Edge, block int) bool {
-	pruned, _ := s.SuppressEx(window, tick, version, init, block)
-	return pruned
-}
-
-// SuppressEx is Suppress plus the adaptive-backoff observable: on a
-// pass, lapsed reports that the key's record outlived the window with
-// the node's version unchanged — a full pruning window elapsed at a
-// fixed point, the evidence Config.BackoffSearches deepens on (a
-// first-ever pass or a version change is not a lapse; both mean the
-// schedule should stay at its base).
-func (s *SearchSuppressor) SuppressEx(window, tick int, version uint64, init graph.Edge, block int) (pruned, lapsed bool) {
+// sooner than the recorded token's retry will. Otherwise the pass is
+// recorded, and lapsed reports the adaptive-backoff observable: the
+// key's record outlived the window with the node's version unchanged —
+// a full pruning window elapsed at a fixed point, the evidence
+// Config.BackoffSearches deepens on (a first-ever pass or a version
+// change is not a lapse; both mean the schedule should stay at its
+// base).
+func (s *searchSuppressor) suppress(window, tick int, version uint64, init graph.Edge, block int) (pruned, lapsed bool) {
 	key := searchKey{init: init, block: block}
 	if r, ok := s.seen[key]; ok && r.version == version {
 		if tick-r.tick < window {
@@ -102,12 +94,12 @@ func (s *SearchSuppressor) SuppressEx(window, tick int, version uint64, init gra
 	return false, lapsed
 }
 
-// PassTick returns the earliest tick at which a token with this key
+// passTick returns the earliest tick at which a token with this key
 // would pass the pruner under the given window — the recorded pass's
 // tick plus the window while the record is live at this version, 0
 // when nothing suppresses it. Read-only; the event core parks nodes
 // on it.
-func (s *SearchSuppressor) PassTick(window int, version uint64, init graph.Edge, block int) int {
+func (s *searchSuppressor) passTick(window int, version uint64, init graph.Edge, block int) int {
 	if r, ok := s.seen[searchKey{init: init, block: block}]; ok && r.version == version {
 		return r.tick + window
 	}
@@ -119,7 +111,7 @@ func (s *SearchSuppressor) PassTick(window int, version uint64, init graph.Edge,
 // when a pass proves a full window elapsed at a fixed point. Never
 // called with suppression off.
 func (n *Node) suppressSearch(init graph.Edge, block int) bool {
-	pruned, lapsed := n.suppress.SuppressEx(n.effectiveWindow(), n.tick, n.version, init, block)
+	pruned, lapsed := n.suppress.suppress(n.effectiveWindow(), n.tick, n.version, init, block)
 	if pruned {
 		n.stats.SearchesSuppressed++
 		return true
@@ -183,7 +175,7 @@ func (n *Node) searchPassTick(u int) int {
 	if n.suppress == nil {
 		return 0
 	}
-	return n.suppress.PassTick(n.currentWindow(), n.version, graph.Edge{U: n.id, V: u}, -1)
+	return n.suppress.passTick(n.currentWindow(), n.version, graph.Edge{U: n.id, V: u}, -1)
 }
 
 // currentWindow is the read-only view of effectiveWindow: a tier whose

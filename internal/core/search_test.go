@@ -95,6 +95,19 @@ func TestSearchGuardDropsWhenNotStabilized(t *testing.T) {
 	}
 }
 
+// A search from a node with no tree neighbors dies silently.
+func TestStartSearchIsolatedInTree(t *testing.T) {
+	g := graph.Ring(4)
+	net := BuildNetwork(g, DefaultConfig(4), 1)
+	nodes := NodesOf(net)
+	// Node 2 is its own root with no children in anyone's view.
+	nodes[2].SetState(2, 2, 0, 3, 3, false)
+	nodes[2].startSearch(net.Context(2), 3, -1, 0)
+	if net.Pending() != 0 {
+		t.Fatal("isolated node launched a token")
+	}
+}
+
 func TestSearchBacktrackDiesAtInitiator(t *testing.T) {
 	// Star graph: node 0 center. Non-tree edges absent (star tree = the
 	// graph), so fake a search from 1 seeking a nonexistent endpoint to

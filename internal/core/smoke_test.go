@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mdst/internal/graph"
+	"mdst/internal/mdstseq"
 	"mdst/internal/sim"
 )
 
@@ -55,4 +56,56 @@ func TestSmokeRepairReset(t *testing.T) {
 	cfg := DefaultConfig(g.N())
 	cfg.Repair = RepairReset
 	runOnce(t, "reset-corrupt", g, cfg, 45, sim.NewSyncScheduler(), true)
+}
+
+// TestSmokeWheel runs both exchanges on a wheel graph (hub degree n-1 in
+// the worst starting tree; Δ* = 3 for n >= 7) from a clean start.
+func TestSmokeWheel(t *testing.T) {
+	g := graph.Wheel(10)
+	star, ok := mdstseq.ExactDelta(g, 0)
+	if !ok {
+		t.Fatal("exact solver gave up on a 10-node wheel")
+	}
+	for _, x := range exchanges {
+		net := buildNet(g, DefaultConfig(g.N()), 1, x.newNode)
+		res := runToQuiescence(net, g, sim.NewSyncScheduler(), 0)
+		if !res.Converged {
+			t.Fatalf("%s: no quiescence in %d rounds", x.name, res.Rounds)
+		}
+		leg := CheckLegitimacy(g, NodesOf(net))
+		if !leg.OK() {
+			t.Fatalf("%s: not legitimate: %+v", x.name, leg)
+		}
+		if leg.MaxDegree > star+1 {
+			t.Fatalf("%s: degree %d > Δ*+1 = %d", x.name, leg.MaxDegree, star+1)
+		}
+		if st := AggregateStats(NodesOf(net)); st.ExchangesComplete == 0 {
+			t.Fatalf("%s: no exchange ever completed", x.name)
+		}
+	}
+}
+
+// TestSmokeCorrupted runs both exchanges from fully corrupted states on
+// a few seeds.
+func TestSmokeCorrupted(t *testing.T) {
+	for _, x := range exchanges {
+		for seed := int64(0); seed < 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 8 + rng.Intn(6)
+			g := graph.RandomGnp(n, 0.4, rng)
+			net := buildNet(g, DefaultConfig(n), seed, x.newNode)
+			corruptAll(net, rng)
+			res := runToQuiescence(net, g, sim.NewSyncScheduler(), 0)
+			if !res.Converged {
+				t.Fatalf("%s seed %d: no quiescence in %d rounds", x.name, seed, res.Rounds)
+			}
+			leg := CheckLegitimacy(g, NodesOf(net))
+			if !leg.OK() {
+				t.Fatalf("%s seed %d: not legitimate: %+v", x.name, seed, leg)
+			}
+			if star, ok := mdstseq.ExactDelta(g, 0); ok && leg.MaxDegree > star+1 {
+				t.Fatalf("%s seed %d: degree %d > Δ*+1 = %d", x.name, seed, leg.MaxDegree, star+1)
+			}
+		}
+	}
 }

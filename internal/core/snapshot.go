@@ -11,9 +11,9 @@ import (
 
 // Global-observer helpers: none of this is visible to the nodes; it is
 // how experiments and tests decide whether a configuration is legitimate
-// (DESIGN.md §5) and extract the constructed tree.
+// and extract the constructed tree.
 
-// BuildNetwork wires a simulated network of protocol nodes over g.
+// BuildNetwork wires a simulated network of chain-exchange nodes over g.
 func BuildNetwork(g *graph.Graph, cfg Config, seed int64) *sim.Network {
 	return sim.NewNetwork(g, func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
 		return NewNode(id, nbrs, cfg)
@@ -58,11 +58,16 @@ func AggregateStats(nodes []*Node) Stats {
 		s := nd.NodeStats()
 		total.SearchesLaunched += s.SearchesLaunched
 		total.CyclesClassified += s.CyclesClassified
-		total.ExchangesApplied += s.ExchangesApplied
 		total.ExchangesComplete += s.ExchangesComplete
-		total.ChainsAborted += s.ChainsAborted
 		total.DeblocksTriggered += s.DeblocksTriggered
 		total.SearchesSuppressed += s.SearchesSuppressed
+		total.ExchangesApplied += s.ExchangesApplied
+		total.ChainsAborted += s.ChainsAborted
+		total.RemovesStarted += s.RemovesStarted
+		total.ReorientHops += s.ReorientHops
+		total.BacksStarted += s.BacksStarted
+		total.ChoreoAborted += s.ChoreoAborted
+		total.ReversesSent += s.ReversesSent
 	}
 	return total
 }
@@ -85,8 +90,10 @@ func (l Legitimacy) OK() bool {
 		l.DmaxOK && l.FixedPoint
 }
 
-// CheckLegitimacy evaluates the full legitimacy predicate of DESIGN.md §5
-// on a configuration snapshot.
+// CheckLegitimacy evaluates the full legitimacy predicate on a
+// configuration snapshot: one spanning tree rooted at the minimum ID,
+// coherent distances, views and degree information, and no
+// Fürer–Raghavachari improvement left.
 func CheckLegitimacy(g *graph.Graph, nodes []*Node) Legitimacy {
 	var leg Legitimacy
 	tree, err := ExtractTree(g, nodes)

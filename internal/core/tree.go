@@ -10,7 +10,7 @@ package core
 //
 // Distances are bounded by cfg.MaxDist (nodes know an upper bound on n),
 // which terminates the count-to-infinity epidemic of forged root values
-// that the pure rules admit; see DESIGN.md.
+// that the pure rules admit.
 //
 // Every write below goes through a changed-value guard that bumps the
 // node's state version: the simulator's incremental fingerprint cache

@@ -289,13 +289,15 @@ func budgetDeadline(spec RunSpec, ops variantOps, p wallParams) (time.Duration, 
 // mutation hooks, nil when auditing is off. Must be called after
 // buildInitial: the initial (possibly corrupted) configuration is the
 // run's premise, only run-time mutations are chained.
-func auditRecorder(spec RunSpec, ops variantOps, procs []sim.Process) *auditlog.Recorder {
+func auditRecorder(spec RunSpec, nodes []*core.Node) *auditlog.Recorder {
 	if !spec.Audit {
 		return nil
 	}
 	n := spec.Graph.N()
 	rec := auditlog.NewRecorder(n, auditlog.Genesis(spec.Seed, n))
-	ops.attachAudit(procs, rec)
+	for i, nd := range nodes {
+		nd.SetMutationHook(auditHook(rec, i))
+	}
 	return rec
 }
 
@@ -336,14 +338,14 @@ func wallSnapshot(prog detect.Progress, nodes int, sentTotal int64, byKind map[s
 // wallFinalSnapshot is the post-stop observation: the network is
 // quiesced (or deadline-cut) and stopped, so per-node degrees and
 // protocol event counters are safe to read and complete the stream.
-func wallFinalSnapshot(prog detect.Progress, ops variantOps, procs []sim.Process, sentTotal int64, byKind map[string]int64) metrics.Snapshot {
-	s := wallSnapshot(prog, len(procs), sentTotal, byKind)
-	s.DegreeHist, s.MaxDegree = degreeHist(ops.degrees(procs))
-	st := ops.stats(procs)
-	s.Exchanges = st.Exchanges
-	s.Aborts = st.Aborts
-	s.Suppressed = st.Suppressed
-	s.Deblocks = st.Deblocks
+func wallFinalSnapshot(prog detect.Progress, nodes []*core.Node, sentTotal int64, byKind map[string]int64) metrics.Snapshot {
+	s := wallSnapshot(prog, len(nodes), sentTotal, byKind)
+	s.DegreeHist, s.MaxDegree = degreeHist(degrees(nodes))
+	st := core.AggregateStats(nodes)
+	s.Exchanges = st.ExchangesComplete
+	s.Aborts = st.Aborted()
+	s.Suppressed = st.SearchesSuppressed
+	s.Deblocks = st.DeblocksTriggered
 	return s
 }
 
@@ -369,11 +371,11 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 		ActiveKinds:  ops.kinds,
 		CountKinds:   collect != nil,
 	})
-	procs, res0, ok := buildInitial(spec, ops, ln.Process)
+	nodes, res0, ok := buildInitial(spec, ops, ln.Process)
 	if !ok {
 		return res0, nil
 	}
-	rec := auditRecorder(spec, ops, procs)
+	rec := auditRecorder(spec, nodes)
 
 	det := detect.New(detect.Config{Window: p.stable, Backend: string(BackendLive)})
 	deadline := begin.Add(p.deadline)
@@ -401,7 +403,7 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 		}
 		ln.Stop()
 		running = false
-		if ops.legit(g, procs).OK() {
+		if core.CheckLegitimacy(g, nodes).OK() {
 			cert = &c
 			break
 		}
@@ -419,13 +421,13 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 	// certificate — a certificate alone is stability, not correctness,
 	// and legitimacy without certified quiescence (e.g. reached right at
 	// the deadline) still counts, same contract as before the rebase.
-	leg := ops.legit(g, procs)
+	leg := core.CheckLegitimacy(g, nodes)
 	converged := leg.OK()
 
 	if collect != nil {
-		collect.Add(wallFinalSnapshot(det.Progress(), ops, procs, ln.Sent(), ln.SentByKind()))
+		collect.Add(wallFinalSnapshot(det.Progress(), nodes, ln.Sent(), ln.SentByKind()))
 	}
-	st := ops.stats(procs)
+	st := core.AggregateStats(nodes)
 	out := Result{
 		Backend:            BackendLive,
 		Converged:          converged,
@@ -433,10 +435,10 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 		LastChange:         int(det.Epoch()),
 		Legit:              leg,
 		TotalMessages:      ln.Sent(),
-		MaxStateBits:       sim.MaxStateBitsOf(procs),
-		Exchanges:          st.Exchanges,
-		Aborts:             st.Aborts,
-		SearchesSuppressed: st.Suppressed,
+		MaxStateBits:       sim.MaxStateBitsOf(nodes),
+		Exchanges:          st.ExchangesComplete,
+		Aborts:             st.Aborted(),
+		SearchesSuppressed: st.SearchesSuppressed,
 		Cert:               cert,
 		Restarts:           restarts,
 		Deadline:           p.deadline,
@@ -446,7 +448,7 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 		out.AuditChain = rec.ChainHead()
 		out.AuditRecords = rec.Len()
 	}
-	if t, err := ops.tree(g, procs); err == nil {
+	if t, err := core.ExtractTree(g, nodes); err == nil {
 		out.Tree = t
 	}
 	return out, nil
@@ -478,11 +480,11 @@ func runTCP(spec RunSpec, ops variantOps) (Result, error) {
 		BatchMaxWait: spec.Tuning.BatchMaxWait,
 		CountKinds:   collect != nil,
 	})
-	procs, res0, ok := buildInitial(spec, ops, c.Process)
+	nodes, res0, ok := buildInitial(spec, ops, c.Process)
 	if !ok {
 		return res0, nil
 	}
-	rec := auditRecorder(spec, ops, procs)
+	rec := auditRecorder(spec, nodes)
 
 	// Unlike the in-process backends, TCP execution itself can fail
 	// (listen/dial); surface it as the run's error.
@@ -532,7 +534,7 @@ func runTCP(spec RunSpec, ops variantOps) (Result, error) {
 		probe.Close()
 		c.Stop()
 		running = false
-		if ops.legit(g, procs).OK() {
+		if core.CheckLegitimacy(g, nodes).OK() {
 			cert = &crt
 			break
 		}
@@ -550,14 +552,14 @@ func runTCP(spec RunSpec, ops variantOps) (Result, error) {
 		probe.Close()
 		c.Stop()
 	}
-	leg := ops.legit(g, procs)
+	leg := core.CheckLegitimacy(g, nodes)
 
 	if collect != nil {
 		// Post-stop: read the cluster's counters directly (the control
 		// channel is down) and complete the stream with per-node state.
-		collect.Add(wallFinalSnapshot(det.Progress(), ops, procs, c.Sent(), c.SentByKind()))
+		collect.Add(wallFinalSnapshot(det.Progress(), nodes, c.Sent(), c.SentByKind()))
 	}
-	st := ops.stats(procs)
+	st := core.AggregateStats(nodes)
 	out := Result{
 		Backend:            BackendTCP,
 		Converged:          leg.OK(),
@@ -565,12 +567,12 @@ func runTCP(spec RunSpec, ops variantOps) (Result, error) {
 		LastChange:         int(det.Epoch()),
 		Legit:              leg,
 		TotalMessages:      c.Sent(),
-		MaxStateBits:       sim.MaxStateBitsOf(procs),
+		MaxStateBits:       sim.MaxStateBitsOf(nodes),
 		Dropped:            c.Dropped(),
 		Frames:             c.FramesWritten(),
-		Exchanges:          st.Exchanges,
-		Aborts:             st.Aborts,
-		SearchesSuppressed: st.Suppressed,
+		Exchanges:          st.ExchangesComplete,
+		Aborts:             st.Aborted(),
+		SearchesSuppressed: st.SearchesSuppressed,
 		Cert:               cert,
 		Restarts:           c.Restarts(),
 		Deadline:           p.deadline,
@@ -580,7 +582,7 @@ func runTCP(spec RunSpec, ops variantOps) (Result, error) {
 		out.AuditChain = rec.ChainHead()
 		out.AuditRecords = rec.Len()
 	}
-	if t, err := ops.tree(g, procs); err == nil {
+	if t, err := core.ExtractTree(g, nodes); err == nil {
 		out.Tree = t
 	}
 	return out, nil

@@ -9,9 +9,9 @@
 // three interchangeable execution backends — the deterministic seeded
 // simulator (BackendSim, the default), the goroutine-per-node CSP
 // runtime (BackendLive) and a loopback TCP cluster (BackendTCP). The
-// variant axis (core vs the paper-literal choreography) is equally
-// pluggable via variantOps, so every (variant × backend) pair shares
-// this one orchestration path.
+// variant axis (the chain exchange vs the paper-literal choreography)
+// only picks the node constructor (variantOps), so every (variant ×
+// backend) pair shares this one orchestration path.
 package harness
 
 import (
@@ -103,16 +103,16 @@ func ParseStartMode(s string) (StartMode, error) {
 	return 0, fmt.Errorf("harness: unknown start mode %q", s)
 }
 
-// Variant selects which protocol implementation a run executes.
+// Variant selects which edge exchange a run's nodes carry out.
 type Variant string
 
 // Protocol variants.
 const (
-	// VariantCore is the primary implementation: the edge exchange is an
-	// ordered chain of single-parent moves (DESIGN.md S3).
+	// VariantCore runs core.NewNode: the edge exchange is an ordered
+	// chain of single-parent moves, each of which keeps a spanning tree.
 	VariantCore Variant = "core"
-	// VariantLiteral is the literal Remove/Back/Reverse choreography of
-	// the paper's Figures 1-2 (internal/paperproto).
+	// VariantLiteral runs core.NewLiteralNode: the literal
+	// Remove/Back/Reverse choreography of the paper's Figures 1-2.
 	VariantLiteral Variant = "literal"
 )
 
@@ -140,10 +140,11 @@ type RunSpec struct {
 	MaxRounds int
 	// TrackSafety counts rounds in which the parent pointers do not form
 	// a single spanning tree (transient breakage under concurrent
-	// exchanges; see DESIGN.md S3). Counting starts at the first round
-	// with a valid tree, so the initial formation phase of a corrupted
-	// start is excluded. Costs one validation per round. Sim backend
-	// only: the wall-clock backends have no round hook. Under
+	// exchanges, or mid-choreography with the literal exchange).
+	// Counting starts at the first round with a valid tree, so the
+	// initial formation phase of a corrupted start is excluded. Costs
+	// one validation per round. Sim backend only: the wall-clock
+	// backends have no round hook. Under
 	// EngineEvent only executed rounds are validated — rounds skipped as
 	// eventless cannot change the tree, so the count is unaffected, but
 	// the per-round hook fires fewer times.
@@ -389,7 +390,7 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 	if spec.DropRate > 0 {
 		net.SetDropRate(spec.DropRate)
 	}
-	procs, res0, ok := buildInitial(spec, ops, net.Process)
+	nodes, res0, ok := buildInitial(spec, ops, net.Process)
 	if !ok {
 		return res0, nil
 	}
@@ -424,7 +425,7 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 	if spec.TrackSafety {
 		formed := false
 		hooks = append(hooks, func(int) bool {
-			if _, err := ops.tree(g, procs); err != nil {
+			if _, err := core.ExtractTree(g, nodes); err != nil {
 				if formed {
 					broken++
 				}
@@ -434,7 +435,7 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 			return true
 		})
 	}
-	rec := auditRecorder(spec, ops, procs)
+	rec := auditRecorder(spec, nodes)
 	if rec != nil {
 		hooks = append(hooks, func(r int) bool {
 			// OnRound(r) fires after round r completed; mutations observed
@@ -494,8 +495,8 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 				sentByKind[k] = v
 				sentTotal += v
 			}
-			hist, maxDeg := degreeHist(ops.degrees(procs))
-			st := ops.stats(procs)
+			hist, maxDeg := degreeHist(degrees(nodes))
+			st := core.AggregateStats(nodes)
 			retry := 0
 			if ops.cfg.SuppressSearches {
 				retry = ops.cfg.EffectiveRetryPeriod()
@@ -514,10 +515,10 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 				SentByKind:  sentByKind,
 				DegreeHist:  hist,
 				MaxDegree:   maxDeg,
-				Exchanges:   st.Exchanges,
-				Aborts:      st.Aborts,
-				Suppressed:  st.Suppressed,
-				Deblocks:    st.Deblocks,
+				Exchanges:   st.ExchangesComplete,
+				Aborts:      st.Aborted(),
+				Suppressed:  st.SearchesSuppressed,
+				Deblocks:    st.DeblocksTriggered,
 				VersionFill: fill,
 				Deficit:     deficit,
 				Stable:      streak,
@@ -574,20 +575,20 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 		// off by MaxRounds a partial one.
 		sample(uint64(res.Rounds))
 	}
-	st := ops.stats(procs)
+	st := core.AggregateStats(nodes)
 	out := Result{
 		Backend:            BackendSim,
 		Converged:          res.Converged,
 		Rounds:             res.Rounds,
 		LastChange:         res.LastChangeRound,
-		Legit:              ops.legit(g, procs),
+		Legit:              core.CheckLegitimacy(g, nodes),
 		Metrics:            net.Metrics(),
 		MaxStateBits:       net.MaxStateBits(),
 		BrokenRounds:       broken,
 		Dropped:            net.Dropped(),
-		Exchanges:          st.Exchanges,
-		Aborts:             st.Aborts,
-		SearchesSuppressed: st.Suppressed,
+		Exchanges:          st.ExchangesComplete,
+		Aborts:             st.Aborted(),
+		SearchesSuppressed: st.SearchesSuppressed,
 		WallTime:           time.Since(begin),
 	}
 	if rec != nil {
@@ -626,7 +627,7 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 			Received:    activeSent,
 		}
 	}
-	if t, err := ops.tree(g, procs); err == nil {
+	if t, err := core.ExtractTree(g, nodes); err == nil {
 		out.Tree = t
 	}
 	return out, nil

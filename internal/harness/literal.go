@@ -3,56 +3,17 @@ package harness
 import (
 	"mdst/internal/core"
 	"mdst/internal/graph"
-	"mdst/internal/paperproto"
 	"mdst/internal/spanning"
 )
 
-// The literal-choreography variant (internal/paperproto) executes
-// through the same orchestration as the primary implementation — see
-// variantOps in variant.go; only its preload helper lives here.
-
-// PreloadLiteral writes a legitimate configuration into literal-variant
-// nodes (the counterpart of Preload).
-func PreloadLiteral(g *graph.Graph, nodes []*paperproto.Node, cfg core.Config) error {
-	tree, err := PreloadTree(g)
-	if err != nil {
-		return err
-	}
-	return PreloadLiteralFromTree(g, nodes, cfg, tree)
+// PreloadLiteral is Preload; both exchanges' nodes are core.Nodes. It
+// remains only because the repository benchmark still calls it.
+func PreloadLiteral(g *graph.Graph, nodes []*core.Node, cfg core.Config) error {
+	return Preload(g, nodes, cfg)
 }
 
-// PreloadLiteralFromTree is PreloadFromTree for literal-variant nodes:
-// it writes the legitimate configuration induced by the given spanning
-// tree (used by the StartPath preload).
-func PreloadLiteralFromTree(g *graph.Graph, nodes []*paperproto.Node, cfg core.Config, tree *spanning.Tree) error {
-	k := tree.MaxDegree()
-	deg := tree.Degrees()
-	submax := make([]int, g.N())
-	order := depthOrder(tree)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		submax[v] = deg[v]
-		for _, c := range tree.Children(v) {
-			if submax[c] > submax[v] {
-				submax[v] = submax[c]
-			}
-		}
-	}
-	for i, nd := range nodes {
-		nd.SetState(0, tree.Parent(i), tree.Depth(i), k, submax[i], false)
-	}
-	for i, nd := range nodes {
-		for _, u := range g.Neighbors(i) {
-			nd.SetView(u, paperproto.View{
-				Root:     0,
-				Parent:   tree.Parent(u),
-				Distance: tree.Depth(u),
-				Dmax:     k,
-				Submax:   submax[u],
-				Deg:      deg[u],
-				Color:    false,
-			})
-		}
-	}
-	return nil
+// PreloadLiteralFromTree is PreloadFromTree; it remains only because the
+// repository benchmark still calls it.
+func PreloadLiteralFromTree(g *graph.Graph, nodes []*core.Node, cfg core.Config, tree *spanning.Tree) error {
+	return PreloadFromTree(g, nodes, cfg, tree)
 }

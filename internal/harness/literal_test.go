@@ -4,8 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"mdst/internal/core"
 	"mdst/internal/graph"
-	"mdst/internal/paperproto"
+	"mdst/internal/sim"
 )
 
 func TestRunLiteralVariantConverges(t *testing.T) {
@@ -42,13 +43,15 @@ func TestRunLiteralFromLegitimate(t *testing.T) {
 func TestPreloadLiteralIsLegitimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.RandomGnp(10, 0.4, rng)
-	cfg := paperproto.DefaultConfig(10)
-	net := paperproto.BuildNetwork(g, cfg, 3)
-	nodes := paperproto.NodesOf(net)
+	cfg := core.DefaultConfig(10)
+	net := sim.NewNetwork(g, func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
+		return core.NewLiteralNode(id, nbrs, cfg)
+	}, 3)
+	nodes := core.NodesOf(net)
 	if err := PreloadLiteral(g, nodes, cfg); err != nil {
 		t.Fatal(err)
 	}
-	leg := paperproto.CheckLegitimacy(g, nodes)
+	leg := core.CheckLegitimacy(g, nodes)
 	if !leg.OK() {
 		t.Fatalf("preloaded configuration not legitimate: %+v", leg)
 	}
@@ -66,7 +69,7 @@ func TestVariantDefaultIsCore(t *testing.T) {
 func TestRunTracedLiteralSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.RandomGnp(12, 0.4, rng)
-	res, series := RunTracedLiteral(RunSpec{
+	res, series := RunTraced(RunSpec{
 		Graph: g, Variant: VariantLiteral,
 		Scheduler: SchedSync, Start: StartCorrupt, Seed: 4,
 	}, 1)

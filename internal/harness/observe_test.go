@@ -2,15 +2,11 @@ package harness
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"mdst/internal/auditlog"
-	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/metrics"
-	"mdst/internal/paperproto"
 )
 
 // --- Audit chain ---------------------------------------------------------
@@ -256,59 +252,4 @@ func TestMetricsWallBackends(t *testing.T) {
 			t.Fatalf("%s: corrupt start chained no mutations", backend)
 		}
 	}
-}
-
-// --- Stats parity (satellite) --------------------------------------------
-
-// statNames reflects the exported int counter field names of a Stats
-// struct type.
-func statNames(v any) []string {
-	t := reflect.TypeOf(v)
-	out := make([]string, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		out = append(out, t.Field(i).Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestStatsCounterSetsAligned pins the relationship between the two
-// variants' Stats structs: the shared counters must exist in both under
-// identical names (the differential tables compare them positionally),
-// and every non-shared field must be in the variant's declared extras
-// allowlist — a new counter added to one side without classification
-// fails here instead of silently skewing cross-variant comparisons.
-func TestStatsCounterSetsAligned(t *testing.T) {
-	shared := []string{
-		"CyclesClassified", "DeblocksTriggered", "ExchangesComplete",
-		"SearchesLaunched", "SearchesSuppressed",
-	}
-	coreExtras := map[string]bool{"ExchangesApplied": true, "ChainsAborted": true}
-	literalExtras := map[string]bool{
-		"RemovesStarted": true, "ReorientHops": true, "BacksStarted": true,
-		"ChoreoAborted": true, "ReversesSent": true,
-	}
-	check := func(variant string, got []string, extras map[string]bool) {
-		have := map[string]bool{}
-		for _, name := range got {
-			have[name] = true
-		}
-		for _, name := range shared {
-			if !have[name] {
-				t.Errorf("%s Stats missing shared counter %s", variant, name)
-			}
-			delete(have, name)
-		}
-		for name := range have {
-			if !extras[name] {
-				t.Errorf("%s Stats has unclassified counter %s (add it to the shared set or the extras allowlist)", variant, name)
-			}
-			delete(extras, name)
-		}
-		for name := range extras {
-			t.Errorf("%s Stats extras allowlist names missing field %s", variant, name)
-		}
-	}
-	check("core", statNames(core.Stats{}), coreExtras)
-	check("paperproto", statNames(paperproto.Stats{}), literalExtras)
 }

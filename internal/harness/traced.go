@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"math/rand"
-
 	"mdst/internal/core"
 	"mdst/internal/sim"
 	"mdst/internal/trace"
@@ -16,7 +14,9 @@ import (
 // Columns: round, treeDeg (-1 while no valid spanning tree exists),
 // roots (number of self-parented nodes), dmaxAgree (nodes whose dmax
 // equals the true tree degree), pending (undelivered messages),
-// reversals (cumulative Reverse messages sent).
+// reversals (cumulative reorientation messages sent: Reverse hops of
+// the chain exchange, Remove+Back of the literal one, so the two
+// variants' series plot side by side).
 //
 // Per-round sampling only exists on the deterministic simulator, so
 // RunTraced always executes there; a spec naming another backend is a
@@ -31,30 +31,15 @@ func RunTraced(spec RunSpec, every int) (Result, *trace.Series) {
 	}
 	g := spec.Graph
 	n := g.N()
-	cfg := spec.Config
-	if cfg.MaxDist == 0 {
-		cfg = core.DefaultConfig(n)
+	ops := variantFor(spec)
+	net := sim.NewNetwork(g, ops.factory, spec.Seed)
+	nodes, res0, ok := buildInitial(spec, ops, net.Process)
+	if !ok {
+		return res0, nil
 	}
-	if spec.Suppress {
-		cfg.SuppressSearches = true
-	}
-	net := core.BuildNetwork(g, cfg, spec.Seed)
-	nodes := core.NodesOf(net)
-	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5eed))
-
-	switch spec.Start {
-	case StartCorrupt:
-		for _, nd := range nodes {
-			nd.Corrupt(rng, n)
-		}
-	case StartLegitimate:
-		if err := Preload(g, nodes, cfg); err != nil {
-			return Result{Legit: core.Legitimacy{Detail: err.Error()}}, nil
-		}
-		perm := rng.Perm(n)
-		for i := 0; i < spec.CorruptNodes && i < n; i++ {
-			nodes[perm[i]].Corrupt(rng, n)
-		}
+	reversalKinds := []string{core.KindReverse}
+	if spec.Variant == VariantLiteral {
+		reversalKinds = []string{core.KindRemove, core.KindBack}
 	}
 
 	series := trace.NewSeries("run",
@@ -76,9 +61,12 @@ func RunTraced(spec RunSpec, every int) (Result, *trace.Series) {
 				roots++
 			}
 		}
+		var reversals int64
+		for _, k := range reversalKinds {
+			reversals += net.Metrics().SentByKind[k]
+		}
 		series.Append(float64(round), treeDeg, roots, agree,
-			float64(net.Pending()),
-			float64(net.Metrics().SentByKind[core.KindReverse]))
+			float64(net.Pending()), float64(reversals))
 	}
 	sample(0)
 
@@ -89,8 +77,8 @@ func RunTraced(spec RunSpec, every int) (Result, *trace.Series) {
 	res := net.Run(sim.RunConfig{
 		Scheduler:     NewScheduler(spec.Scheduler),
 		MaxRounds:     maxRounds,
-		QuiesceRounds: QuiesceWindowRounds(n, cfg.EffectiveRetryPeriod()),
-		ActiveKinds:   core.ReductionKinds(),
+		QuiesceRounds: QuiesceWindowRounds(n, ops.cfg.EffectiveRetryPeriod()),
+		ActiveKinds:   ops.kinds,
 		OnRound: func(r int) bool {
 			if (r+1)%every == 0 {
 				sample(r + 1)

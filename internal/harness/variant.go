@@ -5,49 +5,54 @@ import (
 
 	"mdst/internal/auditlog"
 	"mdst/internal/core"
-	"mdst/internal/graph"
-	"mdst/internal/paperproto"
 	"mdst/internal/sim"
 	"mdst/internal/spanning"
 )
 
-// variantOps is the per-protocol-implementation surface the backend
-// drivers execute against. Every backend (deterministic simulator, live
-// goroutine runtime, TCP cluster) constructs processes through factory
-// and then manipulates them only through these closures, so run
-// orchestration is written once for both internal/core and
-// internal/paperproto instead of per-variant (the old harness.Run /
-// runLiteral duplication).
+// variantOps is what a run's protocol variant decides: the resolved
+// configuration, the node constructor (which fixes the edge exchange)
+// and the message kinds that must drain at quiescence. Every backend
+// builds its processes through factory and then works on the resulting
+// []*core.Node directly, so run orchestration is written once for both
+// exchanges.
 type variantOps struct {
 	cfg     core.Config
 	factory func(id sim.NodeID, nbrs []sim.NodeID) sim.Process
-	corrupt func(procs []sim.Process, id int, rng *rand.Rand, idSpace int)
-	preload func(g *graph.Graph, procs []sim.Process) error
-	// preloadPath writes the canonical Hamiltonian-path configuration
-	// (StartPath); it fails on graphs without the canonical path edges.
-	preloadPath func(g *graph.Graph, procs []sim.Process) error
-	legit       func(g *graph.Graph, procs []sim.Process) core.Legitimacy
-	tree        func(g *graph.Graph, procs []sim.Process) (*spanning.Tree, error)
-	stats       func(procs []sim.Process) statsAgg
-	// degrees returns each node's current tree degree (Deg()); the
-	// metrics sampler's degree histogram. Sim backend only — node state
-	// may not be inspected while a wall-clock backend is running.
-	degrees func(procs []sim.Process) []int
-	// attachAudit installs the mutation hooks that feed the run's audit
-	// recorder (RunSpec.Audit); called after the initial configuration is
-	// written, so only run-time mutations are chained.
-	attachAudit func(procs []sim.Process, rec *auditlog.Recorder)
-	kinds       []string // reduction message kinds that must drain at quiescence
+	kinds   []string
 }
 
-// statsAgg is the cross-variant aggregate of the per-node protocol
-// event counters the drivers report (each variant maps its own Stats
-// fields onto it).
-type statsAgg struct {
-	Exchanges  int // completed edge exchanges
-	Aborts     int // staleness-aborted choreography hops
-	Suppressed int // suppression-module drops
-	Deblocks   int // Deblock floods started or forwarded
+// ProtocolConfig is the node configuration a run of the spec executes
+// with: Config, or core.DefaultConfig for the graph's size when Config
+// is zero, with Suppress and Backoff applied on top (Backoff implies
+// suppression).
+func (s RunSpec) ProtocolConfig() core.Config {
+	cfg := s.Config
+	if cfg.MaxDist == 0 {
+		cfg = core.DefaultConfig(s.Graph.N())
+	}
+	if s.Suppress || s.Backoff {
+		cfg.SuppressSearches = true
+	}
+	if s.Backoff {
+		cfg.BackoffSearches = true
+	}
+	return cfg
+}
+
+// variantFor resolves the spec's protocol variant to its operation set.
+func variantFor(spec RunSpec) variantOps {
+	cfg := spec.ProtocolConfig()
+	newNode, kinds := core.NewNode, core.ReductionKinds()
+	if spec.Variant == VariantLiteral {
+		newNode, kinds = core.NewLiteralNode, core.LiteralReductionKinds()
+	}
+	return variantOps{
+		cfg: cfg,
+		factory: func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
+			return newNode(id, nbrs, cfg)
+		},
+		kinds: kinds,
+	}
 }
 
 // auditKindOf maps the protocol layer's mutation kinds onto the audit
@@ -70,182 +75,33 @@ func auditHook(rec *auditlog.Recorder, id int) core.MutationHook {
 	return func(k core.MutationKind, old, new int) { h(auditKindOf(k), old, new) }
 }
 
-// variantFor resolves the spec's protocol variant to its operation set,
-// defaulting the configuration exactly as the per-variant runners did
-// (zero Config means the variant's DefaultConfig).
-func variantFor(spec RunSpec) variantOps {
-	n := spec.Graph.N()
-	cfg := spec.Config
-	if spec.Variant == VariantLiteral {
-		if cfg.MaxDist == 0 {
-			cfg = paperproto.DefaultConfig(n)
-		}
-		if spec.Suppress {
-			cfg.SuppressSearches = true
-		}
-		if spec.Backoff {
-			cfg.SuppressSearches = true
-			cfg.BackoffSearches = true
-		}
-		return literalOps(cfg)
-	}
-	if cfg.MaxDist == 0 {
-		cfg = core.DefaultConfig(n)
-	}
-	if spec.Suppress {
-		cfg.SuppressSearches = true
-	}
-	if spec.Backoff {
-		cfg.SuppressSearches = true
-		cfg.BackoffSearches = true
-	}
-	return coreOps(cfg)
-}
-
-func coreNodes(procs []sim.Process) []*core.Node {
-	out := make([]*core.Node, len(procs))
-	for i, p := range procs {
-		out[i] = p.(*core.Node)
+// degrees returns each node's current tree degree (the metrics
+// sampler's degree histogram). Node state may not be inspected while a
+// wall-clock backend is running.
+func degrees(nodes []*core.Node) []int {
+	out := make([]int, len(nodes))
+	for i, nd := range nodes {
+		out[i] = nd.Deg()
 	}
 	return out
 }
 
-func coreOps(cfg core.Config) variantOps {
-	return variantOps{
-		cfg: cfg,
-		factory: func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
-			return core.NewNode(id, nbrs, cfg)
-		},
-		corrupt: func(procs []sim.Process, id int, rng *rand.Rand, idSpace int) {
-			procs[id].(*core.Node).Corrupt(rng, idSpace)
-		},
-		preload: func(g *graph.Graph, procs []sim.Process) error {
-			return Preload(g, coreNodes(procs), cfg)
-		},
-		preloadPath: func(g *graph.Graph, procs []sim.Process) error {
-			tree, err := PathTree(g)
-			if err != nil {
-				return err
-			}
-			return PreloadFromTree(g, coreNodes(procs), cfg, tree)
-		},
-		legit: func(g *graph.Graph, procs []sim.Process) core.Legitimacy {
-			return core.CheckLegitimacy(g, coreNodes(procs))
-		},
-		tree: func(g *graph.Graph, procs []sim.Process) (*spanning.Tree, error) {
-			return core.ExtractTree(g, coreNodes(procs))
-		},
-		stats: func(procs []sim.Process) statsAgg {
-			st := core.AggregateStats(coreNodes(procs))
-			return statsAgg{
-				Exchanges:  st.ExchangesComplete,
-				Aborts:     st.ChainsAborted,
-				Suppressed: st.SearchesSuppressed,
-				Deblocks:   st.DeblocksTriggered,
-			}
-		},
-		degrees: func(procs []sim.Process) []int {
-			out := make([]int, len(procs))
-			for i, p := range procs {
-				out[i] = p.(*core.Node).Deg()
-			}
-			return out
-		},
-		attachAudit: func(procs []sim.Process, rec *auditlog.Recorder) {
-			for i, p := range procs {
-				p.(*core.Node).SetMutationHook(auditHook(rec, i))
-			}
-		},
-		kinds: core.ReductionKinds(),
-	}
-}
-
-func literalNodes(procs []sim.Process) []*paperproto.Node {
-	out := make([]*paperproto.Node, len(procs))
-	for i, p := range procs {
-		out[i] = p.(*paperproto.Node)
-	}
-	return out
-}
-
-func literalOps(cfg core.Config) variantOps {
-	return variantOps{
-		cfg: cfg,
-		factory: func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
-			return paperproto.NewNode(id, nbrs, cfg)
-		},
-		corrupt: func(procs []sim.Process, id int, rng *rand.Rand, idSpace int) {
-			procs[id].(*paperproto.Node).Corrupt(rng, idSpace)
-		},
-		preload: func(g *graph.Graph, procs []sim.Process) error {
-			return PreloadLiteral(g, literalNodes(procs), cfg)
-		},
-		preloadPath: func(g *graph.Graph, procs []sim.Process) error {
-			tree, err := PathTree(g)
-			if err != nil {
-				return err
-			}
-			return PreloadLiteralFromTree(g, literalNodes(procs), cfg, tree)
-		},
-		legit: func(g *graph.Graph, procs []sim.Process) core.Legitimacy {
-			leg := paperproto.CheckLegitimacy(g, literalNodes(procs))
-			// Report in the core Legitimacy shape so experiment tables can
-			// compare the two implementations side by side (ablation E11).
-			return core.Legitimacy{
-				TreeValid:   leg.TreeValid,
-				RootIsMin:   leg.RootIsMin,
-				DistancesOK: leg.DistancesOK,
-				ViewsOK:     leg.ViewsOK,
-				DmaxOK:      leg.DmaxOK,
-				FixedPoint:  leg.FixedPoint,
-				MaxDegree:   leg.MaxDegree,
-				Detail:      leg.Detail,
-			}
-		},
-		tree: func(g *graph.Graph, procs []sim.Process) (*spanning.Tree, error) {
-			return paperproto.ExtractTree(g, literalNodes(procs))
-		},
-		stats: func(procs []sim.Process) statsAgg {
-			st := paperproto.AggregateStats(literalNodes(procs))
-			return statsAgg{
-				Exchanges:  st.ExchangesComplete,
-				Aborts:     st.ChoreoAborted,
-				Suppressed: st.SearchesSuppressed,
-				Deblocks:   st.DeblocksTriggered,
-			}
-		},
-		degrees: func(procs []sim.Process) []int {
-			out := make([]int, len(procs))
-			for i, p := range procs {
-				out[i] = p.(*paperproto.Node).Deg()
-			}
-			return out
-		},
-		attachAudit: func(procs []sim.Process, rec *auditlog.Recorder) {
-			for i, p := range procs {
-				p.(*paperproto.Node).SetMutationHook(auditHook(rec, i))
-			}
-		},
-		kinds: paperproto.ReductionKinds(),
-	}
-}
-
-// buildInitial collects a backend's processes and writes the spec's
-// initial configuration into them. Keeping the corruption-RNG derivation
+// buildInitial collects a backend's nodes and writes the spec's initial
+// configuration into them. Keeping the corruption-RNG derivation
 // (seed^0x5eed) and the initStart call in one place is what guarantees
 // every backend draws identical initial configurations for the same
 // spec. The bool is initStart's preload-failure contract.
-func buildInitial(spec RunSpec, ops variantOps, procAt func(sim.NodeID) sim.Process) ([]sim.Process, Result, bool) {
-	procs := make([]sim.Process, spec.Graph.N())
-	for i := range procs {
-		procs[i] = procAt(i)
+func buildInitial(spec RunSpec, ops variantOps, procAt func(sim.NodeID) sim.Process) ([]*core.Node, Result, bool) {
+	nodes := make([]*core.Node, spec.Graph.N())
+	for i := range nodes {
+		nodes[i] = procAt(i).(*core.Node)
 	}
 	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5eed))
-	res, ok := initStart(spec, ops, procs, rng)
-	return procs, res, ok
+	res, ok := initStart(spec, ops.cfg, nodes, rng)
+	return nodes, res, ok
 }
 
-// initStart writes the spec's initial configuration into the processes:
+// initStart writes the spec's initial configuration into the nodes:
 // nothing for a clean start, per-node randomization for a corrupt one,
 // and a pre-loaded configuration (plus targeted/random corruptions) for
 // StartLegitimate (the Fürer–Raghavachari tree) and StartPath (the
@@ -255,29 +111,34 @@ func buildInitial(spec RunSpec, ops variantOps, procAt func(sim.NodeID) sim.Proc
 // spec. The bool is false when the preload failed; the Result carries
 // the detail (same contract as the pre-refactor runners: a preload
 // failure is a reported illegitimacy, not an execution error).
-func initStart(spec RunSpec, ops variantOps, procs []sim.Process, rng *rand.Rand) (Result, bool) {
+func initStart(spec RunSpec, cfg core.Config, nodes []*core.Node, rng *rand.Rand) (Result, bool) {
 	n := spec.Graph.N()
 	switch spec.Start {
 	case StartCorrupt:
-		for id := range procs {
-			ops.corrupt(procs, id, rng, n)
+		for _, nd := range nodes {
+			nd.Corrupt(rng, n)
 		}
 	case StartLegitimate, StartPath:
-		load := ops.preload
+		var err error
 		if spec.Start == StartPath {
-			load = ops.preloadPath
+			var tree *spanning.Tree
+			if tree, err = PathTree(spec.Graph); err == nil {
+				err = PreloadFromTree(spec.Graph, nodes, cfg, tree)
+			}
+		} else {
+			err = Preload(spec.Graph, nodes, cfg)
 		}
-		if err := load(spec.Graph, procs); err != nil {
+		if err != nil {
 			return Result{Backend: spec.backend(), Legit: core.Legitimacy{Detail: err.Error()}}, false
 		}
 		for _, v := range spec.CorruptTargets {
 			if v >= 0 && v < n {
-				ops.corrupt(procs, v, rng, n)
+				nodes[v].Corrupt(rng, n)
 			}
 		}
 		perm := rng.Perm(n)
 		for i := 0; i < spec.CorruptNodes && i < n; i++ {
-			ops.corrupt(procs, perm[i], rng, n)
+			nodes[perm[i]].Corrupt(rng, n)
 		}
 	}
 	return Result{}, true

@@ -1,6 +1,5 @@
-// Package localview is the dense per-neighbor view storage shared by
-// the two protocol implementations (internal/core and
-// internal/paperproto). A node's local copies of its neighbors'
+// Package localview is the dense per-neighbor view storage of the
+// protocol nodes (internal/core). A node's local copies of its neighbors'
 // variables used to live in a map[int]*View per node; at matrix scale
 // the map lookups and the per-entry pointer chasing dominate the
 // simulator's hot path (every InfoMsg receive reads and writes a view,

@@ -3,19 +3,27 @@ package mc
 import (
 	"testing"
 
+	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/harness"
-	"mdst/internal/paperproto"
+	"mdst/internal/sim"
 )
 
-// buildLitLegit returns literal-variant nodes over g in a legitimate
+// literalNodes returns clean-start literal-exchange nodes over g.
+func literalNodes(g *graph.Graph) []*core.Node {
+	cfg := core.DefaultConfig(g.N())
+	net := sim.NewNetwork(g, func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
+		return core.NewLiteralNode(id, nbrs, cfg)
+	}, 1)
+	return core.NodesOf(net)
+}
+
+// buildLitLegit returns literal-exchange nodes over g in a legitimate
 // configuration.
-func buildLitLegit(t *testing.T, g *graph.Graph) []*paperproto.Node {
+func buildLitLegit(t *testing.T, g *graph.Graph) []*core.Node {
 	t.Helper()
-	cfg := paperproto.DefaultConfig(g.N())
-	net := paperproto.BuildNetwork(g, cfg, 1)
-	nodes := paperproto.NodesOf(net)
-	if err := harness.PreloadLiteral(g, nodes, cfg); err != nil {
+	nodes := literalNodes(g)
+	if err := harness.Preload(g, nodes, core.DefaultConfig(g.N())); err != nil {
 		t.Fatal(err)
 	}
 	return nodes
@@ -27,9 +35,9 @@ func TestExploreLiteralLegitTriangle(t *testing.T) {
 	// quiescent ones) and roots stay in range.
 	g := graph.Complete(3)
 	nodes := buildLitLegit(t, g)
-	res := ExploreLiteral(g, nodes,
+	res := Explore(g, nodes,
 		Config{MaxStates: 30_000, MaxDepth: 12, MaxQueue: 2, IncludeTicks: true},
-		[]LitInvariant{LitTreeValidInvariant(g), LitRootBoundInvariant(3)}, nil)
+		[]Invariant{TreeValidInvariant(g), RootBoundInvariant(3)}, nil)
 	if res.Violation != nil {
 		t.Fatalf("invariant violated: %v", res.Violation)
 	}
@@ -50,15 +58,15 @@ func TestExploreLiteralQuiescentTreeOnChordedRing(t *testing.T) {
 	g := graph.Ring(4)
 	g.MustAddEdge(0, 2)
 	nodes := buildLitLegit(t, g)
-	tree, err := paperproto.ExtractTree(g, nodes)
+	tree, err := core.ExtractTree(g, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := tree.MaxDegree()
-	res := ExploreLiteral(g, nodes,
+	res := Explore(g, nodes,
 		Config{MaxStates: 40_000, MaxDepth: 10, MaxQueue: 2, IncludeTicks: true},
-		[]LitInvariant{LitRootBoundInvariant(4), LitDegreeBoundInvariant(k)},
-		[]LitInvariant{LitTreeValidInvariant(g)})
+		[]Invariant{RootBoundInvariant(4), DegreeBoundInvariant(k)},
+		[]Invariant{TreeValidInvariant(g)})
 	if res.Violation != nil {
 		t.Fatalf("invariant violated: %v", res.Violation)
 	}
@@ -69,12 +77,10 @@ func TestExploreLiteralQuiescentTreeOnChordedRing(t *testing.T) {
 
 func TestExploreLiteralFindsLegitFromCleanStart(t *testing.T) {
 	g := graph.Path(3)
-	cfg := paperproto.DefaultConfig(3)
-	net := paperproto.BuildNetwork(g, cfg, 1)
-	nodes := paperproto.NodesOf(net)
-	res := ExploreLiteral(g, nodes,
+	nodes := literalNodes(g)
+	res := Explore(g, nodes,
 		Config{MaxStates: 150_000, MaxDepth: 20, MaxQueue: 2, IncludeTicks: true},
-		[]LitInvariant{LitRootBoundInvariant(3)}, nil)
+		[]Invariant{RootBoundInvariant(3)}, nil)
 	if res.Violation != nil {
 		t.Fatalf("invariant violated: %v", res.Violation)
 	}
@@ -85,16 +91,14 @@ func TestExploreLiteralFindsLegitFromCleanStart(t *testing.T) {
 
 func TestLitInvariantsFire(t *testing.T) {
 	g := graph.Path(3)
-	cfg := paperproto.DefaultConfig(3)
-	net := paperproto.BuildNetwork(g, cfg, 1)
-	nodes := paperproto.NodesOf(net)
+	nodes := literalNodes(g)
 	nodes[0].SetState(99, 0, 0, 1, 1, false)
-	if err := LitRootBoundInvariant(3)(nodes); err == nil {
+	if err := RootBoundInvariant(3)(nodes); err == nil {
 		t.Fatal("root bound did not fire")
 	}
 	nodes[0].SetState(0, 0, 0, 9, 9, false)
 	nodes[1].SetState(0, 1, 0, 9, 9, false) // second self-root: no single tree
-	if err := LitTreeValidInvariant(g)(nodes); err == nil {
+	if err := TreeValidInvariant(g)(nodes); err == nil {
 		t.Fatal("tree-valid did not fire on a forest")
 	}
 }
@@ -106,7 +110,7 @@ func TestLitCloneIndependence(t *testing.T) {
 	before := c.Fingerprint()
 	// Mutating the original's state and views must not affect the clone.
 	nodes[1].SetState(2, 2, 0, 5, 5, true)
-	nodes[1].SetView(0, paperproto.View{Root: 7})
+	nodes[1].SetView(0, core.View{Root: 7})
 	if c.Fingerprint() != before {
 		t.Fatal("clone shares state or views with original")
 	}

@@ -8,6 +8,14 @@
 //
 // States are memoized by a structural hash of all node states plus all
 // queue contents, so the search collapses confluent interleavings.
+//
+// The literal exchange transiently breaks the spanning tree by design,
+// so tree validity cannot be an every-state invariant for it; callers
+// assert it at QUIESCENT states instead — states with no message in
+// flight — which is exactly the paper's claim that a completed (or fully
+// aborted and repaired) exchange leaves a spanning tree. Every-state
+// invariants still catch domain violations (forged roots, degree
+// explosions) in every interleaving.
 package mc
 
 import (
@@ -51,8 +59,9 @@ type state struct {
 }
 
 // Explore runs the bounded search from the configuration currently held
-// by `nodes` over graph g.
-func Explore(g *graph.Graph, nodes []*core.Node, cfg Config, invariants ...Invariant) Result {
+// by `nodes` over graph g, applying `every` in each visited state and
+// `quiescent` only in states whose links are all empty.
+func Explore(g *graph.Graph, nodes []*core.Node, cfg Config, every, quiescent []Invariant) Result {
 	if cfg.MaxStates <= 0 {
 		cfg.MaxStates = 50_000
 	}
@@ -76,10 +85,18 @@ func Explore(g *graph.Graph, nodes []*core.Node, cfg Config, invariants ...Invar
 		seen[h] = true
 		res.States++
 
-		for _, inv := range invariants {
+		for _, inv := range every {
 			if err := inv(st.nodes); err != nil {
 				res.Violation = fmt.Errorf("depth %d: %w", st.depth, err)
 				return res
+			}
+		}
+		if len(st.queues) == 0 {
+			for _, inv := range quiescent {
+				if err := inv(st.nodes); err != nil {
+					res.Violation = fmt.Errorf("quiescent depth %d: %w", st.depth, err)
+					return res
+				}
 			}
 		}
 		if !res.FoundLegit && core.CheckLegitimacy(g, st.nodes).OK() {
@@ -177,6 +194,12 @@ func copyMsg(m sim.Message) sim.Message {
 	case core.ReverseMsg:
 		msg.Nodes = append([]int(nil), msg.Nodes...)
 		return msg
+	case core.RemoveMsg:
+		msg.Path = append([]int(nil), msg.Path...)
+		return msg
+	case core.BackMsg:
+		msg.Path = append([]int(nil), msg.Path...)
+		return msg
 	default:
 		return m // value types without slices
 	}
@@ -255,13 +278,40 @@ func hashMsg(m sim.Message) uint64 {
 	case core.UpdateDistMsg:
 		mix(5)
 		mix(uint64(msg.Dist))
+	case core.RemoveMsg:
+		mix(11)
+		mix(uint64(msg.Init.U))
+		mix(uint64(msg.Init.V))
+		mix(uint64(msg.DegMax))
+		mix(uint64(msg.Target.U))
+		mix(uint64(msg.Target.V))
+		mix(uint64(msg.WDeg))
+		mix(uint64(msg.Pos))
+		if msg.Reorient {
+			mix(13)
+		}
+		for _, v := range msg.Path {
+			mix(uint64(v))
+		}
+	case core.BackMsg:
+		mix(12)
+		mix(uint64(msg.Init.U))
+		mix(uint64(msg.Init.V))
+		mix(uint64(msg.Pos))
+		for _, v := range msg.Path {
+			mix(uint64(v))
+		}
+	case core.ReverseAuxMsg:
+		mix(14)
+		mix(uint64(msg.Target))
 	}
 	return h
 }
 
 // TreeValidInvariant fails when the parent pointers stop forming a
-// single spanning tree (use from legitimate starts where no concurrent
-// exchange can run).
+// single spanning tree. Use it as an every-state invariant only from
+// legitimate starts where no concurrent exchange can run; with the
+// literal exchange, use it as a quiescent invariant.
 func TreeValidInvariant(g *graph.Graph) Invariant {
 	return func(nodes []*core.Node) error {
 		if _, err := core.ExtractTree(g, nodes); err != nil {
@@ -278,6 +328,20 @@ func RootBoundInvariant(n int) Invariant {
 		for _, nd := range nodes {
 			if nd.Root() < 0 || nd.Root() >= n {
 				return fmt.Errorf("node %d: root %d out of range", nd.ID(), nd.Root())
+			}
+		}
+		return nil
+	}
+}
+
+// DegreeBoundInvariant fails when any node's tree degree exceeds
+// `bound` (used from legitimate starts: no exchange may push any degree
+// above the initial maximum).
+func DegreeBoundInvariant(bound int) Invariant {
+	return func(nodes []*core.Node) error {
+		for _, nd := range nodes {
+			if d := nd.Deg(); d > bound {
+				return fmt.Errorf("node %d: degree %d exceeds bound %d", nd.ID(), d, bound)
 			}
 		}
 		return nil

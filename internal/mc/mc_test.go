@@ -30,7 +30,7 @@ func TestExploreLegitTriangleInvariants(t *testing.T) {
 	g := graph.Complete(3)
 	nodes := buildLegit(t, g)
 	res := Explore(g, nodes, Config{MaxStates: 30_000, MaxDepth: 12, MaxQueue: 2, IncludeTicks: true},
-		TreeValidInvariant(g), RootBoundInvariant(3))
+		[]Invariant{TreeValidInvariant(g), RootBoundInvariant(3)}, nil)
 	if res.Violation != nil {
 		t.Fatalf("invariant violated: %v", res.Violation)
 	}
@@ -49,7 +49,7 @@ func TestExploreLegitSquareWithChord(t *testing.T) {
 	g.MustAddEdge(0, 2)
 	nodes := buildLegit(t, g)
 	res := Explore(g, nodes, Config{MaxStates: 40_000, MaxDepth: 10, MaxQueue: 2, IncludeTicks: true},
-		TreeValidInvariant(g), RootBoundInvariant(4))
+		[]Invariant{TreeValidInvariant(g), RootBoundInvariant(4)}, nil)
 	if res.Violation != nil {
 		t.Fatalf("invariant violated: %v", res.Violation)
 	}
@@ -64,7 +64,7 @@ func TestExploreFindsLegitFromCleanStart(t *testing.T) {
 	net := core.BuildNetwork(g, cfg, 1)
 	nodes := core.NodesOf(net)
 	res := Explore(g, nodes, Config{MaxStates: 150_000, MaxDepth: 20, MaxQueue: 2, IncludeTicks: true},
-		RootBoundInvariant(3))
+		[]Invariant{RootBoundInvariant(3)}, nil)
 	if res.Violation != nil {
 		t.Fatalf("invariant violated: %v", res.Violation)
 	}
@@ -85,7 +85,7 @@ func TestExploreDeliveryOnlyPermutations(t *testing.T) {
 		tick(g, st, id, 4)
 	}
 	res := Explore(g, st.nodes, Config{MaxStates: 10_000, MaxDepth: 8, MaxQueue: 4},
-		TreeValidInvariant(g))
+		[]Invariant{TreeValidInvariant(g)}, nil)
 	if res.Violation != nil {
 		t.Fatalf("violated: %v", res.Violation)
 	}
@@ -106,6 +106,13 @@ func TestCopyMsgIsolatesSlices(t *testing.T) {
 	cr.Nodes[0] = 9
 	if rev.Nodes[0] != 1 {
 		t.Fatal("copyMsg shared the Nodes slice")
+	}
+	rm := core.RemoveMsg{Path: []int{1, 2}}
+	copyMsg(rm).(core.RemoveMsg).Path[0] = 9
+	back := core.BackMsg{Path: []int{1, 2}}
+	copyMsg(back).(core.BackMsg).Path[0] = 9
+	if rm.Path[0] != 1 || back.Path[0] != 1 {
+		t.Fatal("copyMsg shared a Remove/Back Path slice")
 	}
 }
 

@@ -67,7 +67,14 @@ func (c *Cluster) writeLoop(me, peer int, link *sendLink, enc *gob.Encoder, bw *
 		batch = batch[:0]
 		select {
 		case <-stop:
-			return
+			// Stop closes stop only after the node loops halted, so the
+			// queue is final: flush it before exiting.
+			select {
+			case m := <-link.q:
+				batch = append(batch, m)
+			default:
+				return
+			}
 		case m := <-link.q:
 			batch = append(batch, m)
 		}
@@ -177,8 +184,16 @@ func (c *Cluster) settleLost(m sim.Message) {
 
 // readLoop decodes the peer's stream into me's inbox, unpacking batch
 // frames in order (the link stays reliable FIFO: frame order is socket
-// order, in-frame order is slice order).
+// order, in-frame order is slice order). Once stop is closed it keeps
+// reading until the connection closes but discards what it decodes, so
+// the peer's writer can always flush its final queue.
 func (c *Cluster) readLoop(in chan envelope, dec *gob.Decoder, stop chan struct{}) {
+	deliver := func(env envelope) {
+		select {
+		case <-stop:
+		case in <- env:
+		}
+	}
 	if c.cfg.BatchSize > 1 {
 		for {
 			var f frame
@@ -186,11 +201,7 @@ func (c *Cluster) readLoop(in chan envelope, dec *gob.Decoder, stop chan struct{
 				return // EOF or teardown
 			}
 			for _, m := range f.Msgs {
-				select {
-				case <-stop:
-					return
-				case in <- envelope{From: f.From, Msg: m}:
-				}
+				deliver(envelope{From: f.From, Msg: m})
 			}
 		}
 	}
@@ -199,10 +210,6 @@ func (c *Cluster) readLoop(in chan envelope, dec *gob.Decoder, stop chan struct{
 		if err := dec.Decode(&env); err != nil {
 			return // EOF or teardown
 		}
-		select {
-		case <-stop:
-			return
-		case in <- env:
-		}
+		deliver(env)
 	}
 }

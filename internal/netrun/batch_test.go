@@ -154,14 +154,18 @@ func TestDeadWriterSettlesDeficit(t *testing.T) {
 	}
 	defer c.Stop()
 
+	// The deficit can first read zero before any later send has met the
+	// dead flag, so wait for both events.
 	deadline := time.Now().Add(10 * time.Second)
 	sawZero := false
 	var last probeReply
 	for time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
-		last = c.probeReply(0)
-		if last.ActiveSent > 0 && last.ActiveSent == last.ActiveReceived {
-			sawZero = true
+		if !sawZero {
+			last = c.probeReply(0)
+			sawZero = last.ActiveSent > 0 && last.ActiveSent == last.ActiveReceived
+		}
+		if sawZero && c.Dropped() > 0 {
 			break
 		}
 	}

@@ -119,8 +119,15 @@ type Cluster struct {
 	mu      sync.Mutex
 	running bool
 	starts  int // Start calls so far; starts-1 is the restart count
+	// Stop shuts a phase down in order: halt ends the node loops (the
+	// only senders), then stop lets the edge writers flush what is still
+	// queued and exit, and only then are the connections closed. Every
+	// message counted sent thus reaches the wire unless its link died.
+	halt    chan struct{}
+	nodes   sync.WaitGroup // node loops
 	stop    chan struct{}
-	wg      sync.WaitGroup
+	writers sync.WaitGroup // edge writers
+	wg      sync.WaitGroup // readers and the control channel
 	inbox   []chan envelope
 	outbox  []map[int]*sendLink // node -> neighbor -> send direction
 	lns     []net.Listener
@@ -251,6 +258,7 @@ func (c *Cluster) Start() error {
 		return fmt.Errorf("netrun: already running")
 	}
 	n := c.g.N()
+	c.halt = make(chan struct{})
 	c.stop = make(chan struct{})
 	c.starts++
 	// Re-baseline the in-flight accounting: whatever active messages the
@@ -418,13 +426,14 @@ func (c *Cluster) Start() error {
 	}
 
 	// Node loops.
+	halt := c.halt
 	for id := 0; id < n; id++ {
 		id := id
 		ctx := sim.NewContext(id, c.g.Neighbors(id), c.send)
 		c.procs[id].Init(ctx)
-		c.wg.Add(1)
+		c.nodes.Add(1)
 		go func() {
-			defer c.wg.Done()
+			defer c.nodes.Done()
 			// Publish this node's quiescence epoch (state version) and
 			// state hash for the control channel after every step. The
 			// node's own goroutine is the single writer; the StateVersion
@@ -460,7 +469,7 @@ func (c *Cluster) Start() error {
 			defer ticker.Stop()
 			for {
 				select {
-				case <-c.stop:
+				case <-halt:
 					return
 				case env := <-c.inbox[id]:
 					c.procs[id].Receive(ctx, env.From, env.Msg)
@@ -492,11 +501,12 @@ func (c *Cluster) startEdge(me, peer int, conn net.Conn, enc *gob.Encoder, bw *b
 	stop := c.stop
 	link := c.outbox[me][peer]
 	in := c.inbox[me]
-	c.wg.Add(2)
+	c.writers.Add(1)
 	go func() { // writer: me -> peer
-		defer c.wg.Done()
+		defer c.writers.Done()
 		c.writeLoop(me, peer, link, enc, bw, stop)
 	}()
+	c.wg.Add(1)
 	go func() { // reader: peer -> me
 		defer c.wg.Done()
 		c.readLoop(in, dec, stop)
@@ -800,15 +810,28 @@ func (c *Cluster) closeControlLocked() {
 	c.ctlMu.Unlock()
 }
 
-// Stop tears down connections and listeners and waits for every
-// goroutine. Node states remain inspectable and a new Start resumes.
+// stopDrainTimeout bounds the writers' final flush in Stop: a peer that
+// stopped reading cannot hold Stop forever.
+const stopDrainTimeout = time.Second
+
+// Stop ends the phase and waits for every goroutine: the node loops
+// halt first, the edge writers then flush their queues (readers keep
+// draining the sockets and discard), and connections and listeners are
+// closed last. Node states remain inspectable and a new Start resumes.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.running {
 		return
 	}
+	close(c.halt)
+	c.nodes.Wait()
+	deadline := time.Now().Add(stopDrainTimeout)
+	for _, conn := range c.conns {
+		conn.SetWriteDeadline(deadline)
+	}
 	close(c.stop)
+	c.writers.Wait()
 	c.closeControlLocked()
 	for _, ln := range c.lns {
 		if ln != nil {
@@ -841,6 +864,7 @@ func (c *Cluster) teardownLocked() {
 	for _, conn := range c.conns {
 		conn.Close()
 	}
+	c.writers.Wait()
 	c.wg.Wait()
 }
 

@@ -8,11 +8,10 @@ import (
 	"mdst/internal/core"
 	"mdst/internal/detect"
 	"mdst/internal/graph"
-	"mdst/internal/paperproto"
 	"mdst/internal/sim"
 )
 
-// buildCore wires a cluster of primary-variant nodes over g.
+// buildCore wires a cluster of chain-exchange nodes over g.
 func buildCore(g *graph.Graph) *Cluster {
 	cfg := core.DefaultConfig(g.N())
 	return NewCluster(g, func(id int, nbrs []int) sim.Process {
@@ -75,29 +74,22 @@ func TestTCPCorruptedStart(t *testing.T) {
 	}
 }
 
-// TestTCPLiteralVariant runs the literal-choreography variant over TCP.
+// TestTCPLiteralVariant runs the literal exchange over TCP.
 func TestTCPLiteralVariant(t *testing.T) {
 	g := graph.Wheel(7)
-	cfg := paperproto.DefaultConfig(g.N())
+	cfg := core.DefaultConfig(g.N())
 	c := NewCluster(g, func(id int, nbrs []int) sim.Process {
-		return paperproto.NewNode(id, nbrs, cfg)
+		return core.NewLiteralNode(id, nbrs, cfg)
 	}, Config{})
-	nodes := func() []*paperproto.Node {
-		out := make([]*paperproto.Node, g.N())
-		for i := range out {
-			out[i] = c.Process(i).(*paperproto.Node)
-		}
-		return out
-	}
 	ok, err := c.RunUntil(250*time.Millisecond, 40, func() bool {
-		return paperproto.CheckLegitimacy(g, nodes()).OK()
+		return core.CheckLegitimacy(g, coreNodes(c)).OK()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		t.Fatalf("literal variant no legitimacy over TCP: %+v",
-			paperproto.CheckLegitimacy(g, nodes()))
+		t.Fatalf("literal exchange no legitimacy over TCP: %+v",
+			core.CheckLegitimacy(g, coreNodes(c)))
 	}
 }
 

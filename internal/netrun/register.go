@@ -4,11 +4,10 @@ import (
 	"encoding/gob"
 
 	"mdst/internal/core"
-	"mdst/internal/paperproto"
 )
 
 // Gob needs the concrete message types behind the sim.Message interface
-// registered once per process. Both protocol variants' wire formats are
+// registered once per process. Both exchanges' wire formats are
 // registered so a cluster can run either.
 func init() {
 	gob.Register(core.InfoMsg{})
@@ -16,7 +15,7 @@ func init() {
 	gob.Register(core.ReverseMsg{})
 	gob.Register(core.DeblockMsg{})
 	gob.Register(core.UpdateDistMsg{})
-	gob.Register(paperproto.RemoveMsg{})
-	gob.Register(paperproto.BackMsg{})
-	gob.Register(paperproto.ReverseMsg{})
+	gob.Register(core.RemoveMsg{})
+	gob.Register(core.BackMsg{})
+	gob.Register(core.ReverseAuxMsg{})
 }

@@ -195,13 +195,7 @@ func (f Churn) Execute(spec harness.RunSpec, rng *rand.Rand) (harness.Result, er
 	}
 	g := spec.Graph
 	n := g.N()
-	cfg := spec.Config
-	if cfg.MaxDist == 0 {
-		cfg = core.DefaultConfig(n)
-	}
-	if spec.Suppress {
-		cfg.SuppressSearches = true
-	}
+	cfg := spec.ProtocolConfig()
 	net := core.BuildNetwork(g, cfg, spec.Seed)
 	if err := harness.Preload(g, core.NodesOf(net), cfg); err != nil {
 		return harness.Result{}, err

@@ -702,10 +702,10 @@ func (n *Network) MaxRetryPeriod(def int) int {
 
 // MaxStateBitsOf returns the maximum StateBits over the processes, or 0
 // if unsupported — shared by every backend's result collection.
-func MaxStateBitsOf(procs []Process) int {
+func MaxStateBitsOf[P Process](procs []P) int {
 	max := 0
 	for _, p := range procs {
-		if s, ok := p.(StateSizer); ok {
+		if s, ok := any(p).(StateSizer); ok {
 			if b := s.StateBits(); b > max {
 				max = b
 			}
