@@ -109,9 +109,10 @@ bench:
 
 # Reduced-sweep Go benchmark pass (one iteration per benchmark) over
 # every package that declares Go benchmarks: the root package's
-# experiment benches and the simulator's round and allocation benches.
+# experiment benches, the protocol's corrupt-start recovery per exchange
+# and the simulator's round and allocation benches.
 gobench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/sim/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./internal/sim/
 
 # The default 108-run scenario matrix across all CPUs.
 matrix:

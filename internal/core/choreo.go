@@ -69,7 +69,7 @@ import (
 // decision context into a Remove message and sends it to the head of the
 // path — the initiator y, reached across the initiating non-tree edge.
 // The cycle order carried by the message is [y, n1, .., nk, x].
-func (n *Node) improve(ctx *sim.Context, msg SearchMsg, wi int) {
+func (n *Node) improve(ctx *sim.Context, msg *SearchMsg, wi int) {
 	path := msg.Path
 	ids := make([]int, 0, len(path)+1)
 	for i := range path {

@@ -349,7 +349,7 @@ func scanRuleSends(newNode func(int, []int, Config) *Node) (*Node, []sentMsg) {
 	ctx := sim.NewContext(4, g.Neighbors(4), func(_, to int, m sim.Message) {
 		sent = append(sent, sentMsg{to, m})
 	})
-	x.actionOnCycle(ctx, SearchMsg{
+	x.actionOnCycle(ctx, &SearchMsg{
 		Init:  graph.Edge{U: 1, V: 4},
 		Block: -1,
 		Path: []PathEntry{

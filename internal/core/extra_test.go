@@ -12,7 +12,7 @@ func TestMessageSizes(t *testing.T) {
 	if (InfoMsg{}).Size() != 7 {
 		t.Fatal("InfoMsg size")
 	}
-	s := SearchMsg{Path: make([]PathEntry, 3)}
+	s := &SearchMsg{Path: make([]PathEntry, 3)}
 	if s.Size() != 4*3+5 {
 		t.Fatalf("SearchMsg size %d", s.Size())
 	}
@@ -86,7 +86,7 @@ func TestDeblockTieBreakBlocksEqualPotentialSwap(t *testing.T) {
 		return net, NodesOf(net)
 	}
 	// Search initiated at 4 for edge {4,0}: path 4-3-2-1, terminus 0.
-	msg := SearchMsg{
+	msg := &SearchMsg{
 		Init:  graph.Edge{U: 4, V: 0},
 		Block: 1,
 		TTL:   3,
@@ -104,6 +104,7 @@ func TestDeblockTieBreakBlocksEqualPotentialSwap(t *testing.T) {
 		t.Fatal("tie-break enabled: reversal must not start (rising ID 4 > blocker 1)")
 	}
 
+	// The terminus only reads a token, so both nodes may see this one.
 	netB, nodesB := build(false)
 	nodesB[0].handleSearch(netB.Context(0), 1, msg)
 	if netB.PendingKind(KindReverse) == 0 {
@@ -134,7 +135,7 @@ func TestDeblockRecursionRespectsTTL(t *testing.T) {
 	// Fake a deblock search arriving at terminus 5 with blocking
 	// endpoints: endpoints 0 and 5 with deg == dmax-1. The preloaded ring
 	// has dmax=2, so endpoints deg 1 = dmax-1: blocking.
-	msg := SearchMsg{
+	msg := &SearchMsg{
 		Init:  graph.Edge{U: 0, V: 5},
 		Block: 2,
 		TTL:   0, // expired

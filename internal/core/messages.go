@@ -69,6 +69,13 @@ type PathEntry struct {
 // looking for the fundamental cycle of the non-tree edge Init. Block is
 // the blocking node being deblocked (-1 for a plain search); TTL bounds
 // deblock recursion.
+//
+// A token travels by pointer: *SearchMsg is the sim.Message, and it has
+// exactly one holder at a time — the link it is queued on or the node
+// handling it. The handler pushes and pops Path entries and moves
+// cursors in place, then forwards the same pointer, so a hop allocates
+// nothing. A holder that sends the token gives it away: from then on
+// it neither reads nor writes it, and a token is never sent twice.
 type SearchMsg struct {
 	Init  graph.Edge // Init.U = initiator, Init.V = sought endpoint
 	Block int
@@ -76,12 +83,12 @@ type SearchMsg struct {
 	Path  []PathEntry
 }
 
-// Kind implements sim.Message.
-func (SearchMsg) Kind() string { return KindSearch }
+// Kind implements sim.Message; it reads nothing from the token.
+func (*SearchMsg) Kind() string { return KindSearch }
 
 // Size implements sim.Message: four words per stack entry plus header —
 // O(n log n) bits in the worst case, matching the paper's buffer bound.
-func (m SearchMsg) Size() int { return 4*len(m.Path) + 5 }
+func (m *SearchMsg) Size() int { return 4*len(m.Path) + 5 }
 
 // ReverseMsg is the chain exchange's hop: it travels along the
 // fundamental cycle re-parenting each chain node onto the message's

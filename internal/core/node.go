@@ -24,6 +24,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"mdst/internal/localview"
 	"mdst/internal/sim"
@@ -190,8 +191,11 @@ type View = localview.View
 
 // Node is one protocol participant.
 type Node struct {
-	id   int
-	cfg  Config
+	id  int
+	cfg Config
+	// nbrs is the sorted neighbor list, shared with the view table:
+	// the neighbor at position i of nbrs has its view at position i of
+	// views, so loops over nbrs read views without an ID lookup.
 	nbrs []int
 
 	// The paper's per-node variables (§3.1).
@@ -204,6 +208,10 @@ type Node struct {
 
 	// Local copies of neighbor variables, dense by neighbor position.
 	views localview.Table
+	// parentPos memoizes the position of parent in nbrs (-1 when the
+	// parent is not a neighbor). parentView re-checks it against nbrs on
+	// every use, so the sites that write parent never update it.
+	parentPos int
 
 	// version counts mutations of the protocol-visible state (own
 	// variables and views). The simulator's incremental fingerprint cache
@@ -215,8 +223,11 @@ type Node struct {
 
 	// Implementation bookkeeping (transient; not protocol state).
 	tick        int
-	nextSearch  map[int]int // per non-tree neighbor: earliest tick to search
+	nextSearch  []int       // per neighbor position: earliest tick to search that non-tree edge
 	lastDeblock map[int]int // per blocker: last tick we broadcast it
+	// info is the InfoMsg that sendInfo boxed last; it is sent again, as
+	// the same interface value, while the gossip content repeats.
+	info sim.Message
 	// Event-core parking state (sim.EventProcess): restVersion is the
 	// state version at the end of the last Tick, tickMoved records
 	// whether that Tick itself mutated state (a module still converging
@@ -322,25 +333,29 @@ func NewLiteralNode(id int, neighbors []int, cfg Config) *Node {
 
 // NewNode creates a chain-exchange node in a clean initial state (its
 // own root). Use Corrupt or SetState to start from an arbitrary
-// configuration.
+// configuration. The neighbor list may come in any order: the node
+// keeps it sorted, which its DFS cursor and its position-indexed view
+// loops both rely on.
 func NewNode(id int, neighbors []int, cfg Config) *Node {
+	views := localview.NewTable(neighbors)
 	n := &Node{
 		id:          id,
 		cfg:         cfg,
-		nbrs:        append([]int(nil), neighbors...),
+		nbrs:        views.IDs(),
 		root:        id,
 		parent:      id,
 		distance:    0,
-		views:       localview.NewTable(neighbors),
-		nextSearch:  make(map[int]int),
+		views:       views,
+		parentPos:   -1,
+		nextSearch:  make([]int, views.Len()),
 		lastDeblock: make(map[int]int),
 		tickMoved:   true, // never ticked: the first tick must run
 	}
 	if cfg.SuppressSearches {
 		n.suppress = newSearchSuppressor()
 	}
-	for _, u := range n.nbrs {
-		*n.views.Get(u) = View{Root: u, Parent: u}
+	for i, u := range n.nbrs {
+		*n.views.At(i) = View{Root: u, Parent: u}
 	}
 	return n
 }
@@ -350,10 +365,7 @@ func NewNode(id int, neighbors []int, cfg Config) *Node {
 func (n *Node) Clone() *Node {
 	c := *n
 	c.views = n.views.Clone()
-	c.nextSearch = make(map[int]int, len(n.nextSearch))
-	for k, v := range n.nextSearch {
-		c.nextSearch[k] = v
-	}
+	c.nextSearch = slices.Clone(n.nextSearch)
 	c.lastDeblock = make(map[int]int, len(n.lastDeblock))
 	for k, v := range n.lastDeblock {
 		c.lastDeblock[k] = v
@@ -390,12 +402,31 @@ func (n *Node) Color() bool { return n.color }
 // the paper's edge_status.
 func (n *Node) Deg() int {
 	d := 0
-	for _, u := range n.nbrs {
-		if n.isTreeEdge(u) {
+	for i := range n.nbrs {
+		if n.treeEdgeAt(i) {
 			d++
 		}
 	}
 	return d
+}
+
+// treeEdgeAt is isTreeEdge for the neighbor at position i of nbrs.
+func (n *Node) treeEdgeAt(i int) bool {
+	return (n.parent == n.nbrs[i] && n.id != n.root) || n.views.At(i).Parent == n.id
+}
+
+// parentView returns the local copy of the parent's variables, or nil
+// when the parent is not a neighbor (the node is its own root, or the
+// pointer is forged).
+func (n *Node) parentView() *View {
+	if p := n.parentPos; p >= 0 && n.nbrs[p] == n.parent {
+		return n.views.At(p)
+	}
+	n.parentPos = n.views.Index(n.parent)
+	if n.parentPos < 0 {
+		return nil
+	}
+	return n.views.At(n.parentPos)
 }
 
 // isTreeEdge is the paper's is_tree_edge(v,u) evaluated on v's local
@@ -462,8 +493,8 @@ func (n *Node) Corrupt(rng *rand.Rand, idSpace int) {
 	n.dmax = rng.Intn(idSpace + 2)
 	n.submax = rng.Intn(idSpace + 2)
 	n.color = rng.Intn(2) == 0
-	for _, u := range n.nbrs {
-		*n.views.Get(u) = View{
+	for i := range n.nbrs {
+		*n.views.At(i) = View{
 			Root:     rng.Intn(idSpace),
 			Parent:   rng.Intn(idSpace),
 			Distance: rng.Intn(n.cfg.MaxDist + 2),
@@ -509,11 +540,11 @@ func (n *Node) NextWork() int {
 		return sim.NoWork
 	}
 	next := -1
-	for _, u := range n.nbrs {
-		if n.isTreeEdge(u) || n.id > u {
+	for i, u := range n.nbrs {
+		if n.id > u || n.treeEdgeAt(i) {
 			continue
 		}
-		due := n.nextSearch[u]
+		due := n.nextSearch[i]
 		// With adaptive backoff, a retry inside the effective window
 		// would be pruned at the launch site anyway; park straight
 		// through to the recorded pass's expiry so a deeply backed-off
@@ -547,7 +578,7 @@ func (n *Node) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 	switch msg := m.(type) {
 	case InfoMsg:
 		n.handleInfo(from, msg)
-	case SearchMsg:
+	case *SearchMsg:
 		if !n.cfg.DisableReduction {
 			n.handleSearch(ctx, from, msg)
 		}
@@ -576,11 +607,13 @@ func (n *Node) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 	}
 }
 
-// sendInfo gossips the current variables to every neighbor. The
-// message is boxed once and the interface value shared: messages are
-// immutable once sent, so one allocation per tick serves every link.
+// sendInfo gossips the current variables to every neighbor. An InfoMsg
+// is immutable once sent, so one boxed interface value serves every
+// link, and the box outlives the tick: while the content repeats what
+// the node sent last (the common case once a neighborhood quiesces) the
+// same value is sent again and the tick allocates nothing.
 func (n *Node) sendInfo(ctx *sim.Context) {
-	var msg sim.Message = InfoMsg{
+	info := InfoMsg{
 		Root:     n.root,
 		Parent:   n.parent,
 		Distance: n.distance,
@@ -589,8 +622,11 @@ func (n *Node) sendInfo(ctx *sim.Context) {
 		Deg:      n.Deg(),
 		Color:    n.color,
 	}
+	if last, ok := n.info.(InfoMsg); !ok || last != info {
+		n.info = info
+	}
 	for _, u := range n.nbrs {
-		ctx.Send(u, msg)
+		ctx.Send(u, n.info)
 	}
 }
 

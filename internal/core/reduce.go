@@ -24,7 +24,7 @@ import (
 // choreography instead (choreo.go).
 
 // actionOnCycle classifies the completed cycle and reacts.
-func (n *Node) actionOnCycle(ctx *sim.Context, msg SearchMsg) {
+func (n *Node) actionOnCycle(ctx *sim.Context, msg *SearchMsg) {
 	n.stats.CyclesClassified++
 	path := msg.Path
 	y := msg.Init.U
@@ -119,7 +119,7 @@ func (n *Node) actionOnCycle(ctx *sim.Context, msg SearchMsg) {
 
 // exchange starts the node's edge exchange on the completed cycle,
 // removing the cycle edge from path[wi] to its successor.
-func (n *Node) exchange(ctx *sim.Context, msg SearchMsg, wi int) {
+func (n *Node) exchange(ctx *sim.Context, msg *SearchMsg, wi int) {
 	if n.literal {
 		n.improve(ctx, msg, wi)
 		return
@@ -155,19 +155,19 @@ func (n *Node) broadcastDeblock(ctx *sim.Context, block, ttl, except int) {
 	}
 	n.lastDeblock[block] = n.tick
 	n.stats.DeblocksTriggered++
-	for _, u := range n.nbrs {
-		if u == except || !n.isTreeEdge(u) {
+	for i, u := range n.nbrs {
+		if u == except || !n.treeEdgeAt(i) {
 			continue
 		}
-		if v := n.views.Get(u); v.Parent == n.id { // children only: subtree flood
+		if n.views.At(i).Parent == n.id { // children only: subtree flood
 			ctx.Send(u, DeblockMsg{Block: block, TTL: ttl})
 		}
 	}
 	// Cycle_Search(idblock) for every incident non-tree edge: deblock
 	// searches ignore the ID-order rule (the cycle just has to pass
 	// through the blocked node).
-	for _, u := range n.nbrs {
-		if !n.isTreeEdge(u) {
+	for i, u := range n.nbrs {
+		if !n.treeEdgeAt(i) {
 			n.startSearch(ctx, u, block, ttl)
 		}
 	}
@@ -314,11 +314,8 @@ func (n *Node) handleReverse(ctx *sim.Context, from int, msg ReverseMsg) {
 // are repaired proactively rather than by R2 churn (Figure 2, lines
 // 25-27).
 func (n *Node) notifyChildrenDist(ctx *sim.Context, except int) {
-	for _, u := range n.nbrs {
-		if u == except {
-			continue
-		}
-		if v := n.views.Get(u); v.Parent == n.id {
+	for i, u := range n.nbrs {
+		if u != except && n.views.At(i).Parent == n.id {
 			ctx.Send(u, UpdateDistMsg{Dist: n.distance})
 		}
 	}
@@ -344,9 +341,5 @@ func (n *Node) handleUpdateDist(ctx *sim.Context, from int, msg UpdateDistMsg) {
 	}
 	n.distance = msg.Dist + 1
 	n.version++
-	for _, u := range n.nbrs {
-		if v := n.views.Get(u); v.Parent == n.id {
-			ctx.Send(u, UpdateDistMsg{Dist: n.distance})
-		}
-	}
+	n.notifyChildrenDist(ctx, -1)
 }

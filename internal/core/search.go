@@ -227,17 +227,17 @@ func (n *Node) maybeStartSearches(ctx *sim.Context) {
 			batch = 2
 		}
 	}
-	for _, u := range n.nbrs {
-		if n.isTreeEdge(u) || n.id > u {
+	for i, u := range n.nbrs {
+		if n.id > u || n.treeEdgeAt(i) {
 			continue
 		}
-		if n.tick < n.nextSearch[u] {
+		if n.tick < n.nextSearch[i] {
 			continue
 		}
 		if batch == 0 {
 			break // paced: the remaining due edges retry next tick
 		}
-		n.nextSearch[u] = n.tick + n.cfg.SearchPeriod + n.searchJitter(u)
+		n.nextSearch[i] = n.tick + n.cfg.SearchPeriod + n.searchJitter(u)
 		n.startSearch(ctx, u, -1, 0)
 		if batch > 0 {
 			batch--
@@ -281,20 +281,25 @@ func (n *Node) startSearch(ctx *sim.Context, target, block, ttl int) {
 		return
 	}
 	n.stats.SearchesLaunched++
-	msg := SearchMsg{
+	path := make([]PathEntry, 1, searchPathCap)
+	path[0] = PathEntry{Node: n.id, Deg: n.Deg(), Parent: n.parent, Cursor: first}
+	ctx.Send(first, &SearchMsg{
 		Init:  graph.Edge{U: n.id, V: target},
 		Block: block,
 		TTL:   ttl,
-		Path:  []PathEntry{{Node: n.id, Deg: n.Deg(), Parent: n.parent, Cursor: first}},
-	}
-	ctx.Send(first, msg)
+		Path:  path,
+	})
 }
+
+// searchPathCap is the Path capacity a token starts with: enough for a
+// typical fundamental cycle, so most tokens never regrow their stack.
+const searchPathCap = 8
 
 // firstTreeNeighbor returns the smallest tree neighbor with ID > after,
 // excluding `exclude` and any node already on the path; -1 if none.
 func (n *Node) firstTreeNeighbor(after, exclude int, path []PathEntry) int {
-	for _, u := range n.nbrs {
-		if u <= after || u == exclude || !n.isTreeEdge(u) {
+	for i, u := range n.nbrs {
+		if u <= after || u == exclude || !n.treeEdgeAt(i) {
 			continue
 		}
 		onPath := false
@@ -311,8 +316,10 @@ func (n *Node) firstTreeNeighbor(after, exclude int, path []PathEntry) int {
 	return -1
 }
 
-// handleSearch advances a DFS token through this node.
-func (n *Node) handleSearch(ctx *sim.Context, from int, msg SearchMsg) {
+// handleSearch advances a DFS token through this node. The node holds
+// the token for the duration of the call: it edits the token in place
+// and forwards the same pointer.
+func (n *Node) handleSearch(ctx *sim.Context, from int, msg *SearchMsg) {
 	// The paper freezes the reduction modules until the neighborhood is
 	// locally stabilized; tokens are simply dropped (searches repeat).
 	if !n.locallyStabilized() {

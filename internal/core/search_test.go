@@ -87,7 +87,7 @@ func TestSearchGuardDropsWhenNotStabilized(t *testing.T) {
 	nodes := NodesOf(net)
 	// Destabilize node 2 (dmax disagreement) and hand it a token.
 	nodes[2].SetView(1, View{Root: 0, Parent: 0, Dmax: 9})
-	msg := SearchMsg{Init: graph.Edge{U: 1, V: 3}, Block: -1,
+	msg := &SearchMsg{Init: graph.Edge{U: 1, V: 3}, Block: -1,
 		Path: []PathEntry{{Node: 1, Deg: 2, Parent: 0, Cursor: 2}}}
 	nodes[2].handleSearch(net.Context(2), 1, msg)
 	if net.Pending() != 0 {
@@ -141,7 +141,7 @@ func TestSearchStaleTreeEdgeDropped(t *testing.T) {
 	nodes := NodesOf(net)
 	// Token claims to come from node 1 but records a path whose last
 	// entry is node 3 (mismatch): must be dropped at the terminus.
-	msg := SearchMsg{Init: graph.Edge{U: 1, V: 2}, Block: -1,
+	msg := &SearchMsg{Init: graph.Edge{U: 1, V: 2}, Block: -1,
 		Path: []PathEntry{{Node: 1, Deg: 2, Parent: 0, Cursor: 3}, {Node: 3, Deg: 2, Parent: 2, Cursor: -1}}}
 	nodes[2].handleSearch(net.Context(2), 1, msg)
 	if net.Pending() != 0 {

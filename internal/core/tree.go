@@ -54,7 +54,7 @@ func (n *Node) coherentParent() bool {
 	if n.parent == n.id {
 		return n.root == n.id
 	}
-	v := n.views.Get(n.parent)
+	v := n.parentView()
 	return v != nil && v.Root == n.root
 }
 
@@ -64,7 +64,7 @@ func (n *Node) coherentDistance() bool {
 	if n.parent == n.id {
 		return n.distance == 0
 	}
-	v := n.views.Get(n.parent)
+	v := n.parentView()
 	if v == nil {
 		return false
 	}
@@ -162,12 +162,12 @@ func (n *Node) runTreeModule() {
 			n.createNewRoot()
 		case RepairPatch:
 			if n.root > n.id || n.parent == n.id || !n.coherentParent() ||
-				n.views.Get(n.parent).Distance+1 > n.cfg.MaxDist {
+				n.parentView().Distance+1 > n.cfg.MaxDist {
 				n.createNewRoot()
 			} else {
 				// Parent relation is sound; only the distance drifted
 				// (typically after an edge reversal): re-derive it.
-				n.setDistance(n.views.Get(n.parent).Distance + 1)
+				n.setDistance(n.parentView().Distance + 1)
 			}
 		}
 	}
@@ -188,7 +188,7 @@ func (n *Node) runDegreeModule() {
 	sub := deg
 	for i := 0; i < n.views.Len(); i++ {
 		v := n.views.At(i)
-		if v.Parent == n.id && n.views.ID(i) != n.parent { // a child
+		if v.Parent == n.id && n.nbrs[i] != n.parent { // a child
 			if v.Submax > sub {
 				sub = v.Submax
 			}
@@ -206,7 +206,7 @@ func (n *Node) runDegreeModule() {
 		}
 		return
 	}
-	if v := n.views.Get(n.parent); v != nil {
+	if v := n.parentView(); v != nil {
 		if n.dmax != v.Dmax || n.color != v.Color {
 			n.dmax = v.Dmax
 			n.color = v.Color

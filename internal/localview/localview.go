@@ -1,19 +1,15 @@
 // Package localview is the dense per-neighbor view storage of the
-// protocol nodes (internal/core). A node's local copies of its neighbors'
-// variables used to live in a map[int]*View per node; at matrix scale
-// the map lookups and the per-entry pointer chasing dominate the
-// simulator's hot path (every InfoMsg receive reads and writes a view,
-// every fingerprint walks all of them). Table stores the views in one
-// contiguous slice indexed by neighbor position, with an ID lookup by
-// binary search over the sorted neighbor list — no hashing, no per-view
-// allocation, cache-friendly iteration.
+// protocol nodes (internal/core). Table stores a node's local copies of
+// its neighbors' variables in one contiguous slice. A table position is
+// the neighbor's position in the node's sorted neighbor list, so a node
+// that walks its neighbors in order reads view i at position i, with no
+// lookup; Get finds a view by ID with a binary search.
 //
-// The package also hosts the single Fingerprint implementation over
-// (own variables, view table); both protocol variants previously
-// duplicated it verbatim.
+// The package also hosts Fingerprint, the hash over (own variables,
+// view table) that both exchanges share.
 package localview
 
-import "sort"
+import "slices"
 
 // View is a node's local copy of one neighbor's protocol variables (the
 // send/receive atomicity model): refreshed only by InfoMsg, possibly
@@ -39,8 +35,8 @@ type Table struct {
 // is copied and sorted; IDs must be distinct (graph adjacency lists
 // are — a duplicate would shadow its twin's entry).
 func NewTable(neighbors []int) Table {
-	ids := append([]int(nil), neighbors...)
-	sort.Ints(ids)
+	ids := slices.Clone(neighbors)
+	slices.Sort(ids)
 	return Table{ids: ids, views: make([]View, len(ids))}
 }
 
@@ -50,24 +46,29 @@ func (t *Table) Len() int { return len(t.views) }
 // ID returns the neighbor ID at position i.
 func (t *Table) ID(i int) int { return t.ids[i] }
 
+// IDs returns the sorted neighbor IDs: IDs()[i] is the neighbor at
+// position i. The slice is the table's own index; callers must not
+// modify it.
+func (t *Table) IDs() []int { return t.ids }
+
 // At returns the view at position i for mutation in place.
 func (t *Table) At(i int) *View { return &t.views[i] }
+
+// Index returns the position of neighbor u, or -1 when u is not a
+// neighbor.
+func (t *Table) Index(u int) int {
+	if i, ok := slices.BinarySearch(t.ids, u); ok {
+		return i
+	}
+	return -1
+}
 
 // Get returns the view of neighbor u, or nil when u is not a neighbor.
 // The pointer stays valid for the lifetime of the table and may be used
 // to mutate the view in place.
 func (t *Table) Get(u int) *View {
-	lo, hi := 0, len(t.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.ids[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(t.ids) && t.ids[lo] == u {
-		return &t.views[lo]
+	if i := t.Index(u); i >= 0 {
+		return &t.views[i]
 	}
 	return nil
 }

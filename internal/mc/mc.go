@@ -184,13 +184,16 @@ func cloneState(st *state) *state {
 	return &state{nodes: cloneNodes(st.nodes), queues: q, depth: st.depth}
 }
 
-// copyMsg deep-copies a protocol message (slices must not be shared
-// between branches: handlers mutate Path entries in place).
+// copyMsg deep-copies a protocol message: branches must share neither a
+// Search token (handlers edit it in place and forward the same pointer)
+// nor a slice. It panics on a message type it does not list, so a new
+// type cannot silently be shared across branches.
 func copyMsg(m sim.Message) sim.Message {
 	switch msg := m.(type) {
-	case core.SearchMsg:
-		msg.Path = append([]core.PathEntry(nil), msg.Path...)
-		return msg
+	case *core.SearchMsg:
+		cp := *msg
+		cp.Path = append([]core.PathEntry(nil), msg.Path...)
+		return &cp
 	case core.ReverseMsg:
 		msg.Nodes = append([]int(nil), msg.Nodes...)
 		return msg
@@ -200,8 +203,10 @@ func copyMsg(m sim.Message) sim.Message {
 	case core.BackMsg:
 		msg.Path = append([]int(nil), msg.Path...)
 		return msg
-	default:
+	case core.InfoMsg, core.DeblockMsg, core.UpdateDistMsg, core.ReverseAuxMsg:
 		return m // value types without slices
+	default:
+		panic(fmt.Sprintf("mc: copyMsg: unknown message type %T", m))
 	}
 }
 
@@ -229,6 +234,9 @@ func hashState(g *graph.Graph, st *state) uint64 {
 	return h
 }
 
+// hashMsg hashes one queued message's content. Like copyMsg it panics on
+// a message type it does not list: a type hashed as nothing would merge
+// distinct states.
 func hashMsg(m sim.Message) uint64 {
 	const prime = 1099511628211
 	h := uint64(1469598103934665603)
@@ -248,7 +256,7 @@ func hashMsg(m sim.Message) uint64 {
 		if msg.Color {
 			mix(7)
 		}
-	case core.SearchMsg:
+	case *core.SearchMsg:
 		mix(2)
 		mix(uint64(msg.Init.U))
 		mix(uint64(msg.Init.V))
@@ -304,6 +312,8 @@ func hashMsg(m sim.Message) uint64 {
 	case core.ReverseAuxMsg:
 		mix(14)
 		mix(uint64(msg.Target))
+	default:
+		panic(fmt.Sprintf("mc: hashMsg: unknown message type %T", m))
 	}
 	return h
 }

@@ -94,13 +94,36 @@ func TestExploreDeliveryOnlyPermutations(t *testing.T) {
 	}
 }
 
+// TestCopyMsgIsolatesSlices covers every protocol message type: a copy
+// shares no Search token and no slice with its original, and hashes
+// like it.
 func TestCopyMsgIsolatesSlices(t *testing.T) {
-	orig := core.SearchMsg{Path: []core.PathEntry{{Node: 1, Cursor: -1}}}
-	cp := copyMsg(orig).(core.SearchMsg)
-	cp.Path[0].Cursor = 99
-	if orig.Path[0].Cursor != -1 {
-		t.Fatal("copyMsg shared the Path slice")
+	orig := &core.SearchMsg{Init: graph.Edge{U: 1, V: 2}, Block: -1,
+		Path: []core.PathEntry{{Node: 1, Cursor: -1}, {Node: 3, Cursor: 2}}}
+	cp := copyMsg(orig).(*core.SearchMsg)
+	if cp == orig {
+		t.Fatal("copyMsg shared the Search token")
 	}
+	if &cp.Path[0] == &orig.Path[0] {
+		t.Fatal("copyMsg shared the Path backing array")
+	}
+	if hashMsg(cp) != hashMsg(orig) {
+		t.Fatal("a Search token copy hashes differently")
+	}
+	cp.Path[1].Cursor = 4
+	cp.TTL = 7
+	if orig.Path[1].Cursor != 2 || orig.TTL != 0 {
+		t.Fatal("editing the copy changed the original token")
+	}
+	if hashMsg(cp) == hashMsg(orig) {
+		t.Fatal("tokens differing in Cursor and TTL hash alike")
+	}
+	cursor := copyMsg(orig).(*core.SearchMsg)
+	cursor.Path[0].Cursor = 5
+	if hashMsg(cursor) == hashMsg(orig) {
+		t.Fatal("tokens differing only in one Cursor hash alike")
+	}
+
 	rev := core.ReverseMsg{Nodes: []int{1, 2}}
 	cr := copyMsg(rev).(core.ReverseMsg)
 	cr.Nodes[0] = 9
@@ -113,6 +136,43 @@ func TestCopyMsgIsolatesSlices(t *testing.T) {
 	copyMsg(back).(core.BackMsg).Path[0] = 9
 	if rm.Path[0] != 1 || back.Path[0] != 1 {
 		t.Fatal("copyMsg shared a Remove/Back Path slice")
+	}
+
+	// The value types without slices copy as themselves.
+	for _, m := range []sim.Message{
+		core.InfoMsg{Root: 1, Deg: 2},
+		core.DeblockMsg{Block: 3, TTL: 1},
+		core.UpdateDistMsg{Dist: 4},
+		core.ReverseAuxMsg{Target: 5},
+		rev, rm, back,
+	} {
+		if hashMsg(copyMsg(m)) != hashMsg(m) {
+			t.Fatalf("%T copy hashes differently", m)
+		}
+	}
+}
+
+// unlistedMsg is a message type the model checker does not know.
+type unlistedMsg struct{}
+
+func (unlistedMsg) Kind() string { return "unlisted" }
+func (unlistedMsg) Size() int    { return 0 }
+
+// A message type missing from copyMsg or hashMsg must stop the model
+// checker, not be shared across branches or hashed as nothing.
+func TestCopyAndHashRejectUnknownTypes(t *testing.T) {
+	for name, f := range map[string]func(sim.Message){
+		"copyMsg": func(m sim.Message) { copyMsg(m) },
+		"hashMsg": func(m sim.Message) { hashMsg(m) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an unknown message type", name)
+				}
+			}()
+			f(unlistedMsg{})
+		}()
 	}
 }
 

@@ -174,10 +174,7 @@ func (c *Cluster) killLink(link *sendLink, pending []sim.Message, stop chan stru
 // overwrites activeLost with the full sent-received gap, so the two
 // accountings agree across restarts.
 func (c *Cluster) settleLost(m sim.Message) {
-	if c.active == nil {
-		return
-	}
-	if _, ok := c.active[m.Kind()]; ok {
+	if c.isActive(m) {
 		c.activeLost.Add(1)
 	}
 }

@@ -472,11 +472,12 @@ func (c *Cluster) Start() error {
 				case <-halt:
 					return
 				case env := <-c.inbox[id]:
+					// Classify before Receive: the handler may forward
+					// the message, after which it is not ours to read.
+					active := c.isActive(env.Msg)
 					c.procs[id].Receive(ctx, env.From, env.Msg)
-					if c.active != nil {
-						if _, ok := c.active[env.Msg.Kind()]; ok {
-							c.activeRecv.Add(1)
-						}
+					if active {
+						c.activeRecv.Add(1)
 					}
 					publish()
 				case <-ticker.C:
@@ -513,6 +514,15 @@ func (c *Cluster) startEdge(me, peer int, conn net.Conn, enc *gob.Encoder, bw *b
 	}()
 }
 
+// isActive reports whether m counts toward the active-kind deficit.
+func (c *Cluster) isActive(m sim.Message) bool {
+	if c.active == nil {
+		return false
+	}
+	_, ok := c.active[m.Kind()]
+	return ok
+}
+
 // send enqueues a message on the per-direction outbox; a full outbox
 // drops the message (gossip repair handles the loss).
 func (c *Cluster) send(from, to int, m sim.Message) {
@@ -527,18 +537,21 @@ func (c *Cluster) send(from, to int, m sim.Message) {
 		c.dropped.Add(1)
 		return
 	}
+	// Read the kind before the handoff: once m is on the outbox the
+	// writer owns it (see sim.Message).
+	kind := m.Kind()
 	select {
 	case l.q <- m:
 		c.sent.Add(1)
 		if c.active != nil {
-			if _, ok := c.active[m.Kind()]; ok {
+			if _, ok := c.active[kind]; ok {
 				c.activeSent.Add(1)
 			}
 		}
 		if c.cfg.CountKinds {
-			v, ok := c.kindSent.Load(m.Kind())
+			v, ok := c.kindSent.Load(kind)
 			if !ok {
-				v, _ = c.kindSent.LoadOrStore(m.Kind(), new(atomic.Int64))
+				v, _ = c.kindSent.LoadOrStore(kind, new(atomic.Int64))
 			}
 			v.(*atomic.Int64).Add(1)
 		}

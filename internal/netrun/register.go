@@ -11,7 +11,7 @@ import (
 // registered so a cluster can run either.
 func init() {
 	gob.Register(core.InfoMsg{})
-	gob.Register(core.SearchMsg{})
+	gob.Register(&core.SearchMsg{}) // tokens travel by pointer
 	gob.Register(core.ReverseMsg{})
 	gob.Register(core.DeblockMsg{})
 	gob.Register(core.UpdateDistMsg{})

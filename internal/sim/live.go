@@ -192,14 +192,15 @@ func (ln *LiveNetwork) Start() {
 				case <-stop:
 					return
 				case env := <-ln.inbox[id]:
+					// Classify before Receive: the handler may forward
+					// the message, after which it is not ours to read.
+					active := ln.isActive(env.msg)
 					ln.nodeMu[id].Lock()
 					ln.procs[id].Receive(ctx, env.from, env.msg)
 					ln.touched[id].Store(true)
 					ln.nodeMu[id].Unlock()
-					if ln.active != nil {
-						if _, ok := ln.active[env.msg.Kind()]; ok {
-							ln.activeRecv.Add(1)
-						}
+					if active {
+						ln.activeRecv.Add(1)
 					}
 				case <-ticker.C:
 					ln.nodeMu[id].Lock()
@@ -212,6 +213,15 @@ func (ln *LiveNetwork) Start() {
 	}
 }
 
+// isActive reports whether m counts toward the active-kind deficit.
+func (ln *LiveNetwork) isActive(m Message) bool {
+	if ln.active == nil {
+		return false
+	}
+	_, ok := ln.active[m.Kind()]
+	return ok
+}
+
 func (ln *LiveNetwork) send(from, to NodeID, m Message) {
 	if !ln.g.HasEdge(from, to) {
 		panic("sim: live send to non-neighbor")
@@ -219,16 +229,18 @@ func (ln *LiveNetwork) send(from, to NodeID, m Message) {
 	ln.mu.RLock()
 	stop := ln.stop
 	ln.mu.RUnlock()
+	// Read the kind before the handoff: once m is on the inbox the
+	// receiver owns it (see Message).
+	kind := m.Kind()
 	select {
 	case ln.inbox[to] <- liveEnvelope{from: from, msg: m}:
 		ln.sent.Add(1)
 		if ln.active != nil {
-			if _, ok := ln.active[m.Kind()]; ok {
+			if _, ok := ln.active[kind]; ok {
 				ln.activeSent.Add(1)
 			}
 		}
 		if ln.countKinds {
-			kind := m.Kind()
 			ctr, ok := ln.kindSent.Load(kind)
 			if !ok {
 				ctr, _ = ln.kindSent.LoadOrStore(kind, new(atomic.Int64))

@@ -174,3 +174,80 @@ func TestLiveFingerprintAcrossRestart(t *testing.T) {
 		t.Fatal("fingerprint did not move across the -1 re-convergence")
 	}
 }
+
+// relayMsg is a token with one holder at a time. Kind reads the field
+// that each holder writes, so a transport that touches the token after
+// handing it off races with the next holder.
+type relayMsg struct{ hops int }
+
+func (m *relayMsg) Kind() string {
+	if m.hops < 0 {
+		return "unreachable"
+	}
+	return "relay"
+}
+func (m *relayMsg) Size() int { return 1 }
+
+// relayHops is how many hops each token makes before it stops.
+const relayHops = 200
+
+// relayProc starts one token at Init and, on every receive, counts the
+// hop on the token itself and forwards the same pointer to its first
+// neighbor until the token has made relayHops hops.
+type relayProc struct {
+	tok  *relayMsg // the token this node started
+	done *sync.WaitGroup
+}
+
+func (p *relayProc) Init(ctx *Context) {
+	ctx.Send(ctx.Neighbors()[0], p.tok)
+}
+func (p *relayProc) Tick(*Context) {}
+func (p *relayProc) Receive(ctx *Context, _ NodeID, m Message) {
+	tok := m.(*relayMsg)
+	tok.hops++
+	if tok.hops == relayHops {
+		p.done.Done()
+		return
+	}
+	ctx.Send(ctx.Neighbors()[0], tok)
+}
+
+// A message handed to Send belongs to its next holder: neither the live
+// transport's send path nor its receive loop may read it afterwards
+// (both used to call Kind after the handoff). The race detector (make
+// race covers this package) is the real assertion; the counts check
+// that classifying before the handoff still counts every message.
+func TestLiveTransportLeavesHandedOffMessagesAlone(t *testing.T) {
+	g := graph.Ring(6)
+	var done sync.WaitGroup
+	done.Add(g.N())
+	tokens := make([]*relayMsg, g.N())
+	ln := NewLiveNetwork(g, func(id NodeID, _ []NodeID) Process {
+		tokens[id] = &relayMsg{}
+		return &relayProc{tok: tokens[id], done: &done}
+	}, LiveConfig{ActiveKinds: []string{"relay"}, CountKinds: true})
+	ln.Start()
+	finished := make(chan struct{})
+	go func() { done.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		ln.Stop()
+		t.Fatal("tokens did not finish their hops")
+	}
+	ln.Stop()
+	for id, tok := range tokens {
+		if tok.hops != relayHops {
+			t.Fatalf("token %d made %d hops, want %d", id, tok.hops, relayHops)
+		}
+	}
+	want := int64(g.N() * relayHops)
+	if got := ln.SentByKind()["relay"]; got != want {
+		t.Fatalf("counted %d relay sends, want %d", got, want)
+	}
+	if s := ln.ProbeSample(); s.ActiveSent != want || s.ActiveReceived != want {
+		t.Fatalf("active sent/received %d/%d, want %d/%d",
+			s.ActiveSent, s.ActiveReceived, want, want)
+	}
+}

@@ -73,6 +73,13 @@ type NodeID = int
 // Message is anything a Process sends over a link. Kind groups messages
 // for metrics; Size is the abstract message length in O(log n)-bit words,
 // used by experiment E4 to check the paper's O(n log n) buffer claim.
+//
+// Sending hands a message off. Once Context.Send returns, neither the
+// sender nor the transport reads or writes it; it belongs to the link
+// and then to the receiver. A transport reads what it needs (Kind, Size)
+// before the handoff. The rule costs nothing for immutable values, and
+// it lets a message travel by pointer and be edited in place by each
+// holder in turn.
 type Message interface {
 	Kind() string
 	Size() int
@@ -149,7 +156,9 @@ func (c *Context) ID() NodeID { return c.id }
 func (c *Context) Neighbors() []NodeID { return c.nbrs }
 
 // Send enqueues m on the FIFO link to neighbor `to`. Sending to a
-// non-neighbor panics: the paper's algorithm is strictly local.
+// non-neighbor panics: the paper's algorithm is strictly local. Send
+// hands m off (see Message): after it, the caller neither reads nor
+// writes m.
 func (c *Context) Send(to NodeID, m Message) { c.send(c.id, to, m) }
 
 // envelope is a queued message with a global sequence number used for
