@@ -225,15 +225,20 @@ func BenchmarkScenarioMatrixSerial(b *testing.B) {
 
 // BenchmarkScaleSweep runs a reduced version of the committed scale
 // sweep (cmd/mdstmatrix -scale / make bench -> BENCH_scale.json): the
-// incremental-hot-path ladder plus the full-rehash baseline
-// cross-check. The reported custom metric is the deterministic
-// fingerprint-work reduction at the baseline size.
+// incremental-hot-path ladder, the steady-state decay cell with its
+// fault recovery, plus the full-rehash baseline cross-check. The
+// reported custom metric is the deterministic fingerprint-work
+// reduction at the baseline size.
 func BenchmarkScaleSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rep, err := scenario.ScaleSweep(scenario.ScaleSpec{
 			Family: "ring+chords", // protocol-active workload, reduced sizes
 			Sizes:  []int{48, 64},
+			// The decay cell at the ladder's scale: its default n=256
+			// misses the 10x decay bar on ring+chords, where n=48 clears
+			// it (13x) and still reaches the deepest backoff tier.
+			DecaySizes: []int{48},
 		})
 		if err != nil {
 			b.Fatal(err)

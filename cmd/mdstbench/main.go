@@ -1,5 +1,5 @@
 // Command mdstbench regenerates the experiment tables E1–E12 of
-// EXPERIMENTS.md. The sweep-shaped experiments (E1, E2, E8–E10) execute
+// internal/benchtab. The sweep-shaped experiments (E1, E2, E8–E10) execute
 // through the internal/scenario matrix engine and shard their runs
 // across all CPUs; -workers caps that parallelism (ad-hoc scenario
 // matrices beyond the fixed tables are cmd/mdstmatrix's job).

@@ -171,6 +171,17 @@
 // Θ(n)-message search every SearchPeriod rounds, Θ(n²) traffic per
 // window — so the recovery ladder stays at the committed compat sizes.
 //
+// Every run that stops on quiescence is driven by internal/harness,
+// through one driver per execution model. The simulator has one loop:
+// harness.Run builds a network and its initial configuration and drives
+// it, harness.RunOn drives a network built elsewhere (the churn
+// executor's migrated network, the decay cell's fault recovery) exactly
+// the same way, and harness.RunTraced is Run plus the E2/E5 figure
+// series, sampled as one more per-round observer. The live and tcp
+// backends share one detection loop that sees each transport through a
+// small interface (start, stop, probe, traffic counters), so both
+// certify, check legitimacy and resume identically.
+//
 // Experiment execution layers on the internal/scenario matrix engine: a
 // declarative Spec (graph families × sizes × schedulers × start modes ×
 // variants × backends × suppression × fault models × seeds) expands

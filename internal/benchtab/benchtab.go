@@ -1,5 +1,5 @@
-// Package benchtab generates the experiment tables E1–E12 of
-// EXPERIMENTS.md: each function sweeps a workload, runs the harness and
+// Package benchtab generates the experiment tables E1–E12 (rendered
+// by cmd/mdstbench): each function sweeps a workload, runs the harness and
 // returns a Table that can be rendered as aligned text or CSV. The
 // bench targets in the repository root and cmd/mdstbench are thin
 // wrappers over these functions. Every experiment table (E1–E12)
@@ -374,7 +374,7 @@ type AblationSpec struct {
 	Mut   func(*core.Config)
 }
 
-// Ablations returns the standard ablation set of DESIGN.md.
+// Ablations returns the standard ablation set of experiment E7.
 func Ablations() []AblationSpec {
 	return []AblationSpec{
 		{"default(sync,patch)", harness.SchedSync, func(c *core.Config) {}},

@@ -7,7 +7,7 @@ import (
 )
 
 // This file contains the topology generators used as experiment workloads.
-// Each family is motivated in DESIGN.md: rings with chords and geometric
+// Each family stands for a class of networks: rings with chords and geometric
 // graphs model the ad-hoc networks of the paper's introduction; G(n,p) and
 // Hamiltonian-augmented graphs model P2P overlays; star-of-cliques and
 // caterpillar-like instances are adversarial for the minimum-degree

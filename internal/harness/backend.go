@@ -349,60 +349,113 @@ func wallFinalSnapshot(prog detect.Progress, nodes []*core.Node, sentTotal int64
 	return s
 }
 
-// runLive executes the spec on the goroutine-per-node runtime. The
-// driver samples the network in-band (concurrent fingerprint + version
-// probes, O(changed) per probe) and feeds a detect.Detector; once a
-// quiescence certificate is issued it stops the network and verifies
-// the legitimacy predicate — the certificate attests observed
-// stability, legitimacy on the quiesced state is what declares
-// convergence, mirroring Theorem 1's closure argument. A failed check
-// resumes the run (counted in Result.Restarts) until the deadline.
+// runLive executes the spec on the goroutine-per-node runtime, probing
+// the network in-band (concurrent fingerprint + version probes,
+// O(changed) per probe) through driveWall.
 func runLive(spec RunSpec, ops variantOps) (Result, error) {
-	g := spec.Graph
 	p, err := resolveWall(spec, ops, 200*time.Microsecond, 2*time.Millisecond)
 	if err != nil {
 		return Result{Backend: BackendLive}, err
 	}
-
 	begin := time.Now()
-	collect := spec.Collect
-	ln := sim.NewLiveNetwork(g, ops.factory, sim.LiveConfig{
+	ln := sim.NewLiveNetwork(spec.Graph, ops.factory, sim.LiveConfig{
 		TickInterval: p.tick,
 		ActiveKinds:  ops.kinds,
-		CountKinds:   collect != nil,
+		CountKinds:   spec.Collect != nil,
 	})
 	nodes, res0, ok := buildInitial(spec, ops, ln.Process)
 	if !ok {
 		return res0, nil
 	}
-	rec := auditRecorder(spec, nodes)
+	return driveWall(spec, p, nodes, liveTransport{ln}, begin)
+}
 
-	det := detect.New(detect.Config{Window: p.stable, Backend: string(BackendLive)})
+// runTCP executes the spec on the loopback TCP cluster. The driver
+// watches for quiescence entirely in-band, over the cluster's
+// side-channel control connection (per-node quiescence epochs, combined
+// fingerprint, active-kind deficit), so on converging runs the cluster
+// is stopped once and never restarted (Cluster.Restarts stays zero).
+func runTCP(spec RunSpec, ops variantOps) (Result, error) {
+	p, err := resolveWall(spec, ops, 2*time.Millisecond, 25*time.Millisecond)
+	if err != nil {
+		return Result{Backend: BackendTCP}, err
+	}
+	begin := time.Now()
+	c := netrun.NewCluster(spec.Graph, ops.factory, netrun.Config{
+		TickInterval: p.tick,
+		ActiveKinds:  ops.kinds,
+		BatchSize:    spec.Tuning.BatchSize,
+		BatchMaxWait: spec.Tuning.BatchMaxWait,
+		CountKinds:   spec.Collect != nil,
+	})
+	nodes, res0, ok := buildInitial(spec, ops, c.Process)
+	if !ok {
+		return res0, nil
+	}
+	return driveWall(spec, p, nodes, &tcpTransport{c: c}, begin)
+}
+
+// wallTransport is a wall-clock backend as driveWall sees it. Node
+// state may be read only between stop and the next start.
+type wallTransport interface {
+	start() error
+	stop()
+	// sample takes one in-band detection probe of the running network.
+	sample() (detect.Sample, error)
+	// traffic reads the send counters for a snapshot of the running
+	// network.
+	traffic() (sent int64, byKind map[string]int64)
+	// counters writes the stopped transport's final counters into out
+	// and returns its per-kind send counts.
+	counters(out *Result) map[string]int64
+}
+
+// driveWall is the one detection loop of the wall-clock backends. It
+// starts the transport, feeds its probes to a detect.Detector and, once
+// a quiescence certificate is issued, stops the transport and checks
+// the legitimacy predicate — the certificate attests observed
+// stability, legitimacy on the quiesced state is what declares
+// convergence, mirroring Theorem 1's closure argument. A failed check
+// resumes the run (counted in Result.Restarts) until the deadline. A
+// transport failure (tcp listen, dial or probe) is the run's error.
+func driveWall(spec RunSpec, p wallParams, nodes []*core.Node, t wallTransport, begin time.Time) (Result, error) {
+	g, b, collect := spec.Graph, spec.backend(), spec.Collect
+	fail := func(err error) (Result, error) {
+		return Result{Backend: b}, fmt.Errorf("harness: %s backend: %w", b, err)
+	}
+	rec := auditRecorder(spec, nodes)
+	det := detect.New(detect.Config{Window: p.stable, Backend: string(b)})
 	deadline := begin.Add(p.deadline)
 	var cert *detect.Certificate
 	restarts := 0
 
-	ln.Start()
-	running := true
+	if err := t.start(); err != nil {
+		return fail(err)
+	}
 	ticker := time.NewTicker(p.probe)
 	defer ticker.Stop()
 	for cert == nil && time.Now().Before(deadline) {
 		<-ticker.C
-		c, issued := det.Observe(ln.ProbeSample())
+		s, err := t.sample()
+		if err != nil {
+			t.stop()
+			return fail(err)
+		}
+		c, issued := det.Observe(s)
 		if collect != nil {
 			// One detection observation = one metrics epoch; the stream
 			// samples the detector's own progress plus the transport's
 			// traffic counters (per-node state stays untouchable while
 			// the network runs).
 			if prog := det.Progress(); collect.Due(int(prog.Epoch) - 1) {
-				collect.Add(wallSnapshot(prog, g.N(), ln.Sent(), ln.SentByKind()))
+				sent, byKind := t.traffic()
+				collect.Add(wallSnapshot(prog, g.N(), sent, byKind))
 			}
 		}
 		if !issued {
 			continue
 		}
-		ln.Stop()
-		running = false
+		t.stop()
 		if core.CheckLegitimacy(g, nodes).OK() {
 			cert = &c
 			break
@@ -411,30 +464,25 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 		// outlasted the window): resume and re-establish stability.
 		det.Reset()
 		restarts++
-		ln.Start()
-		running = true
+		if err := t.start(); err != nil {
+			return fail(fmt.Errorf("restart: %w", err))
+		}
 	}
-	if running {
-		ln.Stop()
+	if cert == nil {
+		t.stop() // the deadline passed while the transport ran
 	}
 	// Legitimacy at exit decides convergence together with the
 	// certificate — a certificate alone is stability, not correctness,
 	// and legitimacy without certified quiescence (e.g. reached right at
-	// the deadline) still counts, same contract as before the rebase.
+	// the deadline) still counts.
 	leg := core.CheckLegitimacy(g, nodes)
-	converged := leg.OK()
-
-	if collect != nil {
-		collect.Add(wallFinalSnapshot(det.Progress(), nodes, ln.Sent(), ln.SentByKind()))
-	}
 	st := core.AggregateStats(nodes)
 	out := Result{
-		Backend:            BackendLive,
-		Converged:          converged,
+		Backend:            b,
+		Converged:          leg.OK(),
 		Rounds:             int(det.Epoch()),
 		LastChange:         int(det.Epoch()),
 		Legit:              leg,
-		TotalMessages:      ln.Sent(),
 		MaxStateBits:       sim.MaxStateBitsOf(nodes),
 		Exchanges:          st.ExchangesComplete,
 		Aborts:             st.Aborted(),
@@ -444,146 +492,82 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 		Deadline:           p.deadline,
 		WallTime:           time.Since(begin),
 	}
+	byKind := t.counters(&out)
+	if collect != nil {
+		collect.Add(wallFinalSnapshot(det.Progress(), nodes, out.TotalMessages, byKind))
+	}
 	if rec != nil {
 		out.AuditChain = rec.ChainHead()
 		out.AuditRecords = rec.Len()
 	}
-	if t, err := core.ExtractTree(g, nodes); err == nil {
-		out.Tree = t
+	if tree, err := core.ExtractTree(g, nodes); err == nil {
+		out.Tree = tree
 	}
 	return out, nil
 }
 
-// runTCP executes the spec on the loopback TCP cluster. The driver
-// watches for quiescence entirely in-band: it dials the cluster's
-// side-channel control connection and feeds the probe samples (per-node
-// quiescence epochs, combined fingerprint, active-kind deficit) to a
-// detect.Detector, stopping the cluster only once — after a stable
-// certificate — to verify legitimacy. On converging runs the cluster is
-// therefore never restarted (Cluster.Restarts stays zero), replacing
-// the old stop-the-world run-phase loop; a failed legitimacy check
-// resumes the cluster, which for a self-stabilizing protocol is just
-// more asynchrony.
-func runTCP(spec RunSpec, ops variantOps) (Result, error) {
-	g := spec.Graph
-	p, err := resolveWall(spec, ops, 2*time.Millisecond, 25*time.Millisecond)
+// liveTransport adapts the goroutine-per-node runtime to driveWall.
+type liveTransport struct{ ln *sim.LiveNetwork }
+
+func (t liveTransport) start() error                   { t.ln.Start(); return nil }
+func (t liveTransport) stop()                          { t.ln.Stop() }
+func (t liveTransport) sample() (detect.Sample, error) { return t.ln.ProbeSample(), nil }
+
+func (t liveTransport) traffic() (int64, map[string]int64) {
+	return t.ln.Sent(), t.ln.SentByKind()
+}
+
+func (t liveTransport) counters(out *Result) map[string]int64 {
+	out.TotalMessages = t.ln.Sent()
+	return t.ln.SentByKind()
+}
+
+// tcpTransport adapts the loopback TCP cluster to driveWall. Each start
+// dials a fresh probe connection to the cluster's control channel, and
+// each stop closes it.
+type tcpTransport struct {
+	c     *netrun.Cluster
+	probe *netrun.ProbeConn
+}
+
+func (t *tcpTransport) start() error {
+	if err := t.c.Start(); err != nil {
+		return err
+	}
+	probe, err := netrun.DialProbe(t.c.ControlAddr())
 	if err != nil {
-		return Result{Backend: BackendTCP}, err
+		t.c.Stop()
+		return err
 	}
+	t.probe = probe
+	return nil
+}
 
-	begin := time.Now()
-	collect := spec.Collect
-	c := netrun.NewCluster(g, ops.factory, netrun.Config{
-		TickInterval: p.tick,
-		ActiveKinds:  ops.kinds,
-		BatchSize:    spec.Tuning.BatchSize,
-		BatchMaxWait: spec.Tuning.BatchMaxWait,
-		CountKinds:   collect != nil,
-	})
-	nodes, res0, ok := buildInitial(spec, ops, c.Process)
-	if !ok {
-		return res0, nil
-	}
-	rec := auditRecorder(spec, nodes)
+func (t *tcpTransport) stop() {
+	t.probe.Close()
+	t.c.Stop()
+}
 
-	// Unlike the in-process backends, TCP execution itself can fail
-	// (listen/dial); surface it as the run's error.
-	if err := c.Start(); err != nil {
-		return Result{Backend: BackendTCP}, fmt.Errorf("harness: tcp backend: %w", err)
-	}
-	probe, err := netrun.DialProbe(c.ControlAddr())
+func (t *tcpTransport) sample() (detect.Sample, error) { return t.probe.Sample() }
+
+// traffic rides the metrics request/reply pair on the probe connection
+// (one extra round trip per due epoch); a failed fetch degrades the
+// snapshot to detection fields rather than failing the run.
+func (t *tcpTransport) traffic() (int64, map[string]int64) {
+	ms, err := t.probe.Metrics()
 	if err != nil {
-		c.Stop()
-		return Result{Backend: BackendTCP}, fmt.Errorf("harness: tcp backend: %w", err)
+		return 0, nil
 	}
+	return ms.SentTotal, ms.SentByKind
+}
 
-	det := detect.New(detect.Config{Window: p.stable, Backend: string(BackendTCP)})
-	deadline := begin.Add(p.deadline)
-	var cert *detect.Certificate
-
-	running := true
-	ticker := time.NewTicker(p.probe)
-	defer ticker.Stop()
-	for cert == nil && time.Now().Before(deadline) {
-		<-ticker.C
-		s, err := probe.Sample()
-		if err != nil {
-			probe.Close()
-			c.Stop()
-			return Result{Backend: BackendTCP}, fmt.Errorf("harness: tcp backend: %w", err)
-		}
-		crt, issued := det.Observe(s)
-		if collect != nil {
-			if prog := det.Progress(); collect.Due(int(prog.Epoch) - 1) {
-				// Traffic counters ride the metrics request/reply pair on
-				// the same control connection (one extra round trip per
-				// due epoch); a failed fetch degrades the snapshot to
-				// detection fields rather than failing the run.
-				var total int64
-				var byKind map[string]int64
-				if ms, err := probe.Metrics(); err == nil {
-					total = ms.SentTotal
-					byKind = ms.SentByKind
-				}
-				collect.Add(wallSnapshot(prog, g.N(), total, byKind))
-			}
-		}
-		if !issued {
-			continue
-		}
-		probe.Close()
-		c.Stop()
-		running = false
-		if core.CheckLegitimacy(g, nodes).OK() {
-			cert = &crt
-			break
-		}
-		det.Reset()
-		if err := c.Start(); err != nil {
-			return Result{Backend: BackendTCP}, fmt.Errorf("harness: tcp backend: restart: %w", err)
-		}
-		running = true
-		if probe, err = netrun.DialProbe(c.ControlAddr()); err != nil {
-			c.Stop()
-			return Result{Backend: BackendTCP}, fmt.Errorf("harness: tcp backend: %w", err)
-		}
-	}
-	if running {
-		probe.Close()
-		c.Stop()
-	}
-	leg := core.CheckLegitimacy(g, nodes)
-
-	if collect != nil {
-		// Post-stop: read the cluster's counters directly (the control
-		// channel is down) and complete the stream with per-node state.
-		collect.Add(wallFinalSnapshot(det.Progress(), nodes, c.Sent(), c.SentByKind()))
-	}
-	st := core.AggregateStats(nodes)
-	out := Result{
-		Backend:            BackendTCP,
-		Converged:          leg.OK(),
-		Rounds:             int(det.Epoch()),
-		LastChange:         int(det.Epoch()),
-		Legit:              leg,
-		TotalMessages:      c.Sent(),
-		MaxStateBits:       sim.MaxStateBitsOf(nodes),
-		Dropped:            c.Dropped(),
-		Frames:             c.FramesWritten(),
-		Exchanges:          st.ExchangesComplete,
-		Aborts:             st.Aborted(),
-		SearchesSuppressed: st.SearchesSuppressed,
-		Cert:               cert,
-		Restarts:           c.Restarts(),
-		Deadline:           p.deadline,
-		WallTime:           time.Since(begin),
-	}
-	if rec != nil {
-		out.AuditChain = rec.ChainHead()
-		out.AuditRecords = rec.Len()
-	}
-	if t, err := core.ExtractTree(g, nodes); err == nil {
-		out.Tree = t
-	}
-	return out, nil
+// counters reads the stopped cluster directly (the control channel is
+// down). Restarts is the cluster's own count, so a driver that restarted
+// needlessly cannot hide it.
+func (t *tcpTransport) counters(out *Result) map[string]int64 {
+	out.TotalMessages = t.c.Sent()
+	out.Dropped = t.c.Dropped()
+	out.Frames = t.c.FramesWritten()
+	out.Restarts = t.c.Restarts()
+	return t.c.SentByKind()
 }

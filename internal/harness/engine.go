@@ -44,8 +44,7 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // EventPolicyFor maps a scheduler kind onto the event core's intra-round
-// ordering policy (used by every event-engine execution path, including
-// the scenario churn executor's re-stabilization run).
+// ordering policy, as the simulator loop applies it under EngineEvent.
 func EventPolicyFor(kind SchedulerKind) sim.EventPolicy {
 	switch kind {
 	case SchedAsync:

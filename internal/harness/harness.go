@@ -12,6 +12,13 @@
 // variant axis (the chain exchange vs the paper-literal choreography)
 // only picks the node constructor (variantOps), so every (variant ×
 // backend) pair shares this one orchestration path.
+//
+// Every run that stops on quiescence is driven here, by one driver per
+// execution model: one simulator loop behind Run, RunOn and RunTraced,
+// and one detection loop shared by the live and tcp backends. Callers
+// that need an initial configuration Run cannot build (the scenario
+// churn executor, the scale sweep's decay cell) hand their network to
+// RunOn, so no caller keeps its own round budget or stability window.
 package harness
 
 import (
@@ -350,10 +357,11 @@ func (s RunSpec) Validate() error {
 // worst-case spacing between full passes of an equivalent search —
 // Config.SearchPeriod for the paper-literal schedule,
 // core.Config.EffectiveRetryPeriod() when duplicate pruning may defer
-// retries by up to the suppression window. Every detection path derives
-// its window from this one formula — the sim run loop, the wall-clock
-// drivers (converted to wall time via the tick period), and the churn
-// executor's re-stabilization run — so they cannot drift apart.
+// retries by up to the suppression window. Both drivers derive their
+// window from this one formula — the simulator loop (which also drives
+// churn re-stabilization through RunOn) and the wall-clock detection
+// loop (converted to wall time via the tick period) — so they cannot
+// drift apart.
 func QuiesceWindowRounds(n, retryPeriod int) int {
 	return 2*n + 40 + 2*retryPeriod
 }
@@ -373,28 +381,59 @@ func Run(spec RunSpec) (Result, error) {
 	case BackendTCP:
 		return runTCP(spec, ops)
 	default:
-		return runSim(spec, ops)
+		return runSim(spec, ops, nil), nil
 	}
 }
 
-// runSim executes the spec on the deterministic seeded simulator. Every
-// step below replays the pre-backend harness exactly — network build,
-// corruption RNG, quiescence window, result collection — so sim results
-// are byte-identical to the pre-refactor harness (regression-locked by
-// the committed default-matrix baseline in internal/scenario/testdata).
-func runSim(spec RunSpec, ops variantOps) (Result, error) {
+// RunOn drives an already built simulator network exactly as Run drives
+// the networks it builds itself: same round budget, stability window,
+// per-round hooks (TrackSafety, Audit, Collect), certificate and Result.
+// It is the second half of a run whose initial configuration Run cannot
+// express — the churn executor migrates a legitimate configuration onto
+// a mutated graph, the decay cell corrupts a node after a steady-state
+// observation phase. net must be built over spec.Graph with core.Node
+// processes (core.BuildNetwork, Migrate); the spec's start fields are
+// ignored, since net already holds its initial configuration.
+func RunOn(spec RunSpec, net *sim.Network) (Result, error) {
+	if err := spec.Validate(); err != nil {
+		return Result{}, err
+	}
+	if spec.backend() != BackendSim {
+		return Result{}, fmt.Errorf("harness: RunOn requires the sim backend (got %q)", spec.backend())
+	}
+	if net.Graph() != spec.Graph {
+		return Result{}, fmt.Errorf("harness: RunOn network is not built over RunSpec.Graph")
+	}
+	return driveSim(spec, variantFor(spec), net, core.NodesOf(net), time.Now(), nil), nil
+}
+
+// roundObserver watches a simulator run: driveSim calls it with round 0
+// before the first round and with round r+1 after each OnRound(r).
+type roundObserver func(round int, net *sim.Network, nodes []*core.Node)
+
+// runSim executes the spec on the deterministic seeded simulator: the
+// build step (network and initial configuration), then driveSim. Sim
+// results are regression-locked byte for byte by the committed matrix
+// baselines in internal/scenario/testdata.
+func runSim(spec RunSpec, ops variantOps, observe roundObserver) Result {
+	begin := time.Now()
+	net := sim.NewNetwork(spec.Graph, ops.factory, spec.Seed)
+	nodes, res0, ok := buildInitial(spec, ops, net.Process)
+	if !ok {
+		return res0
+	}
+	return driveSim(spec, ops, net, nodes, begin, observe)
+}
+
+// driveSim is the one simulator run loop behind Run, RunOn and
+// RunTraced: it runs net from its current configuration to quiescence
+// or the round budget and assembles the Result.
+func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node, begin time.Time, observe roundObserver) Result {
 	g := spec.Graph
 	n := g.N()
-	begin := time.Now()
-	net := sim.NewNetwork(g, ops.factory, spec.Seed)
 	if spec.DropRate > 0 {
 		net.SetDropRate(spec.DropRate)
 	}
-	nodes, res0, ok := buildInitial(spec, ops, net.Process)
-	if !ok {
-		return res0, nil
-	}
-
 	maxRounds := spec.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 200*n + 20000
@@ -534,6 +573,13 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 			return true
 		})
 	}
+	if observe != nil {
+		observe(0, net, nodes)
+		hooks = append(hooks, func(r int) bool {
+			observe(r+1, net, nodes)
+			return true
+		})
+	}
 	var onRound func(int) bool
 	if len(hooks) > 0 {
 		onRound = func(r int) bool {
@@ -630,7 +676,7 @@ func runSim(spec RunSpec, ops variantOps) (Result, error) {
 	if t, err := core.ExtractTree(g, nodes); err == nil {
 		out.Tree = t
 	}
-	return out, nil
+	return out
 }
 
 // MustRun is Run for statically known-good specs (examples, benchmarks,

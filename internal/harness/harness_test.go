@@ -148,3 +148,30 @@ func TestRunCustomConfig(t *testing.T) {
 		t.Fatal("unreduced wheel tree cannot be a fixed point")
 	}
 }
+
+// RunOn drives a network built outside harness exactly as Run drives
+// its own: a fresh network is a clean start, so the two runs agree. It
+// rejects a network over another graph and a wall-clock spec.
+func TestRunOnMatchesRunOnCleanStart(t *testing.T) {
+	g := graph.Wheel(10)
+	spec := RunSpec{Graph: g, Scheduler: SchedAsync, Seed: 4, Backoff: true, Audit: true}
+	want := MustRun(spec)
+	got, err := RunOn(spec, core.BuildNetwork(g, spec.ProtocolConfig(), spec.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rounds != want.Rounds || got.LastChange != want.LastChange ||
+		got.TotalMessages != want.TotalMessages || got.AuditChain != want.AuditChain ||
+		got.Legit != want.Legit || got.Cert == nil || want.Cert == nil ||
+		got.Cert.Window != want.Cert.Window {
+		t.Fatalf("RunOn rounds=%d last=%d msgs=%d audit=%x cert=%v, Run rounds=%d last=%d msgs=%d audit=%x cert=%v",
+			got.Rounds, got.LastChange, got.TotalMessages, got.AuditChain, got.Cert,
+			want.Rounds, want.LastChange, want.TotalMessages, want.AuditChain, want.Cert)
+	}
+	if _, err := RunOn(spec, core.BuildNetwork(graph.Wheel(10), spec.ProtocolConfig(), 1)); err == nil {
+		t.Fatal("RunOn accepted a network over another graph")
+	}
+	if _, err := RunOn(RunSpec{Graph: g, Backend: BackendLive}, core.BuildNetwork(g, spec.ProtocolConfig(), 1)); err == nil {
+		t.Fatal("RunOn accepted a wall-clock spec")
+	}
+}

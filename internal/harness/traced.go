@@ -9,7 +9,10 @@ import (
 // RunTraced is Run plus a per-round time series: at every `every`-th
 // round it records the tree state, degree information and traffic — the
 // figure data behind experiments E2 and E5. every <= 0 samples every
-// round.
+// round. The run itself is Run's: the same loop executes the spec, so
+// the Result equals Run's on the same spec, and the series is one more
+// observer on its per-round hooks. The series is nil when the preload
+// of a pre-loaded start fails.
 //
 // Columns: round, treeDeg (-1 while no valid spanning tree exists),
 // roots (number of self-parented nodes), dmaxAgree (nodes whose dmax
@@ -18,36 +21,38 @@ import (
 // the chain exchange, Remove+Back of the literal one, so the two
 // variants' series plot side by side).
 //
-// Per-round sampling only exists on the deterministic simulator, so
-// RunTraced always executes there; a spec naming another backend is a
-// programmer error and panics (it must not silently run a different
-// experiment than it claims).
+// Round 0 is the initial configuration and round r the state after r
+// rounds. Under EngineEvent only executed rounds are sampled — rounds
+// the event core skips as eventless cannot change the state — so an
+// event run has fewer rows than rounds.
+//
+// Per-round sampling only exists on the deterministic simulator. An
+// invalid spec, or one naming another backend, is a programmer error
+// and panics as in MustRun: RunTraced must not silently run a different
+// experiment than it claims.
 func RunTraced(spec RunSpec, every int) (Result, *trace.Series) {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	if spec.backend() != BackendSim {
 		panic("harness: RunTraced requires the sim backend")
 	}
 	if every <= 0 {
 		every = 1
 	}
-	g := spec.Graph
-	n := g.N()
-	ops := variantFor(spec)
-	net := sim.NewNetwork(g, ops.factory, spec.Seed)
-	nodes, res0, ok := buildInitial(spec, ops, net.Process)
-	if !ok {
-		return res0, nil
-	}
 	reversalKinds := []string{core.KindReverse}
 	if spec.Variant == VariantLiteral {
 		reversalKinds = []string{core.KindRemove, core.KindBack}
 	}
-
 	series := trace.NewSeries("run",
 		"round", "treeDeg", "roots", "dmaxAgree", "pending", "reversals")
-	sample := func(round int) {
+	res := runSim(spec, variantFor(spec), func(round int, net *sim.Network, nodes []*core.Node) {
+		if round%every != 0 {
+			return
+		}
 		treeDeg := -1.0
 		agree := 0.0
-		if tree, err := core.ExtractTree(g, nodes); err == nil {
+		if tree, err := core.ExtractTree(spec.Graph, nodes); err == nil {
 			treeDeg = float64(tree.MaxDegree())
 			for _, nd := range nodes {
 				if nd.Dmax() == tree.MaxDegree() {
@@ -67,40 +72,10 @@ func RunTraced(spec RunSpec, every int) (Result, *trace.Series) {
 		}
 		series.Append(float64(round), treeDeg, roots, agree,
 			float64(net.Pending()), float64(reversals))
-	}
-	sample(0)
-
-	maxRounds := spec.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 200*n + 20000
-	}
-	res := net.Run(sim.RunConfig{
-		Scheduler:     NewScheduler(spec.Scheduler),
-		MaxRounds:     maxRounds,
-		QuiesceRounds: QuiesceWindowRounds(n, ops.cfg.EffectiveRetryPeriod()),
-		ActiveKinds:   ops.kinds,
-		OnRound: func(r int) bool {
-			if (r+1)%every == 0 {
-				sample(r + 1)
-			}
-			return true
-		},
 	})
-
-	out := Result{
-		Backend:      BackendSim,
-		Converged:    res.Converged,
-		Rounds:       res.Rounds,
-		LastChange:   res.LastChangeRound,
-		Legit:        core.CheckLegitimacy(g, nodes),
-		Metrics:      net.Metrics(),
-		MaxStateBits: net.MaxStateBits(),
+	if series.Len() == 0 {
+		// The preload failed before the initial configuration existed.
+		return res, nil
 	}
-	for _, c := range out.Metrics.SentByKind {
-		out.TotalMessages += c
-	}
-	if t, err := core.ExtractTree(g, nodes); err == nil {
-		out.Tree = t
-	}
-	return out, series
+	return res, series
 }

@@ -9,7 +9,6 @@ import (
 
 	"mdst/internal/core"
 	"mdst/internal/harness"
-	"mdst/internal/sim"
 	"mdst/internal/spanning"
 )
 
@@ -31,8 +30,9 @@ type FaultModel interface {
 	Apply(spec harness.RunSpec, rng *rand.Rand) (harness.RunSpec, error)
 }
 
-// Executor is implemented by fault models that replace the default
-// harness.Run execution entirely.
+// Executor is implemented by fault models that build the run's initial
+// network themselves instead of through harness.Run; they still drive
+// it with harness.RunOn.
 type Executor interface {
 	FaultModel
 	Execute(spec harness.RunSpec, rng *rand.Rand) (harness.Result, error)
@@ -168,8 +168,9 @@ func (f Targeted) Apply(spec harness.RunSpec, rng *rand.Rand) (harness.RunSpec, 
 // Churn is the topology-churn fault (extension E10, the paper's §6 open
 // problem): the run stabilizes on the drawn graph, the named operation
 // mutates the topology, all node state migrates onto the new graph, and
-// the protocol re-stabilizes. The reported metrics are those of the
-// re-stabilization on the new topology.
+// harness.RunOn re-stabilizes the migrated network exactly as
+// harness.Run drives its own runs. The reported metrics are those of
+// the re-stabilization on the new topology.
 type Churn struct {
 	Op harness.ChurnOp
 }
@@ -194,7 +195,6 @@ func (f Churn) Execute(spec harness.RunSpec, rng *rand.Rand) (harness.Result, er
 		return harness.Result{}, fmt.Errorf("scenario: churn requires the sim backend (got %q)", spec.Backend)
 	}
 	g := spec.Graph
-	n := g.N()
 	cfg := spec.ProtocolConfig()
 	net := core.BuildNetwork(g, cfg, spec.Seed)
 	if err := harness.Preload(g, core.NodesOf(net), cfg); err != nil {
@@ -212,57 +212,8 @@ func (f Churn) Execute(spec harness.RunSpec, rng *rand.Rand) (harness.Result, er
 	if err != nil {
 		return harness.Result{}, err
 	}
-	if spec.DropRate > 0 {
-		newNet.SetDropRate(spec.DropRate)
-	}
-	maxRounds := spec.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 200*n + 20000
-	}
-	quiesce := harness.QuiesceWindowRounds(n, cfg.EffectiveRetryPeriod())
-	var res sim.RunResult
-	if spec.Engine == harness.EngineEvent {
-		// Mirror harness.RunSpec.Validate: the event core requires
-		// reliable links (parked senders never re-send lost gossip).
-		if spec.DropRate > 0 {
-			return harness.Result{}, fmt.Errorf("scenario: churn with lossy links requires the compat engine")
-		}
-		res = newNet.RunEvents(sim.EventConfig{
-			Policy:        harness.EventPolicyFor(spec.Scheduler),
-			MaxRounds:     maxRounds,
-			QuiesceRounds: quiesce,
-			ActiveKinds:   core.ReductionKinds(),
-		})
-	} else {
-		res = newNet.Run(sim.RunConfig{
-			Scheduler:     harness.NewScheduler(spec.Scheduler),
-			MaxRounds:     maxRounds,
-			QuiesceRounds: quiesce,
-			ActiveKinds:   core.ReductionKinds(),
-		})
-	}
-	nodes := core.NodesOf(newNet)
-	st := core.AggregateStats(nodes)
-	out := harness.Result{
-		Backend:            harness.BackendSim,
-		Converged:          res.Converged,
-		Rounds:             res.Rounds,
-		LastChange:         res.LastChangeRound,
-		Legit:              core.CheckLegitimacy(newG, nodes),
-		Metrics:            newNet.Metrics(),
-		MaxStateBits:       newNet.MaxStateBits(),
-		Dropped:            newNet.Dropped(),
-		Exchanges:          st.ExchangesComplete,
-		Aborts:             st.ChainsAborted,
-		SearchesSuppressed: st.SearchesSuppressed,
-	}
-	for _, c := range out.Metrics.SentByKind {
-		out.TotalMessages += c
-	}
-	if t, err := core.ExtractTree(newG, nodes); err == nil {
-		out.Tree = t
-	}
-	return out, nil
+	spec.Graph = newG
+	return harness.RunOn(spec, newNet)
 }
 
 // ParseFault resolves a fault-model name as accepted by the matrix CLI:

@@ -598,22 +598,19 @@ func decayCell(family string, size int, seed int64, windows int) (DecayCell, err
 	}
 	nodes[cell.FaultNode].Corrupt(rand.New(rand.NewSource(seed^0x0fa17)), n)
 
-	flat := cfgBackoff
-	flat.BackoffSearches = false
-	flatRetry := flat.EffectiveRetryPeriod()
 	cell.RecoveryBudget = 2 * harness.QuiesceWindowRounds(n, cfgBackoff.EffectiveRetryPeriod())
 	start := net.Metrics().Rounds
-	res := net.Run(sim.RunConfig{
-		Scheduler:     harness.NewScheduler(harness.SchedSync),
-		MaxRounds:     cell.RecoveryBudget,
-		QuiesceRounds: harness.QuiesceWindowRounds(n, flatRetry),
-		QuiesceWindow: func() int {
-			return harness.QuiesceWindowRounds(n, net.MaxRetryPeriod(flatRetry))
-		},
-		ActiveKinds: core.ReductionKinds(),
-	})
+	res, err := harness.RunOn(harness.RunSpec{
+		Graph:     g,
+		Config:    cfgBackoff,
+		Scheduler: harness.SchedSync,
+		MaxRounds: cell.RecoveryBudget,
+	}, net)
+	if err != nil {
+		return cell, err
+	}
 	cell.RecoveryRounds = res.Rounds - start
 	cell.RecoveredInBudget = res.Converged && cell.RecoveryRounds <= cell.RecoveryBudget
-	cell.Legitimate = core.CheckLegitimacy(g, nodes).OK()
+	cell.Legitimate = res.Legit.OK()
 	return cell, nil
 }
