@@ -109,10 +109,11 @@ bench:
 
 # Reduced-sweep Go benchmark pass (one iteration per benchmark) over
 # every package that declares Go benchmarks: the root package's
-# experiment benches, the protocol's corrupt-start recovery per exchange
-# and the simulator's round and allocation benches.
+# experiment benches, the protocol's corrupt-start recovery per exchange,
+# the simulator's round and allocation benches and the harness's n=16384
+# path-start closure run.
 gobench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./internal/sim/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./internal/sim/ ./internal/harness/
 
 # The default 108-run scenario matrix across all CPUs.
 matrix:

@@ -22,6 +22,7 @@
 //	mdstmatrix -backend tcp -batch 16 -batchwait 1ms   # coalesced tcp frames
 //	mdstmatrix -tcpbench                  # tcp frame-coalescing bench -> BENCH_tcp.json content
 //	mdstmatrix -metrics -format json      # per-run metrics time series + audit chain heads
+//	mdstmatrix -cpuprofile cpu.pprof -memprofile mem.pprof   # runtime/pprof profiles of the run
 //
 // The sim backend (default) is bit-reproducible; the live and tcp
 // backends execute on the wall clock, so their rounds/messages columns
@@ -38,6 +39,7 @@ import (
 	"strings"
 
 	"mdst/internal/harness"
+	"mdst/internal/profflag"
 	"mdst/internal/scenario"
 )
 
@@ -46,7 +48,7 @@ func main() {
 }
 
 // run is the testable entry point.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mdstmatrix", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	families := fs.String("families", "ring+chords,gnp,geometric", "comma-separated graph families")
@@ -74,9 +76,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batchwait := fs.Duration("batchwait", 0, "tcp frame coalescing: max time a partially filled frame is held open (0: flush immediately)")
 	tcpbench := fs.Bool("tcpbench", false, "run the tcp frame-coalescing bench (ring+chords, batch 1/8/16) and print the BENCH_tcp.json report (uses the first -sizes entry when given, else n=128)")
 	metricsOn := fs.Bool("metrics", false, "enable the observability plane on every run: sampled metrics time series and hash-chained audit heads in per-run JSON output (off keeps committed baselines byte-identical)")
+	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(stderr, "mdstmatrix:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(stderr, "mdstmatrix:", err)
+			code = 1
+		}
+	}()
 
 	if *scale {
 		return runScale(fs, *sizes, *workers, *quiet, stdout, stderr)

@@ -19,6 +19,7 @@
 //	mdstnet -family gnp -n 64 -suppress        # duplicate Search-token pruning on
 //	mdstnet -family gnp -n 128 -batch 16 -batchwait 1ms   # coalesced wire frames
 //	mdstnet -family wheel -n 12 -metrics       # metrics time series (JSON) + audit chain head
+//	mdstnet -family gnp -n 64 -cpuprofile cpu.pprof -memprofile mem.pprof   # runtime/pprof profiles
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 	"mdst/internal/harness"
 	"mdst/internal/mdstseq"
 	"mdst/internal/metrics"
+	"mdst/internal/profflag"
 )
 
 func main() {
@@ -40,7 +42,7 @@ func main() {
 }
 
 // run is the testable entry point.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mdstnet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	family := fs.String("family", "gnp", "workload family (see graphgen -list)")
@@ -57,9 +59,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int("batch", 0, "messages coalesced per wire frame (0/1 = one frame per message, the compatible default)")
 	batchwait := fs.Duration("batchwait", 0, "max time a partially filled frame is held open (0 = flush immediately)")
 	metricsOn := fs.Bool("metrics", false, "sample the metrics stream over the control channel and dump it as JSON alongside the result, plus the audit chain head")
+	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(stderr, "mdstnet:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(stderr, "mdstnet:", err)
+			code = 1
+		}
+	}()
 
 	fam, okFam := graph.LookupFamily(*family)
 	if !okFam {

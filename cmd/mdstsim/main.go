@@ -6,6 +6,7 @@
 //
 //	mdstsim -family geometric -n 32 -start corrupt -sched sync -v
 //	graphgen -family gnp -n 24 | mdstsim -stdin
+//	mdstsim -family ring+chords -n 16384 -start path -engine event -cpuprofile cpu.pprof
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"mdst/internal/graph"
 	"mdst/internal/harness"
 	"mdst/internal/mdstseq"
+	"mdst/internal/profflag"
 )
 
 func main() {
@@ -26,7 +28,7 @@ func main() {
 }
 
 // run is the testable entry point.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mdstsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	family := fs.String("family", "gnp", "workload family (see graphgen -list)")
@@ -39,9 +41,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	engine := fs.String("engine", "compat", "simulator core: compat (full-sweep rounds)|event (frontier-only)")
 	verbose := fs.Bool("v", false, "print per-kind message counts and the degree profile")
 	dot := fs.Bool("dot", false, "print the stabilized tree as Graphviz DOT")
+	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(stderr, "mdstsim:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(stderr, "mdstsim:", err)
+			code = 1
+		}
+	}()
 
 	var g *graph.Graph
 	canonicalRing := false

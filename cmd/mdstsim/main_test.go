@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -67,5 +69,34 @@ func TestRunDOTOutput(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "[style=bold]") {
 		t.Fatal("DOT tree edges missing")
+	}
+}
+
+// -cpuprofile and -memprofile write two non-empty runtime/pprof files; an
+// unwritable path is reported as an error before the run, not a panic.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var out, errOut bytes.Buffer
+	args := []string{"-cpuprofile", cpu, "-memprofile", mem}
+	if code := run(append(args, "-family", "ring+chords", "-n", "12"), nil, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s%s", code, out.String(), errOut.String())
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Fatalf("profile %s not written: %v", f, err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		out.Reset()
+		errOut.Reset()
+		args := []string{flag, filepath.Join(dir, "missing", "x.pprof")}
+		code := run(append(args, "-family", "ring+chords", "-n", "12"), nil, &out, &errOut)
+		if code != 1 || !strings.Contains(errOut.String(), flag) {
+			t.Fatalf("%s to an unwritable path: exit %d, stderr %q; want exit 1 naming the flag", flag, code, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s to an unwritable path still ran:\n%s", flag, out.String())
+		}
 	}
 }

@@ -166,10 +166,15 @@
 // a degree-2 global optimum and a protocol fixed point, so the run
 // measures pure closure: the network parks after one settling tick and
 // tail work per node per round is ~1e-4 versus the compat core's floor
-// of 1. Corrupt-start recovery at that scale is protocol-infeasible,
-// not simulator-limited — believed degree > 2 re-arms every chord's
-// Θ(n)-message search every SearchPeriod rounds, Θ(n²) traffic per
-// window — so the recovery ladder stays at the committed compat sizes.
+// of 1. The global observer around such a run — the preload
+// (harness.PreloadFromTree) and the legitimacy check
+// (core.CheckLegitimacy) — costs O(n+m): both read every depth from one
+// spanning.(*Tree).Depths pass, so a closure run's time goes to the
+// event core and the network build. Corrupt-start recovery at that
+// scale is protocol-infeasible, not simulator-limited — a believed
+// degree > 2 re-arms every chord's Θ(n)-message search every
+// SearchPeriod rounds, Θ(n²) traffic per window — so the recovery
+// ladder stays at the committed compat sizes.
 //
 // Every run that stops on quiescence is driven by internal/harness,
 // through one driver per execution model. The simulator has one loop:

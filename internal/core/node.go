@@ -224,7 +224,7 @@ type Node struct {
 	// Implementation bookkeeping (transient; not protocol state).
 	tick        int
 	nextSearch  []int       // per neighbor position: earliest tick to search that non-tree edge
-	lastDeblock map[int]int // per blocker: last tick we broadcast it
+	lastDeblock map[int]int // per blocker: last tick we broadcast it (nil until the first)
 	// info is the InfoMsg that sendInfo boxed last; it is sent again, as
 	// the same interface value, while the gossip content repeats.
 	info sim.Message
@@ -339,17 +339,16 @@ func NewLiteralNode(id int, neighbors []int, cfg Config) *Node {
 func NewNode(id int, neighbors []int, cfg Config) *Node {
 	views := localview.NewTable(neighbors)
 	n := &Node{
-		id:          id,
-		cfg:         cfg,
-		nbrs:        views.IDs(),
-		root:        id,
-		parent:      id,
-		distance:    0,
-		views:       views,
-		parentPos:   -1,
-		nextSearch:  make([]int, views.Len()),
-		lastDeblock: make(map[int]int),
-		tickMoved:   true, // never ticked: the first tick must run
+		id:         id,
+		cfg:        cfg,
+		nbrs:       views.IDs(),
+		root:       id,
+		parent:     id,
+		distance:   0,
+		views:      views,
+		parentPos:  -1,
+		nextSearch: make([]int, views.Len()),
+		tickMoved:  true, // never ticked: the first tick must run
 	}
 	if cfg.SuppressSearches {
 		n.suppress = newSearchSuppressor()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,16 +40,17 @@ func loadTree(g *graph.Graph, net *sim.Network, tree *spanning.Tree) {
 			}
 		}
 	}
+	depth := tree.Depths()
 	nodes := NodesOf(net)
 	for i, nd := range nodes {
-		nd.SetState(tree.Root(), tree.Parent(i), tree.Depth(i), k, submax[i], false)
+		nd.SetState(tree.Root(), tree.Parent(i), depth[i], k, submax[i], false)
 	}
 	for i, nd := range nodes {
 		for _, u := range g.Neighbors(i) {
 			nd.SetView(u, View{
 				Root:     tree.Root(),
 				Parent:   tree.Parent(u),
-				Distance: tree.Depth(u),
+				Distance: depth[u],
 				Dmax:     k,
 				Submax:   submax[u],
 				Deg:      deg[u],
@@ -349,6 +351,40 @@ func TestCheckLegitimacyDetectsStaleView(t *testing.T) {
 	}
 	if leg.OK() {
 		t.Fatal("legitimacy must fail")
+	}
+}
+
+// TestCheckLegitimacyDetectsWrongDistance: one node's distance off by
+// one, with every neighbor's view of it updated to match, fails
+// DistancesOK alone. The Detail names the node and its depth.
+func TestCheckLegitimacyDetectsWrongDistance(t *testing.T) {
+	g := graph.RingWithChords(48, 24, rand.New(rand.NewSource(4)))
+	net := BuildNetwork(g, DefaultConfig(g.N()), 1)
+	tree := preload(t, g, net)
+	nodes := NodesOf(net)
+	want := CheckLegitimacy(g, nodes)
+	if !want.OK() {
+		t.Fatalf("preload not legitimate: %+v", want)
+	}
+	depth := tree.Depths()
+	v := len(nodes) - 1
+	nd := nodes[v]
+	nd.SetState(nd.Root(), nd.Parent(), depth[v]+1, nd.Dmax(), nd.Submax(), nd.Color())
+	for _, u := range g.Neighbors(v) {
+		w, _ := nodes[u].ViewOf(v)
+		w.Distance = depth[v] + 1
+		nodes[u].SetView(v, w)
+	}
+	got := CheckLegitimacy(g, nodes)
+	if got.DistancesOK {
+		t.Fatalf("distance %d at depth %d not detected", depth[v]+1, depth[v])
+	}
+	if detail := fmt.Sprintf("node %d distance %d, depth %d", v, depth[v]+1, depth[v]); got.Detail != detail {
+		t.Fatalf("Detail %q, want %q", got.Detail, detail)
+	}
+	want.DistancesOK, want.Detail = false, got.Detail
+	if got != want {
+		t.Fatalf("a wrong distance moved another component:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -153,6 +153,9 @@ func (n *Node) broadcastDeblock(ctx *sim.Context, block, ttl, except int) {
 	if last, ok := n.lastDeblock[block]; ok && n.tick-last < n.cfg.SearchPeriod {
 		return // suppress storms: this subtree was just asked
 	}
+	if n.lastDeblock == nil {
+		n.lastDeblock = make(map[int]int)
+	}
 	n.lastDeblock[block] = n.tick
 	n.stats.DeblocksTriggered++
 	for i, u := range n.nbrs {

@@ -114,10 +114,11 @@ func CheckLegitimacy(g *graph.Graph, nodes []*Node) Legitimacy {
 	// substrate; a relabeled instance still uses 0..n-1.
 
 	leg.DistancesOK = true
+	depth := tree.Depths()
 	for i, nd := range nodes {
-		if nd.Distance() != tree.Depth(i) {
+		if nd.Distance() != depth[i] {
 			leg.DistancesOK = false
-			leg.Detail = fmt.Sprintf("node %d distance %d, depth %d", i, nd.Distance(), tree.Depth(i))
+			leg.Detail = fmt.Sprintf("node %d distance %d, depth %d", i, nd.Distance(), depth[i])
 			break
 		}
 	}

@@ -98,9 +98,17 @@ func (g *Graph) MustAddEdge(u, v int) {
 	}
 }
 
+// adjInitCap is the capacity of an adjacency list's first backing array:
+// lists of degree up to 4 (rings, grids, sparse random draws) are then
+// allocated once instead of growing 1 → 2 → 4.
+const adjInitCap = 4
+
 // insert places v into u's sorted adjacency list.
 func (g *Graph) insert(u, v int) {
 	lst := g.adj[u]
+	if lst == nil {
+		lst = make([]int, 0, adjInitCap)
+	}
 	i := sort.SearchInts(lst, v)
 	lst = append(lst, 0)
 	copy(lst[i+1:], lst[i:])

@@ -23,6 +23,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mdst/internal/core"
@@ -711,28 +712,17 @@ func Preload(g *graph.Graph, nodes []*core.Node, cfg core.Config) error {
 func PreloadFromTree(g *graph.Graph, nodes []*core.Node, cfg core.Config, tree *spanning.Tree) error {
 	k := tree.MaxDegree()
 	deg := tree.Degrees()
-	// submax per node: max degree within its subtree.
-	submax := make([]int, g.N())
-	order := depthOrder(tree)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		submax[v] = deg[v]
-		for _, c := range tree.Children(v) {
-			if submax[c] > submax[v] {
-				submax[v] = submax[c]
-			}
-		}
-	}
+	depth := tree.Depths()
+	submax := subtreeMax(tree, deg, depth)
 	for i, nd := range nodes {
-		parent := tree.Parent(i)
-		nd.SetState(0, parent, tree.Depth(i), k, submax[i], false)
+		nd.SetState(0, tree.Parent(i), depth[i], k, submax[i], false)
 	}
 	for i, nd := range nodes {
 		for _, u := range g.Neighbors(i) {
 			nd.SetView(u, core.View{
 				Root:     0,
 				Parent:   tree.Parent(u),
-				Distance: tree.Depth(u),
+				Distance: depth[u],
 				Dmax:     k,
 				Submax:   submax[u],
 				Deg:      deg[u],
@@ -777,19 +767,36 @@ func PathTree(g *graph.Graph) (*spanning.Tree, error) {
 	return tree, nil
 }
 
-// depthOrder returns the nodes sorted by increasing depth (parents before
-// children).
-func depthOrder(t *spanning.Tree) []int {
-	n := t.Graph().N()
-	order := make([]int, 0, n)
-	queue := []int{t.Root()}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		queue = append(queue, t.Children(v)...)
+// subtreeMax returns, per node, the largest of the given values over its
+// subtree (submax when vals are the tree degrees). The nodes are
+// counting-sorted by depth, and each pushes its value into its parent's
+// from the deepest level up, so every child is folded in before its
+// parent is read. O(n).
+func subtreeMax(t *spanning.Tree, vals, depth []int) []int {
+	height := 0
+	for _, d := range depth {
+		height = max(height, d)
 	}
-	return order
+	// start[d] becomes the first position of depth d in byDepth.
+	start := make([]int, height+2)
+	for _, d := range depth {
+		start[d+1]++
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	byDepth := make([]int, len(depth))
+	for v, d := range depth {
+		byDepth[start[d]] = v
+		start[d]++
+	}
+	out := slices.Clone(vals)
+	for i := len(byDepth) - 1; i >= 0; i-- {
+		v := byDepth[i]
+		p := t.Parent(v) // the root is its own parent: a no-op push
+		out[p] = max(out[p], out[v])
+	}
+	return out
 }
 
 // reduceToFixedPoint applies the sequential local search.

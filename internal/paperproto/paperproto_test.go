@@ -80,16 +80,17 @@ func loadTree(g *graph.Graph, net *sim.Network, tree *spanning.Tree) {
 			}
 		}
 	}
+	depth := tree.Depths()
 	nodes := nodesOf(net)
 	for i, nd := range nodes {
-		nd.SetState(tree.Root(), tree.Parent(i), tree.Depth(i), k, submax[i], false)
+		nd.SetState(tree.Root(), tree.Parent(i), depth[i], k, submax[i], false)
 	}
 	for i, nd := range nodes {
 		for _, u := range g.Neighbors(i) {
 			nd.SetView(u, core.View{
 				Root:     tree.Root(),
 				Parent:   tree.Parent(u),
-				Distance: tree.Depth(u),
+				Distance: depth[u],
 				Dmax:     k,
 				Submax:   submax[u],
 				Deg:      deg[u],

@@ -118,8 +118,8 @@ func PickTargets(tree *spanning.Tree, role TargetRole, rng *rand.Rand) []int {
 		return []int{tree.Root()}
 	case RoleLeaf:
 		deepest, depth := 0, -1
-		for v := 0; v < tree.Graph().N(); v++ {
-			if d := tree.Depth(v); d > depth {
+		for v, d := range tree.Depths() {
+			if d > depth {
 				deepest, depth = v, d
 			}
 		}

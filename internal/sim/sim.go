@@ -239,12 +239,13 @@ func SetFullFingerprintRehash(v bool) { fullRehash.Store(v) }
 type Network struct {
 	g     *graph.Graph
 	procs []Process
-	ctxs  []*Context
+	ctxs  []Context
 
 	// links holds node u's outgoing links at linkOff[u] onward, in the
 	// order of u's sorted neighbor list, so the link from u to its i-th
-	// neighbor is links[linkOff[u]+i].
-	links    []*link
+	// neighbor is links[linkOff[u]+i]. Links and contexts are held by
+	// value, so a network's build allocates each array once.
+	links    []link
 	linkOff  []int
 	nonEmpty []int // indices of non-empty links
 	nePos    []int // link index -> position in nonEmpty (-1 when empty)
@@ -313,7 +314,7 @@ func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Proc
 	net := &Network{
 		g:          g,
 		procs:      make([]Process, n),
-		ctxs:       make([]*Context, n),
+		ctxs:       make([]Context, n),
 		linkOff:    make([]int, n),
 		stepped:    make([]uint32, n),
 		fps:        make([]uint64, n),
@@ -324,26 +325,28 @@ func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Proc
 		rng:        rand.New(rand.NewSource(seed)),
 		metrics:    newMetrics(),
 	}
+	net.links = make([]link, 0, 2*g.M())
 	for u := 0; u < n; u++ {
 		net.linkOff[u] = len(net.links)
 		for _, v := range g.Neighbors(u) {
-			net.links = append(net.links, &link{from: u, to: v})
+			net.links = append(net.links, link{from: u, to: v})
 		}
 	}
 	net.nePos = make([]int, len(net.links))
 	for i := range net.nePos {
 		net.nePos[i] = -1
 	}
+	send := net.send // one method value shared by every context
 	for id := 0; id < n; id++ {
-		ctx := &Context{id: id, nbrs: g.Neighbors(id), send: net.send}
-		net.ctxs[id] = ctx
+		ctx := &net.ctxs[id]
+		*ctx = Context{id: id, nbrs: g.Neighbors(id), send: send}
 		net.procs[id] = factory(id, ctx.nbrs)
 		if vs, ok := net.procs[id].(StateVersioner); ok {
 			net.versioners[id] = vs
 		}
 	}
 	for id := 0; id < n; id++ {
-		net.procs[id].Init(net.ctxs[id])
+		net.procs[id].Init(&net.ctxs[id])
 	}
 	net.rehashAllNodes()
 	net.resetRoundSnapshot()
@@ -358,7 +361,7 @@ func (n *Network) Process(id NodeID) Process { return n.procs[id] }
 
 // Context returns node id's context. It lets tests drive a process's
 // handlers directly while still sending over the network's real links.
-func (n *Network) Context(id NodeID) *Context { return n.ctxs[id] }
+func (n *Network) Context(id NodeID) *Context { return &n.ctxs[id] }
 
 // Metrics returns the accumulated execution metrics. The send path
 // counts messages per kind in the network's own table, so SentByKind is
@@ -439,7 +442,7 @@ func (n *Network) linkOf(from, to NodeID) int {
 
 func (n *Network) send(from, to NodeID, m Message) {
 	li := n.linkOf(from, to)
-	l := n.links[li]
+	l := &n.links[li]
 	wasEmpty := l.empty()
 	n.nextSeq++
 	l.push(envelope{from: from, msg: m, seq: n.nextSeq})
@@ -512,7 +515,7 @@ func (n *Network) touch(id NodeID) {
 // under lossy links every node still owes ≥1 step per round (§2's round
 // definition; this was the lossy round-undercount bug).
 func (n *Network) Deliver(li int) {
-	l := n.links[li]
+	l := &n.links[li]
 	if l.empty() {
 		panic("sim: Deliver on empty link")
 	}
@@ -536,7 +539,7 @@ func (n *Network) Deliver(li int) {
 	n.metrics.Deliveries++
 	n.markStepped(l.to)
 	n.touch(l.to)
-	n.procs[l.to].Receive(n.ctxs[l.to], env.from, env.msg)
+	n.procs[l.to].Receive(&n.ctxs[l.to], env.from, env.msg)
 }
 
 // SetDropRate configures lossy links: every delivery is independently
@@ -558,7 +561,7 @@ func (n *Network) Tick(id NodeID) {
 	n.metrics.Events++
 	n.markStepped(id)
 	n.touch(id)
-	n.procs[id].Tick(n.ctxs[id])
+	n.procs[id].Tick(&n.ctxs[id])
 }
 
 // NonEmptyLinks returns the indices of links with pending messages. The

@@ -194,8 +194,8 @@ func (t *Tree) AverageDepth() float64 {
 		return 0
 	}
 	sum := 0
-	for v := 0; v < n; v++ {
-		sum += t.Depth(v)
+	for _, d := range t.Depths() {
+		sum += d
 	}
 	return float64(sum) / float64(n)
 }

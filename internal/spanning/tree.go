@@ -64,11 +64,12 @@ func (t *Tree) Validate() error {
 	// state: 0 unvisited, 1 on current path, 2 confirmed reaching root.
 	state := make([]uint8, n)
 	state[t.root] = 2
+	var path []int // the current chain; one buffer serves every chain
 	for v := 0; v < n; v++ {
 		if state[v] != 0 {
 			continue
 		}
-		var path []int
+		path = path[:0]
 		u := v
 		for state[u] == 0 {
 			state[u] = 1
@@ -232,21 +233,40 @@ func (t *Tree) Children(v int) []int {
 	return out
 }
 
-// Depth returns the number of tree edges from v to the root.
-func (t *Tree) Depth(v int) int {
-	d := 0
-	for v != t.root {
-		v = t.parent[v]
-		d++
+// Depths returns every node's number of tree edges to the root, in
+// O(n): a node's depth is its parent's plus one, so each chain of
+// parents not yet resolved is filled top-down from one reused stack,
+// and every node is pushed and assigned once. It relies on t being a
+// valid tree, which every constructor and Swap guarantee. Depths are
+// computed per call, not cached, because Swap rewrites parents.
+func (t *Tree) Depths() []int {
+	depth := make([]int, t.g.N())
+	for v := range depth {
+		depth[v] = -1
 	}
-	return d
+	depth[t.root] = 0
+	var chain []int
+	for v := range depth {
+		u := v
+		for depth[u] < 0 {
+			chain = append(chain, u)
+			u = t.parent[u]
+		}
+		d := depth[u]
+		for i := len(chain) - 1; i >= 0; i-- {
+			d++
+			depth[chain[i]] = d
+		}
+		chain = chain[:0]
+	}
+	return depth
 }
 
 // Height returns the maximum depth over all nodes.
 func (t *Tree) Height() int {
 	h := 0
-	for v := 0; v < t.g.N(); v++ {
-		if d := t.Depth(v); d > h {
+	for _, d := range t.Depths() {
+		if d > h {
 			h = d
 		}
 	}

@@ -104,7 +104,7 @@ func TestChildrenSubtreeDepth(t *testing.T) {
 	if !tr.InSubtree(2, 4) || tr.InSubtree(2, 1) {
 		t.Fatal("InSubtree wrong")
 	}
-	if tr.Depth(4) != 4 || tr.Height() != 4 {
+	if tr.Depths()[4] != 4 || tr.Height() != 4 {
 		t.Fatal("depth/height wrong")
 	}
 }
@@ -249,8 +249,8 @@ func TestBFSTree(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth(8) != 4 {
-		t.Fatalf("BFS depth of corner %d, want 4", tr.Depth(8))
+	if d := tr.Depths()[8]; d != 4 {
+		t.Fatalf("BFS depth of corner %d, want 4", d)
 	}
 }
 
@@ -417,5 +417,95 @@ func TestQuickDegreeSum(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// climbDepth is the reference depth: the parent pointers from v to the
+// root, climbed one at a time.
+func climbDepth(tr *Tree, v int) int {
+	d := 0
+	for ; v != tr.Root(); v = tr.Parent(v) {
+		d++
+	}
+	return d
+}
+
+// checkDepths compares Depths with climbDepth on every node, and Height
+// and AverageDepth with the values the climbs give.
+func checkDepths(t *testing.T, name string, tr *Tree) {
+	t.Helper()
+	depth := tr.Depths()
+	if len(depth) != tr.Graph().N() {
+		t.Fatalf("%s: %d depths for %d nodes", name, len(depth), tr.Graph().N())
+	}
+	height, sum := 0, 0
+	for v, d := range depth {
+		want := climbDepth(tr, v)
+		if d != want {
+			t.Fatalf("%s: Depths()[%d] = %d, parent climb %d", name, v, d, want)
+		}
+		height = max(height, want)
+		sum += want
+	}
+	if h := tr.Height(); h != height {
+		t.Fatalf("%s: Height %d, deepest climb %d", name, h, height)
+	}
+	if ad, want := tr.AverageDepth(), float64(sum)/float64(len(depth)); ad != want {
+		t.Fatalf("%s: AverageDepth %v, mean climb %v", name, ad, want)
+	}
+}
+
+// TestDepthsMatchParentClimb checks the one-pass depths against parent
+// climbs on BFS, DFS, Wilson-random and worst-degree trees over gnp,
+// grid and ring+chords draws, and on a random tree after each of a
+// sequence of valid swaps (which rewrite parent chains).
+func TestDepthsMatchParentClimb(t *testing.T) {
+	for _, fam := range []string{"gnp", "grid", "ring+chords"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := graph.MustFamily(fam).Build(40, rng)
+			root := rng.Intn(g.N())
+			trees := []struct {
+				kind string
+				tr   *Tree
+			}{
+				{"bfs", BFSTree(g, root)},
+				{"dfs", DFSTree(g, root)},
+				{"wilson", RandomTree(g, root, rng)},
+				{"worst-degree", WorstDegreeTree(g, root)},
+			}
+			for _, c := range trees {
+				checkDepths(t, fam+"/"+c.kind, c.tr)
+			}
+			tr := RandomTree(g, root, rng)
+			for i := 0; i < 20; i++ {
+				nte := tr.NonTreeEdges()
+				if len(nte) == 0 {
+					break
+				}
+				add := nte[rng.Intn(len(nte))]
+				cyc := tr.FundamentalCycle(add)
+				j := rng.Intn(len(cyc) - 1)
+				if err := tr.Swap(add, graph.Edge{U: cyc[j], V: cyc[j+1]}); err != nil {
+					t.Fatal(err)
+				}
+				checkDepths(t, fam+"/after-swaps", tr)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsCycleAfterValidChain: Validate resolves chains one
+// after another in one buffer, and a parent cycle met after a chain that
+// reached the root must still be reported.
+func TestValidateRejectsCycleAfterValidChain(t *testing.T) {
+	g := graph.Path(5)
+	// 1→0 and 2→1 reach the root; 3→4→3 is a cycle.
+	tr := &Tree{g: g, parent: []int{0, 0, 1, 4, 3}, root: 0}
+	if err := tr.Validate(); err == nil {
+		t.Fatal("parent cycle 3↔4 after the valid chain 2→1→0 accepted")
+	}
+	if _, err := NewFromParents(g, []int{0, 0, 1, 4, 3}, 0); err == nil {
+		t.Fatal("NewFromParents accepted the parent cycle 3↔4")
 	}
 }
