@@ -15,7 +15,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 
 RACE_PKGS = ./internal/sim/... ./internal/harness/... ./internal/scenario/... ./internal/netrun/... ./internal/detect/... ./internal/metrics/... ./internal/auditlog/...
 
-.PHONY: ci lint vet build test race smoke benchtest bench gobench matrix drift vuln clean
+.PHONY: ci lint vet build test race smoke benchtest bench gobench matrix regen drift vuln clean
 
 # (lint already ends with `go vet ./...`, so `vet` is not repeated here.)
 ci: lint build test race smoke benchtest
@@ -119,11 +119,12 @@ gobench:
 matrix:
 	$(GO) run ./cmd/mdstmatrix
 
-# Baseline drift: regenerate the three committed deterministic artifacts —
-# the 108-run default matrix JSON (chain exchange), the 216-run literal
-# matrix JSON (the paper's Remove/Back exchange) and BENCH_scale.json —
-# and fail on any byte difference, enforcing the determinism contract on
-# every CI run
+# Baseline drift: `regen` writes the three committed deterministic
+# artifacts — the 108-run default matrix JSON (chain exchange), the
+# 216-run literal matrix JSON (the paper's Remove/Back exchange) and
+# BENCH_scale.json — into $(DRIFT_OUT)/, where CI uploads them when the
+# check fails, and `drift` fails on any byte difference from the
+# committed files, enforcing the determinism contract on every CI run
 # (the wall-clock cross-backend table is NOT diffed here: its invariant
 # claims are regression-tested in internal/scenario instead, because
 # wall-clock output is not byte-reproducible).
@@ -133,10 +134,20 @@ matrix:
 # dual-core by construction (compat ladder + event-core closure cells).
 LITERAL_MATRIX = -variants literal -engines compat -families ring+chords,gnp,geometric -sizes 16,24 -scheds sync,async,adversarial -faults none,corrupt:3,lossy:0.05 -backoff off,on -seeds 2
 
-drift:
-	$(GO) run ./cmd/mdstmatrix -engines compat -format json -quiet | diff - internal/scenario/testdata/default_matrix_pr2.json
-	$(GO) run ./cmd/mdstmatrix $(LITERAL_MATRIX) -format json -quiet | diff - internal/scenario/testdata/literal_matrix.json
-	$(GO) run ./cmd/mdstmatrix -scale -quiet | diff - BENCH_scale.json
+DRIFT_OUT ?= drift-out
+
+# Each artifact is redirected, not piped, so a failing `go run` fails
+# the target instead of showing up as a diff.
+regen:
+	mkdir -p $(DRIFT_OUT)
+	$(GO) run ./cmd/mdstmatrix -engines compat -format json -quiet > $(DRIFT_OUT)/default_matrix_pr2.json
+	$(GO) run ./cmd/mdstmatrix $(LITERAL_MATRIX) -format json -quiet > $(DRIFT_OUT)/literal_matrix.json
+	$(GO) run ./cmd/mdstmatrix -scale -quiet > $(DRIFT_OUT)/BENCH_scale.json
+
+drift: regen
+	diff $(DRIFT_OUT)/default_matrix_pr2.json internal/scenario/testdata/default_matrix_pr2.json
+	diff $(DRIFT_OUT)/literal_matrix.json internal/scenario/testdata/literal_matrix.json
+	diff $(DRIFT_OUT)/BENCH_scale.json BENCH_scale.json
 	@echo "make drift: committed baselines byte-identical"
 
 # Vulnerability scan. Soft-fail: the tool may be absent and the vuln DB

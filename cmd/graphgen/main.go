@@ -53,6 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "graphgen: unknown family %q (try -list)\n", *family)
 		return 2
 	}
+	if *n < 1 {
+		fmt.Fprintln(stderr, "graphgen: -n must be at least 1")
+		return 2
+	}
 	g := fam.Build(*n, rand.New(rand.NewSource(*seed)))
 	if *dot {
 		fmt.Fprint(stdout, g.DOT(*family, nil))

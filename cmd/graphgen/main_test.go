@@ -52,6 +52,16 @@ func TestRunUnknownFamily(t *testing.T) {
 	}
 }
 
+// A node count below one exits 2 with a message instead of panicking.
+func TestRunBadNodeCount(t *testing.T) {
+	for _, n := range []string{"-3", "0"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-n", n}, &out, &errOut); code != 2 || errOut.Len() == 0 {
+			t.Fatalf("-n %s: exit %d, stderr %q; want exit 2 with a message", n, code, errOut.String())
+		}
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 {

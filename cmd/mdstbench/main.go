@@ -50,6 +50,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	benchtab.Workers = *workers
+	if _, err := harness.ParseScheduler(*sched); err != nil {
+		fmt.Fprintln(stderr, "mdstbench:", err)
+		return 2
+	}
 
 	sweep := benchtab.DefaultSweep()
 	sweep.Seeds = *seeds
@@ -62,6 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "mdstbench: bad -sizes:", err)
 				return 2
 			}
+			if v < 2 {
+				fmt.Fprintln(stderr, "mdstbench: bad -sizes: every size must be at least 2, got", v)
+				return 2
+			}
 			sweep.Sizes = append(sweep.Sizes, v)
 		}
 	}
@@ -69,7 +77,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *famFlag != "" {
 		families = nil
 		for _, name := range strings.Split(*famFlag, ",") {
-			families = append(families, graph.MustFamily(strings.TrimSpace(name)))
+			f, ok := graph.LookupFamily(strings.TrimSpace(name))
+			if !ok {
+				fmt.Fprintln(stderr, "mdstbench: unknown family in -families:", name)
+				return 2
+			}
+			families = append(families, f)
 		}
 	}
 

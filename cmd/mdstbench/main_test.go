@@ -75,11 +75,15 @@ func TestRunErrors(t *testing.T) {
 		{"-series", "bogus"},
 		{"-sizes", "abc"},
 		{"-definitely-not-a-flag"},
+		{"-families", "bogus"},
+		{"-sched", "bogus"},
+		{"-sizes", "0"},
+		{"-sizes", "12,-5"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Errorf("args %v: exit %d, want 2", args, code)
+		if code := run(args, &out, &errOut); code != 2 || errOut.Len() == 0 {
+			t.Errorf("args %v: exit %d, stderr %q; want exit 2 with a message", args, code, errOut.String())
 		}
 	}
 }

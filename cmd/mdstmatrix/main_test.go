@@ -312,3 +312,13 @@ func TestRunWritesProfiles(t *testing.T) {
 		}
 	}
 }
+
+// A ring+chords size below three is rounded up instead of killing the
+// worker that builds it.
+func TestRunTinyRingChords(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-families", "ring+chords", "-sizes", "2", "-seeds", "1", "-scheds", "sync", "-quiet"}, &out, &errOut)
+	if code != 0 || !strings.Contains(out.String(), "ring+chords  3") {
+		t.Fatalf("exit %d\n%s%s", code, out.String(), errOut.String())
+	}
+}

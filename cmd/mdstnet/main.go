@@ -80,6 +80,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "mdstnet: unknown -family", *family)
 		return 2
 	}
+	if *n < 1 {
+		fmt.Fprintln(stderr, "mdstnet: -n must be at least 1")
+		return 2
+	}
 	switch *variant {
 	case "core", "literal":
 	default:

@@ -27,9 +27,11 @@ func TestRunRejectsBadTuningFlags(t *testing.T) {
 		{"-probe", "-1ms"},
 		{"-deadline", "0"},
 		{"-budget", "-2"},
+		{"-n", "-5"},
+		{"-n", "0"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 {
+		if code := run(args, &out, &errOut); code != 2 || errOut.Len() == 0 {
 			t.Fatalf("%v: exit %d, want 2 (stderr: %s)", args, code, errOut.String())
 		}
 	}
@@ -110,5 +112,13 @@ func TestRunWritesProfiles(t *testing.T) {
 		if out.Len() != 0 {
 			t.Fatalf("%s to an unwritable path still ran:\n%s", flag, out.String())
 		}
+	}
+}
+
+// A ring+chords count below three is rounded up instead of panicking.
+func TestRunTinyRingChords(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-family", "ring+chords", "-n", "2"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, out.String(), errOut.String())
 	}
 }

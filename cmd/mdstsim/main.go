@@ -45,6 +45,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *n < 1 {
+		fmt.Fprintln(stderr, "mdstsim: -n must be at least 1")
+		return 2
+	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		fmt.Fprintln(stderr, "mdstsim:", err)
@@ -67,7 +71,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 	} else {
-		fam := graph.MustFamily(*family)
+		fam, ok := graph.LookupFamily(*family)
+		if !ok {
+			fmt.Fprintln(stderr, "mdstsim: unknown -family", *family)
+			return 2
+		}
 		g = fam.Build(*n, rand.New(rand.NewSource(*seed)))
 		canonicalRing = fam.CanonicalRing
 	}
@@ -91,14 +99,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	res := harness.MustRun(harness.RunSpec{
+	spec := harness.RunSpec{
 		Graph:        g,
 		Scheduler:    harness.SchedulerKind(*sched),
 		Start:        mode,
 		CorruptNodes: *faults,
 		Seed:         *seed,
 		Engine:       eng,
-	})
+	}
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(stderr, "mdstsim:", err)
+		return 2
+	}
+	res := harness.MustRun(spec)
 
 	fmt.Fprintf(stdout, "graph: n=%d m=%d delta=%d\n", g.N(), g.M(), g.MaxDegree())
 	fmt.Fprintf(stdout, "converged: %v (rounds=%d, last state change at round %d)\n",

@@ -100,3 +100,33 @@ func TestRunWritesProfiles(t *testing.T) {
 		}
 	}
 }
+
+// A bad flag value exits 2 with a message instead of panicking or
+// running a different experiment.
+func TestRunRejectsBadFlagValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-family", "bogus"},
+		{"-n", "-5"},
+		{"-n", "0"},
+		{"-sched", "bogus"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, nil, &out, &errOut); code != 2 || errOut.Len() == 0 {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 2 with a message", args, code, errOut.String())
+		}
+	}
+}
+
+// The smallest sizes still run: one node, and a ring+chords count below
+// three, which the family rounds up.
+func TestRunTinySizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-family", "gnp", "-n", "1"},
+		{"-family", "ring+chords", "-n", "2"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, nil, &out, &errOut); code != 0 || !strings.Contains(out.String(), "legitimate: true") {
+			t.Fatalf("%v: exit %d\n%s%s", args, code, out.String(), errOut.String())
+		}
+	}
+}

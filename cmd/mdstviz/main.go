@@ -49,7 +49,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	fam := graph.MustFamily(*family)
+	fam, ok := graph.LookupFamily(*family)
+	if !ok {
+		fmt.Fprintln(stderr, "mdstviz: unknown -family", *family)
+		return 2
+	}
+	if *n < 1 {
+		fmt.Fprintln(stderr, "mdstviz: -n must be at least 1")
+		return 2
+	}
 	g := fam.Build(*n, rand.New(rand.NewSource(*seed)))
 
 	opt := viz.Options{Size: *size, Layout: *layout}

@@ -59,3 +59,17 @@ func TestRunLiveStreamsMetrics(t *testing.T) {
 		}
 	}
 }
+
+// A bad flag value exits 2 with a message instead of panicking.
+func TestRunRejectsBadFlagValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-family", "bogus"},
+		{"-n", "-3"},
+		{"-n", "0"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 || errOut.Len() == 0 {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 2 with a message", args, code, errOut.String())
+		}
+	}
+}

@@ -36,11 +36,14 @@
 // versions as quiescence epochs, the combined state fingerprint, and a
 // zero message deficit over the protocol's reduction kinds, all frozen
 // for a stability window — issues quiescence certificates that both
-// wall-clock drivers use to decide when a stop is worth taking: the
-// live driver feeds it concurrent in-process probes, the tcp driver
-// polls a side-channel control connection (netrun.ProbeConn) so the
-// cluster is never stopped just to look, and converging tcp runs take
-// zero restarts. harness.BackendTuning.Budget additionally scales each
+// wall-clock drivers use to decide when a stop is worth taking. Both
+// wall-clock runtimes run each node in the one loop of sim.Board, which
+// posts the node's state version and state hash after every step, so a
+// node is silent once its posts stop changing. The live driver reads
+// those posts in-process without locks (sim.LiveNetwork.ProbeSample),
+// the tcp driver over a side-channel control connection
+// (netrun.ProbeConn), so neither network is stopped just to look, and
+// converging tcp runs take zero restarts. harness.BackendTuning.Budget additionally scales each
 // wall-clock run's deadline from its paired deterministic sim run
 // (`mdstmatrix -budget`), replacing one-size-fits-all deadlines.
 //

@@ -26,10 +26,10 @@
 //     sim.Network's versioners and pending-message counters; driven this
 //     way it is the sequential reference detector, and tests use it as
 //     ground truth against sim.Network.Run's own quiescence decision.
-//   - The live backend (sim.LiveNetwork) feeds it concurrent probes:
-//     ProbeSample piggybacks on the StateVersioner/touched-flag
-//     machinery, so a probe costs O(n) version compares and O(changed)
-//     hashes.
+//   - The live backend (sim.LiveNetwork) feeds it lock-free samples of
+//     what its node loops post (sim.Board): each loop re-hashes its
+//     node only when the StateVersion moved, so a probe costs O(n)
+//     atomic loads and no hashing.
 //   - The tcp backend (internal/netrun) feeds it samples fetched over a
 //     side-channel control connection, so the driver never has to stop
 //     the cluster to look for quiescence.
@@ -271,9 +271,9 @@ func (d *Detector) Observe(s Sample) (Certificate, bool) {
 // with a position-dependent bijective finalizer (splitmix64). The
 // combine is commutative — the global fingerprint is the XOR over nodes
 // of MixNode(id, hash) — and therefore patchable in O(1) per changed
-// node. Every backend uses this one function (sim.Network and
-// sim.LiveNetwork incrementally, netrun's control channel from its
-// published per-node hashes), which is what makes certificate
+// node. Every backend uses this one function (sim.Network
+// incrementally, sim.Board for the live and tcp runtimes from the
+// per-node hashes their loops post), which is what makes certificate
 // fingerprints comparable across backends.
 func MixNode(id int, f uint64) uint64 {
 	x := f + uint64(id+1)*0x9e3779b97f4a7c15

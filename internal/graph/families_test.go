@@ -38,6 +38,20 @@ func TestExtraFamiliesBuildConnected(t *testing.T) {
 	}
 }
 
+// Every family builds a connected graph at the smallest sizes a CLI
+// accepts; a family may round the count up.
+func TestFamiliesBuildTinySizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, f := range append(Families(), ExtraFamilies()...) {
+		for _, n := range []int{1, 2, 3} {
+			g := f.Build(n, rng)
+			if g.N() < 1 || !g.IsConnected() {
+				t.Fatalf("family %s n=%d: %d nodes, connected=%v", f.Name, n, g.N(), g.IsConnected())
+			}
+		}
+	}
+}
+
 func TestExtraFamiliesNotInSweep(t *testing.T) {
 	// The extras must not silently join the default experiment sweep:
 	// committed table shapes depend on Families() being stable.

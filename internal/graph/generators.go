@@ -372,6 +372,9 @@ type Family struct {
 func Families() []Family {
 	return []Family{
 		{Name: "ring+chords", Build: func(n int, rng *rand.Rand) *Graph {
+			if n < 3 {
+				n = 3
+			}
 			return RingWithChords(n, n/2, rng)
 		}, CanonicalRing: true},
 		{Name: "grid", Build: func(n int, rng *rand.Rand) *Graph {

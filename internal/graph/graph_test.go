@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -268,6 +269,9 @@ func TestReadErrors(t *testing.T) {
 		"n 3\ne 1 1\n",          // self loop
 		"n 3\ne one two\n",      // non-numeric edge
 		"n 3\ne 0 1 extra ok\n", // too many fields
+		"n\n",                   // bare count
+		"n -3\n",                // negative count
+		"n 3000000000\n",        // count above MaxReadNodes
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
@@ -284,6 +288,38 @@ func TestReadSkipsComments(t *testing.T) {
 	if g.N() != 3 || g.M() != 1 {
 		t.Fatalf("got n=%d m=%d", g.N(), g.M())
 	}
+}
+
+// Read must never panic, and whatever it accepts must survive a
+// WriteTo/Read round trip with the same node count and edge list.
+func FuzzRead(f *testing.F) {
+	for _, seed := range []string{
+		"n 3\ne 0 1\ne 1 2\n",
+		"# comment\nn 0\n",
+		"n 4\n\ne 3 0\n# mid\ne 1 2\n",
+		"n\n",            // used to index a missing field
+		"n -3\n",         // used to panic in New
+		"n 3000000000\n", // used to allocate every node before reading an edge
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := Read(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-read of %q: %v", buf.String(), err)
+		}
+		if h.N() != g.N() || !slices.Equal(h.Edges(), g.Edges()) {
+			t.Fatalf("round trip changed the graph: n %d -> %d, edges %v -> %v", g.N(), h.N(), g.Edges(), h.Edges())
+		}
+	})
 }
 
 func TestDOT(t *testing.T) {

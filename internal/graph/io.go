@@ -18,6 +18,12 @@ import (
 //
 // Order of "e" lines is irrelevant; "n" must come first.
 
+// MaxReadNodes bounds the node count Read accepts. It is 64 times the
+// largest graph the repo builds (n=16384), and it keeps a corrupt count
+// from making Read allocate one adjacency list per node before any edge
+// is read.
+const MaxReadNodes = 1 << 20
+
 // WriteTo serializes g in edge-list format.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	var total int64
@@ -55,8 +61,11 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: duplicate node count", line)
 			}
 			var n int
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || len(fields) != 2 {
+			if len(fields) != 2 {
 				return nil, fmt.Errorf("graph: line %d: bad node count", line)
+			}
+			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 || n > MaxReadNodes {
+				return nil, fmt.Errorf("graph: line %d: bad node count (want 0..%d)", line, MaxReadNodes)
 			}
 			g = New(n)
 		case "e":

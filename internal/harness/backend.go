@@ -32,10 +32,11 @@ const (
 	BackendSim Backend = "sim"
 	// BackendLive is the goroutine-per-node CSP runtime (sim.LiveNetwork):
 	// real concurrency over Go channels, convergence detected in-band by
-	// feeding concurrent fingerprint/version probes to internal/detect
-	// until a quiescence certificate is issued. Wall-clock
-	// nondeterministic; the legitimacy predicate and the Δ*+1 degree
-	// guarantee are the reproducible claims.
+	// feeding lock-free samples of the versions and state hashes each
+	// node loop posts (sim.Board) to internal/detect until a quiescence
+	// certificate is issued. Wall-clock nondeterministic; the legitimacy
+	// predicate and the Δ*+1 degree guarantee are the reproducible
+	// claims.
 	BackendLive Backend = "live"
 	// BackendTCP runs one process per node over loopback TCP sockets
 	// (internal/netrun), one connection per edge — the paper's
@@ -350,8 +351,8 @@ func wallFinalSnapshot(prog detect.Progress, nodes []*core.Node, sentTotal int64
 }
 
 // runLive executes the spec on the goroutine-per-node runtime, probing
-// the network in-band (concurrent fingerprint + version probes,
-// O(changed) per probe) through driveWall.
+// the network in-band (lock-free reads of what the node loops post)
+// through driveWall.
 func runLive(spec RunSpec, ops variantOps) (Result, error) {
 	p, err := resolveWall(spec, ops, 200*time.Microsecond, 2*time.Millisecond)
 	if err != nil {
@@ -361,7 +362,6 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 	ln := sim.NewLiveNetwork(spec.Graph, ops.factory, sim.LiveConfig{
 		TickInterval: p.tick,
 		ActiveKinds:  ops.kinds,
-		CountKinds:   spec.Collect != nil,
 	})
 	nodes, res0, ok := buildInitial(spec, ops, ln.Process)
 	if !ok {
@@ -386,7 +386,6 @@ func runTCP(spec RunSpec, ops variantOps) (Result, error) {
 		ActiveKinds:  ops.kinds,
 		BatchSize:    spec.Tuning.BatchSize,
 		BatchMaxWait: spec.Tuning.BatchMaxWait,
-		CountKinds:   spec.Collect != nil,
 	})
 	nodes, res0, ok := buildInitial(spec, ops, c.Process)
 	if !ok {
@@ -509,17 +508,15 @@ func driveWall(spec RunSpec, p wallParams, nodes []*core.Node, t wallTransport, 
 // liveTransport adapts the goroutine-per-node runtime to driveWall.
 type liveTransport struct{ ln *sim.LiveNetwork }
 
-func (t liveTransport) start() error                   { t.ln.Start(); return nil }
-func (t liveTransport) stop()                          { t.ln.Stop() }
-func (t liveTransport) sample() (detect.Sample, error) { return t.ln.ProbeSample(), nil }
-
-func (t liveTransport) traffic() (int64, map[string]int64) {
-	return t.ln.Sent(), t.ln.SentByKind()
-}
+func (t liveTransport) start() error                       { t.ln.Start(); return nil }
+func (t liveTransport) stop()                              { t.ln.Stop() }
+func (t liveTransport) sample() (detect.Sample, error)     { return t.ln.ProbeSample(), nil }
+func (t liveTransport) traffic() (int64, map[string]int64) { return t.ln.Traffic() }
 
 func (t liveTransport) counters(out *Result) map[string]int64 {
-	out.TotalMessages = t.ln.Sent()
-	return t.ln.SentByKind()
+	total, byKind := t.ln.Traffic()
+	out.TotalMessages = total
+	return byKind
 }
 
 // tcpTransport adapts the loopback TCP cluster to driveWall. Each start
@@ -565,9 +562,10 @@ func (t *tcpTransport) traffic() (int64, map[string]int64) {
 // down). Restarts is the cluster's own count, so a driver that restarted
 // needlessly cannot hide it.
 func (t *tcpTransport) counters(out *Result) map[string]int64 {
-	out.TotalMessages = t.c.Sent()
+	total, byKind := t.c.Traffic()
+	out.TotalMessages = total
 	out.Dropped = t.c.Dropped()
 	out.Frames = t.c.FramesWritten()
 	out.Restarts = t.c.Restarts()
-	return t.c.SentByKind()
+	return byKind
 }

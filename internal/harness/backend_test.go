@@ -147,6 +147,7 @@ func TestBackendValidation(t *testing.T) {
 		{"safety-tcp", RunSpec{Graph: g, Backend: BackendTCP, TrackSafety: true}, "TrackSafety requires"},
 		{"sched-live", RunSpec{Graph: g, Backend: BackendLive, Scheduler: SchedAsync}, "scheduler \"async\" requires"},
 		{"rounds-tcp", RunSpec{Graph: g, Backend: BackendTCP, MaxRounds: 100}, "MaxRounds requires"},
+		{"unknown-sched", RunSpec{Graph: g, Scheduler: "bogus"}, "unknown scheduler"},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -161,6 +162,9 @@ func TestBackendValidation(t *testing.T) {
 	}
 	if err := (RunSpec{Graph: g, Backend: BackendLive, Scheduler: SchedSync}).Validate(); err != nil {
 		t.Fatalf("live+sync rejected: %v", err)
+	}
+	if err := (RunSpec{Graph: g, Scheduler: ""}).Validate(); err != nil {
+		t.Fatalf("empty scheduler (sync) rejected: %v", err)
 	}
 }
 

@@ -45,7 +45,20 @@ const (
 	SchedAdversarial SchedulerKind = "adversarial"
 )
 
-// NewScheduler instantiates the named scheduler.
+// ParseScheduler resolves a scheduler name (sync|async|adversarial); the
+// empty string is the sync default.
+func ParseScheduler(s string) (SchedulerKind, error) {
+	switch k := SchedulerKind(s); k {
+	case "":
+		return SchedSync, nil
+	case SchedSync, SchedAsync, SchedAdversarial:
+		return k, nil
+	}
+	return "", fmt.Errorf("harness: unknown scheduler %q (want sync|async|adversarial)", s)
+}
+
+// NewScheduler instantiates the named scheduler; Validate rejects names
+// it does not know.
 func NewScheduler(kind SchedulerKind) sim.Scheduler {
 	switch kind {
 	case SchedAsync:
@@ -309,6 +322,9 @@ func (s RunSpec) Validate() error {
 	case "", EngineCompat, EngineEvent:
 	default:
 		return fmt.Errorf("harness: unknown engine %q", s.Engine)
+	}
+	if _, err := ParseScheduler(string(s.Scheduler)); err != nil {
+		return err
 	}
 	if s.engine() == EngineEvent {
 		// Fail loud instead of silently running a different experiment:

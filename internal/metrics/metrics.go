@@ -7,13 +7,14 @@
 // run loop using the incremental fingerprint cache's pure reads
 // (sim.Network.LastFingerprint/StateVersions — zero extra hashing, so
 // sampling cannot perturb the committed FingerprintRecomputes
-// baselines); the live backend samples its concurrent ProbeSample path;
-// the tcp backend fetches a metricsReply over the netrun control
-// channel, next to the quiescence-probe pair. Collection is strictly
-// opt-in (harness.RunSpec.Collect): with no Collector attached, no
-// backend allocates, hashes or counts anything beyond what it always
-// did — the committed byte-identical matrix baselines are the enforced
-// proof.
+// baselines); the live backend reads the send counters of its
+// sim.Board; the tcp backend fetches a metricsReply, built from the same
+// counters, over the netrun control channel, next to the
+// quiescence-probe pair. Collection is strictly opt-in
+// (harness.RunSpec.Collect): with no Collector attached, no backend
+// allocates, hashes or counts anything beyond what it always does (the
+// wall-clock backends always count sends per kind) — the committed
+// byte-identical matrix baselines are the enforced proof.
 //
 // The certificate-progress fields (VersionFill, Deficit, Stable/Window)
 // expose how far convergence detection has advanced: a run stopped
@@ -38,9 +39,8 @@ type Snapshot struct {
 	Nodes int `json:"nodes"`
 	// SentTotal counts messages accepted by the backend's send path.
 	SentTotal int64 `json:"sentTotal"`
-	// SentByKind breaks SentTotal down by message kind. Always present
-	// on the sim backend (its metrics already track kinds); on the
-	// wall-clock backends only when per-kind counting was enabled.
+	// SentByKind breaks SentTotal down by message kind, on every
+	// backend.
 	SentByKind map[string]int64 `json:"sentByKind,omitempty"`
 	// DegreeHist is the tree-degree histogram (index = degree, value =
 	// node count) and MaxDegree its maximum. Sim backend only: the

@@ -157,25 +157,15 @@ func (c *Cluster) writeFrame(enc *gob.Encoder, bw *bufio.Writer, me, peer int, b
 func (c *Cluster) killLink(link *sendLink, pending []sim.Message, stop chan struct{}) {
 	link.dead.Store(true)
 	for _, m := range pending {
-		c.settleLost(m)
+		c.board.Lost(m.Kind())
 	}
 	for {
 		select {
 		case m := <-link.q:
-			c.settleLost(m)
+			c.board.Lost(m.Kind())
 		case <-stop:
 			return
 		}
-	}
-}
-
-// settleLost counts one undeliverable active-kind message as settled.
-// Lost messages join activeLost (not activeRecv): Start's re-baseline
-// overwrites activeLost with the full sent-received gap, so the two
-// accountings agree across restarts.
-func (c *Cluster) settleLost(m sim.Message) {
-	if c.isActive(m) {
-		c.activeLost.Add(1)
 	}
 }
 
@@ -184,11 +174,11 @@ func (c *Cluster) settleLost(m sim.Message) {
 // order, in-frame order is slice order). Once stop is closed it keeps
 // reading until the connection closes but discards what it decodes, so
 // the peer's writer can always flush its final queue.
-func (c *Cluster) readLoop(in chan envelope, dec *gob.Decoder, stop chan struct{}) {
-	deliver := func(env envelope) {
+func (c *Cluster) readLoop(in chan sim.Envelope, dec *gob.Decoder, stop chan struct{}) {
+	deliver := func(from int, m sim.Message) {
 		select {
 		case <-stop:
-		case in <- env:
+		case in <- sim.Envelope{From: from, Msg: m}:
 		}
 	}
 	if c.cfg.BatchSize > 1 {
@@ -198,7 +188,7 @@ func (c *Cluster) readLoop(in chan envelope, dec *gob.Decoder, stop chan struct{
 				return // EOF or teardown
 			}
 			for _, m := range f.Msgs {
-				deliver(envelope{From: f.From, Msg: m})
+				deliver(f.From, m)
 			}
 		}
 	}
@@ -207,6 +197,6 @@ func (c *Cluster) readLoop(in chan envelope, dec *gob.Decoder, stop chan struct{
 		if err := dec.Decode(&env); err != nil {
 			return // EOF or teardown
 		}
-		deliver(env)
+		deliver(env.From, env.Msg)
 	}
 }

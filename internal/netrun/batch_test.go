@@ -54,7 +54,7 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	// inbox is inspected directly).
 	c.stop = make(chan struct{})
 	defer close(c.stop)
-	c.inbox = []chan envelope{make(chan envelope, 64), make(chan envelope, 64)}
+	c.inbox = []chan sim.Envelope{make(chan sim.Envelope, 64), make(chan sim.Envelope, 64)}
 	c.outbox = []map[int]*sendLink{
 		{1: &sendLink{q: make(chan sim.Message, 8)}},
 		{0: &sendLink{q: make(chan sim.Message, 8)}},
@@ -346,7 +346,7 @@ func TestSendPathsWithBatching(t *testing.T) {
 	c := NewCluster(g, func(id int, nbrs []int) sim.Process {
 		return &pinger{}
 	}, Config{BatchSize: 4, OutboxSize: 2})
-	c.inbox = []chan envelope{make(chan envelope, 4), make(chan envelope, 4)}
+	c.inbox = []chan sim.Envelope{make(chan sim.Envelope, 4), make(chan sim.Envelope, 4)}
 	c.outbox = []map[int]*sendLink{
 		{1: &sendLink{q: make(chan sim.Message, 2)}},
 		{0: &sendLink{q: make(chan sim.Message, 2)}},

@@ -25,14 +25,15 @@
 // state inspections until the configuration is legitimate.
 //
 // Convergence is detectable in-band, without stopping anything: every
-// node loop publishes its process's quiescence epoch (StateVersion) and
-// state hash after each step, and Start opens a side-channel control
-// listener serving those observations over a dedicated TCP connection
-// (DialProbe / ProbeConn.Sample). A driver feeds the samples to a
-// detect.Detector and only stops the cluster once a quiescence
-// certificate is issued — which is how the harness's tcp driver avoids
-// the stop-the-world restart-per-inspection loop entirely on converging
-// runs (Restarts counts the re-starts it did need).
+// node runs sim.Board's loop, which posts its process's quiescence
+// epoch (StateVersion) and state hash after each step, and Start opens
+// a side-channel control listener serving those observations over a
+// dedicated TCP connection (DialProbe / ProbeConn.Sample). A driver
+// feeds the samples to a detect.Detector and only stops the cluster
+// once a quiescence certificate is issued — which is how the harness's
+// tcp driver avoids the stop-the-world restart-per-inspection loop
+// entirely on converging runs (Restarts counts the re-starts it did
+// need).
 //
 // The control channel speaks two request/reply pairs over one
 // connection: the quiescence probe (probeRequest/probeReply, the PR-4
@@ -44,9 +45,7 @@
 // reply its request earns. The single-encoder/single-decoder-per-conn
 // rule holds exactly as on the edge connections, and the edge wire
 // format itself is untouched — a metrics-polling driver interoperates
-// with the PR-6 batching framing unchanged. Metrics requests against a
-// cluster built without Config.CountKinds still answer (totals only,
-// nil per-kind map), so the pair is always safe to speak.
+// with the batched framing (batch.go) unchanged.
 package netrun
 
 import (
@@ -103,11 +102,6 @@ type Config struct {
 	// backlog and adds zero latency). Only meaningful above batch
 	// size 1.
 	BatchMaxWait time.Duration
-	// CountKinds enables per-kind send counters for the control
-	// channel's metrics replies (ProbeConn.Metrics). Off by default:
-	// the per-send map update, cheap as it is, stays entirely off the
-	// hot path unless a driver asked to observe the breakdown.
-	CountKinds bool
 }
 
 // Cluster runs one process per node of g over loopback TCP.
@@ -115,6 +109,10 @@ type Cluster struct {
 	g     *graph.Graph
 	cfg   Config
 	procs []sim.Process
+	// board runs the node loops and holds the send counters and the
+	// posted node states the control channel serves. The send counters
+	// accumulate across restarts.
+	board *sim.Board
 
 	mu      sync.Mutex
 	running bool
@@ -128,42 +126,18 @@ type Cluster struct {
 	stop    chan struct{}
 	writers sync.WaitGroup // edge writers
 	wg      sync.WaitGroup // readers and the control channel
-	inbox   []chan envelope
+	inbox   []chan sim.Envelope
 	outbox  []map[int]*sendLink // node -> neighbor -> send direction
 	lns     []net.Listener
 	conns   []net.Conn
 	dropped atomic.Int64
-	sent    atomic.Int64
 	frames  atomic.Int64
-	// kindSent breaks sent down by message kind (Config.CountKinds
-	// only): string -> *atomic.Int64, lock-free on the send path.
-	kindSent sync.Map
 
 	// testWriteErr and testAfterListen are fault-injection hooks for the
 	// regression tests (dead-writer settlement, Start-failure cleanup).
 	// Only set before Start; nil in production.
 	testWriteErr    func(me, peer int) error
 	testAfterListen func()
-
-	// In-band quiescence observation. Each node loop publishes its
-	// process's state version and state hash into these after every
-	// step (single-writer: the node's own goroutine), and the control
-	// channel reads them — no locks, no stopping the cluster.
-	versioners []sim.StateVersioner
-	fpers      []sim.Fingerprinter
-	versions   []atomic.Uint64
-	fps        []atomic.Uint64
-
-	// Active-kind accounting for the Dijkstra–Scholten deficit.
-	// activeLost absorbs active messages lost to a Stop (in-flight
-	// messages die with the connections): Start re-baselines it so the
-	// published deficit counts only messages genuinely in flight since
-	// the current phase began. Lost messages are counted as settled —
-	// the self-stabilizing protocol re-issues any work they carried.
-	active     map[string]struct{}
-	activeSent atomic.Int64
-	activeRecv atomic.Int64
-	activeLost atomic.Int64
 
 	// Control channel: one listener per running cluster, any number of
 	// probe connections. ctlMu guards the connection list (handlers
@@ -179,7 +153,16 @@ func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
 // Sent returns the number of messages accepted onto outboxes so far.
 // The counter accumulates across Stop/Start cycles — a restart never
 // resets it, so drivers can report whole-run traffic.
-func (c *Cluster) Sent() int64 { return c.sent.Load() }
+func (c *Cluster) Sent() int64 {
+	total, _ := c.board.Traffic()
+	return total
+}
+
+// Traffic returns the messages accepted onto outboxes so far, in total
+// and per kind (sim.Board.Traffic). Safe to call at any time.
+func (c *Cluster) Traffic() (total int64, byKind map[string]int64) {
+	return c.board.Traffic()
+}
 
 // FramesWritten returns the number of wire frames the edge writers have
 // flushed so far (accumulating across restarts, like Sent). With
@@ -216,29 +199,11 @@ func NewCluster(g *graph.Graph, factory func(id int, neighbors []int) sim.Proces
 		cfg.BatchMaxWait = 0
 	}
 	n := g.N()
-	c := &Cluster{
-		g: g, cfg: cfg,
-		procs:      make([]sim.Process, n),
-		versioners: make([]sim.StateVersioner, n),
-		fpers:      make([]sim.Fingerprinter, n),
-		versions:   make([]atomic.Uint64, n),
-		fps:        make([]atomic.Uint64, n),
-	}
-	if len(cfg.ActiveKinds) > 0 {
-		c.active = make(map[string]struct{}, len(cfg.ActiveKinds))
-		for _, k := range cfg.ActiveKinds {
-			c.active[k] = struct{}{}
-		}
-	}
+	c := &Cluster{g: g, cfg: cfg, procs: make([]sim.Process, n)}
 	for id := 0; id < n; id++ {
 		c.procs[id] = factory(id, g.Neighbors(id))
-		if vs, ok := c.procs[id].(sim.StateVersioner); ok {
-			c.versioners[id] = vs
-		}
-		if fp, ok := c.procs[id].(sim.Fingerprinter); ok {
-			c.fpers[id] = fp
-		}
 	}
+	c.board = sim.NewBoard(c.procs, cfg.ActiveKinds)
 	return c
 }
 
@@ -261,17 +226,16 @@ func (c *Cluster) Start() error {
 	c.halt = make(chan struct{})
 	c.stop = make(chan struct{})
 	c.starts++
-	// Re-baseline the in-flight accounting: whatever active messages the
-	// previous phase left undelivered died with its connections, so they
-	// are settled (lost), not in flight. Counters are frozen while
-	// stopped, so this read-modify-write is race-free.
-	c.activeLost.Store(c.activeSent.Load() - c.activeRecv.Load())
-	c.inbox = make([]chan envelope, n)
+	// Whatever active messages the previous phase left undelivered died
+	// with its connections, so they are settled (lost), not in flight.
+	// Counters are frozen while stopped, so this is race-free.
+	c.board.Rebaseline()
+	c.inbox = make([]chan sim.Envelope, n)
 	c.outbox = make([]map[int]*sendLink, n)
 	c.lns = make([]net.Listener, n)
 	c.conns = nil
 	for id := 0; id < n; id++ {
-		c.inbox[id] = make(chan envelope, 4096)
+		c.inbox[id] = make(chan sim.Envelope, 4096)
 		c.outbox[id] = make(map[int]*sendLink, len(c.g.Neighbors(id)))
 		for _, u := range c.g.Neighbors(id) {
 			c.outbox[id][u] = &sendLink{q: make(chan sim.Message, c.cfg.OutboxSize)}
@@ -428,64 +392,13 @@ func (c *Cluster) Start() error {
 	// Node loops.
 	halt := c.halt
 	for id := 0; id < n; id++ {
-		id := id
 		ctx := sim.NewContext(id, c.g.Neighbors(id), c.send)
 		c.procs[id].Init(ctx)
 		c.nodes.Add(1)
-		go func() {
+		go func(id int) {
 			defer c.nodes.Done()
-			// Publish this node's quiescence epoch (state version) and
-			// state hash for the control channel after every step. The
-			// node's own goroutine is the single writer; the StateVersion
-			// fast path skips re-hashing when the version did not move,
-			// so a quiesced node's ticks publish nothing.
-			vs, fper := c.versioners[id], c.fpers[id]
-			var lastV uint64
-			published := false
-			publish := func() {
-				if vs != nil {
-					v := vs.StateVersion()
-					if published && v == lastV {
-						return
-					}
-					lastV = v
-				}
-				var f uint64
-				if fper != nil {
-					f = fper.Fingerprint()
-				}
-				c.fps[id].Store(f)
-				if vs != nil {
-					c.versions[id].Store(lastV)
-				} else {
-					// No version to report: the state hash doubles as the
-					// quiescence epoch (it moves exactly when state does).
-					c.versions[id].Store(f)
-				}
-				published = true
-			}
-			publish()
-			ticker := time.NewTicker(c.cfg.TickInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-halt:
-					return
-				case env := <-c.inbox[id]:
-					// Classify before Receive: the handler may forward
-					// the message, after which it is not ours to read.
-					active := c.isActive(env.Msg)
-					c.procs[id].Receive(ctx, env.From, env.Msg)
-					if active {
-						c.activeRecv.Add(1)
-					}
-					publish()
-				case <-ticker.C:
-					c.procs[id].Tick(ctx)
-					publish()
-				}
-			}
-		}()
+			c.board.Loop(id, ctx, c.inbox[id], c.cfg.TickInterval, halt)
+		}(id)
 	}
 	c.running = true
 	return nil
@@ -514,15 +427,6 @@ func (c *Cluster) startEdge(me, peer int, conn net.Conn, enc *gob.Encoder, bw *b
 	}()
 }
 
-// isActive reports whether m counts toward the active-kind deficit.
-func (c *Cluster) isActive(m sim.Message) bool {
-	if c.active == nil {
-		return false
-	}
-	_, ok := c.active[m.Kind()]
-	return ok
-}
-
 // send enqueues a message on the per-direction outbox; a full outbox
 // drops the message (gossip repair handles the loss).
 func (c *Cluster) send(from, to int, m sim.Message) {
@@ -542,19 +446,7 @@ func (c *Cluster) send(from, to int, m sim.Message) {
 	kind := m.Kind()
 	select {
 	case l.q <- m:
-		c.sent.Add(1)
-		if c.active != nil {
-			if _, ok := c.active[kind]; ok {
-				c.activeSent.Add(1)
-			}
-		}
-		if c.cfg.CountKinds {
-			v, ok := c.kindSent.Load(kind)
-			if !ok {
-				v, _ = c.kindSent.LoadOrStore(kind, new(atomic.Int64))
-			}
-			v.(*atomic.Int64).Add(1)
-		}
+		c.board.Sent(kind)
 	default:
 		// Dropped before entering any queue: never counted as sent, so
 		// the active-kind deficit stays balanced.
@@ -598,28 +490,20 @@ type probeReply struct {
 	ActiveReceived int64
 }
 
-// probeReply builds one observation. The counter ordering is
-// conservative: received is loaded before the per-node scan and sent
-// after it, so the reported deficit can only overestimate the number of
-// active messages in flight — a skewed sample delays a certificate,
-// never forges one.
+// probeReply builds one observation from the board's lock-free Sample.
 func (c *Cluster) probeReply(seq uint64) probeReply {
-	n := len(c.procs)
-	r := probeReply{Seq: seq, Versions: make([]uint64, n)}
-	r.ActiveReceived = c.activeRecv.Load() + c.activeLost.Load()
-	var combined uint64
-	for id := 0; id < n; id++ {
-		r.Versions[id] = c.versions[id].Load()
-		combined ^= detect.MixNode(id, c.fps[id].Load())
+	s := c.board.Sample()
+	return probeReply{
+		Seq:            seq,
+		Versions:       s.Versions,
+		Fingerprint:    s.Fingerprint,
+		ActiveSent:     s.ActiveSent,
+		ActiveReceived: s.ActiveReceived,
 	}
-	r.Fingerprint = combined
-	r.ActiveSent = c.activeSent.Load()
-	return r
 }
 
 // metricsReply carries the cluster's cumulative traffic counters — the
-// metrics stream's wall-clock observables. Per-kind counts are nil
-// unless the cluster was built with Config.CountKinds.
+// metrics stream's wall-clock observables.
 type metricsReply struct {
 	Seq            uint64
 	SentTotal      int64
@@ -630,32 +514,15 @@ type metricsReply struct {
 	ActiveReceived int64
 }
 
-// metricsReply builds one metrics observation (same conservative
-// counter ordering as probeReply: received before sent).
+// metricsReply builds one metrics observation. The active-kind counters
+// come from one Sample, with its conservative ordering.
 func (c *Cluster) metricsReply(seq uint64) metricsReply {
-	r := metricsReply{Seq: seq}
-	r.ActiveReceived = c.activeRecv.Load() + c.activeLost.Load()
-	r.SentByKind = c.SentByKind()
+	s := c.board.Sample()
+	r := metricsReply{Seq: seq, ActiveSent: s.ActiveSent, ActiveReceived: s.ActiveReceived}
+	r.SentTotal, r.SentByKind = c.board.Traffic()
 	r.Dropped = c.dropped.Load()
 	r.Frames = c.frames.Load()
-	r.SentTotal = c.sent.Load()
-	r.ActiveSent = c.activeSent.Load()
 	return r
-}
-
-// SentByKind returns a copy of the per-kind send counters, nil unless
-// the cluster was built with Config.CountKinds. Safe to call at any
-// time (atomic reads).
-func (c *Cluster) SentByKind() map[string]int64 {
-	if !c.cfg.CountKinds {
-		return nil
-	}
-	out := make(map[string]int64)
-	c.kindSent.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	return out
 }
 
 // serveControl accepts probe connections until the listener closes and
@@ -769,7 +636,6 @@ func (p *ProbeConn) Sample() (detect.Sample, error) {
 
 // MetricsSample is one metrics-stream observation fetched over the
 // control channel: the cluster's cumulative traffic counters.
-// SentByKind is nil unless the cluster was built with Config.CountKinds.
 type MetricsSample struct {
 	SentTotal      int64
 	SentByKind     map[string]int64

@@ -12,11 +12,12 @@ import (
 // liveProc is a min-gossip process with guarded state writes: the
 // version moves exactly when min changes, never on no-op receives or
 // ticks — the same contract the protocol implementations give the
-// incremental fingerprint machinery.
+// node loop's re-hash test. hashes counts Fingerprint calls.
 type liveProc struct {
 	id      int
 	min     int
 	version uint64
+	hashes  int
 }
 
 func (p *liveProc) Init(*Context) {}
@@ -31,8 +32,10 @@ func (p *liveProc) Receive(_ *Context, _ NodeID, m Message) {
 		p.version++
 	}
 }
-func (p *liveProc) Fingerprint() uint64  { return uint64(p.min) + 1 }
+func (p *liveProc) Fingerprint() uint64  { p.hashes++; return minHash(p.min) }
 func (p *liveProc) StateVersion() uint64 { return p.version }
+
+func minHash(min int) uint64 { return uint64(min) + 1 }
 
 func newLiveMin(g *graph.Graph, tick time.Duration) *LiveNetwork {
 	return NewLiveNetwork(g, func(id NodeID, _ []NodeID) Process {
@@ -40,11 +43,46 @@ func newLiveMin(g *graph.Graph, tick time.Duration) *LiveNetwork {
 	}, LiveConfig{TickInterval: tick})
 }
 
-// Satellite: Fingerprint must be safe to call concurrently with a
-// running network (it used to be "only safe after Stop"). Several
-// goroutines hammer the probe while the nodes gossip; the race detector
-// (make race covers this package) is the real assertion, the final
-// fingerprint check proves the probes converge on the true state.
+// uniformMix is the from-scratch combined fingerprint of n nodes that
+// all hold min.
+func uniformMix(n, min int) uint64 {
+	var want uint64
+	for id := 0; id < n; id++ {
+		want ^= mixNode(id, minHash(min))
+	}
+	return want
+}
+
+// runUntilFingerprint runs ln until its sample reads want, then stops
+// it. A stuck post fails the test at the deadline.
+func runUntilFingerprint(t *testing.T, ln *LiveNetwork, want uint64) {
+	t.Helper()
+	ln.Start()
+	defer ln.Stop()
+	deadline := time.Now().Add(30 * time.Second)
+	for ln.ProbeSample().Fingerprint != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("sampled fingerprint never reached %x", want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkMins fails unless every node holds min.
+func checkMins(t *testing.T, ln *LiveNetwork, n, min int) {
+	t.Helper()
+	for id := 0; id < n; id++ {
+		if got := ln.Process(id).(*liveProc).min; got != min {
+			t.Fatalf("node %d min=%d, want %d", id, got, min)
+		}
+	}
+}
+
+// ProbeSample must be safe to call concurrently with a running network.
+// Several goroutines hammer it while the nodes gossip; the race
+// detector (make race covers this package) is the real assertion. Once
+// stopped, the sample must equal a from-scratch mix of the true states,
+// converged or not, since every loop posts after its last step.
 func TestLiveFingerprintConcurrentWithRun(t *testing.T) {
 	g := graph.RandomGnp(12, 0.4, rand.New(rand.NewSource(7)))
 	ln := newLiveMin(g, 100*time.Microsecond)
@@ -60,7 +98,7 @@ func TestLiveFingerprintConcurrentWithRun(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					ln.Fingerprint()
+					ln.ProbeSample()
 				}
 			}
 		}()
@@ -70,107 +108,56 @@ func TestLiveFingerprintConcurrentWithRun(t *testing.T) {
 	wg.Wait()
 	ln.Stop()
 
-	// The busy-spinning probers can starve the node goroutines on a
-	// single-CPU machine, so convergence within the hammering phase is
-	// not guaranteed — let the network finish undisturbed instead of
-	// asserting a wall-clock race.
-	if _, quiesced := ln.RunUntilQuiescent(QuiesceConfig{
-		ProbeInterval: time.Millisecond, StableProbes: 20, MaxWait: 30 * time.Second,
-	}); !quiesced {
-		t.Fatal("no quiescence after the concurrent-probing phase")
-	}
-
-	// All nodes have converged on min=0; the cached combine must agree
-	// with a from-scratch mix of the true final state.
+	s := ln.ProbeSample()
 	var want uint64
 	for id := 0; id < g.N(); id++ {
-		if got := ln.Process(id).(*liveProc).min; got != 0 {
-			t.Fatalf("node %d min=%d after run", id, got)
+		p := ln.Process(id).(*liveProc)
+		want ^= mixNode(id, minHash(p.min))
+		if s.Versions[id] != p.version {
+			t.Fatalf("node %d: sampled version %d, process at %d", id, s.Versions[id], p.version)
 		}
-		want ^= mixNode(id, uint64(0)+1)
 	}
-	if got := ln.Fingerprint(); got != want {
-		t.Fatalf("fingerprint %x after concurrent probing, want %x", got, want)
+	if s.Fingerprint != want {
+		t.Fatalf("fingerprint %x after concurrent probing, want %x", s.Fingerprint, want)
 	}
+
+	// The busy-spinning probers can starve the node goroutines on a
+	// single-CPU machine, so convergence is checked undisturbed.
+	runUntilFingerprint(t, ln, uniformMix(g.N(), 0))
+	checkMins(t, ln, g.N(), 0)
 }
 
-// RunUntilQuiescent must detect the min-gossip fixed point, and the
-// incremental cache must make detection O(changed) per probe: a second
-// quiescence pass over an already-quiesced network — every node still
-// ticking and gossiping, versions unmoved — must re-hash nothing at all.
-func TestLiveRunUntilQuiescentIncremental(t *testing.T) {
+// A quiesced network keeps ticking and gossiping, but no version moves,
+// so a restart costs each node exactly one hash: the entry post.
+func TestLiveQuiescedRestartHashesOncePerNode(t *testing.T) {
 	g := graph.Ring(10)
 	ln := newLiveMin(g, 100*time.Microsecond)
-	probes, quiesced := ln.RunUntilQuiescent(QuiesceConfig{
-		ProbeInterval: time.Millisecond,
-		StableProbes:  20,
-		MaxWait:       20 * time.Second,
-	})
-	if !quiesced {
-		t.Fatalf("no quiescence after %d probes", probes)
-	}
+	runUntilFingerprint(t, ln, uniformMix(g.N(), 0))
+	checkMins(t, ln, g.N(), 0)
 	for id := 0; id < g.N(); id++ {
-		if got := ln.Process(id).(*liveProc).min; got != 0 {
-			t.Fatalf("quiesced with node %d at min=%d", id, got)
+		ln.Process(id).(*liveProc).hashes = 0
+	}
+	ln.RunFor(20 * time.Millisecond)
+	for id := 0; id < g.N(); id++ {
+		if got := ln.Process(id).(*liveProc).hashes; got != 1 {
+			t.Fatalf("node %d hashed %d times in a quiesced restart, want 1", id, got)
 		}
 	}
-
-	before := ln.FingerprintRecomputes()
-	_, quiesced = ln.RunUntilQuiescent(QuiesceConfig{
-		ProbeInterval: time.Millisecond,
-		StableProbes:  20,
-		MaxWait:       20 * time.Second,
-	})
-	if !quiesced {
-		t.Fatal("no quiescence on the second pass")
-	}
-	if delta := ln.FingerprintRecomputes() - before; delta != 0 {
-		t.Fatalf("quiesced network re-hashed %d nodes (StateVersion fast path broken)", delta)
-	}
 }
 
-// InvalidateFingerprints is the contract for direct state mutation while
-// stopped (corruption, preloads): the cache must be discarded, because
-// an untouched node is otherwise never re-hashed.
-func TestLiveInvalidateFingerprints(t *testing.T) {
-	g := graph.Ring(6)
-	ln := newLiveMin(g, 100*time.Microsecond)
-	before := ln.Fingerprint()
-	ln.Process(3).(*liveProc).min = -7 // direct mutation, invisible to the cache
-	ln.InvalidateFingerprints()
-	if ln.Fingerprint() == before {
-		t.Fatal("fingerprint unchanged after invalidation of a mutated node")
-	}
-}
-
-// The restart loop (Start–Stop–inspect–Start) must keep the cache
-// coherent: quiesce, stop, mutate one node through its own setter-like
-// path (version bump), restart, and the network must re-converge and the
-// probe must see it.
+// State written while the network is stopped must show up after the
+// next Start, even when the write leaves the version unmoved: node 5
+// takes min=-1 directly, no other node can lower it, so only the entry
+// post can report it. The network must then re-converge on -1.
 func TestLiveFingerprintAcrossRestart(t *testing.T) {
 	g := graph.Ring(8)
 	ln := newLiveMin(g, 100*time.Microsecond)
-	if _, quiesced := ln.RunUntilQuiescent(QuiesceConfig{
-		ProbeInterval: time.Millisecond, StableProbes: 20, MaxWait: 20 * time.Second,
-	}); !quiesced {
-		t.Fatal("no initial quiescence")
-	}
-	fp1 := ln.Fingerprint()
-	p := ln.Process(5).(*liveProc)
-	p.min = -1
-	p.version++
-	ln.InvalidateFingerprints()
-	if _, quiesced := ln.RunUntilQuiescent(QuiesceConfig{
-		ProbeInterval: time.Millisecond, StableProbes: 20, MaxWait: 20 * time.Second,
-	}); !quiesced {
-		t.Fatal("no re-quiescence after restart")
-	}
-	for id := 0; id < g.N(); id++ {
-		if got := ln.Process(id).(*liveProc).min; got != -1 {
-			t.Fatalf("node %d min=%d after re-convergence", id, got)
-		}
-	}
-	if ln.Fingerprint() == fp1 {
+	runUntilFingerprint(t, ln, uniformMix(g.N(), 0))
+	fp0 := ln.ProbeSample().Fingerprint
+	ln.Process(5).(*liveProc).min = -1
+	runUntilFingerprint(t, ln, uniformMix(g.N(), -1))
+	checkMins(t, ln, g.N(), -1)
+	if ln.ProbeSample().Fingerprint == fp0 {
 		t.Fatal("fingerprint did not move across the -1 re-convergence")
 	}
 }
@@ -226,7 +213,7 @@ func TestLiveTransportLeavesHandedOffMessagesAlone(t *testing.T) {
 	ln := NewLiveNetwork(g, func(id NodeID, _ []NodeID) Process {
 		tokens[id] = &relayMsg{}
 		return &relayProc{tok: tokens[id], done: &done}
-	}, LiveConfig{ActiveKinds: []string{"relay"}, CountKinds: true})
+	}, LiveConfig{ActiveKinds: []string{"relay"}})
 	ln.Start()
 	finished := make(chan struct{})
 	go func() { done.Wait(); close(finished) }()
@@ -243,8 +230,8 @@ func TestLiveTransportLeavesHandedOffMessagesAlone(t *testing.T) {
 		}
 	}
 	want := int64(g.N() * relayHops)
-	if got := ln.SentByKind()["relay"]; got != want {
-		t.Fatalf("counted %d relay sends, want %d", got, want)
+	if _, byKind := ln.Traffic(); byKind["relay"] != want {
+		t.Fatalf("counted %d relay sends, want %d", byKind["relay"], want)
 	}
 	if s := ln.ProbeSample(); s.ActiveSent != want || s.ActiveReceived != want {
 		t.Fatalf("active sent/received %d/%d, want %d/%d",

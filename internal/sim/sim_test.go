@@ -261,7 +261,7 @@ func TestLiveNetworkMinFlood(t *testing.T) {
 	}, LiveConfig{TickInterval: 100 * time.Microsecond})
 	ln.RunFor(300 * time.Millisecond)
 	checkAllMin(t, ln.Process, 16)
-	if ln.Fingerprint() == 0 {
+	if ln.ProbeSample().Fingerprint == 0 {
 		t.Fatal("fingerprint should combine node states")
 	}
 }
