@@ -60,10 +60,11 @@ race:
 # -short tightens the wall-clock deadlines (see smokeTuning). The detect
 # job covers the convergence-detection subsystem both drivers now rest
 # on (sequential reference detector + certificate logic); the
-# suppression job exercises the search-suppression knob on live AND tcp,
-# not just the deterministic simulator; the tcp-batch job drives a
-# batch>1 cluster through the certificate path (coalesced wire frames
-# must not change the outcome — see TestBatchedTCPDifferentialOutcome).
+# retry-policy job exercises the suppress and backoff retry policies on
+# live AND tcp, not just the deterministic simulator; the tcp-batch job
+# drives a batch>1 cluster through the certificate path (coalesced wire
+# frames must not change the outcome — see
+# TestBatchedTCPDifferentialOutcome).
 # The metrics job smokes the observability plane on the wall-clock
 # backends: the control-channel metrics pair plus client-shedding on
 # tcp, then live+tcp runs asserting a non-empty snapshot stream and
@@ -94,7 +95,7 @@ benchtest:
 
 # The committed benchmarks. BENCH_scale.json (the n=256/512/1024 ladder
 # on the incremental simulator hot path, the event-core closure cells at
-# n=4096/16384, plus the full-rehash baseline comparison) holds
+# n=4096/16384, plus the fingerprint work saved against a full rehash) holds
 # deterministic fields only — byte-stable across machines, so it is also
 # a drift gate. BENCH_tcp.json (the tcp
 # frame-coalescing sweep: frames-per-message and wall-per-round per
@@ -132,7 +133,7 @@ matrix:
 # matrix bytes are a compat-core artifact, and the pin keeps them stable
 # even if the default engine axis ever changes. BENCH_scale.json is
 # dual-core by construction (compat ladder + event-core closure cells).
-LITERAL_MATRIX = -variants literal -engines compat -families ring+chords,gnp,geometric -sizes 16,24 -scheds sync,async,adversarial -faults none,corrupt:3,lossy:0.05 -backoff off,on -seeds 2
+LITERAL_MATRIX = -variants literal -engines compat -families ring+chords,gnp,geometric -sizes 16,24 -scheds sync,async,adversarial -faults none,corrupt:3,lossy:0.05 -retry paper,backoff -seeds 2
 
 DRIFT_OUT ?= drift-out
 

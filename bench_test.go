@@ -225,10 +225,9 @@ func BenchmarkScenarioMatrixSerial(b *testing.B) {
 
 // BenchmarkScaleSweep runs a reduced version of the committed scale
 // sweep (cmd/mdstmatrix -scale / make bench -> BENCH_scale.json): the
-// incremental-hot-path ladder, the steady-state decay cell with its
-// fault recovery, plus the full-rehash baseline cross-check. The
-// reported custom metric is the deterministic fingerprint-work
-// reduction at the baseline size.
+// incremental-hot-path ladder and the steady-state decay cell with its
+// fault recovery. The reported custom metric is the deterministic
+// fingerprint-work reduction at the baseline size.
 func BenchmarkScaleSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -256,34 +255,27 @@ func BenchmarkScaleSweep(b *testing.B) {
 }
 
 // BenchmarkFingerprintQuiescence isolates the per-round
-// fingerprint+quiescence overhead the incremental cache removes: one
-// full stabilization run per mode on the same seeded workload. Compare
-// the two sub-benchmarks' ns/op; the deterministic recompute counts are
-// reported as custom metrics.
+// fingerprint+quiescence overhead of the incremental cache: one full
+// stabilization run on a seeded workload. The deterministic recompute
+// count is reported as a custom metric; hashing every node at every
+// call would cost nodes × (rounds + 2) recomputes.
 func BenchmarkFingerprintQuiescence(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"incremental", false}, {"full-rehash", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sim.SetFullFingerprintRehash(mode.full)
-			defer sim.SetFullFingerprintRehash(false)
-			var recomputes int64
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(7))
-				g := graph.MustFamily("ring+chords").Build(96, rng)
-				res := harness.MustRun(harness.RunSpec{
-					Graph: g, Scheduler: harness.SchedSync,
-					Start: harness.StartCorrupt, Seed: 7,
-				})
-				if res.Tree == nil {
-					b.Fatal("no tree")
-				}
-				recomputes = res.Metrics.FingerprintRecomputes
+	b.Run("incremental", func(b *testing.B) {
+		var recomputes int64
+		for i := 0; i < b.N; i++ {
+			rng := rand.New(rand.NewSource(7))
+			g := graph.MustFamily("ring+chords").Build(96, rng)
+			res := harness.MustRun(harness.RunSpec{
+				Graph: g, Scheduler: harness.SchedSync,
+				Start: harness.StartCorrupt, Seed: 7,
+			})
+			if res.Tree == nil {
+				b.Fatal("no tree")
 			}
-			b.ReportMetric(float64(recomputes), "fp-recomputes")
-		})
-	}
+			recomputes = res.Metrics.FingerprintRecomputes
+		}
+		b.ReportMetric(float64(recomputes), "fp-recomputes")
+	})
 }
 
 // BenchmarkSimThroughput measures raw simulator event throughput with a

@@ -49,6 +49,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *seeds < 1 || *workers < 0 || *faults < 0 {
+		fmt.Fprintln(stderr, "mdstbench: -seeds must be at least 1, -workers and -faults non-negative")
+		return 2
+	}
 	benchtab.Workers = *workers
 	if _, err := harness.ParseScheduler(*sched); err != nil {
 		fmt.Fprintln(stderr, "mdstbench:", err)

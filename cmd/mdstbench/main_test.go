@@ -79,6 +79,9 @@ func TestRunErrors(t *testing.T) {
 		{"-sched", "bogus"},
 		{"-sizes", "0"},
 		{"-sizes", "12,-5"},
+		{"-exp", "E5", "-sizes", "8", "-seeds", "0"},
+		{"-workers", "-1"},
+		{"-series", "recovery", "-faults", "-2"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer

@@ -16,8 +16,7 @@
 //	mdstmatrix -scale                     # n=256/512/1024 scale sweep -> BENCH_scale.json content
 //	mdstmatrix -backend live -sizes 8 -seeds 1   # goroutine-per-node runtime
 //	mdstmatrix -backend sim,live,tcp      # cross-backend comparison matrix
-//	mdstmatrix -suppress off,on           # paired search-suppression comparison
-//	mdstmatrix -backoff off,on            # paired static vs adaptive suppression windows
+//	mdstmatrix -retry paper,suppress,backoff   # paired cycle-search retry policies
 //	mdstmatrix -xbackend                  # medium-n cross-backend preset -> committed table
 //	mdstmatrix -backend tcp -batch 16 -batchwait 1ms   # coalesced tcp frames
 //	mdstmatrix -tcpbench                  # tcp frame-coalescing bench -> BENCH_tcp.json content
@@ -38,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mdst/internal/core"
 	"mdst/internal/harness"
 	"mdst/internal/profflag"
 	"mdst/internal/scenario"
@@ -69,15 +69,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	expand := fs.Bool("expand", false, "dry run: print the expanded run matrix without executing")
 	quiet := fs.Bool("quiet", false, "suppress the execution summary on stderr")
 	scale := fs.Bool("scale", false, "run the large-n scale sweep and print the deterministic BENCH_scale.json report (uses -sizes when given, else 256,512,1024)")
-	suppress := fs.String("suppress", "off", "comma-separated search-suppression axis: off|on (on prunes duplicate Search tokens; seeds pair on/off cells on identical workloads)")
-	backoff := fs.String("backoff", "off", "comma-separated adaptive-backoff axis: off|on (on doubles the suppression window each full unchanged window, resetting on any neighborhood change; implies suppression; seeds pair cells on identical workloads)")
-	xbackend := fs.Bool("xbackend", false, "run the medium-n cross-backend preset (sim/live/tcp, suppression on) and print the committed-table JSON (uses -sizes when given, else the preset ladder)")
+	retry := fs.String("retry", "paper", "comma-separated cycle-search retry policies: paper|suppress|backoff (suppress prunes duplicate Search tokens; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change; seeds pair cells on identical workloads)")
+	xbackend := fs.Bool("xbackend", false, "run the medium-n cross-backend preset (sim/live/tcp, retry policy suppress) and print the committed-table JSON (uses -sizes when given, else the preset ladder)")
 	batch := fs.Int("batch", 0, "tcp frame coalescing: messages per wire frame (0/1: one frame per message, the compatible default; >1: batched format)")
 	batchwait := fs.Duration("batchwait", 0, "tcp frame coalescing: max time a partially filled frame is held open (0: flush immediately)")
 	tcpbench := fs.Bool("tcpbench", false, "run the tcp frame-coalescing bench (ring+chords, batch 1/8/16) and print the BENCH_tcp.json report (uses the first -sizes entry when given, else n=128)")
 	metricsOn := fs.Bool("metrics", false, "enable the observability plane on every run: sampled metrics time series and hash-chained audit heads in per-run JSON output (off keeps committed baselines byte-identical)")
 	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// Out-of-range counts would otherwise fall back to defaults silently
+	// (one seed per cell, GOMAXPROCS workers, the harness round budget).
+	if *seeds < 1 || *workers < 0 || *maxRounds < 0 {
+		fmt.Fprintln(stderr, "mdstmatrix: -seeds must be at least 1, -workers and -maxrounds non-negative")
 		return 2
 	}
 	stopProfiles, err := profiles.Start()
@@ -179,27 +184,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		spec.Engines = append(spec.Engines, e)
 	}
-	for _, s := range splitList(*suppress) {
-		switch s {
-		case "off":
-			spec.Suppression = append(spec.Suppression, false)
-		case "on":
-			spec.Suppression = append(spec.Suppression, true)
-		default:
-			fmt.Fprintf(stderr, "mdstmatrix: bad -suppress %q (want off|on)\n", s)
+	for _, s := range splitList(*retry) {
+		p, err := core.ParseRetryPolicy(s)
+		if err != nil {
+			fmt.Fprintln(stderr, "mdstmatrix:", err)
 			return 2
 		}
-	}
-	for _, s := range splitList(*backoff) {
-		switch s {
-		case "off":
-			spec.Backoff = append(spec.Backoff, false)
-		case "on":
-			spec.Backoff = append(spec.Backoff, true)
-		default:
-			fmt.Fprintf(stderr, "mdstmatrix: bad -backoff %q (want off|on)\n", s)
-			return 2
-		}
+		spec.Retry = append(spec.Retry, p)
 	}
 	models, err := scenario.ParseFaults(*faults)
 	if err != nil {

@@ -110,46 +110,51 @@ func TestRunWallClockBackends(t *testing.T) {
 	}
 }
 
-// -suppress off,on expands the paired suppression axis: same seeds, the
-// on cells carry the suppression counters, the off cells serialize
-// without them (baseline byte-identity contract).
+// -retry paper,suppress,backoff expands the paired retry axis: same
+// seeds, the suppress and backoff cells carry the suppression counters,
+// the paper cell serializes without them (baseline byte-identity
+// contract).
 func TestRunSuppressionAxis(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-families", "gnp", "-sizes", "12", "-seeds", "2",
-		"-scheds", "sync", "-suppress", "off,on", "-format", "json",
+		"-scheds", "sync", "-retry", "paper,suppress,backoff", "-format", "json",
 		"-quiet"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
+	type cell struct {
+		Suppress      string  `json:"suppress"`
+		Backoff       string  `json:"backoff"`
+		Legitimate    bool    `json:"legitimate"`
+		WithinBound   bool    `json:"withinBound"`
+		SuppressedAvg float64 `json:"searchesSuppressedAvg"`
+	}
 	var m struct {
-		Cells []struct {
-			Suppress      string  `json:"suppress"`
-			Legitimate    bool    `json:"legitimate"`
-			WithinBound   bool    `json:"withinBound"`
-			SuppressedAvg float64 `json:"searchesSuppressedAvg"`
-		} `json:"cells"`
-		Runs []struct {
+		Cells []cell `json:"cells"`
+		Runs  []struct {
 			Seed int64 `json:"seed"`
 		} `json:"runs"`
 	}
 	if err := json.Unmarshal(out.Bytes(), &m); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if len(m.Cells) != 2 {
-		t.Fatalf("cells=%d, want off+on", len(m.Cells))
+	if len(m.Cells) != 3 || len(m.Runs) != 6 {
+		t.Fatalf("cells=%d runs=%d, want paper+suppress+backoff over 2 seeds", len(m.Cells), len(m.Runs))
 	}
-	off, on := m.Cells[0], m.Cells[1]
-	if off.Suppress != "" || on.Suppress != "on" {
-		t.Fatalf("suppress labels %q/%q", off.Suppress, on.Suppress)
+	labels := [][2]string{{"", ""}, {"on", ""}, {"", "on"}}
+	for i, c := range m.Cells {
+		if got := [2]string{c.Suppress, c.Backoff}; got != labels[i] {
+			t.Fatalf("cell %d labels %q, want %q", i, got, labels[i])
+		}
+		if !c.Legitimate || !c.WithinBound {
+			t.Fatalf("paired cell %d broke the guarantee: %+v", i, c)
+		}
+		if pruned := c.SuppressedAvg > 0; pruned != (i > 0) {
+			t.Fatalf("cell %d (labels %q) suppressed average %v", i, labels[i], c.SuppressedAvg)
+		}
 	}
-	if !off.Legitimate || !on.Legitimate || !off.WithinBound || !on.WithinBound {
-		t.Fatalf("paired cells broke the guarantee: %+v %+v", off, on)
-	}
-	if off.SuppressedAvg != 0 || on.SuppressedAvg <= 0 {
-		t.Fatalf("suppressed averages off=%v on=%v", off.SuppressedAvg, on.SuppressedAvg)
-	}
-	if m.Runs[0].Seed != m.Runs[2].Seed {
-		t.Fatalf("suppression axis changed run seeds: %d vs %d", m.Runs[0].Seed, m.Runs[2].Seed)
+	if m.Runs[0].Seed != m.Runs[2].Seed || m.Runs[0].Seed != m.Runs[4].Seed {
+		t.Fatalf("retry axis changed run seeds: %d, %d, %d", m.Runs[0].Seed, m.Runs[2].Seed, m.Runs[4].Seed)
 	}
 }
 
@@ -197,18 +202,24 @@ func TestRunBadFlagsRejected(t *testing.T) {
 		{"-format", "bogus", "-families", "gnp", "-sizes", "8", "-seeds", "1"},
 		{"-backend", "quantum"},
 		{"-deadline", "-5s"},
-		{"-suppress", "maybe"},
+		{"-retry", "bogus"},
+		{"-retry", "paper,paper", "-families", "gnp", "-sizes", "8"},
+		{"-suppress", "on"},
+		{"-seeds", "-1"},
+		{"-seeds", "0"},
+		{"-workers", "-3"},
+		{"-maxrounds", "-5"},
 	} {
 		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code == 0 {
-			t.Fatalf("args %v accepted", args)
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("args %v: exit %d, want 2", args, code)
 		}
 	}
 }
 
 // -scale emits the deterministic scale report; the reduced ladder keeps
-// test runtime low while covering the full-vs-incremental baseline
-// cross-check inside ScaleSweep.
+// test runtime low while covering the fingerprint-work comparison inside
+// ScaleSweep.
 func TestRunScaleReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale sweep")

@@ -16,7 +16,7 @@
 //	mdstnet -family wheel -n 12
 //	mdstnet -family gnp -n 24 -variant literal -corrupt
 //	mdstnet -family wheel -n 12 -budget 8      # deadline scaled from the paired sim run
-//	mdstnet -family gnp -n 64 -suppress        # duplicate Search-token pruning on
+//	mdstnet -family gnp -n 64 -retry suppress  # duplicate Search-token pruning
 //	mdstnet -family gnp -n 128 -batch 16 -batchwait 1ms   # coalesced wire frames
 //	mdstnet -family wheel -n 12 -metrics       # metrics time series (JSON) + audit chain head
 //	mdstnet -family gnp -n 64 -cpuprofile cpu.pprof -memprofile mem.pprof   # runtime/pprof profiles
@@ -30,6 +30,7 @@ import (
 	"os"
 	"time"
 
+	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/harness"
 	"mdst/internal/mdstseq"
@@ -54,8 +55,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	deadline := fs.Duration("deadline", 10*time.Second, "total wall-clock budget (ignored when -budget is set)")
 	budget := fs.Float64("budget", 0, "convergence-aware deadline: scale the paired sim run's observed rounds × tick by this factor (0 = fixed -deadline)")
 	tick := fs.Duration("tick", 0, "gossip period (0 = runtime default)")
-	suppress := fs.Bool("suppress", false, "enable the search-traffic suppression hot path (duplicate Search-token pruning + batched launches)")
-	backoff := fs.Bool("backoff", false, "enable adaptive suppression backoff (implies -suppress): the retry window doubles each full unchanged window, resetting on any neighborhood change; the stability window and budget deadline take the conservative cap")
+	retry := fs.String("retry", "paper", "cycle-search retry policy: paper|suppress|backoff (suppress prunes duplicate Search tokens and batches launches; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change, and the stability window and budget deadline take its conservative cap)")
 	batch := fs.Int("batch", 0, "messages coalesced per wire frame (0/1 = one frame per message, the compatible default)")
 	batchwait := fs.Duration("batchwait", 0, "max time a partially filled frame is held open (0 = flush immediately)")
 	metricsOn := fs.Bool("metrics", false, "sample the metrics stream over the control channel and dump it as JSON alongside the result, plus the audit chain head")
@@ -104,10 +104,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "mdstnet: -deadline must be positive (or set -budget)")
 		return 2
 	}
+	policy, err := core.ParseRetryPolicy(*retry)
+	if err != nil {
+		fmt.Fprintln(stderr, "mdstnet:", err)
+		return 2
+	}
 	if *budget > 0 {
 		*deadline = 0 // let the budget mode size the deadline
 	}
 	g := fam.Build(*n, rand.New(rand.NewSource(*seed)))
+	cfg := core.DefaultConfig(g.N())
+	cfg.Retry = policy
 	fmt.Fprintf(stdout, "graph: n=%d m=%d family=%s\n", g.N(), g.M(), *family)
 
 	start := harness.StartClean
@@ -119,15 +126,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		coll = &metrics.Collector{}
 	}
 	res, err := harness.Run(harness.RunSpec{
-		Graph:    g,
-		Variant:  harness.Variant(*variant),
-		Start:    start,
-		Seed:     *seed,
-		Backend:  harness.BackendTCP,
-		Suppress: *suppress,
-		Backoff:  *backoff,
-		Collect:  coll,
-		Audit:    *metricsOn,
+		Graph:   g,
+		Config:  cfg,
+		Variant: harness.Variant(*variant),
+		Start:   start,
+		Seed:    *seed,
+		Backend: harness.BackendTCP,
+		Collect: coll,
+		Audit:   *metricsOn,
 		Tuning: harness.BackendTuning{
 			Tick:         *tick,
 			Probe:        *probe,

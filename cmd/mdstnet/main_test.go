@@ -29,6 +29,9 @@ func TestRunRejectsBadTuningFlags(t *testing.T) {
 		{"-budget", "-2"},
 		{"-n", "-5"},
 		{"-n", "0"},
+		{"-retry", "bogus"},
+		{"-retry", "on"},
+		{"-suppress"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 || errOut.Len() == 0 {
@@ -48,14 +51,14 @@ func TestRunLiteralCorrupted(t *testing.T) {
 	}
 }
 
-// -suppress runs the tcp backend with duplicate Search-token pruning on:
-// the run must still converge legitimately. Whether any token is
+// -retry suppress runs the tcp backend with duplicate Search-token
+// pruning: the run must still converge legitimately. Whether any token is
 // actually pruned is wall-clock timing (a fast run may never see a
 // duplicate), so only the outcome is asserted; deterministic suppression
 // coverage lives in the sim-backed tests.
 func TestRunSuppressedOverTCP(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-family", "ring+chords", "-n", "16", "-corrupt", "-suppress"}, &out, &errOut)
+	code := run([]string{"-family", "ring+chords", "-n", "16", "-corrupt", "-retry", "suppress"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s%s", code, out.String(), errOut.String())
 	}

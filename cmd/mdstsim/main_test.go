@@ -109,6 +109,7 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{"-n", "-5"},
 		{"-n", "0"},
 		{"-sched", "bogus"},
+		{"-start", "legit", "-faults", "-3"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, nil, &out, &errOut); code != 2 || errOut.Len() == 0 {

@@ -53,37 +53,38 @@
 // re-hashed only when a node's state version moves (sim.StateVersioner,
 // bumped by the protocol's guarded writes), the asynchronous-round
 // accounting is an epoch-stamped array instead of a per-round map, and
-// pending-message counts are maintained per kind. A full-rehash
-// reference mode (sim.SetFullFingerprintRehash) reproduces the original
-// hash-everything behavior; differential tests assert byte-identical
-// matrix JSON between the two modes, and `make bench` commits the
-// measured fingerprint-work reduction. Round accounting under lossy
-// links follows §2 strictly: a dropped delivery settles the old-message
-// obligation but never counts as a step at the recipient.
+// pending-message counts are maintained per kind. An oracle test checks
+// after every round that the cached combine equals the combine of every
+// node's fingerprint computed from scratch, and `make bench` commits the
+// fingerprint work saved against hashing every node at every call
+// (nodes × (rounds + 2) on the baseline run). Round accounting under
+// lossy links follows §2 strictly: a dropped delivery settles the
+// old-message obligation but never counts as a step at the recipient.
 //
-// The protocol's own traffic has a suppression hot path
-// (core.Config.SuppressSearches, harness.RunSpec.Suppress, `mdstmatrix
-// -suppress off,on`, `mdstnet -suppress`): per-initiator duplicate
-// Search-token pruning — a node that already launched or forwarded an
-// equivalent token (same fundamental-cycle key {initiator edge, deblock
-// target}) within a suppression window drops re-arrivals unless its own
-// state changed since — plus batched launch pacing. Suppression is a
-// bounded delay, never a permanent block, so the outcome (the
-// legitimacy predicate and the Δ*+1 bracket) is equivalent,
-// differential-tested on the property-sweep families; quiescence
-// windows derive from Config.EffectiveRetryPeriod so a suppressed
-// configuration is never certified quiescent before its deferred
-// search re-fires. With the knob off the schedule is paper-literal and
-// every committed baseline is byte-identical. BENCH_scale.json commits
-// the paired on/off comparison (~3.4× fewer Search-kind messages at
-// n=512), and the committed cross-backend table
-// (internal/scenario/testdata/crossbackend_medium.json, `mdstmatrix
-// -xbackend`) runs the medium-n ladder across sim, live and tcp with
-// suppression on.
+// One retry policy, core.RetryPolicy, picks the cycle-search retry
+// schedule: paper (the default), suppress or backoff
+// (core.Config.Retry, the scenario engine's Spec.Retry axis,
+// `mdstmatrix -retry paper,suppress,backoff`, `mdstnet -retry NAME`).
+// The suppress policy is the protocol's traffic hot path:
+// per-initiator duplicate Search-token pruning — a node that already
+// launched or forwarded an equivalent token (same fundamental-cycle key
+// {initiator edge, deblock target}) within a suppression window drops
+// re-arrivals unless its own state changed since — plus batched launch
+// pacing. Suppression is a bounded delay, never a permanent block, so
+// the outcome (the legitimacy predicate and the Δ*+1 bracket) is
+// equivalent, differential-tested on the property-sweep families;
+// quiescence windows derive from Config.EffectiveRetryPeriod so a
+// suppressed configuration is never certified quiescent before its
+// deferred search re-fires. Under the paper policy the schedule is
+// paper-literal and every committed baseline is byte-identical.
+// BENCH_scale.json commits the paired paper/suppress comparison (~3.4×
+// fewer Search-kind messages at n=512), and the committed cross-backend
+// table (internal/scenario/testdata/crossbackend_medium.json,
+// `mdstmatrix -xbackend`) runs the medium-n ladder across sim, live and
+// tcp under the suppress policy.
 //
-// On top of static suppression the window is adaptive
-// (core.Config.BackoffSearches/BackoffCap, harness.RunSpec.Backoff,
-// `mdstmatrix -backoff off,on`, `mdstnet -backoff`): while a node's
+// The backoff policy makes the suppression window adaptive
+// (core.RetryBackoff, capped by core.Config.BackoffCap): while a node's
 // state version — its local image of the neighborhood version vector —
 // is a fixed point, each full pruning window that lapses without an
 // equivalent launch doubles the effective window, from the 4×SearchPeriod
@@ -104,8 +105,9 @@
 // versus the static-window twin, and a node corrupted at the deepest
 // tier (retry spacing = the 1024-round cap) re-converges with a
 // certificate in 2599 rounds against a 5188-round budget deadline.
-// Off = byte-identical static-suppression baselines; the scenario
-// backoff axis is excluded from run seeds like the other mode axes.
+// The scenario retry axis is excluded from run seeds like the other
+// mode axes, so paper, suppress and backoff cells draw identical
+// workloads.
 //
 // The tcp backend's transport coalesces frames per link
 // (netrun.Config.BatchSize/BatchMaxWait, harness.BackendTuning,
@@ -192,7 +194,7 @@
 //
 // Experiment execution layers on the internal/scenario matrix engine: a
 // declarative Spec (graph families × sizes × schedulers × start modes ×
-// variants × backends × suppression × fault models × seeds) expands
+// variants × backends × retry policies × fault models × seeds) expands
 // into a run matrix executed across GOMAXPROCS workers, each run seeded
 // from a hash of its matrix coordinates so results are byte-identical
 // at any parallelism. The churn, lossy-link and targeted-corruption

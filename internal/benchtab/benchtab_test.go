@@ -121,11 +121,11 @@ func TestE7AblationsLegitimate(t *testing.T) {
 func TestE12SearchTrafficPairedRows(t *testing.T) {
 	tab := E12SearchTraffic("gnp", []int{12}, 2, "sync")
 	if len(tab.Rows) != 2 {
-		t.Fatalf("rows=%d, want off+on pair", len(tab.Rows))
+		t.Fatalf("rows=%d, want paper+suppress pair", len(tab.Rows))
 	}
 	off, on := tab.Rows[0], tab.Rows[1]
-	if off[1] != "off" || on[1] != "on" {
-		t.Fatalf("suppress labels %q/%q", off[1], on[1])
+	if off[1] != "paper" || on[1] != "suppress" {
+		t.Fatalf("retry labels %q/%q", off[1], on[1])
 	}
 	// Outcome equivalence: quality columns agree between the pair.
 	for _, c := range []int{0, 7, 8} { // n, legitimate, within

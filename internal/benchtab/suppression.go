@@ -3,25 +3,25 @@ package benchtab
 import (
 	"fmt"
 
+	"mdst/internal/core"
 	"mdst/internal/harness"
 	"mdst/internal/scenario"
 )
 
-// E12SearchTraffic measures the search-traffic suppression hot path
-// (core.Config.SuppressSearches): the same drawn instances (the
-// suppression axis is excluded from run seeds) with duplicate-token
-// pruning off and on, per family × size. The quality columns must agree
-// between the paired rows — suppression is outcome-equivalent — while
-// the traffic columns show what the pruning saves; the committed large-n
-// version of this comparison lives in BENCH_scale.json's suppression
-// section.
+// E12SearchTraffic measures duplicate Search-token pruning: the same
+// drawn instances (the retry axis is excluded from run seeds) under the
+// core.RetryPaper and core.RetrySuppress policies, per family × size.
+// The quality columns must agree between the paired rows — suppression
+// is outcome-equivalent — while the traffic columns show what the
+// pruning saves; the committed large-n version of this comparison lives
+// in BENCH_scale.json's suppression section.
 func E12SearchTraffic(famName string, sizes []int, seeds int, sched harness.SchedulerKind) *Table {
 	t := &Table{
-		Title: fmt.Sprintf("E12: search-traffic suppression on %s — paired on/off message volume", famName),
-		Columns: []string{"n", "suppress", "rounds(avg)", "messages(avg)",
+		Title: fmt.Sprintf("E12: search-traffic suppression on %s — paired paper/suppress message volume", famName),
+		Columns: []string{"n", "retry", "rounds(avg)", "messages(avg)",
 			"searchMsgs(avg)", "suppressed(avg)", "deg(T)", "legitimate", "within Δ*+1"},
 		Notes: []string{
-			"paired instances: the suppression axis draws identical graphs and corruptions",
+			"paired instances: the retry axis draws identical graphs and corruptions",
 			"suppression defers redundant Search tokens; legitimacy and the degree bracket must not move",
 			"suppressed runs quiesce over a retry-period-aware (longer) stability window, so at small n",
 			"the extra gossip rounds can outweigh the Search savings; the committed large-n comparison",
@@ -33,7 +33,7 @@ func E12SearchTraffic(famName string, sizes []int, seeds int, sched harness.Sche
 		Sizes:        sizes,
 		Schedulers:   []harness.SchedulerKind{sched},
 		Starts:       []harness.StartMode{harness.StartCorrupt},
-		Suppression:  []bool{false, true},
+		Retry:        []core.RetryPolicy{core.RetryPaper, core.RetrySuppress},
 		SeedsPerCell: seeds,
 		BaseSeed:     12000,
 	})
@@ -59,7 +59,7 @@ func E12SearchTraffic(famName string, sizes []int, seeds int, sched harness.Sche
 			search = searchAvg[c.Cell] / float64(n)
 		}
 		t.Rows = append(t.Rows, []string{
-			itoa(c.Nodes), c.SuppressName(),
+			itoa(c.Nodes), c.Retry().String(),
 			ftoa(c.RoundsAvg),
 			fmt.Sprintf("%.0f", c.MessagesAvg),
 			fmt.Sprintf("%.0f", search),

@@ -17,8 +17,7 @@ import (
 func TestBackoffDeepensToCapAndNeighborBumpResets(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := DefaultConfig(8)
-	cfg.SuppressSearches = true
-	cfg.BackoffSearches = true
+	cfg.Retry = RetryBackoff
 	cfg.SearchPeriod = 2
 	cfg.SuppressWindow = 4
 	cfg.BackoffCap = 32
@@ -106,13 +105,13 @@ func TestBackoffDeepensToCapAndNeighborBumpResets(t *testing.T) {
 	}
 }
 
-// TestBackoffOffIsInert: with BackoffSearches off, the suppression
-// window never moves off the base — the committed baselines depend on
-// static suppression being unchanged by the backoff code path.
+// TestBackoffOffIsInert: under RetrySuppress the pruning window never
+// moves off the base — the committed baselines depend on static
+// suppression being unchanged by the backoff code path.
 func TestBackoffOffIsInert(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := DefaultConfig(8)
-	cfg.SuppressSearches = true
+	cfg.Retry = RetrySuppress
 	cfg.SuppressWindow = 4
 	net := BuildNetwork(g, cfg, 1)
 	tr := preload(t, g, net)

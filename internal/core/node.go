@@ -23,6 +23,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 
@@ -46,6 +47,64 @@ const (
 	RepairPatch
 )
 
+// RetryPolicy selects the cycle-search retry schedule: how often a node
+// re-walks the fundamental cycle of a non-tree edge (§3.2, module 3).
+// Every policy keeps the legitimacy predicate and the Δ*+1 degree
+// bracket; they differ only in how much redundant Search traffic they
+// send and how long a quiescence-stability window must be
+// (EffectiveRetryPeriod).
+type RetryPolicy int
+
+const (
+	// RetryPaper is the paper's schedule: every node re-launches a
+	// Search token for each non-tree edge every SearchPeriod ticks. It is
+	// the zero value, and every committed baseline that names no policy
+	// runs it.
+	RetryPaper RetryPolicy = iota
+	// RetrySuppress adds per-initiator duplicate-token pruning: a node
+	// that already launched or forwarded an equivalent Search token —
+	// same fundamental-cycle key {initiator edge, deblock target} —
+	// within the pruning window (PruneWindow) drops re-arrivals instead
+	// of re-walking the cycle, unless its own protocol state changed
+	// since. Launches are also batched: at most SearchBatch tokens leave
+	// per tick. Suppression is a bounded delay, never a permanent block:
+	// every key passes at least once per window at every node, so
+	// convergence to the legitimacy predicate and the Δ*+1 bracket is
+	// preserved (differential-tested).
+	RetrySuppress
+	// RetryBackoff is RetrySuppress with an adaptive window: while a
+	// node's state version (own variables plus neighbor views — its
+	// local image of the neighborhood version vector) is a fixed point,
+	// the effective pruning window doubles each time a full window
+	// elapses unchanged, from PruneWindow up to BackoffCapWindow; any
+	// version movement collapses it back to the base instantly. The
+	// steady-state retry rate therefore decays geometrically toward zero
+	// while fault recovery keeps the base-window schedule (the reset
+	// happens before the next launch decision).
+	RetryBackoff
+)
+
+// retryNames are the policies' display names, indexed by value.
+var retryNames = [...]string{RetryPaper: "paper", RetrySuppress: "suppress", RetryBackoff: "backoff"}
+
+// String returns the policy's name: paper, suppress or backoff.
+func (p RetryPolicy) String() string {
+	if p >= 0 && int(p) < len(retryNames) {
+		return retryNames[p]
+	}
+	return fmt.Sprintf("RetryPolicy(%d)", int(p))
+}
+
+// ParseRetryPolicy resolves a policy name as printed by String.
+func ParseRetryPolicy(s string) (RetryPolicy, error) {
+	for p, name := range retryNames {
+		if s == name {
+			return RetryPolicy(p), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown retry policy %q (want paper|suppress|backoff)", s)
+}
+
 // Config tunes a Node. The zero value is NOT usable; call DefaultConfig.
 type Config struct {
 	// Repair selects the R2 variant.
@@ -65,40 +124,18 @@ type Config struct {
 	// DisableReduction turns off modules 3-4, leaving only the
 	// self-stabilizing BFS tree (baseline mode for E6).
 	DisableReduction bool
-	// SuppressSearches enables the search-traffic suppression hot path:
-	// per-initiator duplicate-token pruning (a node that already launched
-	// or forwarded an equivalent Search token — same fundamental-cycle
-	// key {initiator edge, deblock target} — within the suppression
-	// window drops re-arrivals instead of re-walking the cycle, unless
-	// its own protocol state changed since) plus batched launch pacing in
-	// maybeStartSearches. Suppression is a bounded delay, never a
-	// permanent block: every key passes at least once per window at every
-	// node, so convergence to the legitimacy predicate and the Δ*+1
-	// degree bracket is preserved (differential-tested). Off by default —
-	// the paper-literal schedule and every committed baseline are
-	// byte-identical with the knob off.
-	SuppressSearches bool
+	// Retry selects the cycle-search retry schedule (RetryPaper, the
+	// zero value, is the paper's).
+	Retry RetryPolicy
 	// SuppressWindow is the duplicate-pruning window in ticks (0 means
 	// 4×SearchPeriod). It must stay well below the quiescence stability
 	// window so a deferred search always retries before quiescence could
 	// be declared around it.
 	SuppressWindow int
-	// SearchBatch caps the plain searches launched per tick when
-	// suppression is on (0 means 2); deferred edges stay due and launch
-	// on subsequent ticks, spreading token bursts.
+	// SearchBatch caps the plain searches launched per tick under
+	// RetrySuppress and RetryBackoff (0 means 2); deferred edges stay due
+	// and launch on subsequent ticks, spreading token bursts.
 	SearchBatch int
-	// BackoffSearches makes the suppression window adaptive: while a
-	// node's state version (own variables plus neighbor views — its
-	// local image of the neighborhood version vector) is a fixed point,
-	// the effective pruning window doubles each time a full window
-	// elapses unchanged, from PruneWindow up to BackoffCapWindow; any
-	// version movement collapses it back to the base instantly. The
-	// steady-state retry rate therefore decays geometrically toward
-	// zero while fault-recovery latency keeps the base-window schedule
-	// (the reset happens before the next launch decision). Requires
-	// SuppressSearches (the harness and CLIs set both); off by default,
-	// leaving every committed baseline byte-identical.
-	BackoffSearches bool
 	// BackoffCap bounds the adaptive window in ticks (0 means
 	// 16×PruneWindow). Quiescence-stability windows derive from it via
 	// EffectiveRetryPeriod: past the cap a retry is guaranteed every
@@ -157,14 +194,14 @@ func (c Config) BackoffCapWindow() int {
 // a pruning window shorter than the retry period must not shrink the
 // stability window below the paper-literal floor.
 func (c Config) EffectiveRetryPeriod() int {
-	if !c.SuppressSearches {
+	var w int
+	switch c.Retry {
+	case RetryPaper:
 		return c.SearchPeriod
-	}
-	w := c.PruneWindow()
-	if c.BackoffSearches {
-		if cap := c.BackoffCapWindow(); cap > w {
-			w = cap
-		}
+	case RetrySuppress:
+		w = c.PruneWindow()
+	case RetryBackoff:
+		w = max(c.PruneWindow(), c.BackoffCapWindow())
 	}
 	if w > c.SearchPeriod {
 		return w
@@ -236,10 +273,10 @@ type Node struct {
 	// false can only produce duplicate gossip by ticking — safe to park.
 	restVersion uint64
 	tickMoved   bool
-	// suppress is the duplicate-token pruning state (nil unless
-	// Config.SuppressSearches); see searchSuppressor.
+	// suppress is the duplicate-token pruning state (nil under
+	// RetryPaper); see searchSuppressor.
 	suppress *searchSuppressor
-	// Adaptive-backoff state (Config.BackoffSearches). Transient like
+	// Adaptive-backoff state (RetryBackoff). Transient like
 	// the suppressor: never fingerprinted, and moving it must not bump
 	// the state version — the backoff observes quiescence, it is not
 	// part of it. backoffTier is the doubling exponent (effective
@@ -303,8 +340,8 @@ type Stats struct {
 	ExchangesComplete int // one per completed edge exchange
 	DeblocksTriggered int // Deblock floods this node started or forwarded
 	// SearchesSuppressed counts Search launches and token arrivals
-	// dropped by the duplicate-pruning module (Config.SuppressSearches);
-	// always zero with the knob off.
+	// dropped by the duplicate-pruning module; always zero under
+	// RetryPaper.
 	SearchesSuppressed int
 
 	// Chain exchange.
@@ -350,7 +387,7 @@ func NewNode(id int, neighbors []int, cfg Config) *Node {
 		nextSearch: make([]int, views.Len()),
 		tickMoved:  true, // never ticked: the first tick must run
 	}
-	if cfg.SuppressSearches {
+	if cfg.Retry != RetryPaper {
 		n.suppress = newSearchSuppressor()
 	}
 	for i, u := range n.nbrs {
@@ -549,7 +586,7 @@ func (n *Node) NextWork() int {
 		// through to the recorded pass's expiry so a deeply backed-off
 		// node costs no wake-ups at all (deliveries still wake it, and
 		// a version bump resets the schedule before the next decision).
-		if n.cfg.BackoffSearches {
+		if n.cfg.Retry == RetryBackoff {
 			if pass := n.searchPassTick(u); pass > due {
 				due = pass
 			}

@@ -69,7 +69,7 @@ func (s *searchSuppressor) clone() *searchSuppressor {
 // recorded, and lapsed reports the adaptive-backoff observable: the
 // key's record outlived the window with the node's version unchanged —
 // a full pruning window elapsed at a fixed point, the evidence
-// Config.BackoffSearches deepens on (a first-ever pass or a version
+// RetryBackoff deepens on (a first-ever pass or a version
 // change is not a lapse; both mean the schedule should stay at its
 // base).
 func (s *searchSuppressor) suppress(window, tick int, version uint64, init graph.Edge, block int) (pruned, lapsed bool) {
@@ -109,7 +109,7 @@ func (s *searchSuppressor) passTick(window int, version uint64, init graph.Edge,
 // suppressSearch applies the node's suppressor (counting prunes) over
 // the current effective pruning window, deepening the adaptive backoff
 // when a pass proves a full window elapsed at a fixed point. Never
-// called with suppression off.
+// called under RetryPaper.
 func (n *Node) suppressSearch(init graph.Edge, block int) bool {
 	pruned, lapsed := n.suppress.suppress(n.effectiveWindow(), n.tick, n.version, init, block)
 	if pruned {
@@ -129,7 +129,7 @@ func (n *Node) suppressSearch(init graph.Edge, block int) bool {
 // gossip, or a local mutation) collapses the tier to the base before
 // it is consulted, so recovery retries run on the base schedule.
 func (n *Node) effectiveWindow() int {
-	if !n.cfg.BackoffSearches {
+	if n.cfg.Retry != RetryBackoff {
 		return n.cfg.PruneWindow()
 	}
 	if n.version != n.backoffVersion {
@@ -157,7 +157,7 @@ func (n *Node) backoffWindowAt(tier int) int {
 // lapses on several edges deepen like a single one — saturating once
 // the window reaches the cap.
 func (n *Node) deepenBackoff() {
-	if !n.cfg.BackoffSearches || n.backoffTick == n.tick {
+	if n.cfg.Retry != RetryBackoff || n.backoffTick == n.tick {
 		return
 	}
 	n.backoffTick = n.tick
@@ -182,7 +182,7 @@ func (n *Node) searchPassTick(u int) int {
 // version is stale reads as the base window (the reset that
 // effectiveWindow would apply) without mutating the node.
 func (n *Node) currentWindow() int {
-	if !n.cfg.BackoffSearches || n.version != n.backoffVersion {
+	if n.cfg.Retry != RetryBackoff || n.version != n.backoffVersion {
 		return n.cfg.PruneWindow()
 	}
 	return n.backoffWindowAt(n.backoffTier)
@@ -196,7 +196,7 @@ func (n *Node) currentWindow() int {
 // metrics plane samples it.
 func (n *Node) CurrentRetryPeriod() int {
 	p := n.cfg.SearchPeriod
-	if !n.cfg.SuppressSearches {
+	if n.cfg.Retry == RetryPaper {
 		return p
 	}
 	if w := n.currentWindow(); w > p {
@@ -207,11 +207,11 @@ func (n *Node) CurrentRetryPeriod() int {
 
 // maybeStartSearches launches due searches from this node: plain searches
 // (Block = -1) for non-tree edges toward higher IDs, guarded by the
-// paper's locally_stabilized predicate and paced by SearchPeriod. With
-// suppression on, launches are additionally batched: at most SearchBatch
-// tokens leave per tick and the deferred edges stay due, so a node with
-// many non-tree edges spreads its token burst over consecutive ticks
-// instead of flooding them all at once.
+// paper's locally_stabilized predicate and paced by SearchPeriod. Under
+// RetrySuppress and RetryBackoff, launches are additionally batched: at
+// most SearchBatch tokens leave per tick and the deferred edges stay
+// due, so a node with many non-tree edges spreads its token burst over
+// consecutive ticks instead of flooding them all at once.
 func (n *Node) maybeStartSearches(ctx *sim.Context) {
 	if !n.locallyStabilized() {
 		return
@@ -222,7 +222,7 @@ func (n *Node) maybeStartSearches(ctx *sim.Context) {
 		return
 	}
 	batch := -1
-	if n.cfg.SuppressSearches {
+	if n.cfg.Retry != RetryPaper {
 		if batch = n.cfg.SearchBatch; batch <= 0 {
 			batch = 2
 		}
@@ -277,7 +277,7 @@ func (n *Node) startSearch(ctx *sim.Context, target, block, ttl int) {
 	// left here within the window and nothing changed locally (the
 	// deblock storm and the periodic retry of an unchanged cycle are the
 	// two big redundant-traffic sources).
-	if n.cfg.SuppressSearches && n.suppressSearch(graph.Edge{U: n.id, V: target}, block) {
+	if n.cfg.Retry != RetryPaper && n.suppressSearch(graph.Edge{U: n.id, V: target}, block) {
 		return
 	}
 	n.stats.SearchesLaunched++
@@ -339,7 +339,7 @@ func (n *Node) handleSearch(ctx *sim.Context, from int, msg *SearchMsg) {
 		// Terminus pruning: an equivalent cycle was classified here within
 		// the window with this node unchanged — the classification (and
 		// any reversal or deblock it triggered) would repeat verbatim.
-		if n.cfg.SuppressSearches && n.suppressSearch(msg.Init, msg.Block) {
+		if n.cfg.Retry != RetryPaper && n.suppressSearch(msg.Init, msg.Block) {
 			return
 		}
 		n.actionOnCycle(ctx, msg)
@@ -359,7 +359,7 @@ func (n *Node) handleSearch(ctx *sim.Context, from int, msg *SearchMsg) {
 		if !n.isTreeEdge(from) || msg.Path[top].Node != from {
 			return
 		}
-		if n.cfg.SuppressSearches && n.suppressSearch(msg.Init, msg.Block) {
+		if n.cfg.Retry != RetryPaper && n.suppressSearch(msg.Init, msg.Block) {
 			return
 		}
 		msg.Path = append(msg.Path, PathEntry{Node: n.id, Deg: n.Deg(), Parent: n.parent, Cursor: -1})

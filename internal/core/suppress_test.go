@@ -13,7 +13,7 @@ import (
 func TestSuppressDuplicateLaunch(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := DefaultConfig(8)
-	cfg.SuppressSearches = true
+	cfg.Retry = RetrySuppress
 	cfg.SuppressWindow = 10
 	net := BuildNetwork(g, cfg, 1)
 	preload(t, g, net)
@@ -59,7 +59,7 @@ func TestSuppressDuplicateLaunch(t *testing.T) {
 func TestSuppressReleasedByStateChange(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := DefaultConfig(8)
-	cfg.SuppressSearches = true
+	cfg.Retry = RetrySuppress
 	net := BuildNetwork(g, cfg, 1)
 	preload(t, g, net)
 	nodes := NodesOf(net)
@@ -98,7 +98,7 @@ func TestSuppressBacktrackNeverPruned(t *testing.T) {
 	g.MustAddEdge(0, 3)
 	g.MustAddEdge(1, 4)
 	cfg := DefaultConfig(5)
-	cfg.SuppressSearches = true
+	cfg.Retry = RetrySuppress
 	net := BuildNetwork(g, cfg, 1)
 	preload(t, g, net)
 	nodes := NodesOf(net)
@@ -136,7 +136,7 @@ func TestSearchBatchPacesLaunches(t *testing.T) {
 	g.MustAddEdge(0, 5)
 	g.MustAddEdge(0, 6)
 	cfg := DefaultConfig(7)
-	cfg.SuppressSearches = true
+	cfg.Retry = RetrySuppress
 	cfg.SearchBatch = 1
 	cfg.SuppressWindow = 1 << 20 // isolate pacing from window expiry
 	net := BuildNetwork(g, cfg, 1)
@@ -167,10 +167,10 @@ func TestSearchBatchPacesLaunches(t *testing.T) {
 	}
 }
 
-// TestSuppressionOffIsInert: with the knob off the maps stay nil, the
+// TestSuppressionOffIsInert: under RetryPaper the maps stay nil, the
 // counter stays zero and Clone round-trips — the committed baselines
-// depend on the off path being byte-identical to the pre-suppression
-// code.
+// depend on the paper schedule being byte-identical to the
+// pre-suppression code.
 func TestSuppressionOffIsInert(t *testing.T) {
 	g := graph.Wheel(8)
 	net := BuildNetwork(g, DefaultConfig(8), 1)
@@ -184,13 +184,29 @@ func TestSuppressionOffIsInert(t *testing.T) {
 	}
 	st := AggregateStats(nodes)
 	if st.SearchesSuppressed != 0 {
-		t.Fatalf("suppression counter %d with the knob off", st.SearchesSuppressed)
+		t.Fatalf("suppression counter %d under RetryPaper", st.SearchesSuppressed)
 	}
 	if nodes[0].suppress != nil {
-		t.Fatal("suppressor allocated with the knob off")
+		t.Fatal("suppressor allocated under RetryPaper")
 	}
 	c := nodes[0].Clone()
 	if c.suppress != nil {
-		t.Fatal("Clone allocated a suppressor with the knob off")
+		t.Fatal("Clone allocated a suppressor under RetryPaper")
+	}
+}
+
+// ParseRetryPolicy reads back every name String prints and rejects
+// on, off and the empty string.
+func TestParseRetryPolicyRoundTrips(t *testing.T) {
+	for _, p := range []RetryPolicy{RetryPaper, RetrySuppress, RetryBackoff} {
+		got, err := ParseRetryPolicy(p.String())
+		if err != nil || got != p {
+			t.Fatalf("ParseRetryPolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, bad := range []string{"on", "off", ""} {
+		if p, err := ParseRetryPolicy(bad); err == nil {
+			t.Fatalf("ParseRetryPolicy(%q) accepted as %v", bad, p)
+		}
 	}
 }

@@ -174,13 +174,13 @@ func resolveWall(spec RunSpec, ops variantOps, tickDefault, probeDefault time.Du
 		p.probe = probeDefault
 	}
 	p.unit = p.tick + spec.Tuning.BatchMaxWait
-	// With adaptive backoff (Config.BackoffSearches) the retry spacing is
-	// time-varying per node, but a wall-clock driver cannot scan node
-	// tiers behind goroutines or sockets, so EffectiveRetryPeriod returns
-	// the conservative static bound (BackoffCapWindow) and the stability
-	// window — and through it the Budget deadline floor — covers the
-	// deepest tier. The sim backend's dynamic window is the optimization;
-	// wall backends pay the cap for soundness.
+	// Under core.RetryBackoff the retry spacing is time-varying per node,
+	// but a wall-clock driver cannot scan node tiers behind goroutines or
+	// sockets, so EffectiveRetryPeriod returns the conservative static
+	// bound (BackoffCapWindow) and the stability window — and through it
+	// the Budget deadline floor — covers the deepest tier. The sim
+	// backend's dynamic window is the optimization; wall backends pay the
+	// cap for soundness.
 	p.window = time.Duration(QuiesceWindowRounds(spec.Graph.N(), ops.cfg.EffectiveRetryPeriod())) * p.unit
 	p.stable = int(p.window/p.probe) + 1
 	p.deadline = spec.Tuning.Deadline

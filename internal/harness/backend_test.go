@@ -223,12 +223,12 @@ func TestBatchedTCPDifferentialOutcome(t *testing.T) {
 			tn.BatchMaxWait = time.Millisecond
 		}
 		res, err := Run(RunSpec{
-			Graph:    g,
-			Start:    StartCorrupt,
-			Seed:     29,
-			Backend:  BackendTCP,
-			Suppress: true,
-			Tuning:   tn,
+			Graph:   g,
+			Config:  retryConfig(g, core.RetrySuppress),
+			Start:   StartCorrupt,
+			Seed:    29,
+			Backend: BackendTCP,
+			Tuning:  tn,
 		})
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
@@ -259,9 +259,9 @@ func TestBatchedTCPDifferentialOutcome(t *testing.T) {
 	}
 }
 
-// Satellite (smoke): the search-suppression knob exercised on both
+// Satellite (smoke): the suppress retry policy exercised on both
 // wall-clock backends, not just the deterministic simulator — the
-// `make smoke` suppression job. Outcome must be unchanged by the knob
+// `make smoke` suppression job. Outcome must be unchanged by the policy
 // (legitimacy + certificate). Suppression defers retries, so a tiny
 // corrupt start can certify mid-plateau and take a few
 // resume-on-failed-legitimacy restarts before the legitimate
@@ -270,13 +270,14 @@ func TestBatchedTCPDifferentialOutcome(t *testing.T) {
 // non-negative.
 func TestSuppressionSmokeLiveTCP(t *testing.T) {
 	for _, backend := range []Backend{BackendLive, BackendTCP} {
+		g := graph.Wheel(8)
 		res, err := Run(RunSpec{
-			Graph:    graph.Wheel(8),
-			Start:    StartCorrupt,
-			Seed:     23,
-			Backend:  backend,
-			Suppress: true,
-			Tuning:   smokeTuning(t),
+			Graph:   g,
+			Config:  retryConfig(g, core.RetrySuppress),
+			Start:   StartCorrupt,
+			Seed:    23,
+			Backend: backend,
+			Tuning:  smokeTuning(t),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -295,6 +296,7 @@ func TestSuppressionSmokeLiveTCP(t *testing.T) {
 // cap-derived stability window stays smoke-sized.
 func TestBackoffSmokeLiveTCP(t *testing.T) {
 	cfg := core.DefaultConfig(8)
+	cfg.Retry = core.RetryBackoff
 	cfg.SuppressWindow = 8
 	cfg.BackoffCap = 32
 	for _, backend := range []Backend{BackendLive, BackendTCP} {
@@ -304,7 +306,6 @@ func TestBackoffSmokeLiveTCP(t *testing.T) {
 			Start:   StartCorrupt,
 			Seed:    23,
 			Backend: backend,
-			Backoff: true,
 			Tuning:  smokeTuning(t),
 		})
 		if err != nil {
@@ -318,7 +319,8 @@ func TestBackoffSmokeLiveTCP(t *testing.T) {
 // same seed — byte-identical JSON including the suppression counter,
 // which must be positive for a corrupted medium start.
 func TestSuppressionSimDeterministicCounter(t *testing.T) {
-	spec := RunSpec{Graph: graph.Wheel(24), Start: StartCorrupt, Seed: 9, Suppress: true}
+	g := graph.Wheel(24)
+	spec := RunSpec{Graph: g, Config: retryConfig(g, core.RetrySuppress), Start: StartCorrupt, Seed: 9}
 	a, b := MustRun(spec), MustRun(spec)
 	if a.SearchesSuppressed != b.SearchesSuppressed {
 		t.Fatalf("suppression counter nondeterministic: %d vs %d",
@@ -334,9 +336,9 @@ func TestSuppressionSimDeterministicCounter(t *testing.T) {
 	if !strings.Contains(string(aj), `"searchesSuppressed"`) {
 		t.Fatalf("suppression counter missing from Result JSON: %s", aj)
 	}
-	// The knob off must keep the counter out of the JSON entirely — the
-	// omitempty half of the baseline byte-identity contract.
-	off := MustRun(RunSpec{Graph: graph.Wheel(24), Start: StartCorrupt, Seed: 9})
+	// The paper schedule must keep the counter out of the JSON entirely —
+	// the omitempty half of the baseline byte-identity contract.
+	off := MustRun(RunSpec{Graph: g, Start: StartCorrupt, Seed: 9})
 	oj, _ := json.Marshal(off)
 	if strings.Contains(string(oj), "searchesSuppressed") {
 		t.Fatalf("suppression field serialized with the knob off: %s", oj)

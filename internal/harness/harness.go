@@ -139,9 +139,13 @@ const (
 
 // RunSpec describes one experiment run.
 type RunSpec struct {
-	Graph     *graph.Graph
-	Config    core.Config // zero Config means core.DefaultConfig(n)
-	Variant   Variant     // empty means VariantCore
+	Graph *graph.Graph
+	// Config is the node configuration, core.DefaultConfig(n) when zero.
+	// Its Retry field selects the cycle-search retry schedule. A
+	// non-zero Config must be complete (Validate rejects MaxDist 0), so
+	// build it from core.DefaultConfig.
+	Config    core.Config
+	Variant   Variant // empty means VariantCore
 	Scheduler SchedulerKind
 	Start     StartMode
 	// CorruptNodes: with a pre-loaded start (StartLegitimate, StartPath),
@@ -180,21 +184,6 @@ type RunSpec struct {
 	Engine Engine
 	// Tuning adjusts the wall-clock backends; ignored by sim.
 	Tuning BackendTuning
-	// Suppress turns on the search-traffic suppression hot path
-	// (core.Config.SuppressSearches) on top of whatever Config resolves
-	// to — the declarative form used by the scenario engine's suppression
-	// matrix axis. Off keeps the paper-literal search schedule and the
-	// committed deterministic baselines byte-identical.
-	Suppress bool
-	// Backoff turns on the adaptive suppression backoff
-	// (core.Config.BackoffSearches, implying SuppressSearches) — the
-	// declarative form used by the scenario engine's backoff matrix
-	// axis. Steady-state retry traffic then decays geometrically toward
-	// zero; the sim cores track the time-varying stability window the
-	// schedule requires, the wall-clock drivers take the conservative
-	// cap. Off keeps the static suppression window (and, with Suppress
-	// also off, the paper-literal baselines) byte-identical.
-	Backoff bool
 	// Collect, when non-nil, streams metrics.Snapshot observations into
 	// the collector while the run executes: the sim backend samples its
 	// run loop (pure reads of the incremental fingerprint cache — zero
@@ -264,8 +253,8 @@ type Result struct {
 	Aborts    int `json:"aborts"`
 	// SearchesSuppressed counts Search launches and token arrivals pruned
 	// by the suppression module; zero (and omitted from JSON, keeping
-	// suppression-off output byte-identical) unless the run enabled
-	// RunSpec.Suppress or Config.SuppressSearches.
+	// paper-schedule output byte-identical) unless Config.Retry is
+	// core.RetrySuppress or core.RetryBackoff.
 	SearchesSuppressed int `json:"searchesSuppressed,omitempty"`
 	// Frames counts wire frames flushed by the tcp backend's edge
 	// writers; Frames/TotalMessages is the coalescing ratio (1.0 at
@@ -307,6 +296,11 @@ func (s RunSpec) Validate() error {
 	}
 	if s.DropRate < 0 || s.DropRate >= 1 {
 		return fmt.Errorf("harness: drop rate %v out of [0,1)", s.DropRate)
+	}
+	if s.Config != (core.Config{}) && s.Config.MaxDist == 0 {
+		// A partial Config (say, only Retry set) would otherwise run as
+		// whatever its zero fields mean, not as the default it extends.
+		return fmt.Errorf("harness: Config is set but MaxDist is 0; start from core.DefaultConfig")
 	}
 	switch s.Variant {
 	case "", VariantCore, VariantLiteral:
@@ -463,9 +457,9 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 	// certifies on the base window instead of waiting out the cap.
 	quiesceRetry := ops.cfg.EffectiveRetryPeriod()
 	var windowFn func() int
-	if ops.cfg.BackoffSearches {
+	if ops.cfg.Retry == core.RetryBackoff {
 		flat := ops.cfg
-		flat.BackoffSearches = false
+		flat.Retry = core.RetrySuppress
 		quiesceRetry = flat.EffectiveRetryPeriod()
 		windowFn = func() int {
 			return QuiesceWindowRounds(n, net.MaxRetryPeriod(quiesceRetry))
@@ -554,15 +548,15 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 			hist, maxDeg := degreeHist(degrees(nodes))
 			st := core.AggregateStats(nodes)
 			retry := 0
-			if ops.cfg.SuppressSearches {
+			switch ops.cfg.Retry {
+			case core.RetrySuppress:
 				retry = ops.cfg.EffectiveRetryPeriod()
-				if ops.cfg.BackoffSearches {
-					// Live per-node tiers: the snapshot series records the
-					// retry spacing climbing toward the cap as the network
-					// goes silent (statically suppressed runs report the
-					// flat window).
-					retry = net.MaxRetryPeriod(retry)
-				}
+			case core.RetryBackoff:
+				// Live per-node tiers: the snapshot series records the
+				// retry spacing climbing toward the cap as the network
+				// goes silent (statically suppressed runs report the flat
+				// window).
+				retry = net.MaxRetryPeriod(ops.cfg.EffectiveRetryPeriod())
 			}
 			collect.Add(metrics.Snapshot{
 				Epoch:       epoch,

@@ -154,7 +154,7 @@ func TestRunCustomConfig(t *testing.T) {
 // rejects a network over another graph and a wall-clock spec.
 func TestRunOnMatchesRunOnCleanStart(t *testing.T) {
 	g := graph.Wheel(10)
-	spec := RunSpec{Graph: g, Scheduler: SchedAsync, Seed: 4, Backoff: true, Audit: true}
+	spec := RunSpec{Graph: g, Config: retryConfig(g, core.RetryBackoff), Scheduler: SchedAsync, Seed: 4, Audit: true}
 	want := MustRun(spec)
 	got, err := RunOn(spec, core.BuildNetwork(g, spec.ProtocolConfig(), spec.Seed))
 	if err != nil {

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"mdst/internal/core"
 	"mdst/internal/graph"
 )
 
@@ -16,7 +17,7 @@ func TestRunTracedRunsTheSpecItIsGiven(t *testing.T) {
 	specs := map[string]func(RunSpec) RunSpec{
 		"lossy":   func(s RunSpec) RunSpec { s.DropRate = 0.1; return s },
 		"event":   func(s RunSpec) RunSpec { s.Engine = EngineEvent; return s },
-		"backoff": func(s RunSpec) RunSpec { s.Backoff = true; return s },
+		"backoff": func(s RunSpec) RunSpec { s.Config = retryConfig(g, core.RetryBackoff); return s },
 		"literal": func(s RunSpec) RunSpec { s.Variant = VariantLiteral; return s },
 		"corrupted-legit": func(s RunSpec) RunSpec {
 			s.Start, s.CorruptNodes = StartLegitimate, 3

@@ -23,20 +23,12 @@ type variantOps struct {
 
 // ProtocolConfig is the node configuration a run of the spec executes
 // with: Config, or core.DefaultConfig for the graph's size when Config
-// is zero, with Suppress and Backoff applied on top (Backoff implies
-// suppression).
+// is zero.
 func (s RunSpec) ProtocolConfig() core.Config {
-	cfg := s.Config
-	if cfg.MaxDist == 0 {
-		cfg = core.DefaultConfig(s.Graph.N())
+	if s.Config == (core.Config{}) {
+		return core.DefaultConfig(s.Graph.N())
 	}
-	if s.Suppress || s.Backoff {
-		cfg.SuppressSearches = true
-	}
-	if s.Backoff {
-		cfg.BackoffSearches = true
-	}
-	return cfg
+	return s.Config
 }
 
 // variantFor resolves the spec's protocol variant to its operation set.

@@ -64,11 +64,12 @@ type Snapshot struct {
 	Stable      int     `json:"stable"`
 	Window      int     `json:"window"`
 	// RetryPeriod is the worst-case cycle-search retry spacing across
-	// nodes at the observation, in rounds. Static without adaptive
-	// backoff; with Config.BackoffSearches on it climbs as nodes back
-	// off toward the cap (the idle-traffic decay series' x-axis
-	// companion). Zero and omitted when the run's backend cannot read it
-	// (wall-clock backends) so pre-backoff snapshot JSON is unchanged.
+	// nodes at the observation, in rounds. Zero under core.RetryPaper,
+	// the static Config.EffectiveRetryPeriod under core.RetrySuppress;
+	// under core.RetryBackoff it climbs as nodes back off toward the cap
+	// (the idle-traffic decay series' x-axis companion). Zero and omitted
+	// also when the run's backend cannot read it (wall-clock backends),
+	// so pre-backoff snapshot JSON is unchanged.
 	RetryPeriod int `json:"retryPeriod,omitempty"`
 	// Fingerprint is the combined state fingerprint at the observation.
 	Fingerprint uint64 `json:"fingerprint"`

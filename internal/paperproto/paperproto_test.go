@@ -249,8 +249,7 @@ func TestSearchGuardDropsWhenNotStabilized(t *testing.T) {
 func TestBackoffDeepensToCapAndNeighborBumpResets(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := core.DefaultConfig(8)
-	cfg.SuppressSearches = true
-	cfg.BackoffSearches = true
+	cfg.Retry = core.RetryBackoff
 	cfg.SearchPeriod = 1
 	cfg.SuppressWindow = 4
 	cfg.BackoffCap = 32

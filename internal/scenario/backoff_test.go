@@ -3,10 +3,12 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"mdst/internal/core"
 )
 
-// The backoff axis off must be invisible: expanding the default
-// 108-run matrix with an explicit Backoff=[false] axis yields the same
+// The paper retry policy must be invisible: expanding the default
+// 108-run matrix with an explicit Retry=[paper] axis yields the same
 // runs — cells, labels and seeds — as the default spec, whose executed
 // JSON TestSimMatrixByteIdenticalToCommittedBaseline pins to the
 // committed PR-2 baseline. Equal runs execute identically (the axis
@@ -18,55 +20,14 @@ func TestBackoffOffMatrixByteIdenticalToCommittedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Backoff = []bool{false}
+	spec.Retry = []core.RetryPolicy{core.RetryPaper}
 	got, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != 108 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("explicit backoff-off matrix expands to %d runs unlike the default's %d",
+		t.Fatalf("explicit paper-policy matrix expands to %d runs unlike the default's %d",
 			len(got), len(want))
-	}
-}
-
-// The backoff axis expands like the other modes: cells double, the off
-// label stays empty, the on label is "backoff", and the run seed never
-// depends on the axis — backed-off runs draw the SAME instances as
-// their static twins.
-func TestBackoffAxisExpansion(t *testing.T) {
-	spec := Spec{
-		Families:     []string{"wheel"},
-		Sizes:        []int{8},
-		Backoff:      []bool{false, true},
-		SeedsPerCell: 2,
-		BaseSeed:     7,
-	}
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 4 {
-		t.Fatalf("expanded to %d runs, want 4 (2 modes x 2 seeds)", len(runs))
-	}
-	seeds := map[string]map[int]int64{"": {}, "on": {}}
-	for _, r := range runs {
-		m, ok := seeds[r.Backoff]
-		if !ok {
-			t.Fatalf("unexpected backoff label %q", r.Backoff)
-		}
-		m[r.SeedIndex] = r.Seed
-	}
-	if len(seeds[""]) != 2 || len(seeds["on"]) != 2 {
-		t.Fatalf("mode split %d/%d, want 2/2", len(seeds[""]), len(seeds["on"]))
-	}
-	for i, a := range seeds[""] {
-		if b := seeds["on"][i]; a != b {
-			t.Fatalf("backoff axis changed run seed[%d]: %d vs %d", i, a, b)
-		}
-	}
-	if _, err := (Spec{Families: []string{"wheel"}, Sizes: []int{8},
-		Backoff: []bool{true, true}}).Expand(); err == nil {
-		t.Fatal("duplicate backoff mode accepted")
 	}
 }
 

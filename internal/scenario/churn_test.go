@@ -4,16 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/harness"
 )
 
-// Churn resolves its protocol configuration like harness.Run: Backoff
-// implies search suppression, so a churn run asking only for backoff
-// must prune duplicate searches during re-stabilization.
+// Churn resolves its protocol configuration like harness.Run, so a
+// churn run under the backoff policy must prune duplicate searches
+// during re-stabilization.
 func TestChurnHonoursBackoff(t *testing.T) {
 	g := graph.MustFamily("ring+chords").Build(24, rand.New(rand.NewSource(5)))
-	spec := harness.RunSpec{Graph: g, Scheduler: harness.SchedSync, Seed: 5, Backoff: true}
+	cfg := core.DefaultConfig(g.N())
+	cfg.Retry = core.RetryBackoff
+	spec := harness.RunSpec{Graph: g, Config: cfg, Scheduler: harness.SchedSync, Seed: 5}
 	res, err := Churn{Op: harness.OpAddEdge}.Execute(spec, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +25,7 @@ func TestChurnHonoursBackoff(t *testing.T) {
 		t.Fatalf("churn run did not re-stabilize: %+v", res.Legit)
 	}
 	if res.SearchesSuppressed == 0 {
-		t.Fatal("backoff run suppressed no searches: Backoff was ignored")
+		t.Fatal("backoff run suppressed no searches: the retry policy was ignored")
 	}
 }
 

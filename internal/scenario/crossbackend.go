@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"mdst/internal/core"
 	"mdst/internal/harness"
 )
 
@@ -133,7 +134,7 @@ func CrossBackendSweep(spec CrossBackendSpec) (*CrossBackendReport, error) {
 		Families:     []string{ns.Family},
 		Sizes:        ns.Sizes,
 		Starts:       []harness.StartMode{harness.StartCorrupt},
-		Suppression:  []bool{true},
+		Retry:        []core.RetryPolicy{core.RetrySuppress},
 		SeedsPerCell: 1,
 		BaseSeed:     ns.BaseSeed,
 	}
@@ -189,7 +190,7 @@ func CrossBackendSweep(spec CrossBackendSpec) (*CrossBackendReport, error) {
 				N:           rr.N,
 				Edges:       rr.Edges,
 				Backend:     rr.BackendName(),
-				Suppress:    rr.SuppressName(),
+				Suppress:    rr.Suppress,
 				Converged:   rr.Converged,
 				Legitimate:  rr.Legitimate,
 				WithinBound: rr.WithinBound,

@@ -254,12 +254,13 @@ func executeRun(spec Spec, fault FaultModel, r Run) RunResult {
 		Backend:     backend,
 		Engine:      engine,
 		Tuning:      spec.Tuning,
-		Suppress:    r.Suppress != "",
-		Backoff:     r.Backoff != "",
 	}
 	if spec.Config != nil {
 		base.Config = spec.Config(g.N())
+	} else {
+		base.Config = core.DefaultConfig(g.N())
 	}
+	base.Config.Retry = r.Retry()
 	var coll *metrics.Collector
 	if spec.Metrics {
 		stride := g.N()
@@ -457,13 +458,13 @@ func aggregate(results []RunResult) *Matrix {
 // RenderTable returns an aligned plain-text rendering of the cell table.
 func (m *Matrix) RenderTable() string {
 	cols := []string{"family", "n", "sched", "start", "variant", "backend",
-		"engine", "suppr", "backoff", "fault", "runs", "conv", "legit", "rounds(avg)", "rounds(max)",
+		"engine", "retry", "fault", "runs", "conv", "legit", "rounds(avg)", "rounds(max)",
 		"msgs(avg)", "suppr(avg)", "deg", "bound", "within"}
 	rows := make([][]string, 0, len(m.Cells))
 	for _, c := range m.Cells {
 		rows = append(rows, []string{
 			c.Family, fmt.Sprintf("%d", c.Nodes), c.Scheduler, c.Start,
-			c.Variant, c.BackendName(), c.EngineName(), c.SuppressName(), c.BackoffName(), c.Fault,
+			c.Variant, c.BackendName(), c.EngineName(), c.Retry().String(), c.Fault,
 			fmt.Sprintf("%d", c.Runs),
 			fmt.Sprintf("%v", c.Converged), fmt.Sprintf("%v", c.Legitimate),
 			fmt.Sprintf("%.1f", c.RoundsAvg), fmt.Sprintf("%d", c.RoundsMax),
@@ -510,11 +511,11 @@ func (m *Matrix) RenderTable() string {
 // CSV returns a comma-separated rendering of the cell table.
 func (m *Matrix) CSV() string {
 	var b strings.Builder
-	b.WriteString("family,n,scheduler,start,variant,backend,engine,suppress,backoff,fault,runs,converged,legitimate,roundsAvg,roundsMax,messagesAvg,searchesSuppressedAvg,maxDegree,degreeBound,withinBound\n")
+	b.WriteString("family,n,scheduler,start,variant,backend,engine,retry,fault,runs,converged,legitimate,roundsAvg,roundsMax,messagesAvg,searchesSuppressedAvg,maxDegree,degreeBound,withinBound\n")
 	for _, c := range m.Cells {
-		fmt.Fprintf(&b, "%s,%d,%s,%s,%s,%s,%s,%s,%s,%s,%d,%v,%v,%.2f,%d,%.0f,%.0f,%d,%d,%v\n",
+		fmt.Fprintf(&b, "%s,%d,%s,%s,%s,%s,%s,%s,%s,%d,%v,%v,%.2f,%d,%.0f,%.0f,%d,%d,%v\n",
 			c.Family, c.Nodes, c.Scheduler, c.Start, c.Variant,
-			c.BackendName(), c.EngineName(), c.SuppressName(), c.BackoffName(), c.Fault, c.Runs, c.Converged,
+			c.BackendName(), c.EngineName(), c.Retry().String(), c.Fault, c.Runs, c.Converged,
 			c.Legitimate, c.RoundsAvg, c.RoundsMax, c.MessagesAvg,
 			c.SuppressedAvg, c.MaxDegree, c.DegreeBound, c.WithinBound)
 	}

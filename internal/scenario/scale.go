@@ -12,8 +12,8 @@ import (
 )
 
 // Scale sweep: the large-n matrix cells (n > 256) that the incremental
-// simulator hot path unlocks, plus the committed before/after comparison
-// against the full-rehash baseline. Every reported field is a
+// simulator hot path unlocks, plus the committed comparison of its
+// fingerprint work with a full rehash's. Every reported field is a
 // deterministic function of the seeds — no wall-clock numbers — so
 // BENCH_scale.json is byte-identical across machines and reruns; the
 // figure of merit is the count of per-node fingerprint recomputations
@@ -37,7 +37,7 @@ import (
 type ScaleSpec struct {
 	Family    string // graph family (default "star-of-cliques")
 	Sizes     []int  // node counts (default 256, 512, 1024)
-	BaselineN int    // size of the full-rehash baseline run (default: smallest size)
+	BaselineN int    // size of the fingerprint-work baseline run (default: smallest size)
 	Seeds     int    // seeds per size (default 1)
 	BaseSeed  int64  // matrix base seed (default 1)
 	Workers   int    // engine parallelism (default GOMAXPROCS)
@@ -241,9 +241,11 @@ type ScaleReport struct {
 	// committed adaptive-backoff idle-traffic baselines.
 	Decay []DecayCell `json:"decay"`
 
-	// Full-rehash baseline vs the incremental cache on the SAME run
-	// (identical seed, identical rounds/messages/degree outputs): the
-	// recompute counts differ, nothing else may.
+	// The incremental cache's fingerprint work on the baseline run vs
+	// what hashing every node at every Fingerprint call of that run would
+	// cost: nodes × (rounds + 2), one call at network build, one on entry
+	// to the run loop and one per round (pinned by sim's
+	// TestUnversionedSyncRunHashesEveryNodeEveryCall).
 	BaselineN             int   `json:"baselineN"`
 	BaselineRounds        int   `json:"baselineRounds"`
 	FullRehashRecomputes  int64 `json:"fullRehashRecomputes"`
@@ -261,11 +263,10 @@ func (r *ScaleReport) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// ScaleSweep executes the scale matrix with the incremental hot path,
-// re-executes the baseline size under the full-rehash reference mode,
-// and cross-checks that both modes produce identical protocol results.
-// It flips the package-wide sim fingerprint mode while the baseline
-// runs, so it must not execute concurrently with other engine use.
+// ScaleSweep executes the scale matrix on the incremental hot path, its
+// suppression twin, the event-core ladder and the decay cells, and
+// reports the fingerprint work the incremental cache saved on the
+// baseline run.
 func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 	ns := spec.normalized()
 	matrixSpec := func(sizes []int) Spec {
@@ -319,7 +320,7 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 	// paired on/off message-volume comparisons, not cross-instance noise.
 	sup, err := Engine{Workers: ns.Workers}.Execute(func() Spec {
 		s := matrixSpec(ns.Sizes)
-		s.Suppression = []bool{true}
+		s.Retry = []core.RetryPolicy{core.RetrySuppress}
 		return s
 	}())
 	if err != nil {
@@ -452,37 +453,11 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 		report.Decay = append(report.Decay, cell)
 	}
 
-	sim.SetFullFingerprintRehash(true)
-	defer sim.SetFullFingerprintRehash(false)
-	base, err := Engine{Workers: 1}.Execute(Spec{
-		Families:     []string{ns.Family},
-		Sizes:        []int{ns.BaselineN},
-		Schedulers:   []harness.SchedulerKind{harness.SchedSync},
-		Starts:       []harness.StartMode{harness.StartCorrupt},
-		SeedsPerCell: 1,
-		BaseSeed:     ns.BaseSeed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	full := &base.Runs[0]
-	if full.Err != "" {
-		return nil, fmt.Errorf("scenario: baseline run failed: %s", full.Err)
-	}
-	// The two modes are the same detector at different costs: any drift
-	// in protocol outputs means the incremental cache is wrong.
-	if full.Rounds != incBaseline.Rounds || full.Messages != incBaseline.Messages ||
-		full.MaxDegree != incBaseline.MaxDegree || full.Converged != incBaseline.Converged {
-		return nil, fmt.Errorf(
-			"scenario: full-rehash baseline diverged from incremental run: rounds %d vs %d, messages %d vs %d, deg %d vs %d",
-			full.Rounds, incBaseline.Rounds, full.Messages, incBaseline.Messages,
-			full.MaxDegree, incBaseline.MaxDegree)
-	}
-	report.BaselineRounds = full.Rounds
-	report.FullRehashRecomputes = full.FingerprintRecomputes
+	report.BaselineRounds = incBaseline.Rounds
+	report.FullRehashRecomputes = int64(incBaseline.Nodes) * int64(incBaseline.Rounds+2)
 	report.IncrementalRecomputes = incBaseline.FingerprintRecomputes
 	if incBaseline.FingerprintRecomputes > 0 {
-		report.OverheadReduction = float64(full.FingerprintRecomputes) /
+		report.OverheadReduction = float64(report.FullRehashRecomputes) /
 			float64(incBaseline.FingerprintRecomputes)
 	}
 	return report, nil
@@ -504,9 +479,9 @@ func decayCell(family string, size int, seed int64, windows int) (DecayCell, err
 	g := fam.Build(size, rand.New(rand.NewSource(seed)))
 	n := g.N()
 	cfgStatic := core.DefaultConfig(n)
-	cfgStatic.SuppressSearches = true
+	cfgStatic.Retry = core.RetrySuppress
 	cfgBackoff := cfgStatic
-	cfgBackoff.BackoffSearches = true
+	cfgBackoff.Retry = core.RetryBackoff
 	capW := cfgBackoff.BackoffCapWindow()
 	cell := DecayCell{
 		Family:       family,

@@ -56,20 +56,14 @@ type Spec struct {
 	// the committed baselines. Event cells require the sim backend and
 	// lossless links (harness.RunSpec.Validate).
 	Engines []harness.Engine
-	// Suppression defaults to [false]: each true entry runs its cells
-	// with the search-traffic suppression hot path on
-	// (harness.RunSpec.Suppress). Run seeds exclude this axis, so
-	// [false, true] yields paired on/off comparisons on identical
-	// workloads; the off label serializes empty, keeping suppression-free
-	// matrix JSON byte-identical to the committed baselines.
-	Suppression []bool
-	// Backoff defaults to [false]: each true entry runs its cells with
-	// adaptive suppression backoff on (harness.RunSpec.Backoff, which
-	// implies suppression). Run seeds exclude this axis — [false, true]
-	// yields paired static/adaptive comparisons on identical workloads —
-	// and the off label serializes empty, keeping backoff-free matrix
-	// JSON byte-identical to the committed baselines.
-	Backoff []bool
+	// Retry defaults to [core.RetryPaper]: each entry runs its cells
+	// under that cycle-search retry policy, written into Config.Retry of
+	// every run — overwriting whatever the Config func returned. Run
+	// seeds exclude this axis, so [paper, suppress, backoff] yields
+	// paired comparisons on identical workloads. Paper cells carry no
+	// label, keeping policy-free matrix JSON byte-identical to the
+	// committed baselines (see Cell.Suppress and Cell.Backoff).
+	Retry []core.RetryPolicy
 	// Faults defaults to [NoFault]. Names must be unique.
 	Faults []FaultModel
 	// SeedsPerCell defaults to 1.
@@ -84,7 +78,8 @@ type Spec struct {
 	// Costs one tree validation per round — leave off for large matrices.
 	TrackSafety bool
 	// Config, if non-nil, overrides the protocol configuration per node
-	// count (zero Config means the core default).
+	// count (zero Config means the core default). Its Retry field is
+	// ignored: the Retry axis sets it.
 	Config func(n int) core.Config `json:"-"`
 	// Tuning adjusts the wall-clock backends (tick, probe interval,
 	// per-run deadline, convergence-aware Budget mode — with Budget set
@@ -119,33 +114,25 @@ type Cell struct {
 	// matrices that never opt into the event core serialize exactly as
 	// before the engine axis existed.
 	Engine string `json:"engine,omitempty"`
-	// Suppress is the search-suppression axis label: "on" for suppressed
-	// cells, empty (omitted from JSON, same contract as Backend) for the
-	// paper-literal search schedule.
+	// Suppress and Backoff are the retry axis's labels: "on" in Suppress
+	// for core.RetrySuppress cells, "on" in Backoff for core.RetryBackoff
+	// cells, and both empty (omitted from JSON, same contract as Backend)
+	// for core.RetryPaper. Two keys rather than one keep the committed
+	// goldens' labels. Cell.Retry reads the policy back.
 	Suppress string `json:"suppress,omitempty"`
-	// Backoff is the adaptive-backoff axis label: "on" for cells running
-	// the adaptive suppression window, empty (omitted from JSON, same
-	// contract as Suppress) for the static window.
-	Backoff string `json:"backoff,omitempty"`
-	Fault   string `json:"fault"`
+	Backoff  string `json:"backoff,omitempty"`
+	Fault    string `json:"fault"`
 }
 
-// SuppressName returns the display name of the cell's suppression mode
-// ("off" for the empty default label).
-func (c Cell) SuppressName() string {
-	if c.Suppress == "" {
-		return "off"
+// Retry returns the cell's retry policy, read back from its labels.
+func (c Cell) Retry() core.RetryPolicy {
+	switch {
+	case c.Backoff != "":
+		return core.RetryBackoff
+	case c.Suppress != "":
+		return core.RetrySuppress
 	}
-	return c.Suppress
-}
-
-// BackoffName returns the display name of the cell's adaptive-backoff
-// mode ("off" for the empty default label).
-func (c Cell) BackoffName() string {
-	if c.Backoff == "" {
-		return "off"
-	}
-	return c.Backoff
+	return core.RetryPaper
 }
 
 // BackendName returns the display name of the cell's backend ("sim" for
@@ -208,11 +195,8 @@ func (s Spec) normalized() Spec {
 	if len(s.Engines) == 0 {
 		s.Engines = []harness.Engine{harness.EngineCompat}
 	}
-	if len(s.Suppression) == 0 {
-		s.Suppression = []bool{false}
-	}
-	if len(s.Backoff) == 0 {
-		s.Backoff = []bool{false}
+	if len(s.Retry) == 0 {
+		s.Retry = []core.RetryPolicy{core.RetryPaper}
 	}
 	if len(s.Faults) == 0 {
 		s.Faults = []FaultModel{NoFault{}}
@@ -286,19 +270,15 @@ func (s Spec) validate() error {
 			}
 		}
 	}
-	seenSuppress := map[bool]bool{}
-	for _, sup := range s.Suppression {
-		if seenSuppress[sup] {
-			return fmt.Errorf("scenario: duplicate suppression mode %v", sup)
+	seenRetry := map[core.RetryPolicy]bool{}
+	for _, p := range s.Retry {
+		if _, err := core.ParseRetryPolicy(p.String()); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
-		seenSuppress[sup] = true
-	}
-	seenBackoff := map[bool]bool{}
-	for _, bo := range s.Backoff {
-		if seenBackoff[bo] {
-			return fmt.Errorf("scenario: duplicate backoff mode %v", bo)
+		if seenRetry[p] {
+			return fmt.Errorf("scenario: duplicate retry policy %q", p)
 		}
-		seenBackoff[bo] = true
+		seenRetry[p] = true
 	}
 	seen := map[string]bool{}
 	for _, fm := range s.Faults {
@@ -315,7 +295,7 @@ func (s Spec) validate() error {
 
 // runSeed derives the per-run seed from the instance identity (family,
 // size, seed index, base seed) — deliberately NOT from the scheduler,
-// start, variant, backend, engine, suppression, backoff or fault axes.
+// start, variant, backend, engine, retry or fault axes.
 // Cells that differ only in those axes
 // therefore draw the SAME graph instances, so sweeps like "rounds vs
 // drop rate" or "recovery cost by fault role" are paired comparisons
@@ -330,8 +310,8 @@ func runSeed(base int64, c Cell, idx int) int64 {
 }
 
 // Expand enumerates the full run matrix in deterministic order (family,
-// size, scheduler, start, variant, backend, engine, suppression,
-// backoff, fault, seed).
+// size, scheduler, start, variant, backend, engine, retry, fault,
+// seed).
 func (s Spec) Expand() ([]Run, error) {
 	ns := s.normalized()
 	if err := ns.validate(); err != nil {
@@ -361,41 +341,36 @@ func (s Spec) Expand() ([]Run, error) {
 								if engine == harness.EngineCompat {
 									engLabel = ""
 								}
-								for _, sup := range ns.Suppression {
-									// Same contract: the off default keeps the
-									// empty label so suppression-free matrices
+								for _, retry := range ns.Retry {
+									// Same contract: paper cells keep both
+									// labels empty so policy-free matrices
 									// serialize unchanged.
-									supLabel := ""
-									if sup {
+									var supLabel, boLabel string
+									switch retry {
+									case core.RetrySuppress:
 										supLabel = "on"
+									case core.RetryBackoff:
+										boLabel = "on"
 									}
-									for _, bo := range ns.Backoff {
-										// Same contract again for the adaptive-
-										// backoff axis.
-										boLabel := ""
-										if bo {
-											boLabel = "on"
+									for _, fm := range ns.Faults {
+										cell := Cell{
+											Family:    fam,
+											N:         n,
+											Scheduler: string(sched),
+											Start:     start.String(),
+											Variant:   string(variant),
+											Backend:   label,
+											Engine:    engLabel,
+											Suppress:  supLabel,
+											Backoff:   boLabel,
+											Fault:     fm.Name(),
 										}
-										for _, fm := range ns.Faults {
-											cell := Cell{
-												Family:    fam,
-												N:         n,
-												Scheduler: string(sched),
-												Start:     start.String(),
-												Variant:   string(variant),
-												Backend:   label,
-												Engine:    engLabel,
-												Suppress:  supLabel,
-												Backoff:   boLabel,
-												Fault:     fm.Name(),
-											}
-											for idx := 0; idx < ns.SeedsPerCell; idx++ {
-												runs = append(runs, Run{
-													Cell:      cell,
-													SeedIndex: idx,
-													Seed:      runSeed(ns.BaseSeed, cell, idx),
-												})
-											}
+										for idx := 0; idx < ns.SeedsPerCell; idx++ {
+											runs = append(runs, Run{
+												Cell:      cell,
+												SeedIndex: idx,
+												Seed:      runSeed(ns.BaseSeed, cell, idx),
+											})
 										}
 									}
 								}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"testing"
+
+	"mdst/internal/core"
 )
 
 // Tentpole: outcome equivalence of the search-traffic suppression hot
@@ -23,7 +25,7 @@ func TestSuppressionOutcomeEquivalence(t *testing.T) {
 	spec := Spec{
 		Families:     []string{"wheel", "grid", "gnp"},
 		Sizes:        []int{8, 12, 16},
-		Suppression:  []bool{false, true},
+		Retry:        []core.RetryPolicy{core.RetryPaper, core.RetrySuppress},
 		SeedsPerCell: 2,
 		BaseSeed:     42,
 	}
@@ -49,13 +51,13 @@ func TestSuppressionOutcomeEquivalence(t *testing.T) {
 			t.Fatalf("run %s[%d]: err=%q skipped=%v", rr.Cell, rr.SeedIndex, rr.Err, rr.Skipped)
 		}
 		if !rr.Converged || !rr.Legitimate || !rr.WithinBound {
-			t.Fatalf("run %s[%d] (suppress=%s): converged=%v legitimate=%v deg=%d bound=%d",
-				rr.Cell, rr.SeedIndex, rr.SuppressName(), rr.Converged, rr.Legitimate,
+			t.Fatalf("run %s[%d] (retry=%s): converged=%v legitimate=%v deg=%d bound=%d",
+				rr.Cell, rr.SeedIndex, rr.Retry(), rr.Converged, rr.Legitimate,
 				rr.MaxDegree, rr.DegreeBound)
 		}
 		if rr.Suppress == "" {
 			if rr.SearchesSuppressed != 0 {
-				t.Fatalf("run %s[%d]: suppression counter %d moved with the knob off",
+				t.Fatalf("run %s[%d]: suppression counter %d moved under the paper policy",
 					rr.Cell, rr.SeedIndex, rr.SearchesSuppressed)
 			}
 			off[inst{rr.Family, rr.N, rr.SeedIndex}] = outcome{rr.Seed, rr.DegreeBound, rr.SearchMessages}
@@ -96,7 +98,7 @@ func TestSuppressionOutcomeEquivalence(t *testing.T) {
 // original test covers the suppression-off default.
 func TestSuppressionDeterminismAcrossWorkers(t *testing.T) {
 	spec := tinySpec()
-	spec.Suppression = []bool{false, true}
+	spec.Retry = []core.RetryPolicy{core.RetryPaper, core.RetrySuppress}
 	render := func(workers int) []byte {
 		m, err := Engine{Workers: workers}.Execute(spec)
 		if err != nil {
@@ -153,33 +155,39 @@ func TestScaleSweepSuppressionComparison(t *testing.T) {
 	}
 }
 
-// The suppression axis follows the backend-axis labeling contract: the
-// off default keeps the empty (JSON-omitted) label, on cells are marked,
-// seeds exclude the axis, and duplicates are rejected.
-func TestSuppressionAxisExpansion(t *testing.T) {
-	spec := Spec{
-		Families:    []string{"wheel"},
-		Sizes:       []int{8},
-		Suppression: []bool{false, true},
-	}
+// The retry axis follows the backend-axis labeling contract: paper
+// cells keep both labels empty (JSON-omitted), suppress cells are
+// marked in Suppress and backoff cells in Backoff, Cell.Retry reads each
+// policy back, seeds exclude the axis, and duplicate or unknown
+// policies are rejected.
+func TestRetryAxisExpansion(t *testing.T) {
+	policies := []core.RetryPolicy{core.RetryPaper, core.RetrySuppress, core.RetryBackoff}
+	spec := Spec{Families: []string{"wheel"}, Sizes: []int{8}, Retry: policies}
 	runs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 {
-		t.Fatalf("expanded %d runs, want 2", len(runs))
+	if len(runs) != 3 {
+		t.Fatalf("expanded %d runs, want 3", len(runs))
 	}
-	if runs[0].Suppress != "" || runs[1].Suppress != "on" {
-		t.Fatalf("labels %q/%q, want \"\"/\"on\"", runs[0].Suppress, runs[1].Suppress)
+	labels := [][2]string{{"", ""}, {"on", ""}, {"", "on"}}
+	for i, r := range runs {
+		if got := [2]string{r.Suppress, r.Backoff}; got != labels[i] {
+			t.Fatalf("run %d (%s): labels %q, want %q", i, policies[i], got, labels[i])
+		}
+		if r.Retry() != policies[i] {
+			t.Fatalf("run %d: Cell.Retry() = %s, want %s", i, r.Retry(), policies[i])
+		}
+		if r.Seed != runs[0].Seed {
+			t.Fatalf("retry axis changed the seed: %d vs %d", r.Seed, runs[0].Seed)
+		}
 	}
-	if runs[0].Seed != runs[1].Seed {
-		t.Fatalf("suppression axis changed the seed: %d vs %d", runs[0].Seed, runs[1].Seed)
-	}
-	if runs[0].SuppressName() != "off" || runs[1].SuppressName() != "on" {
-		t.Fatalf("display names %q/%q", runs[0].SuppressName(), runs[1].SuppressName())
-	}
-	if _, err := (Spec{Families: []string{"wheel"}, Sizes: []int{8},
-		Suppression: []bool{true, true}}).Expand(); err == nil {
-		t.Fatal("duplicate suppression mode accepted")
+	for _, bad := range [][]core.RetryPolicy{
+		{core.RetrySuppress, core.RetrySuppress},
+		{core.RetryPolicy(7)},
+	} {
+		if _, err := (Spec{Families: []string{"wheel"}, Sizes: []int{8}, Retry: bad}).Expand(); err == nil {
+			t.Fatalf("retry axis %v accepted", bad)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"mdst/internal/core"
 	"mdst/internal/harness"
 )
 
@@ -127,7 +128,7 @@ func TCPBenchSweep(spec TCPBenchSpec) (*TCPBenchReport, error) {
 			Families:     []string{ns.Family},
 			Sizes:        []int{ns.N},
 			Starts:       []harness.StartMode{harness.StartCorrupt},
-			Suppression:  []bool{true},
+			Retry:        []core.RetryPolicy{core.RetrySuppress},
 			SeedsPerCell: 1,
 			BaseSeed:     ns.BaseSeed,
 			Backends:     []harness.Backend{backend},

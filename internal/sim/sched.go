@@ -71,35 +71,25 @@ func (s *SyncScheduler) RunRound(n *Network) int {
 // model where every in-flight message has the same delivery rate. A
 // round ends when every node has taken a step and all messages pending
 // at the round start have been delivered (the standard asynchronous
-// round).
-type AsyncScheduler struct {
-	// TickWeight is the relative probability mass of tick events versus
-	// a single pending message (default 1.0: a tick at a random node is
-	// as likely as the delivery of any given specific pending message
-	// when queues are short).
-	TickWeight float64
-	// MaxStepsPerRound guards against pathological schedules; the round
-	// is cut after this many steps (default 1<<20).
-	MaxStepsPerRound int
-}
+// round). A tick at a random node is as likely as the delivery of any
+// given pending message. The zero value is ready to use.
+type AsyncScheduler struct{}
 
-// NewAsyncScheduler returns an AsyncScheduler with default weights.
-func NewAsyncScheduler() *AsyncScheduler {
-	return &AsyncScheduler{TickWeight: 1.0, MaxStepsPerRound: 1 << 20}
-}
+// maxStepsPerRound guards the randomized and adversarial schedulers
+// against pathological schedules: a round is cut after this many steps.
+const maxStepsPerRound = 1 << 20
+
+// NewAsyncScheduler returns an AsyncScheduler.
+func NewAsyncScheduler() *AsyncScheduler { return &AsyncScheduler{} }
 
 // RunRound implements Scheduler.
 func (s *AsyncScheduler) RunRound(n *Network) int {
 	rng := n.Rand()
 	nNodes := n.Graph().N()
-	limit := s.MaxStepsPerRound
-	if limit <= 0 {
-		limit = 1 << 20
-	}
 	events := 0
-	for events < limit {
+	for events < maxStepsPerRound {
 		pending := n.Pending()
-		tickMass := s.TickWeight * float64(nNodes)
+		tickMass := float64(nNodes)
 		total := tickMass + float64(pending)
 		if rng.Float64()*total < tickMass {
 			n.Tick(rng.Intn(nNodes))
@@ -127,8 +117,6 @@ func (s *AsyncScheduler) RunRound(n *Network) int {
 // harshest legal schedule for the protocol's freshness assumptions and
 // is used by ablation E7.
 type AdversarialScheduler struct {
-	MaxStepsPerRound int
-
 	// heap indexes the non-empty links by queue length so each
 	// longest-queue selection is O(log links) instead of a full scan
 	// (the old per-delivery O(links) walk made a round O(messages ×
@@ -137,17 +125,12 @@ type AdversarialScheduler struct {
 	heap *linkMaxHeap
 }
 
-// NewAdversarialScheduler returns an AdversarialScheduler.
-func NewAdversarialScheduler() *AdversarialScheduler {
-	return &AdversarialScheduler{MaxStepsPerRound: 1 << 20}
-}
+// NewAdversarialScheduler returns an AdversarialScheduler. The zero
+// value is ready to use too.
+func NewAdversarialScheduler() *AdversarialScheduler { return &AdversarialScheduler{} }
 
 // RunRound implements Scheduler.
 func (s *AdversarialScheduler) RunRound(n *Network) int {
-	limit := s.MaxStepsPerRound
-	if limit <= 0 {
-		limit = 1 << 20
-	}
 	events := 0
 	// Deliver every old message first, always from the longest link.
 	// The heap tracks queue lengths across deliveries and the sends they
@@ -164,7 +147,7 @@ func (s *AdversarialScheduler) RunRound(n *Network) int {
 	}
 	prevHook := n.sendHook
 	n.sendHook = func(li int) { s.heap.Update(li, n.LinkLen(li)) }
-	for events < limit && n.pendingOld > 0 {
+	for events < maxStepsPerRound && n.pendingOld > 0 {
 		best, ok := s.heap.Max()
 		if !ok {
 			break
@@ -177,7 +160,7 @@ func (s *AdversarialScheduler) RunRound(n *Network) int {
 	// Then tick every node once, largest ID first (deterministic
 	// starvation order) — receives alone do not discharge a node's
 	// do-forever obligation.
-	for id := n.Graph().N() - 1; id >= 0 && events < limit; id-- {
+	for id := n.Graph().N() - 1; id >= 0 && events < maxStepsPerRound; id-- {
 		n.Tick(id)
 		events++
 	}

@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 
 	"mdst/internal/detect"
 	"mdst/internal/graph"
@@ -213,27 +212,14 @@ type Metrics struct {
 	// FingerprintRecomputes counts per-node state hashes performed for
 	// quiescence detection. It is deterministic for a seeded run and is
 	// the committed figure of merit for the incremental fingerprint cache
-	// (BENCH_scale.json compares it against the full-rehash baseline).
+	// (BENCH_scale.json compares it with nodes × (rounds + 2), the cost
+	// of hashing every node at every Fingerprint call of a Run).
 	FingerprintRecomputes int64
 }
 
 func newMetrics() *Metrics {
 	return &Metrics{SentByKind: make(map[string]int64)}
 }
-
-// fullRehash is the package-wide reference knob: networks created while
-// it is set re-hash every node on every Fingerprint call instead of
-// using the incremental cache. The combine is identical, so results
-// must match bit for bit — the differential tests and the committed
-// scale benchmark are built on that equivalence. Not a hot-path flag:
-// it is read once per NewNetwork.
-var fullRehash atomic.Bool
-
-// SetFullFingerprintRehash switches networks built AFTER the call to the
-// full-rehash reference mode (true) or the incremental cache (false,
-// the default). It exists for differential tests and the committed
-// baseline benchmark; production paths never touch it.
-func SetFullFingerprintRehash(v bool) { fullRehash.Store(v) }
 
 // Network is the deterministic simulated network.
 type Network struct {
@@ -293,7 +279,6 @@ type Network struct {
 	dirtyMark  []bool
 	dirty      []NodeID
 	combined   uint64
-	rehashAll  bool // reference mode: ignore the cache entirely
 
 	rng     *rand.Rand
 	metrics *Metrics
@@ -321,7 +306,6 @@ func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Proc
 		versions:   make([]uint64, n),
 		versioners: make([]StateVersioner, n),
 		dirtyMark:  make([]bool, n),
-		rehashAll:  fullRehash.Load(),
 		rng:        rand.New(rand.NewSource(seed)),
 		metrics:    newMetrics(),
 	}
@@ -640,13 +624,9 @@ func (n *Network) InvalidateFingerprints() {
 // Fingerprint combines all process states for quiescence detection
 // (processes that do not implement Fingerprinter contribute a
 // constant). Only nodes touched since the last call are re-hashed, and
-// of those only the ones whose StateVersion moved; the full-rehash
-// reference mode hashes everything and must agree bit for bit.
+// of those only the ones whose StateVersion moved; the result equals
+// the combine of every node's fingerprint computed from scratch.
 func (n *Network) Fingerprint() uint64 {
-	if n.rehashAll {
-		n.rehashAllNodes()
-		return n.combined
-	}
 	for _, id := range n.dirty {
 		n.dirtyMark[id] = false
 		if vs := n.versioners[id]; vs != nil {

@@ -83,6 +83,31 @@ func TestAdversarialSchedulerConvergesMinFlood(t *testing.T) {
 	checkAllMin(t, net.Process, 12)
 }
 
+// The schedulers' zero values are ready to use: each runs exactly like
+// its constructor's scheduler.
+func TestZeroValueSchedulersMatchConstructors(t *testing.T) {
+	g := graph.Grid(4, 4)
+	for _, pair := range []struct {
+		name            string
+		zero, construct Scheduler
+	}{
+		{"async", &AsyncScheduler{}, NewAsyncScheduler()},
+		{"adversarial", &AdversarialScheduler{}, NewAdversarialScheduler()},
+	} {
+		run := func(s Scheduler) (RunResult, uint64, int64) {
+			net := newMinNetwork(g, 2)
+			res := net.Run(RunConfig{Scheduler: s, MaxRounds: 500, QuiesceRounds: 3})
+			return res, net.Fingerprint(), net.Metrics().Events
+		}
+		zr, zfp, zev := run(pair.zero)
+		cr, cfp, cev := run(pair.construct)
+		if zr != cr || zfp != cfp || zev != cev || !zr.Converged {
+			t.Fatalf("%s: zero value %+v fp %x events %d, constructor %+v fp %x events %d",
+				pair.name, zr, zfp, zev, cr, cfp, cev)
+		}
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	g := graph.Grid(3, 5)
 	run := func() (uint64, int64) {
