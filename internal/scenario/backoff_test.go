@@ -31,6 +31,54 @@ func TestBackoffOffMatrixByteIdenticalToCommittedBaseline(t *testing.T) {
 	}
 }
 
+// The backoff policy expands like the other modes on the retry axis:
+// cells double, the paper label stays empty, backoff cells are marked
+// "on" in Backoff, and the run seed never depends on the axis —
+// backed-off runs draw the SAME instances as their static twins.
+func TestBackoffAxisExpansion(t *testing.T) {
+	spec := Spec{
+		Families:     []string{"wheel"},
+		Sizes:        []int{8},
+		Retry:        []core.RetryPolicy{core.RetryPaper, core.RetryBackoff},
+		SeedsPerCell: 2,
+		BaseSeed:     7,
+	}
+	runs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 4 {
+		t.Fatalf("expanded to %d runs, want 4 (2 modes x 2 seeds)", len(runs))
+	}
+	policy := map[string]core.RetryPolicy{"": core.RetryPaper, "on": core.RetryBackoff}
+	seeds := map[string]map[int]int64{"": {}, "on": {}}
+	for _, r := range runs {
+		m, ok := seeds[r.Backoff]
+		if !ok {
+			t.Fatalf("unexpected backoff label %q", r.Backoff)
+		}
+		if r.Suppress != "" {
+			t.Fatalf("suppress label %q on a paper/backoff axis", r.Suppress)
+		}
+		if r.Retry() != policy[r.Backoff] {
+			t.Fatalf("Cell.Retry() = %s, want %s", r.Retry(), policy[r.Backoff])
+		}
+		m[r.SeedIndex] = r.Seed
+	}
+	if len(seeds[""]) != 2 || len(seeds["on"]) != 2 {
+		t.Fatalf("mode split %d/%d, want 2/2", len(seeds[""]), len(seeds["on"]))
+	}
+	for i, a := range seeds[""] {
+		if b := seeds["on"][i]; a != b {
+			t.Fatalf("backoff axis changed run seed[%d]: %d vs %d", i, a, b)
+		}
+	}
+	if _, err := (Spec{Families: []string{"wheel"}, Sizes: []int{8},
+		Retry: []core.RetryPolicy{core.RetryBackoff, core.RetryBackoff}}).Expand(); err == nil {
+		t.Fatal("duplicate backoff mode accepted")
+	}
+}
+
 // Satellite: the steady-state decay cell — the acceptance numbers the
 // scale sweep commits into BENCH_scale.json — meets its bars on the
 // sweep's own instance (same runSeed inputs as ScaleSweep): the

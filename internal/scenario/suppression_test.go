@@ -155,11 +155,45 @@ func TestScaleSweepSuppressionComparison(t *testing.T) {
 	}
 }
 
-// The retry axis follows the backend-axis labeling contract: paper
-// cells keep both labels empty (JSON-omitted), suppress cells are
-// marked in Suppress and backoff cells in Backoff, Cell.Retry reads each
-// policy back, seeds exclude the axis, and duplicate or unknown
-// policies are rejected.
+// The suppression policy follows the backend-axis labeling contract on
+// the retry axis: paper cells keep the empty (JSON-omitted) label,
+// suppress cells are marked "on" in Suppress and nowhere else,
+// Cell.Retry reads the policy back, seeds exclude the axis, and a
+// duplicate policy is rejected.
+func TestSuppressionAxisExpansion(t *testing.T) {
+	spec := Spec{
+		Families: []string{"wheel"},
+		Sizes:    []int{8},
+		Retry:    []core.RetryPolicy{core.RetryPaper, core.RetrySuppress},
+	}
+	runs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("expanded %d runs, want 2", len(runs))
+	}
+	if runs[0].Suppress != "" || runs[1].Suppress != "on" {
+		t.Fatalf("labels %q/%q, want \"\"/\"on\"", runs[0].Suppress, runs[1].Suppress)
+	}
+	if runs[0].Backoff != "" || runs[1].Backoff != "" {
+		t.Fatalf("backoff labels %q/%q on a paper/suppress axis", runs[0].Backoff, runs[1].Backoff)
+	}
+	if runs[0].Seed != runs[1].Seed {
+		t.Fatalf("suppression axis changed the seed: %d vs %d", runs[0].Seed, runs[1].Seed)
+	}
+	if runs[0].Retry() != core.RetryPaper || runs[1].Retry() != core.RetrySuppress {
+		t.Fatalf("Cell.Retry() read back %s/%s", runs[0].Retry(), runs[1].Retry())
+	}
+	if _, err := (Spec{Families: []string{"wheel"}, Sizes: []int{8},
+		Retry: []core.RetryPolicy{core.RetrySuppress, core.RetrySuppress}}).Expand(); err == nil {
+		t.Fatal("duplicate suppression mode accepted")
+	}
+}
+
+// The full retry axis: three policies expand to three runs labelled
+// ("",""), ("on","") and ("","on") on one seed, Cell.Retry reads each
+// policy back, and an unknown policy is rejected.
 func TestRetryAxisExpansion(t *testing.T) {
 	policies := []core.RetryPolicy{core.RetryPaper, core.RetrySuppress, core.RetryBackoff}
 	spec := Spec{Families: []string{"wheel"}, Sizes: []int{8}, Retry: policies}
@@ -182,12 +216,8 @@ func TestRetryAxisExpansion(t *testing.T) {
 			t.Fatalf("retry axis changed the seed: %d vs %d", r.Seed, runs[0].Seed)
 		}
 	}
-	for _, bad := range [][]core.RetryPolicy{
-		{core.RetrySuppress, core.RetrySuppress},
-		{core.RetryPolicy(7)},
-	} {
-		if _, err := (Spec{Families: []string{"wheel"}, Sizes: []int{8}, Retry: bad}).Expand(); err == nil {
-			t.Fatalf("retry axis %v accepted", bad)
-		}
+	if _, err := (Spec{Families: []string{"wheel"}, Sizes: []int{8},
+		Retry: []core.RetryPolicy{core.RetryPolicy(7)}}).Expand(); err == nil {
+		t.Fatal("unknown retry policy accepted")
 	}
 }
