@@ -15,7 +15,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 
 RACE_PKGS = ./internal/sim/... ./internal/harness/... ./internal/scenario/... ./internal/netrun/... ./internal/detect/... ./internal/metrics/... ./internal/auditlog/...
 
-.PHONY: ci lint vet build test race smoke benchtest bench gobench matrix regen drift vuln clean
+.PHONY: ci lint vet build test race smoke benchtest bench gobench matrix regen drift vuln loc clean
 
 # (lint already ends with `go vet ./...`, so `vet` is not repeated here.)
 ci: lint build test race smoke benchtest
@@ -159,6 +159,17 @@ vuln:
 	else \
 		echo "make vuln: govulncheck not installed — soft-fail (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
+
+# Size of the code in lines: non-blank lines that are not `//` comments,
+# of non-test and of test Go outside benchmark/ (hidden directories such
+# as the benchmark's .bench_build/ are skipped too). These are the size
+# figures CHANGES.md and ROADMAP.md record.
+GO_FILES = find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' -type f
+LOC = grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l
+
+loc:
+	@echo "non-test Go lines: $$($(GO_FILES) ! -name '*_test.go' -exec cat {} + | $(LOC))"
+	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' -exec cat {} + | $(LOC))"
 
 clean:
 	$(GO) clean ./...

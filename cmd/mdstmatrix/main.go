@@ -68,15 +68,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	format := fs.String("format", "table", "output format: table|csv|json")
 	expand := fs.Bool("expand", false, "dry run: print the expanded run matrix without executing")
 	quiet := fs.Bool("quiet", false, "suppress the execution summary on stderr")
-	scale := fs.Bool("scale", false, "run the large-n scale sweep and print the deterministic BENCH_scale.json report (uses -sizes when given, else 256,512,1024)")
+	fs.Bool("scale", false, "run the large-n scale sweep and print the deterministic BENCH_scale.json report (uses -sizes when given, else 256,512,1024; reads only -sizes, -workers, -quiet and the profile flags)")
 	retry := fs.String("retry", "paper", "comma-separated cycle-search retry policies: paper|suppress|backoff (suppress prunes duplicate Search tokens; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change; seeds pair cells on identical workloads)")
-	xbackend := fs.Bool("xbackend", false, "run the medium-n cross-backend preset (sim/live/tcp, retry policy suppress) and print the committed-table JSON (uses -sizes when given, else the preset ladder)")
-	batch := fs.Int("batch", 0, "tcp frame coalescing: messages per wire frame (0/1: one frame per message, the compatible default; >1: batched format)")
+	fs.Bool("xbackend", false, "run the medium-n cross-backend preset (sim/live/tcp, retry policy suppress) and print the committed-table JSON (uses -sizes when given, else the preset ladder; reads only -sizes, -workers, -quiet and the profile flags)")
+	batch := fs.Int("batch", 0, "tcp frame coalescing: messages per wire frame (0/1: one message per frame)")
 	batchwait := fs.Duration("batchwait", 0, "tcp frame coalescing: max time a partially filled frame is held open (0: flush immediately)")
-	tcpbench := fs.Bool("tcpbench", false, "run the tcp frame-coalescing bench (ring+chords, batch 1/8/16) and print the BENCH_tcp.json report (uses the first -sizes entry when given, else n=128)")
+	fs.Bool("tcpbench", false, "run the tcp frame-coalescing bench (ring+chords, batch 1/8/16) and print the BENCH_tcp.json report (uses the first -sizes entry when given, else n=128; reads only -sizes, -quiet and the profile flags)")
 	metricsOn := fs.Bool("metrics", false, "enable the observability plane on every run: sampled metrics time series and hash-chained audit heads in per-run JSON output (off keeps committed baselines byte-identical)")
 	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	preset, err := presetMode(fs)
+	if err != nil {
+		fmt.Fprintln(stderr, "mdstmatrix:", err)
 		return 2
 	}
 	// Out-of-range counts would otherwise fall back to defaults silently
@@ -97,13 +102,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	if *scale {
+	switch preset {
+	case "scale":
 		return runScale(fs, *sizes, *workers, *quiet, stdout, stderr)
-	}
-	if *xbackend {
+	case "xbackend":
 		return runCrossBackend(fs, *sizes, *workers, *quiet, stdout, stderr)
-	}
-	if *tcpbench {
+	case "tcpbench":
 		return runTCPBench(fs, *sizes, *quiet, stdout, stderr)
 	}
 
@@ -246,6 +250,47 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			m.TotalRuns, len(m.Cells), m.Workers, m.Elapsed.Round(1e6))
 	}
 	return 0
+}
+
+// presetReads lists the flags each preset mode reads besides the
+// profile flags; the matrix flags would be ignored.
+var presetReads = map[string][]string{
+	"scale":    {"sizes", "workers", "quiet"},
+	"xbackend": {"sizes", "workers", "quiet"},
+	"tcpbench": {"sizes", "quiet"},
+}
+
+// presetMode returns the preset the flags select ("" for the matrix).
+// A second preset, or an explicitly set flag the preset does not read,
+// is an error naming the flag, so a preset never runs with a flag the
+// caller believed took effect.
+func presetMode(fs *flag.FlagSet) (string, error) {
+	var chosen []string
+	for _, name := range []string{"scale", "xbackend", "tcpbench"} {
+		if fs.Lookup(name).Value.String() == "true" {
+			chosen = append(chosen, name)
+		}
+	}
+	if len(chosen) == 0 {
+		return "", nil
+	}
+	if len(chosen) > 1 {
+		return "", fmt.Errorf("-%s and -%s are separate presets", chosen[0], chosen[1])
+	}
+	reads := map[string]bool{chosen[0]: true, "cpuprofile": true, "memprofile": true}
+	for _, name := range presetReads[chosen[0]] {
+		reads[name] = true
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return "", fmt.Errorf("-%s does not read %s", chosen[0], strings.Join(ignored, ", "))
+	}
+	return chosen[0], nil
 }
 
 // runScale executes the deterministic large-n scale sweep (make bench

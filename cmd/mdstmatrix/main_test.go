@@ -215,6 +215,32 @@ func TestRunBadFlagsRejected(t *testing.T) {
 			t.Fatalf("args %v: exit %d, want 2", args, code)
 		}
 	}
+	// A preset reads only -sizes, -workers (not -tcpbench), -quiet and
+	// the profile flags: any other flag, or a second preset, is named and
+	// rejected before the preset runs.
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-xbackend", "-sizes", "8", "-retry", "bogus"}, "-retry"},
+		{[]string{"-scale", "-sizes", "8", "-retry", "bogus"}, "-retry"},
+		{[]string{"-tcpbench", "-sizes", "8", "-retry", "bogus"}, "-retry"},
+		{[]string{"-xbackend", "-sizes", "8", "-retry", "paper"}, "-retry"},
+		{[]string{"-xbackend", "-faults", "nonsense"}, "-faults"},
+		{[]string{"-scale", "-families", "gnp"}, "-families"},
+		{[]string{"-scale", "-seeds", "3"}, "-seeds"},
+		{[]string{"-tcpbench", "-workers", "2"}, "-workers"},
+		{[]string{"-tcpbench", "-batch", "8"}, "-batch"},
+		{[]string{"-scale", "-xbackend"}, "-xbackend"},
+		{[]string{"-xbackend", "-tcpbench", "-sizes", "8"}, "-tcpbench"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(c.args, &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), c.flag) {
+			t.Fatalf("args %v: exit %d, stdout %d bytes, stderr %q; want exit 2 naming %s before running",
+				c.args, code, out.Len(), errOut.String(), c.flag)
+		}
+	}
 }
 
 // -scale emits the deterministic scale report; the reduced ladder keeps

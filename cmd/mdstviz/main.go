@@ -78,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *live {
 		spec.Backend = harness.BackendLive
-		spec.Audit = true
 		spec.Collect = &metrics.Collector{OnSnapshot: func(s metrics.Snapshot) {
 			fmt.Fprintf(stderr, "mdstviz: epoch=%d fill=%.2f stable=%d/%d deficit=%d sent=%d\n",
 				s.Epoch, s.VersionFill, s.Stable, s.Window, s.Deficit, s.SentTotal)

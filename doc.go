@@ -111,11 +111,10 @@
 //
 // The tcp backend's transport coalesces frames per link
 // (netrun.Config.BatchSize/BatchMaxWait, harness.BackendTuning,
-// `mdstmatrix -batch/-batchwait`, `mdstnet -batch/-batchwait`): above
-// batch size 1 each edge direction's writer packs queued messages into
-// multi-message gob frames — flushed on batch-size or max-wait, one
-// syscall burst per frame — while batch size 1 keeps the pre-batching
-// one-envelope-per-message wire format byte-compatible. One gob
+// `mdstmatrix -batch/-batchwait`, `mdstnet -batch/-batchwait`): each
+// edge direction's writer packs up to batch-size queued messages into
+// one gob frame — flushed on batch-size or max-wait, one syscall burst
+// per frame — so batch size 1 sends one message per frame. One gob
 // encoder and one gob decoder own each connection for its lifetime
 // (decoders buffer ahead; a second decoder on the same conn loses
 // bytes). Coalescing is a transport concern only: the batch=1 vs
@@ -125,10 +124,10 @@
 // unlike the byte-stable BENCH_scale.json).
 //
 // Observability is a control plane over the same runs
-// (internal/metrics + internal/auditlog, harness.RunSpec.Collect/Audit,
+// (internal/metrics + internal/auditlog, harness.RunSpec.Collect,
 // scenario Spec.Metrics, `mdstmatrix -metrics`, `mdstnet -metrics`,
 // `mdstviz -live`): a metrics.Collector samples flat JSON/CSV
-// snapshots — per-node message rates by kind, the degree histogram,
+// snapshots — message counts by kind, the degree histogram,
 // suppression counters, and certificate progress (version-vector fill,
 // message deficit, stability-window position) — from counters the
 // backends already maintain, so a run with the plane off is
@@ -139,15 +138,16 @@
 // extends the netrun control-channel gob protocol with a
 // metricsRequest/metricsReply pair beside the probe pair (one encoder
 // and one decoder per connection, interface-encoded requests
-// dispatched by type switch). Independently, every accepted tree
-// mutation — parent change, blocking-edge exchange, deblock-triggered
-// reset — appends {round, node, kind, old, new} to a per-run hash
-// chain (splitmix folding via detect.MixNode, node-ID-major, rounds
-// excluded so wall-clock interleavings agree); the chain head rides in
-// harness.Result, and two observers of the same seeded run must report
-// byte-identical heads — a cross-backend differential test pins a
-// legitimate start to the genesis head on all three backends, and the
-// scenario engine pins chain heads across worker counts.
+// dispatched by type switch). A collected run also chains every
+// accepted tree mutation: a parent change, blocking-edge exchange or
+// deblock-triggered reset appends {round, node, kind, old, new} to a
+// per-run hash chain (splitmix folding via detect.MixNode,
+// node-ID-major, rounds excluded so wall-clock interleavings agree);
+// the chain head rides in harness.Result, and two observers of the
+// same seeded run must report byte-identical heads — a cross-backend
+// differential test pins a legitimate start to the genesis head on all
+// three backends, and the scenario engine pins chain heads across
+// worker counts.
 //
 // The deterministic simulator itself has two execution cores behind
 // one harness knob (harness.RunSpec.Engine, scenario Spec.Engines,

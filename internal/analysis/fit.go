@@ -1,7 +1,6 @@
-// Package analysis provides the statistical tooling behind the
-// complexity experiments: log-log least-squares fits of measured costs
-// against candidate complexity models (the shape check of Lemma 5),
-// plus summary statistics used by the experiment tables.
+// Package analysis fits measured costs against candidate complexity
+// models by log-log least squares: the shape check of Lemma 5 behind
+// `mdstbench -exp fit`.
 package analysis
 
 import (
@@ -130,50 +129,4 @@ func BestFit(points []Point, models []Model) []Fit {
 // String renders a fit line.
 func (f Fit) String() string {
 	return fmt.Sprintf("cost ≈ %.3g·(%s)^%.2f (R²=%.3f)", f.Scale, f.Model.Name, f.Exponent, f.R2)
-}
-
-// Summary statistics used by the tables.
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0<=q<=1) by nearest-rank on a sorted
-// copy; 0 for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

@@ -93,25 +93,6 @@ func TestStandardModelsMonotone(t *testing.T) {
 	}
 }
 
-func TestMeanQuantileStddev(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if Mean(xs) != 2.5 {
-		t.Fatal("mean")
-	}
-	if Quantile(xs, 0.5) != 2 {
-		t.Fatalf("median=%v", Quantile(xs, 0.5))
-	}
-	if Quantile(xs, 1.0) != 4 || Quantile(xs, 0.0) != 1 {
-		t.Fatal("extreme quantiles")
-	}
-	if Mean(nil) != 0 || Quantile(nil, 0.5) != 0 || Stddev(nil) != 0 {
-		t.Fatal("empty stats")
-	}
-	if math.Abs(Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})-2) > 1e-9 {
-		t.Fatalf("stddev=%v", Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
-	}
-}
-
 // Property: the log-log fit recovers a planted exponent within epsilon
 // for arbitrary positive scales and exponents.
 func TestQuickFitRecoversExponent(t *testing.T) {

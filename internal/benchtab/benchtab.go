@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"mdst/internal/core"
@@ -90,7 +89,6 @@ func (t *Table) CSV() string {
 }
 
 func itoa(v int) string      { return fmt.Sprintf("%d", v) }
-func i64toa(v int64) string  { return fmt.Sprintf("%d", v) }
 func ftoa(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func btos(v bool) string     { return fmt.Sprintf("%v", v) }
 func log2ceil(n int) float64 { return math.Ceil(math.Log2(float64(n))) }
@@ -426,18 +424,6 @@ func E7Ablations(n int, seeds int) *Table {
 	return t
 }
 
-// SortRows orders rows lexicographically (stable output for goldens).
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool {
-		for c := range t.Rows[i] {
-			if t.Rows[i][c] != t.Rows[j][c] {
-				return t.Rows[i][c] < t.Rows[j][c]
-			}
-		}
-		return false
-	})
-}
-
 // All runs the full experiment suite with the default sweep and returns
 // the tables in order. families defaults to graph.Families().
 func All(sweep SweepSpec, families []graph.Family) []*Table {
@@ -459,5 +445,3 @@ func All(sweep SweepSpec, families []graph.Family) []*Table {
 		E12SearchTraffic("gnp", []int{16, 24}, sweep.Seeds, sweep.Sched),
 	}
 }
-
-var _ = i64toa // reserved for future columns

@@ -36,14 +36,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestSortRows(t *testing.T) {
-	tab := &Table{Columns: []string{"x"}, Rows: [][]string{{"b"}, {"a"}}}
-	tab.SortRows()
-	if tab.Rows[0][0] != "a" {
-		t.Fatal("not sorted")
-	}
-}
-
 func TestE1AllWithinBound(t *testing.T) {
 	tab := E1DegreeQuality(tinySweep(), tinyFamilies())
 	if len(tab.Rows) != 2 {

@@ -13,8 +13,8 @@ func ExampleGraph_basic() {
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 3)
 	g.MustAddEdge(3, 0)
-	fmt.Println(g, "connected:", g.IsConnected(), "diameter:", g.Diameter())
-	// Output: graph(n=4, m=4) connected: true diameter: 2
+	fmt.Println(g, "connected:", g.IsConnected())
+	// Output: graph(n=4, m=4) connected: true
 }
 
 func ExampleGraph_Bridges() {
@@ -27,11 +27,4 @@ func ExampleRandomGnp() {
 	g := graph.RandomGnp(10, 0.3, rand.New(rand.NewSource(1)))
 	fmt.Println("n:", g.N(), "connected:", g.IsConnected())
 	// Output: n: 10 connected: true
-}
-
-func ExampleGraph_DegreeHistogram() {
-	g := graph.Star(5)
-	h := g.DegreeHistogram()
-	fmt.Println("leaves:", h[1], "hubs:", h[4])
-	// Output: leaves: 4 hubs: 1
 }

@@ -4,85 +4,8 @@ import (
 	"math/rand"
 )
 
-// Additional generators and structural algorithms used by the extended
-// workloads and lower-bound computations.
-
-// CompleteBipartite returns K_{a,b}: parts {0..a-1} and {a..a+b-1}.
-func CompleteBipartite(a, b int) *Graph {
-	if a < 1 || b < 1 {
-		panic("graph: CompleteBipartite requires positive parts")
-	}
-	g := New(a + b)
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			g.MustAddEdge(u, v)
-		}
-	}
-	return g
-}
-
-// Barbell returns two cliques of size s joined by a path of length
-// bridge (bridge >= 1 edges between the cliques).
-func Barbell(s, bridge int) *Graph {
-	if s < 2 || bridge < 1 {
-		panic("graph: Barbell requires s >= 2, bridge >= 1")
-	}
-	n := 2*s + bridge - 1
-	g := New(n)
-	for i := 0; i < s; i++ {
-		for j := i + 1; j < s; j++ {
-			g.MustAddEdge(i, j)
-			g.MustAddEdge(s+bridge-1+i, s+bridge-1+j)
-		}
-	}
-	prev := s - 1
-	for k := 0; k < bridge-1; k++ {
-		g.MustAddEdge(prev, s+k)
-		prev = s + k
-	}
-	g.MustAddEdge(prev, s+bridge-1)
-	return g
-}
-
-// BinaryTree returns the complete binary tree with `levels` levels
-// (2^levels - 1 nodes). It is its own unique spanning tree (Δ* = 3 for
-// levels >= 3).
-func BinaryTree(levels int) *Graph {
-	if levels < 1 || levels > 24 {
-		panic("graph: BinaryTree levels out of range")
-	}
-	n := (1 << uint(levels)) - 1
-	g := New(n)
-	for v := 1; v < n; v++ {
-		g.MustAddEdge(v, (v-1)/2)
-	}
-	return g
-}
-
-// Circulant returns the circulant graph C_n(offsets): node i adjacent to
-// i±o (mod n) for each offset o. A standard constant-degree expander
-// workload when offsets are spread out.
-func Circulant(n int, offsets []int) *Graph {
-	if n < 3 {
-		panic("graph: Circulant requires n >= 3")
-	}
-	g := New(n)
-	for _, o := range offsets {
-		if o <= 0 || 2*o > n && o != n/2 {
-			// offsets beyond n/2 duplicate smaller ones
-			if o <= 0 || o >= n {
-				panic("graph: Circulant offset out of range")
-			}
-		}
-		for i := 0; i < n; i++ {
-			j := (i + o) % n
-			if !g.HasEdge(i, j) && i != j {
-				g.MustAddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
+// The generator behind the "regular" extra family, and Bridges, the
+// Tarjan lowlink reference that tests check IsBridge against.
 
 // RandomRegular returns a random d-regular graph on n nodes via the
 // pairing model with retries, stitched to connectivity like the
@@ -129,77 +52,6 @@ func tryPairing(n, d int, rng *rand.Rand) (*Graph, bool) {
 		g.MustAddEdge(u, v)
 	}
 	return g, true
-}
-
-// ArticulationPoints returns the cut vertices of g (nodes whose removal
-// increases the number of connected components), via an iterative
-// Tarjan lowlink DFS.
-func (g *Graph) ArticulationPoints() []int {
-	n := g.n
-	disc := make([]int, n)
-	low := make([]int, n)
-	parent := make([]int, n)
-	isArt := make([]bool, n)
-	for i := range disc {
-		disc[i] = -1
-		parent[i] = -1
-	}
-	timer := 0
-	type frame struct{ v, ni, children int }
-	for s := 0; s < n; s++ {
-		if disc[s] != -1 {
-			continue
-		}
-		stack := []frame{{v: s}}
-		disc[s] = timer
-		low[s] = timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			v := f.v
-			adv := false
-			for f.ni < len(g.adj[v]) {
-				u := g.adj[v][f.ni]
-				f.ni++
-				if disc[u] == -1 {
-					parent[u] = v
-					f.children++
-					disc[u] = timer
-					low[u] = timer
-					timer++
-					stack = append(stack, frame{v: u})
-					adv = true
-					break
-				} else if u != parent[v] {
-					if disc[u] < low[v] {
-						low[v] = disc[u]
-					}
-				}
-			}
-			if adv {
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if p := parent[v]; p != -1 {
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-				if parent[p] != -1 && low[v] >= disc[p] {
-					isArt[p] = true
-				}
-			}
-			if parent[v] == -1 && f.children >= 2 {
-				isArt[v] = true
-			}
-		}
-	}
-	var out []int
-	for v, a := range isArt {
-		if a {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Bridges returns the bridge edges of g (edges whose removal disconnects

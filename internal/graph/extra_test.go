@@ -6,76 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCompleteBipartite(t *testing.T) {
-	g := CompleteBipartite(2, 3)
-	if g.N() != 5 || g.M() != 6 {
-		t.Fatalf("K23 n=%d m=%d", g.N(), g.M())
-	}
-	if g.HasEdge(0, 1) || !g.HasEdge(0, 2) {
-		t.Fatal("bipartition wrong")
-	}
-	if !g.IsConnected() {
-		t.Fatal("disconnected")
-	}
-}
-
-func TestBarbell(t *testing.T) {
-	g := Barbell(4, 3)
-	if g.N() != 10 {
-		t.Fatalf("n=%d", g.N())
-	}
-	if !g.IsConnected() {
-		t.Fatal("disconnected")
-	}
-	// The bridge path edges are bridges.
-	bridges := g.Bridges()
-	if len(bridges) != 3 {
-		t.Fatalf("bridges=%v, want 3", bridges)
-	}
-}
-
-func TestBarbellDirectJoin(t *testing.T) {
-	g := Barbell(3, 1)
-	if g.N() != 6 || !g.IsConnected() {
-		t.Fatal("barbell-1 wrong")
-	}
-	if len(g.Bridges()) != 1 {
-		t.Fatalf("bridges=%v", g.Bridges())
-	}
-}
-
-func TestBinaryTree(t *testing.T) {
-	g := BinaryTree(4)
-	if g.N() != 15 || g.M() != 14 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
-	}
-	if g.Degree(0) != 2 || g.Degree(1) != 3 || g.Degree(14) != 1 {
-		t.Fatal("degrees wrong")
-	}
-	if !g.IsConnected() {
-		t.Fatal("disconnected")
-	}
-}
-
-func TestCirculant(t *testing.T) {
-	g := Circulant(10, []int{1, 3})
-	for v := 0; v < 10; v++ {
-		if g.Degree(v) != 4 {
-			t.Fatalf("degree(%d)=%d, want 4", v, g.Degree(v))
-		}
-	}
-	if !g.IsConnected() {
-		t.Fatal("disconnected")
-	}
-	// Offset n/2 gives a perfect matching layer (degree contribution 1).
-	h := Circulant(6, []int{3})
-	for v := 0; v < 6; v++ {
-		if h.Degree(v) != 1 {
-			t.Fatalf("C6(3) degree(%d)=%d", v, h.Degree(v))
-		}
-	}
-}
-
 func TestRandomRegular(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -100,44 +30,6 @@ func TestRandomRegularPanics(t *testing.T) {
 		}
 	}()
 	RandomRegular(5, 3, rand.New(rand.NewSource(1)))
-}
-
-func TestArticulationPointsPath(t *testing.T) {
-	g := Path(5)
-	aps := g.ArticulationPoints()
-	if len(aps) != 3 || aps[0] != 1 || aps[2] != 3 {
-		t.Fatalf("path APs %v, want [1 2 3]", aps)
-	}
-}
-
-func TestArticulationPointsCycleNone(t *testing.T) {
-	if aps := Ring(6).ArticulationPoints(); len(aps) != 0 {
-		t.Fatalf("ring APs %v, want none", aps)
-	}
-	if aps := Complete(5).ArticulationPoints(); len(aps) != 0 {
-		t.Fatalf("K5 APs %v", aps)
-	}
-}
-
-func TestArticulationPointsStar(t *testing.T) {
-	aps := Star(6).ArticulationPoints()
-	if len(aps) != 1 || aps[0] != 0 {
-		t.Fatalf("star APs %v, want [0]", aps)
-	}
-}
-
-func TestArticulationPointsLollipop(t *testing.T) {
-	// Lollipop(4,3): clique 0-3, tail 4,5,6: cut vertices 3,4,5.
-	aps := Lollipop(4, 3).ArticulationPoints()
-	want := map[int]bool{3: true, 4: true, 5: true}
-	if len(aps) != 3 {
-		t.Fatalf("APs %v", aps)
-	}
-	for _, v := range aps {
-		if !want[v] {
-			t.Fatalf("unexpected AP %d in %v", v, aps)
-		}
-	}
 }
 
 func TestBridgesPath(t *testing.T) {
@@ -174,57 +66,4 @@ func TestQuickBridgesAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Property: articulation points agree with brute-force component
-// counting.
-func TestQuickArticulationAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(10)
-		g := RandomGnp(n, 0.3, rng)
-		base := len(g.Components())
-		set := make(map[int]bool)
-		for _, v := range g.ArticulationPoints() {
-			set[v] = true
-		}
-		for v := 0; v < n; v++ {
-			// Removing v: count components among the rest.
-			if (componentsWithoutNode(g, v) > base) != set[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// componentsWithoutNode counts components of g minus node v, ignoring v
-// itself (so an isolated removal of a leaf keeps the count).
-func componentsWithoutNode(g *Graph, v int) int {
-	n := g.N()
-	seen := make([]bool, n)
-	seen[v] = true
-	count := 0
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		count++
-		stack := []int{s}
-		seen[s] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(u) {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return count
 }

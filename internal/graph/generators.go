@@ -9,9 +9,9 @@ import (
 // This file contains the topology generators used as experiment workloads.
 // Each family stands for a class of networks: rings with chords and geometric
 // graphs model the ad-hoc networks of the paper's introduction; G(n,p) and
-// Hamiltonian-augmented graphs model P2P overlays; star-of-cliques and
-// caterpillar-like instances are adversarial for the minimum-degree
-// objective (large gap between a BFS tree degree and Δ*).
+// Hamiltonian-augmented graphs model P2P overlays; star-of-cliques
+// instances are adversarial for the minimum-degree objective (large gap
+// between a BFS tree degree and Δ*).
 
 // Path returns the path graph 0-1-...-n-1.
 func Path(n int) *Graph {
@@ -69,23 +69,6 @@ func Grid(rows, cols int) *Graph {
 			if r+1 < rows {
 				g.MustAddEdge(id(r, c), id(r+1, c))
 			}
-		}
-	}
-	return g
-}
-
-// Torus returns the rows x cols 2D torus (grid with wraparound). Requires
-// rows, cols >= 3 to stay a simple graph.
-func Torus(rows, cols int) *Graph {
-	if rows < 3 || cols < 3 {
-		panic("graph: Torus requires rows, cols >= 3")
-	}
-	g := New(rows * cols)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.MustAddEdge(id(r, c), id(r, (c+1)%cols))
-			g.MustAddEdge(id(r, c), id((r+1)%rows, c))
 		}
 	}
 	return g
@@ -271,54 +254,6 @@ func StarOfCliques(k, s int) *Graph {
 	return g
 }
 
-// BridgedCliques returns k cliques of size s arranged in a ring, with
-// consecutive cliques joined by a single bridge edge. Bridges are forced
-// into every spanning tree, while inside a clique a Hamiltonian path
-// suffices, so Δ* = 3 for s >= 3 and a naive BFS tree is much worse.
-func BridgedCliques(k, s int) *Graph {
-	if k < 3 || s < 2 {
-		panic("graph: BridgedCliques requires k >= 3, s >= 2")
-	}
-	n := k * s
-	g := New(n)
-	for c := 0; c < k; c++ {
-		base := c * s
-		for i := 0; i < s; i++ {
-			for j := i + 1; j < s; j++ {
-				g.MustAddEdge(base+i, base+j)
-			}
-		}
-	}
-	for c := 0; c < k; c++ {
-		u := c*s + s - 1
-		v := ((c + 1) % k) * s
-		g.MustAddEdge(u, v)
-	}
-	return g
-}
-
-// Caterpillar returns a spine path of length spine with legs leaves
-// attached to every spine node. Trees; useful for degree accounting and
-// tree-module tests (the graph IS its own unique spanning tree).
-func Caterpillar(spine, legs int) *Graph {
-	if spine < 1 || legs < 0 {
-		panic("graph: Caterpillar requires spine >= 1, legs >= 0")
-	}
-	n := spine + spine*legs
-	g := New(n)
-	for i := 0; i+1 < spine; i++ {
-		g.MustAddEdge(i, i+1)
-	}
-	next := spine
-	for i := 0; i < spine; i++ {
-		for l := 0; l < legs; l++ {
-			g.MustAddEdge(i, next)
-			next++
-		}
-	}
-	return g
-}
-
 // Lollipop returns a clique of size s attached to a path of length tail.
 func Lollipop(s, tail int) *Graph {
 	if s < 2 || tail < 1 {
@@ -336,18 +271,6 @@ func Lollipop(s, tail int) *Graph {
 		g.MustAddEdge(i, i+1)
 	}
 	return g
-}
-
-// RelabelRandom returns a copy of g with node IDs permuted uniformly at
-// random. The protocol elects the minimum ID as root, so relabeling
-// decouples the root position from the topology.
-func RelabelRandom(g *Graph, rng *rand.Rand) *Graph {
-	perm := rng.Perm(g.N())
-	h := New(g.N())
-	for _, e := range g.Edges() {
-		h.MustAddEdge(perm[e.U], perm[e.V])
-	}
-	return h
 }
 
 // Family names a generator for table-driven experiments.

@@ -92,8 +92,7 @@ type BackendTuning struct {
 	Deadline time.Duration
 	// BatchSize caps how many protocol messages the tcp backend's
 	// per-direction edge writers coalesce into one wire frame
-	// (netrun.Config.BatchSize; default 1 — the pre-batching
-	// one-frame-per-message format, byte-compatible on the wire). The
+	// (netrun.Config.BatchSize; default 1, one message per frame). The
 	// live backend has no wire to frame and ignores both batch knobs.
 	BatchSize int
 	// BatchMaxWait bounds how long the tcp backend may hold a partially
@@ -287,11 +286,11 @@ func budgetDeadline(spec RunSpec, ops variantOps, p wallParams) (time.Duration, 
 }
 
 // auditRecorder builds the run's audit recorder and installs its
-// mutation hooks, nil when auditing is off. Must be called after
-// buildInitial: the initial (possibly corrupted) configuration is the
-// run's premise, only run-time mutations are chained.
+// mutation hooks, nil when the run collects no metrics. Must be called
+// after buildInitial: the initial (possibly corrupted) configuration is
+// the run's premise, only run-time mutations are chained.
 func auditRecorder(spec RunSpec, nodes []*core.Node) *auditlog.Recorder {
-	if !spec.Audit {
+	if spec.Collect == nil {
 		return nil
 	}
 	n := spec.Graph.N()

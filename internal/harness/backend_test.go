@@ -174,8 +174,8 @@ func TestBackendValidation(t *testing.T) {
 // once, after a stable certificate. The restart counter is maintained
 // by netrun.Cluster itself, so a driver regression (e.g. falling back
 // to the old restart-per-inspection loop) cannot hide. Exercised at
-// batch=1 (the pre-batching wire format) and batch=16 (coalesced
-// frames): in-band detection must not care how messages are framed.
+// batch=1 (one message per frame) and batch=16 (coalesced frames):
+// in-band detection must not care how messages are framed.
 func TestBackendTCPZeroRestartsOnConvergence(t *testing.T) {
 	for _, batch := range []int{1, 16} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {

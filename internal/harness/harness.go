@@ -188,13 +188,12 @@ type RunSpec struct {
 	// the collector while the run executes: the sim backend samples its
 	// run loop (pure reads of the incremental fingerprint cache — zero
 	// extra hashing), the wall-clock backends sample their detection
-	// probes. Nil keeps every backend on its exact pre-metrics path.
+	// probes. A collected run also records the hash-chained mutation log
+	// (internal/auditlog): every accepted tree mutation is chained and
+	// the final head is reported in Result.AuditChain. Nil keeps every
+	// backend on its exact pre-metrics path and installs no hooks —
+	// observability is zero-cost when not sampled.
 	Collect *metrics.Collector
-	// Audit enables the hash-chained mutation log (internal/auditlog):
-	// every accepted tree mutation is chained and the final head is
-	// reported in Result.AuditChain. Off (the default) installs no hooks
-	// — observability is zero-cost when not sampled.
-	Audit bool
 }
 
 // backend returns the normalized backend (empty means sim).
@@ -279,9 +278,10 @@ type Result struct {
 	// (after Tuning.Budget resolution); zero for the sim backend.
 	Deadline time.Duration `json:"-"`
 	// AuditChain is the mutation hash-chain head and AuditRecords the
-	// number of chained mutations (RunSpec.Audit; zero when auditing was
-	// off). Deterministic for the sim backend; for any backend, two
-	// observers of the same mutation sequence produce identical heads.
+	// number of chained mutations (recorded when RunSpec.Collect is set;
+	// zero otherwise). Deterministic for the sim backend; for any
+	// backend, two observers of the same mutation sequence produce
+	// identical heads.
 	// Excluded from JSON like every post-baseline field.
 	AuditChain   uint64 `json:"-"`
 	AuditRecords int    `json:"-"`
@@ -398,7 +398,7 @@ func Run(spec RunSpec) (Result, error) {
 
 // RunOn drives an already built simulator network exactly as Run drives
 // the networks it builds itself: same round budget, stability window,
-// per-round hooks (TrackSafety, Audit, Collect), certificate and Result.
+// per-round hooks (TrackSafety, Collect), certificate and Result.
 // It is the second half of a run whose initial configuration Run cannot
 // express — the churn executor migrates a legitimate configuration onto
 // a mutated graph, the decay cell corrupts a node after a steady-state

@@ -7,6 +7,7 @@ import (
 	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/mdstseq"
+	"mdst/internal/metrics"
 	"mdst/internal/sim"
 )
 
@@ -154,8 +155,9 @@ func TestRunCustomConfig(t *testing.T) {
 // rejects a network over another graph and a wall-clock spec.
 func TestRunOnMatchesRunOnCleanStart(t *testing.T) {
 	g := graph.Wheel(10)
-	spec := RunSpec{Graph: g, Config: retryConfig(g, core.RetryBackoff), Scheduler: SchedAsync, Seed: 4, Audit: true}
+	spec := RunSpec{Graph: g, Config: retryConfig(g, core.RetryBackoff), Scheduler: SchedAsync, Seed: 4, Collect: &metrics.Collector{}}
 	want := MustRun(spec)
+	spec.Collect = &metrics.Collector{}
 	got, err := RunOn(spec, core.BuildNetwork(g, spec.ProtocolConfig(), spec.Seed))
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestAuditChainGenesisCrossBackend(t *testing.T) {
 			Start:   StartLegitimate,
 			Seed:    seed,
 			Backend: backend,
-			Audit:   true,
+			Collect: &metrics.Collector{},
 			Tuning:  smokeTuning(t),
 		})
 		if err != nil {
@@ -61,7 +61,7 @@ func TestAuditChainSimDeterministic(t *testing.T) {
 				Start:   StartCorrupt,
 				Seed:    3,
 				Variant: variant,
-				Audit:   true,
+				Collect: &metrics.Collector{},
 			})
 		}
 		a, b := run(), run()
@@ -87,7 +87,7 @@ func TestAuditChainSeedSensitive(t *testing.T) {
 	g := graph.Wheel(10)
 	head := func(seed int64) uint64 {
 		return MustRun(RunSpec{
-			Graph: g, Start: StartCorrupt, Seed: seed, Audit: true,
+			Graph: g, Start: StartCorrupt, Seed: seed, Collect: &metrics.Collector{},
 		}).AuditChain
 	}
 	if head(1) == head(2) {
@@ -95,18 +95,18 @@ func TestAuditChainSeedSensitive(t *testing.T) {
 	}
 }
 
-// TestAuditOffIsZeroCost: with Audit unset no recorder exists and the
-// result reports a zero head — and the run's deterministic figures are
-// byte-identical to an audited run of the same spec (hooks observe,
-// never steer).
+// TestAuditOffIsZeroCost: with no Collector attached no recorder exists
+// and the result reports a zero head — and the run's deterministic
+// figures are byte-identical to an audited run of the same spec (hooks
+// observe, never steer).
 func TestAuditOffIsZeroCost(t *testing.T) {
 	g := graph.RandomGnp(14, 0.35, rand.New(rand.NewSource(5)))
 	spec := RunSpec{Graph: g, Start: StartCorrupt, Seed: 5}
 	plain := MustRun(spec)
-	spec.Audit = true
+	spec.Collect = &metrics.Collector{}
 	audited := MustRun(spec)
 	if plain.AuditChain != 0 || plain.AuditRecords != 0 {
-		t.Fatalf("audit fields set without Audit: %016x/%d", plain.AuditChain, plain.AuditRecords)
+		t.Fatalf("audit fields set without a Collector: %016x/%d", plain.AuditChain, plain.AuditRecords)
 	}
 	if plain.Rounds != audited.Rounds || plain.TotalMessages != audited.TotalMessages ||
 		plain.Exchanges != audited.Exchanges {
@@ -224,7 +224,6 @@ func TestMetricsWallBackends(t *testing.T) {
 			Seed:    6,
 			Backend: backend,
 			Collect: coll,
-			Audit:   true,
 			Tuning:  smokeTuning(t),
 		})
 		if err != nil {

@@ -34,13 +34,3 @@ func ExampleLowerBoundDelta() {
 	fmt.Println(mdstseq.LowerBoundDelta(graph.Star(8)))
 	// Output: 7
 }
-
-// ExampleSteinerLocalSearch reduces the degree of a Steiner tree over
-// the rim terminals of a wheel.
-func ExampleSteinerLocalSearch() {
-	g := graph.Wheel(9) // hub 0 + rim 1..8
-	st, _ := mdstseq.NewSteinerTree(g, []int{1, 2, 3, 4, 5, 6, 7, 8})
-	mdstseq.SteinerLocalSearch(st)
-	fmt.Println("valid:", st.Validate() == nil, "degree <= 3:", st.MaxDegree() <= 3)
-	// Output: valid: true degree <= 3: true
-}

@@ -47,65 +47,3 @@ func HillClimb(t *spanning.Tree, rng *rand.Rand, maxIdle int) int {
 	}
 	return applied
 }
-
-// GreedyDegreeBounded attempts to build a spanning tree with maximum
-// degree at most k greedily: grow from the min-ID node, always attaching
-// the frontier edge whose tree endpoint currently has the lowest degree.
-// Returns nil when the greedy run dead-ends (it is a heuristic, not a
-// decision procedure).
-func GreedyDegreeBounded(g *graph.Graph, k int) *spanning.Tree {
-	n := g.N()
-	if n == 0 || k < 1 {
-		return nil
-	}
-	parent := make([]int, n)
-	deg := make([]int, n)
-	inTree := make([]bool, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[0] = 0
-	inTree[0] = true
-	for count := 1; count < n; count++ {
-		// Lowest-degree tree endpoint with an expandable edge wins.
-		bu, bv := -1, -1
-		for u := 0; u < n; u++ {
-			if !inTree[u] || deg[u] >= k {
-				continue
-			}
-			for _, v := range g.Neighbors(u) {
-				if inTree[v] {
-					continue
-				}
-				if bu == -1 || deg[u] < deg[bu] {
-					bu, bv = u, v
-				}
-				break
-			}
-		}
-		if bu == -1 {
-			return nil
-		}
-		parent[bv] = bu
-		inTree[bv] = true
-		deg[bu]++
-		deg[bv]++
-	}
-	t, err := spanning.NewFromParents(g, parent, 0)
-	if err != nil {
-		return nil
-	}
-	return t
-}
-
-// GreedyMDST runs GreedyDegreeBounded with increasing k until it
-// succeeds, returning the tree (never nil for a connected graph, since
-// k = n-1 always succeeds).
-func GreedyMDST(g *graph.Graph) *spanning.Tree {
-	for k := 1; k < g.N(); k++ {
-		if t := GreedyDegreeBounded(g, k); t != nil {
-			return t
-		}
-	}
-	return spanning.BFSTree(g, 0)
-}

@@ -62,39 +62,3 @@ func TestQuickHillClimbVsFR(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGreedyDegreeBounded(t *testing.T) {
-	g := graph.Complete(6)
-	tr := GreedyDegreeBounded(g, 2)
-	if tr == nil {
-		t.Fatal("greedy failed on K6 with k=2")
-	}
-	if tr.MaxDegree() > 2 {
-		t.Fatalf("degree %d > 2", tr.MaxDegree())
-	}
-	// Star graph cannot do better than n-1.
-	if GreedyDegreeBounded(graph.Star(5), 3) != nil {
-		t.Fatal("impossible bound satisfied")
-	}
-	if GreedyDegreeBounded(graph.Star(5), 4) == nil {
-		t.Fatal("star with k=4 must succeed")
-	}
-	if GreedyDegreeBounded(graph.New(0), 2) != nil {
-		t.Fatal("empty graph")
-	}
-}
-
-func TestGreedyMDST(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.RandomGnp(15, 0.3, rng)
-		tr := GreedyMDST(g)
-		if tr == nil || tr.Validate() != nil {
-			t.Fatalf("seed %d: invalid greedy tree", seed)
-		}
-		// Sanity: the greedy tree is within the trivial bounds.
-		if tr.MaxDegree() < 1 || tr.MaxDegree() >= g.N() {
-			t.Fatalf("degree %d out of range", tr.MaxDegree())
-		}
-	}
-}

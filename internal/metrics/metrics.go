@@ -22,11 +22,7 @@
 // spuriously complete one.
 package metrics
 
-import (
-	"sort"
-
-	"mdst/internal/trace"
-)
+import "mdst/internal/trace"
 
 // Snapshot is one observation of a running execution. All counter
 // fields are cumulative since run start, never per-interval, so
@@ -35,7 +31,7 @@ type Snapshot struct {
 	// Epoch is the observation index: the round for the sim backend, the
 	// detector's probe epoch for the wall-clock backends.
 	Epoch uint64 `json:"epoch"`
-	// Nodes is the network size (per-node rates divide by it).
+	// Nodes is the network size.
 	Nodes int `json:"nodes"`
 	// SentTotal counts messages accepted by the backend's send path.
 	SentTotal int64 `json:"sentTotal"`
@@ -73,40 +69,6 @@ type Snapshot struct {
 	RetryPeriod int `json:"retryPeriod,omitempty"`
 	// Fingerprint is the combined state fingerprint at the observation.
 	Fingerprint uint64 `json:"fingerprint"`
-}
-
-// PerNodeRates differences two snapshots into per-node message rates by
-// kind: (s - prev) sends per node per epoch step. Kinds absent from
-// either snapshot count as zero; a nil map is returned when neither
-// snapshot carries kind breakdowns.
-func (s Snapshot) PerNodeRates(prev Snapshot) map[string]float64 {
-	if s.SentByKind == nil && prev.SentByKind == nil {
-		return nil
-	}
-	steps := float64(s.Epoch) - float64(prev.Epoch)
-	if steps <= 0 {
-		steps = 1
-	}
-	nodes := float64(s.Nodes)
-	if nodes <= 0 {
-		nodes = 1
-	}
-	out := make(map[string]float64, len(s.SentByKind))
-	for k, v := range s.SentByKind {
-		out[k] = float64(v-prev.SentByKind[k]) / steps / nodes
-	}
-	return out
-}
-
-// Kinds returns the snapshot's message kinds in sorted order
-// (deterministic rendering of the SentByKind map).
-func (s Snapshot) Kinds() []string {
-	out := make([]string, 0, len(s.SentByKind))
-	for k := range s.SentByKind {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SeriesColumns is the fixed column set of Collector.Series — the

@@ -64,21 +64,3 @@ func TestCollectorCallback(t *testing.T) {
 		t.Fatalf("OnSnapshot fired %d times", fired)
 	}
 }
-
-func TestPerNodeRates(t *testing.T) {
-	prev := Snapshot{Epoch: 10, Nodes: 4, SentByKind: map[string]int64{"info": 100}}
-	cur := Snapshot{Epoch: 20, Nodes: 4, SentByKind: map[string]int64{"info": 180, "search": 40}}
-	r := cur.PerNodeRates(prev)
-	if r["info"] != 2 { // 80 sends / 10 epochs / 4 nodes
-		t.Fatalf("info rate = %v", r["info"])
-	}
-	if r["search"] != 1 {
-		t.Fatalf("search rate = %v", r["search"])
-	}
-	if (Snapshot{}).PerNodeRates(Snapshot{}) != nil {
-		t.Fatal("kindless snapshots must yield nil rates")
-	}
-	if got := cur.Kinds(); len(got) != 2 || got[0] != "info" || got[1] != "search" {
-		t.Fatalf("Kinds() = %v", got)
-	}
-}

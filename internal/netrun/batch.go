@@ -1,22 +1,19 @@
 package netrun
 
 // Per-link frame coalescing: the transport layer that lets the tcp
-// backend keep its fast tick past n=128. The pre-batching stream wrote
-// one gob frame per message per edge direction — at medium n the
-// resulting syscall fan-out saturates the socket layer, keeps stale
-// tokens in flight, and forced an 8ms tick where 2ms should do. Here a
-// per-direction writer drains its outbox into multi-message frames:
-// flush on batch-size or max-wait, bufio-backed so one frame is one
-// syscall burst, so one node tick costs at most one burst per neighbor.
+// backend keep its fast tick past n=128. One gob frame per message per
+// edge direction saturates the socket layer at medium n with its
+// syscall fan-out, keeps stale tokens in flight, and forced an 8ms tick
+// where 2ms should do. Here a per-direction writer drains its outbox
+// into multi-message frames: flush on batch-size or max-wait,
+// bufio-backed so one frame is one syscall burst, so one node tick
+// costs at most one burst per neighbor.
 //
-// Wire format: with Config.BatchSize <= 1 every message travels as its
-// own envelope — byte-identical to the pre-batching stream (pinned by
-// TestBatchWireFormatPinned). Above 1 the writer packs up to BatchSize
-// queued messages into one frame (gob encodes the Msgs slice with a
-// leading count — the count prefix of the batch format) and the reader
-// unpacks it in order, preserving the reliable-FIFO link abstraction.
-// Both endpoints of a cluster share one Config, so the two formats
-// never mix on a wire.
+// Wire format: every write is one frame of up to Config.BatchSize
+// queued messages (gob encodes the Msgs slice with a leading count), so
+// at batch size 1 each frame carries one message. The reader unpacks
+// frames in order, preserving the reliable-FIFO link abstraction. The
+// frame bytes are pinned by TestBatchWireFormatPinned.
 //
 // Exactly one gob encoder and one gob decoder touch a connection for
 // its whole lifetime. Decoders read ahead through an internal buffer,
@@ -34,8 +31,8 @@ import (
 	"mdst/internal/sim"
 )
 
-// frame is the batched wire format: all Msgs share one From, so the
-// per-message envelope overhead is paid once per frame.
+// frame is the wire format: all Msgs share one From, so the sender is
+// encoded once per frame.
 type frame struct {
 	From int
 	Msgs []sim.Message
@@ -55,12 +52,11 @@ type sendLink struct {
 const frameBufSize = 32 * 1024
 
 // writeLoop drains link.q toward peer, one frame per iteration. The
-// first message of a frame is taken blocking; above batch size 1 the
-// rest coalesce per collectBatch. A write error is a mid-phase link
-// death: killLink settles the undeliverable messages (bugfix — they
-// were counted sent, so leaving them queued would hold the published
-// Dijkstra–Scholten deficit positive forever and starve the
-// certificate path).
+// first message of a frame is taken blocking; the rest coalesce per
+// collectBatch. A write error is a mid-phase link death: killLink
+// settles the undeliverable messages (bugfix — they were counted sent,
+// so leaving them queued would hold the published Dijkstra–Scholten
+// deficit positive forever and starve the certificate path).
 func (c *Cluster) writeLoop(me, peer int, link *sendLink, enc *gob.Encoder, bw *bufio.Writer, stop chan struct{}) {
 	batch := make([]sim.Message, 0, c.cfg.BatchSize)
 	for {
@@ -78,9 +74,7 @@ func (c *Cluster) writeLoop(me, peer int, link *sendLink, enc *gob.Encoder, bw *
 		case m := <-link.q:
 			batch = append(batch, m)
 		}
-		if c.cfg.BatchSize > 1 {
-			batch = c.collectBatch(link, batch, stop)
-		}
+		batch = c.collectBatch(link, batch, stop)
 		if err := c.writeFrame(enc, bw, me, peer, batch); err != nil {
 			c.killLink(link, batch, stop)
 			return
@@ -123,26 +117,16 @@ func (c *Cluster) collectBatch(link *sendLink, batch []sim.Message, stop chan st
 	return batch
 }
 
-// writeFrame encodes one coalesced batch and flushes it in a single
-// syscall burst. Batch size 1 keeps the pre-batching wire format — one
-// envelope per message — so the default is byte-compatible with every
-// stream written before the batching layer existed.
+// writeFrame encodes one coalesced batch as one frame and flushes it in
+// a single syscall burst.
 func (c *Cluster) writeFrame(enc *gob.Encoder, bw *bufio.Writer, me, peer int, batch []sim.Message) error {
 	if c.testWriteErr != nil {
 		if err := c.testWriteErr(me, peer); err != nil {
 			return err
 		}
 	}
-	if c.cfg.BatchSize > 1 {
-		if err := enc.Encode(frame{From: me, Msgs: batch}); err != nil {
-			return err
-		}
-	} else {
-		for _, m := range batch {
-			if err := enc.Encode(envelope{From: me, Msg: m}); err != nil {
-				return err
-			}
-		}
+	if err := enc.Encode(frame{From: me, Msgs: batch}); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -169,34 +153,22 @@ func (c *Cluster) killLink(link *sendLink, pending []sim.Message, stop chan stru
 	}
 }
 
-// readLoop decodes the peer's stream into me's inbox, unpacking batch
+// readLoop decodes the peer's stream into me's inbox, unpacking
 // frames in order (the link stays reliable FIFO: frame order is socket
 // order, in-frame order is slice order). Once stop is closed it keeps
 // reading until the connection closes but discards what it decodes, so
 // the peer's writer can always flush its final queue.
 func (c *Cluster) readLoop(in chan sim.Envelope, dec *gob.Decoder, stop chan struct{}) {
-	deliver := func(from int, m sim.Message) {
-		select {
-		case <-stop:
-		case in <- sim.Envelope{From: from, Msg: m}:
-		}
-	}
-	if c.cfg.BatchSize > 1 {
-		for {
-			var f frame
-			if err := dec.Decode(&f); err != nil {
-				return // EOF or teardown
-			}
-			for _, m := range f.Msgs {
-				deliver(f.From, m)
-			}
-		}
-	}
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		var f frame
+		if err := dec.Decode(&f); err != nil {
 			return // EOF or teardown
 		}
-		deliver(env.From, env.Msg)
+		for _, m := range f.Msgs {
+			select {
+			case <-stop:
+			case in <- sim.Envelope{From: f.From, Msg: m}:
+			}
+		}
 	}
 }

@@ -40,10 +40,10 @@ func (p *pinger) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {}
 
 // The accept side decodes the hello and then hands the SAME decoder to
 // startEdge. A gob decoder buffers ahead, so when the dialer's hello and
-// its first envelopes arrive in one burst (here: one buffered Write —
+// its first frames arrive in one burst (here: one buffered Write —
 // exactly what the batching writer produces), a second decoder on the
 // conn would read from after the buffered bytes and lose or corrupt
-// every buffered envelope. This test drives the handoff directly and
+// every buffered frame. This test drives the handoff directly and
 // fails by timeout under the old two-decoder accept path.
 func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	g := graph.Path(2)
@@ -81,7 +81,7 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	server := <-acceptedCh
 	defer server.Close()
 
-	// Dialer: hello + 5 envelopes gob-encoded back-to-back into ONE
+	// Dialer: hello + 5 frames gob-encoded back-to-back into ONE
 	// buffer, delivered in ONE Write — the burst the hello decoder will
 	// buffer past the hello.
 	const burst = 5
@@ -91,7 +91,7 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < burst; i++ {
-		if err := enc.Encode(envelope{From: 1, Msg: pingMsg{Seq: i}}); err != nil {
+		if err := enc.Encode(frame{From: 1, Msgs: []sim.Message{pingMsg{Seq: i}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 
 	// Accept path under test: decode the hello, hand the SAME decoder to
 	// startEdge (the fix; a fresh gob.NewDecoder(server) here reproduces
-	// the lost-envelope bug).
+	// the lost-frame bug).
 	dec := gob.NewDecoder(server)
 	var h hello
 	if err := dec.Decode(&h); err != nil {
@@ -117,10 +117,10 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 		select {
 		case env := <-c.inbox[0]:
 			if got := env.Msg.(pingMsg).Seq; got != i {
-				t.Fatalf("envelope %d out of order: seq %d", i, got)
+				t.Fatalf("message %d out of order: seq %d", i, got)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("envelope %d of %d never arrived: the hello decoder's buffered bytes were lost", i, burst)
+			t.Fatalf("message %d of %d never arrived: the hello decoder's buffered bytes were lost", i, burst)
 		}
 	}
 }
@@ -224,26 +224,48 @@ func TestStartFailureDoesNotLeakAcceptGoroutines(t *testing.T) {
 
 // --- Wire format ---------------------------------------------------------
 
-// encodeWire renders what a writer with the given config puts on the
-// wire for one coalesced batch.
-func encodeWire(t *testing.T, cfg Config, me int, batch []sim.Message) []byte {
+// encodeWire renders what a writer puts on the wire for one coalesced
+// batch.
+func encodeWire(t *testing.T, me int, batch []sim.Message) []byte {
 	t.Helper()
-	c := &Cluster{cfg: cfg}
-	if c.cfg.BatchSize <= 0 {
-		c.cfg.BatchSize = 1
-	}
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	if err := c.writeFrame(gob.NewEncoder(bw), bw, me, 1, batch); err != nil {
+	if err := (&Cluster{}).writeFrame(gob.NewEncoder(bw), bw, me, 1, batch); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// The batch frame encoding is pinned so the wire format cannot drift
-// silently: batch size 1 must stay byte-identical to the pre-batching
-// envelope-per-message stream, and the batched format must round-trip
-// with count and order intact.
+// checkFrames decodes wire to its end and requires exactly the given
+// frames from sender 3: count and order of frames and of the messages
+// in each.
+func checkFrames(t *testing.T, wire []byte, want [][]sim.Message) {
+	t.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(wire))
+	for i, msgs := range want {
+		var f frame
+		if err := dec.Decode(&f); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.From != 3 || len(f.Msgs) != len(msgs) {
+			t.Fatalf("frame %d decoded as from=%d count=%d, want from=3 count=%d", i, f.From, len(f.Msgs), len(msgs))
+		}
+		for k, m := range f.Msgs {
+			if m.(core.UpdateDistMsg) != msgs[k].(core.UpdateDistMsg) {
+				t.Fatalf("frame %d message %d decoded as %+v, want %+v", i, k, m, msgs[k])
+			}
+		}
+	}
+	var extra frame
+	if err := dec.Decode(&extra); err == nil {
+		t.Fatalf("wire held more than %d frames", len(want))
+	}
+}
+
+// The frame encoding is pinned so the wire format cannot drift
+// silently: every write is one gob-encoded frame — one message per
+// frame at batch size 1, the whole batch in one frame above it — and
+// decodes with sender, count and order intact.
 func TestBatchWireFormatPinned(t *testing.T) {
 	msgs := []sim.Message{
 		core.UpdateDistMsg{Dist: 1},
@@ -251,56 +273,43 @@ func TestBatchWireFormatPinned(t *testing.T) {
 		core.UpdateDistMsg{Dist: 3},
 	}
 
-	// Batch size 1: byte-for-byte the legacy stream.
-	var legacy bytes.Buffer
-	enc := gob.NewEncoder(&legacy)
+	// Batch size 1: three writes through one encoder, as one writer
+	// makes them, are byte for byte three one-message frames.
+	var want bytes.Buffer
+	enc := gob.NewEncoder(&want)
 	for _, m := range msgs {
-		if err := enc.Encode(envelope{From: 3, Msg: m}); err != nil {
+		if err := enc.Encode(frame{From: 3, Msgs: []sim.Message{m}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var got []byte
-	{
-		c := &Cluster{cfg: Config{BatchSize: 1}}
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		e := gob.NewEncoder(bw)
-		for _, m := range msgs {
-			if err := c.writeFrame(e, bw, 3, 1, []sim.Message{m}); err != nil {
-				t.Fatal(err)
-			}
+	var got bytes.Buffer
+	bw := bufio.NewWriter(&got)
+	e := gob.NewEncoder(bw)
+	for _, m := range msgs {
+		if err := (&Cluster{}).writeFrame(e, bw, 3, 1, []sim.Message{m}); err != nil {
+			t.Fatal(err)
 		}
-		got = buf.Bytes()
 	}
-	if !bytes.Equal(got, legacy.Bytes()) {
-		t.Fatalf("batch=1 wire bytes drifted from the legacy envelope stream:\n got %x\nwant %x", got, legacy.Bytes())
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("batch=1 wire bytes drifted from one frame per message:\n got %x\nwant %x", got.Bytes(), want.Bytes())
 	}
+	checkFrames(t, got.Bytes(), [][]sim.Message{msgs[:1], msgs[1:2], msgs[2:]})
 
-	// Batched: one frame carrying the whole batch, decoding to the same
-	// messages in the same order.
-	wire := encodeWire(t, Config{BatchSize: 16}, 3, msgs)
-	dec := gob.NewDecoder(bytes.NewReader(wire))
-	var f frame
-	if err := dec.Decode(&f); err != nil {
+	// Batched: one frame carrying the whole batch.
+	wire := encodeWire(t, 3, msgs)
+	want.Reset()
+	if err := gob.NewEncoder(&want).Encode(frame{From: 3, Msgs: msgs}); err != nil {
 		t.Fatal(err)
 	}
-	if f.From != 3 || len(f.Msgs) != len(msgs) {
-		t.Fatalf("frame decoded as from=%d count=%d, want from=3 count=%d", f.From, len(f.Msgs), len(msgs))
+	if !bytes.Equal(wire, want.Bytes()) {
+		t.Fatalf("batched wire bytes drifted from one frame per batch:\n got %x\nwant %x", wire, want.Bytes())
 	}
-	for i, m := range f.Msgs {
-		if m.(core.UpdateDistMsg) != msgs[i].(core.UpdateDistMsg) {
-			t.Fatalf("frame message %d decoded as %+v, want %+v", i, m, msgs[i])
-		}
-	}
-	var second frame
-	if err := dec.Decode(&second); err == nil {
-		t.Fatal("batched wire held more than one frame for one batch")
-	}
+	checkFrames(t, wire, [][]sim.Message{msgs})
 
-	// The batch must cost ONE frame on the wire, not one per message —
-	// the whole point of the format (amortized From + one count prefix).
-	if perMsg := len(encodeWire(t, Config{BatchSize: 1}, 3, msgs[:1])); len(wire) >= 3*perMsg {
-		t.Fatalf("batched frame (%dB) is not smaller than 3 envelope frames (3×%dB)", len(wire), perMsg)
+	// The batch must cost less than one frame per message — the whole
+	// point of coalescing (one From and one gob header per frame).
+	if perMsg := len(encodeWire(t, 3, msgs[:1])); len(wire) >= 3*perMsg {
+		t.Fatalf("batched frame (%dB) is not smaller than 3 one-message frames (3×%dB)", len(wire), perMsg)
 	}
 }
 
@@ -372,12 +381,11 @@ func TestSendPathsWithBatching(t *testing.T) {
 	}
 }
 
-// The config defaults pin the wire-compatible baseline: batch size 1,
-// no frame hold time.
+// The config defaults: batch size 1, no frame hold time.
 func TestBatchConfigDefaults(t *testing.T) {
 	c := NewCluster(graph.Path(2), func(id int, nbrs []int) sim.Process { return &pinger{} }, Config{})
 	if c.cfg.BatchSize != 1 {
-		t.Fatalf("default BatchSize %d, want 1 (wire-compatible)", c.cfg.BatchSize)
+		t.Fatalf("default BatchSize %d, want 1", c.cfg.BatchSize)
 	}
 	c2 := NewCluster(graph.Path(2), func(id int, nbrs []int) sim.Process { return &pinger{} },
 		Config{BatchSize: 8, BatchMaxWait: -time.Second})

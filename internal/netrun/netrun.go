@@ -5,13 +5,11 @@
 // so every link is a reliable FIFO channel, exactly the paper's §2
 // communication model realized by an actual network stack.
 //
-// The wire carries one of two formats, selected by Config.BatchSize and
-// shared by both endpoints of a cluster: at batch size 1 (the default)
-// every message is its own envelope frame, byte-compatible with the
-// pre-batching stream; above 1 each per-direction writer coalesces
-// queued messages into multi-message frames flushed on batch-size or
+// The wire carries one format: each per-direction writer sends frames
+// of up to Config.BatchSize queued messages, flushed on batch-size or
 // max-wait, so one node tick costs at most one syscall burst per
-// neighbor (see batch.go). Exactly one gob encoder and one gob decoder
+// neighbor (see batch.go); at batch size 1 (the default) every frame
+// carries one message. Exactly one gob encoder and one gob decoder
 // are attached to a connection for its lifetime — gob decoders read
 // ahead through an internal buffer, so a second decoder on the same
 // conn would silently lose buffered bytes (the hello handshake hands
@@ -62,12 +60,6 @@ import (
 	"mdst/internal/sim"
 )
 
-// envelope is the wire format: one message with its sender.
-type envelope struct {
-	From int
-	Msg  sim.Message
-}
-
 // hello identifies the dialing endpoint of an edge connection.
 type hello struct {
 	From int
@@ -91,9 +83,8 @@ type Config struct {
 	// detection rests on version-vector and fingerprint stability.
 	ActiveKinds []string
 	// BatchSize caps how many messages one wire frame may carry
-	// (default 1: every message is its own envelope frame, the
-	// pre-batching wire format). Above 1 each per-direction writer
-	// coalesces queued messages into multi-message frames — see
+	// (default 1: one message per frame). Above 1 each per-direction
+	// writer coalesces queued messages into multi-message frames — see
 	// batch.go for the format and the flush policy.
 	BatchSize int
 	// BatchMaxWait bounds how long a partially filled frame may stay

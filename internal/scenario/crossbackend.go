@@ -53,7 +53,7 @@ type CrossBackendSpec struct {
 	// the BENCH_tcp.json sweet spot at n=128 because the ladder's n=256
 	// cell needs the extra coalescing to certify at the 2ms tick; at
 	// n=256 it measures ~0.09 frames/message). Set TCPBatch to 1 for
-	// the pre-batching one-frame-per-message wire format.
+	// one message per frame.
 	TCPBatch     int
 	TCPBatchWait time.Duration
 }

@@ -269,7 +269,6 @@ func executeRun(spec Spec, fault FaultModel, r Run) RunResult {
 		}
 		coll = &metrics.Collector{Every: stride}
 		base.Collect = coll
-		base.Audit = true
 	}
 
 	var res harness.Result

@@ -48,9 +48,6 @@ type LiveConfig struct {
 	// TickInterval is the gossip period of each node's "do forever" loop
 	// (default 200µs).
 	TickInterval time.Duration
-	// InboxSize is each node's channel buffer (default 4096). A full
-	// inbox blocks the sender, which models link back-pressure.
-	InboxSize int
 	// ActiveKinds names the message kinds whose sent/received counters
 	// feed convergence detection (ProbeSample's Dijkstra–Scholten
 	// deficit) — the protocol's reduction kinds, which must both drain
@@ -60,14 +57,16 @@ type LiveConfig struct {
 	ActiveKinds []string
 }
 
+// liveInboxSize is each node's channel buffer, the capacity netrun's
+// inboxes have too. A full inbox blocks the sender, which models link
+// back-pressure.
+const liveInboxSize = 4096
+
 // NewLiveNetwork builds the live runtime over g. The factory contract is
 // the same as NewNetwork's.
 func NewLiveNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Process, cfg LiveConfig) *LiveNetwork {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 200 * time.Microsecond
-	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 4096
 	}
 	n := g.N()
 	ln := &LiveNetwork{
@@ -77,7 +76,7 @@ func NewLiveNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) 
 		tick:  cfg.TickInterval,
 	}
 	for id := 0; id < n; id++ {
-		ln.inbox[id] = make(chan Envelope, cfg.InboxSize)
+		ln.inbox[id] = make(chan Envelope, liveInboxSize)
 		ln.procs[id] = factory(id, g.Neighbors(id))
 	}
 	ln.board = NewBoard(ln.procs, cfg.ActiveKinds)

@@ -95,9 +95,6 @@ func (t *Tree) Root() int { return t.root }
 // Parent returns v's parent (the root's parent is itself).
 func (t *Tree) Parent(v int) int { return t.parent[v] }
 
-// Parents returns a copy of the parent array.
-func (t *Tree) Parents() []int { return append([]int(nil), t.parent...) }
-
 // Clone returns a deep copy of t.
 func (t *Tree) Clone() *Tree {
 	return &Tree{g: t.g, parent: append([]int(nil), t.parent...), root: t.root}
@@ -260,17 +257,6 @@ func (t *Tree) Depths() []int {
 		chain = chain[:0]
 	}
 	return depth
-}
-
-// Height returns the maximum depth over all nodes.
-func (t *Tree) Height() int {
-	h := 0
-	for _, d := range t.Depths() {
-		if d > h {
-			h = d
-		}
-	}
-	return h
 }
 
 // Subtree returns all nodes in the subtree rooted at v (including v).

@@ -104,8 +104,8 @@ func TestChildrenSubtreeDepth(t *testing.T) {
 	if !tr.InSubtree(2, 4) || tr.InSubtree(2, 1) {
 		t.Fatal("InSubtree wrong")
 	}
-	if tr.Depths()[4] != 4 || tr.Height() != 4 {
-		t.Fatal("depth/height wrong")
+	if tr.Depths()[4] != 4 {
+		t.Fatal("depth wrong")
 	}
 }
 
@@ -430,28 +430,17 @@ func climbDepth(tr *Tree, v int) int {
 	return d
 }
 
-// checkDepths compares Depths with climbDepth on every node, and Height
-// and AverageDepth with the values the climbs give.
+// checkDepths compares Depths with climbDepth on every node.
 func checkDepths(t *testing.T, name string, tr *Tree) {
 	t.Helper()
 	depth := tr.Depths()
 	if len(depth) != tr.Graph().N() {
 		t.Fatalf("%s: %d depths for %d nodes", name, len(depth), tr.Graph().N())
 	}
-	height, sum := 0, 0
 	for v, d := range depth {
-		want := climbDepth(tr, v)
-		if d != want {
+		if want := climbDepth(tr, v); d != want {
 			t.Fatalf("%s: Depths()[%d] = %d, parent climb %d", name, v, d, want)
 		}
-		height = max(height, want)
-		sum += want
-	}
-	if h := tr.Height(); h != height {
-		t.Fatalf("%s: Height %d, deepest climb %d", name, h, height)
-	}
-	if ad, want := tr.AverageDepth(), float64(sum)/float64(len(depth)); ad != want {
-		t.Fatalf("%s: AverageDepth %v, mean climb %v", name, ad, want)
 	}
 }
 
