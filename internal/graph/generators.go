@@ -74,6 +74,23 @@ func Grid(rows, cols int) *Graph {
 	return g
 }
 
+// Torus returns the rows x cols 2D torus (grid with wraparound). Requires
+// rows, cols >= 3 to stay a simple graph.
+func Torus(rows, cols int) *Graph {
+	if rows < 3 || cols < 3 {
+		panic("graph: Torus requires rows, cols >= 3")
+	}
+	g := New(rows * cols)
+	id := func(r, c int) int { return r*cols + c }
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			g.MustAddEdge(id(r, c), id(r, (c+1)%cols))
+			g.MustAddEdge(id(r, c), id((r+1)%rows, c))
+		}
+	}
+	return g
+}
+
 // Hypercube returns the d-dimensional hypercube on 2^d nodes.
 func Hypercube(d int) *Graph {
 	if d < 0 || d > 20 {
@@ -271,6 +288,18 @@ func Lollipop(s, tail int) *Graph {
 		g.MustAddEdge(i, i+1)
 	}
 	return g
+}
+
+// RelabelRandom returns a copy of g with node IDs permuted uniformly at
+// random. The protocol elects the minimum ID as root, so relabeling
+// decouples the root position from the topology.
+func RelabelRandom(g *Graph, rng *rand.Rand) *Graph {
+	perm := rng.Perm(g.N())
+	h := New(g.N())
+	for _, e := range g.Edges() {
+		h.MustAddEdge(perm[e.U], perm[e.V])
+	}
+	return h
 }
 
 // Family names a generator for table-driven experiments.

@@ -68,6 +68,18 @@ func TestGrid(t *testing.T) {
 	}
 }
 
+func TestTorus(t *testing.T) {
+	g := Torus(3, 4)
+	if g.M() != 2*12 {
+		t.Fatalf("torus m=%d, want 24", g.M())
+	}
+	for u := 0; u < g.N(); u++ {
+		if g.Degree(u) != 4 {
+			t.Fatalf("torus degree(%d)=%d", u, g.Degree(u))
+		}
+	}
+}
+
 func TestHypercube(t *testing.T) {
 	g := Hypercube(4)
 	if g.N() != 16 || g.M() != 32 {
@@ -178,6 +190,24 @@ func TestLollipop(t *testing.T) {
 	}
 	if g.Degree(6) != 1 {
 		t.Fatal("tail end degree wrong")
+	}
+}
+
+func TestRelabelRandomPreservesShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := Grid(4, 4)
+	h := RelabelRandom(g, rng)
+	if h.N() != g.N() || h.M() != g.M() {
+		t.Fatal("relabel changed size")
+	}
+	gh, hh := g.DegreeHistogram(), h.DegreeHistogram()
+	for d, c := range gh {
+		if hh[d] != c {
+			t.Fatalf("degree histogram changed: %v vs %v", gh, hh)
+		}
+	}
+	if !h.IsConnected() {
+		t.Fatal("relabel broke connectivity")
 	}
 }
 

@@ -27,6 +27,18 @@ func (e Edge) Normalize() Edge {
 	return e
 }
 
+// Other returns the endpoint of e that is not x. It panics if x is not an
+// endpoint of e.
+func (e Edge) Other(x int) int {
+	switch x {
+	case e.U:
+		return e.V
+	case e.V:
+		return e.U
+	}
+	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge %v", x, e))
+}
+
 // String renders the edge as "{u,v}".
 func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 
@@ -291,9 +303,31 @@ func (g *Graph) BFSFrom(root int) (parent, dist []int) {
 	return parent, dist
 }
 
+// DegreeHistogram returns a map from degree to the number of nodes with
+// that degree.
+func (g *Graph) DegreeHistogram() map[int]int {
+	h := make(map[int]int)
+	for u := 0; u < g.n; u++ {
+		h[len(g.adj[u])]++
+	}
+	return h
+}
+
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph(n=%d, m=%d)", g.n, g.m)
+}
+
+// FromEdges builds a graph with n nodes and the given edges. It returns an
+// error on any invalid edge.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	g := New(n)
+	for _, e := range edges {
+		if err := g.AddEdge(e.U, e.V); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
 // IsBridge reports whether removing edge {u,v} would disconnect the

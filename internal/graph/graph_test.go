@@ -107,6 +107,19 @@ func TestEdgesCanonical(t *testing.T) {
 	}
 }
 
+func TestEdgeOther(t *testing.T) {
+	e := Edge{3, 7}
+	if e.Other(3) != 7 || e.Other(7) != 3 {
+		t.Fatal("Other wrong")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Other(5) should panic")
+		}
+	}()
+	e.Other(5)
+}
+
 func TestEdgeNormalize(t *testing.T) {
 	if (Edge{5, 2}).Normalize() != (Edge{2, 5}) {
 		t.Fatal("Normalize failed")
@@ -178,6 +191,10 @@ func TestDegreeStats(t *testing.T) {
 	if g.MaxDegree() != 5 || g.MinDegree() != 1 {
 		t.Fatalf("star degrees max=%d min=%d", g.MaxDegree(), g.MinDegree())
 	}
+	h := g.DegreeHistogram()
+	if h[5] != 1 || h[1] != 5 {
+		t.Fatalf("histogram %v", h)
+	}
 }
 
 func TestIsBridge(t *testing.T) {
@@ -191,6 +208,19 @@ func TestIsBridge(t *testing.T) {
 	// IsBridge must not mutate.
 	if !g.HasEdge(3, 4) || !g.HasEdge(0, 1) {
 		t.Fatal("IsBridge mutated graph")
+	}
+}
+
+func TestFromEdges(t *testing.T) {
+	g, err := FromEdges(3, []Edge{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.M() != 2 {
+		t.Fatalf("m=%d", g.M())
+	}
+	if _, err := FromEdges(2, []Edge{{0, 0}}); err == nil {
+		t.Fatal("self loop accepted")
 	}
 }
 

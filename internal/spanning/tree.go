@@ -191,6 +191,19 @@ func (t *Tree) MaxDegree() int {
 	return max
 }
 
+// IsPath reports whether the tree is a simple path (max degree <= 2):
+// the global optimum shape whenever the graph is Hamiltonian-traceable.
+func (t *Tree) IsPath() bool { return t.g.N() <= 2 || t.MaxDegree() <= 2 }
+
+// IsStar reports whether some node is adjacent to all others.
+func (t *Tree) IsStar() bool {
+	n := t.g.N()
+	if n <= 2 {
+		return true
+	}
+	return t.MaxDegree() == n-1
+}
+
 // DegreeSequence returns the tree degrees sorted in decreasing order —
 // the potential function used to prove improvement termination.
 func (t *Tree) DegreeSequence() []int {
@@ -257,6 +270,19 @@ func (t *Tree) Depths() []int {
 		chain = chain[:0]
 	}
 	return depth
+}
+
+// AverageDepth returns the mean distance to the root.
+func (t *Tree) AverageDepth() float64 {
+	n := t.g.N()
+	if n == 0 {
+		return 0
+	}
+	sum := 0
+	for _, d := range t.Depths() {
+		sum += d
+	}
+	return float64(sum) / float64(n)
 }
 
 // Subtree returns all nodes in the subtree rooted at v (including v).

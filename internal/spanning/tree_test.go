@@ -91,6 +91,26 @@ func TestHasTreeEdgeAndEdges(t *testing.T) {
 	}
 }
 
+func TestIsPathIsStar(t *testing.T) {
+	path6, star6 := BFSTree(graph.Path(6), 0), BFSTree(graph.Star(6), 0)
+	if !path6.IsPath() || path6.IsStar() {
+		t.Fatal("path misclassified")
+	}
+	if star6.IsPath() || !star6.IsStar() {
+		t.Fatal("star misclassified")
+	}
+	if path2 := BFSTree(graph.Path(2), 0); !path2.IsPath() || !path2.IsStar() {
+		t.Fatal("2-node tree is both")
+	}
+}
+
+func TestAverageDepth(t *testing.T) {
+	// Path 0-1-2: depths 0,1,2 => mean 1.
+	if ad := BFSTree(graph.Path(3), 0).AverageDepth(); ad != 1.0 {
+		t.Fatalf("avg depth %f, want 1", ad)
+	}
+}
+
 func TestChildrenSubtreeDepth(t *testing.T) {
 	g := graph.Path(5)
 	tr := mustTree(t, g, []int{0, 0, 1, 2, 3}, 0)
@@ -430,17 +450,24 @@ func climbDepth(tr *Tree, v int) int {
 	return d
 }
 
-// checkDepths compares Depths with climbDepth on every node.
+// checkDepths compares Depths with climbDepth on every node, and
+// AverageDepth with the mean the climbs give.
 func checkDepths(t *testing.T, name string, tr *Tree) {
 	t.Helper()
 	depth := tr.Depths()
 	if len(depth) != tr.Graph().N() {
 		t.Fatalf("%s: %d depths for %d nodes", name, len(depth), tr.Graph().N())
 	}
+	sum := 0
 	for v, d := range depth {
-		if want := climbDepth(tr, v); d != want {
+		want := climbDepth(tr, v)
+		if d != want {
 			t.Fatalf("%s: Depths()[%d] = %d, parent climb %d", name, v, d, want)
 		}
+		sum += want
+	}
+	if ad, want := tr.AverageDepth(), float64(sum)/float64(len(depth)); ad != want {
+		t.Fatalf("%s: AverageDepth %v, mean climb %v", name, ad, want)
 	}
 }
 
