@@ -65,24 +65,36 @@ race:
 # drives a batch>1 cluster through the certificate path (coalesced wire
 # frames must not change the outcome — see
 # TestBatchedTCPDifferentialOutcome).
-# The metrics job smokes the observability plane on the wall-clock
-# backends: the control-channel metrics pair plus client-shedding on
-# tcp, then live+tcp runs asserting a non-empty snapshot stream and
-# cross-backend-identical audit chain heads (those two harness tests
-# skip under -short, so the job runs them without it — they finish in
-# well under a second).
+# The control-channel job covers the quiescence probe, the shedding of
+# a client that disconnects mid-request or sends anything but a probe
+# request, and the send counters the metrics stream reads in-process.
+# The metrics job runs live+tcp asserting a non-empty snapshot stream
+# and cross-backend-identical audit chain heads (those two harness
+# tests skip under -short, so the job runs them without it — they
+# finish in well under a second).
+# Every job with a -run pattern goes through smoke_run, which first
+# lists each |-separated name with `go test -list` and fails when one
+# matches no test: a deleted or renamed test would otherwise leave its
+# job green with "[no tests to run]".
+define smoke_run
+	@for name in $$(echo '$(1)' | tr '|' ' '); do \
+		$(GO) test -list "$$name" $(2) | grep -Eq '^(Test|Example|Fuzz|Benchmark)' || \
+			{ echo "make smoke: -run name $$name matches no test in $(2)"; exit 1; }; \
+	done
+	$(GO) test $(3) -run '$(1)' $(2)
+endef
+
 smoke:
 	$(GO) test -short ./internal/detect/
-	$(GO) test -short -run 'TestBackend|TestParseBackend|TestTuning' ./internal/harness/
-	$(GO) test -short -run 'TestSuppressionSmokeLiveTCP|TestSuppressionSimDeterministicCounter|TestBackoffSmokeLiveTCP' ./internal/harness/
-	$(GO) test -short -run 'TestControlChannel|TestSentAccumulates' ./internal/netrun/
-	$(GO) test -short -run 'TestBatchedTCPDifferentialOutcome|TestBackendTCPZeroRestartsOnConvergence' ./internal/harness/
-	$(GO) test -short -run 'TestBatch|TestTCPBatchedWheelConverges' ./internal/netrun/
+	$(call smoke_run,TestBackend|TestParseBackend|TestTuning,./internal/harness/,-short)
+	$(call smoke_run,TestSuppressionSmokeLiveTCP|TestSuppressionSimDeterministicCounter|TestBackoffSmokeLiveTCP,./internal/harness/,-short)
+	$(call smoke_run,TestControlChannel|TestControlClientDisconnectMidRequest|TestUnknownControlRequestDropsConnection|TestSentAccumulates,./internal/netrun/,-short)
+	$(call smoke_run,TestBatchedTCPDifferentialOutcome|TestBackendTCPZeroRestartsOnConvergence,./internal/harness/,-short)
+	$(call smoke_run,TestBatch|TestTCPBatchedWheelConverges,./internal/netrun/,-short)
 	$(GO) test -short ./cmd/mdstnet/
-	$(GO) test -short -run 'TestRunEvents' ./internal/sim/
-	$(GO) test -short -run 'TestEventEngine|TestParseEngine|TestStartPathClosure' ./internal/harness/
-	$(GO) test -short -run 'TestMetricsOverControlChannel|TestControlClientDisconnectMidRequest' ./internal/netrun/
-	$(GO) test -run 'TestMetricsWallBackends|TestAuditChainGenesisCrossBackend' ./internal/harness/
+	$(call smoke_run,TestRunEvents,./internal/sim/,-short)
+	$(call smoke_run,TestEventEngine|TestParseEngine|TestStartPathClosure,./internal/harness/,-short)
+	$(call smoke_run,TestMetricsWallBackends|TestAuditChainGenesisCrossBackend,./internal/harness/)
 
 # The repository benchmark (benchmark/) is its own Go module, so the root
 # `go test ./...` does not reach its test. That test runs every workload

@@ -192,7 +192,7 @@ func BenchmarkScenarioMatrix(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := scenario.Default().Execute(spec)
+		m, err := scenario.Engine{}.Execute(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func TestRunSeriesConv(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	if !strings.HasPrefix(out.String(), "round,treeDeg,roots") {
+	if !strings.HasPrefix(out.String(), "epoch,treeDeg,roots") {
 		t.Fatalf("series header wrong: %q", strings.SplitN(out.String(), "\n", 2)[0])
 	}
 }

@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	retry := fs.String("retry", "paper", "cycle-search retry policy: paper|suppress|backoff (suppress prunes duplicate Search tokens and batches launches; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change, and the stability window and budget deadline take its conservative cap)")
 	batch := fs.Int("batch", 0, "messages coalesced per wire frame (0/1 = one message per frame)")
 	batchwait := fs.Duration("batchwait", 0, "max time a partially filled frame is held open (0 = flush immediately)")
-	metricsOn := fs.Bool("metrics", false, "sample the metrics stream over the control channel and dump it as JSON alongside the result, plus the audit chain head")
+	metricsOn := fs.Bool("metrics", false, "sample the metrics stream at each detection probe and dump it as JSON alongside the result, plus the audit chain head")
 	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2

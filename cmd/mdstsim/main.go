@@ -35,8 +35,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	n := fs.Int("n", 24, "approximate node count")
 	useStdin := fs.Bool("stdin", false, "read the graph from stdin (edge-list format)")
 	seed := fs.Int64("seed", 1, "seed for generation, corruption and scheduling")
-	start := fs.String("start", "corrupt", "initial configuration: clean|corrupt|legit|path")
-	faults := fs.Int("faults", 0, "with -start legit/path: number of nodes to corrupt")
+	start := fs.String("start", "corrupt", "initial configuration: clean|corrupt|legitimate (or legit)|path")
+	faults := fs.Int("faults", 0, "with -start legitimate/path: number of nodes to corrupt")
 	sched := fs.String("sched", "sync", "scheduler: sync|async|adversarial")
 	engine := fs.String("engine", "compat", "simulator core: compat (full-sweep rounds)|event (frontier-only)")
 	verbose := fs.Bool("v", false, "print per-kind message counts and the degree profile")
@@ -84,17 +84,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		canonicalRing = fam.CanonicalRing
 	}
 
-	mode := harness.StartCorrupt
-	switch *start {
-	case "clean":
-		mode = harness.StartClean
-	case "legit":
-		mode = harness.StartLegitimate
-	case "path":
-		mode = harness.StartPath
-	case "corrupt":
-	default:
-		fmt.Fprintln(stderr, "mdstsim: unknown -start", *start)
+	mode, err := harness.ParseStartMode(*start)
+	if err != nil {
+		fmt.Fprintln(stderr, "mdstsim:", err)
 		return 2
 	}
 	eng, err := harness.ParseEngine(*engine)

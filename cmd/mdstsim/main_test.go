@@ -50,14 +50,18 @@ func TestRunBadStart(t *testing.T) {
 	}
 }
 
+// -start takes the legitimate start under its full name and its short
+// one, as harness.ParseStartMode does.
 func TestRunLegitWithFaults(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-family", "gnp", "-n", "14", "-start", "legit", "-faults", "3"}, nil, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "legitimate: true") {
-		t.Fatalf("did not recover:\n%s", out.String())
+	for _, name := range []string{"legit", "legitimate"} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-family", "gnp", "-n", "14", "-start", name, "-faults", "3"}, nil, &out, &errOut)
+		if code != 0 {
+			t.Fatalf("-start %s: exit %d:\n%s%s", name, code, out.String(), errOut.String())
+		}
+		if !strings.Contains(out.String(), "legitimate: true") {
+			t.Fatalf("-start %s: did not recover:\n%s", name, out.String())
+		}
 	}
 }
 

@@ -126,22 +126,26 @@
 // Observability is a control plane over the same runs
 // (internal/metrics + internal/auditlog, harness.RunSpec.Collect,
 // scenario Spec.Metrics, `mdstmatrix -metrics`, `mdstnet -metrics`,
-// `mdstviz -live`): a metrics.Collector samples flat JSON/CSV
-// snapshots — message counts by kind, the degree histogram,
-// suppression counters, and certificate progress (version-vector fill,
-// message deficit, stability-window position) — from counters the
-// backends already maintain, so a run with the plane off is
-// byte-identical to one that never had it (the committed matrix and
-// BENCH_scale.json baselines are regression-locked on this). The sim
-// driver samples from its run loop reusing the incremental fingerprint;
-// the live driver samples at each detector observation; the tcp driver
-// extends the netrun control-channel gob protocol with a
-// metricsRequest/metricsReply pair beside the probe pair (one encoder
-// and one decoder per connection, interface-encoded requests
-// dispatched by type switch). A collected run also chains every
-// accepted tree mutation: a parent change, blocking-edge exchange or
-// deblock-triggered reset appends {round, node, kind, old, new} to a
-// per-run hash chain (splitmix folding via detect.MixNode,
+// `mdstviz -live`, `mdstbench -series`): a metrics.Collector is the one
+// way a run is observed on every backend. Each collected run feeds one
+// detect.Detector, and one harness function builds every flat JSON/CSV
+// snapshot — tree degree, root count and dmax agreement, message counts
+// by kind, the degree histogram, suppression counters, and certificate
+// progress (version-vector fill, message deficit, stability-window
+// position) — from counters the backends already maintain, so a run
+// with the plane off is byte-identical to one that never had it (the
+// committed matrix and BENCH_scale.json baselines are
+// regression-locked on this). The sim driver samples its run loop from
+// the initial configuration (epoch 0) on, reusing the incremental
+// fingerprint, and reads its nodes on every sample; the live and tcp
+// drivers sample at each detector observation and read the send
+// counters in-process (lock-free, safe while the network runs), and
+// the nodes once stopped. The tcp control channel carries only the
+// quiescence probe. Collector.Series renders the stream as a
+// trace.Series — the E2/E5 figure series are such series. A collected
+// run also chains every accepted tree mutation: a parent change,
+// blocking-edge exchange or deblock-triggered reset appends {round,
+// node, kind, old, new} to a per-run hash chain (splitmix folding via detect.MixNode,
 // node-ID-major, rounds excluded so wall-clock interleavings agree);
 // the chain head rides in harness.Result, and two observers of the
 // same seeded run must report byte-identical heads — a cross-backend
@@ -184,10 +188,9 @@
 // Every run that stops on quiescence is driven by internal/harness,
 // through one driver per execution model. The simulator has one loop:
 // harness.Run builds a network and its initial configuration and drives
-// it, harness.RunOn drives a network built elsewhere (the churn
+// it, and harness.RunOn drives a network built elsewhere (the churn
 // executor's migrated network, the decay cell's fault recovery) exactly
-// the same way, and harness.RunTraced is Run plus the E2/E5 figure
-// series, sampled as one more per-round observer. The live and tcp
+// the same way. The live and tcp
 // backends share one detection loop that sees each transport through a
 // small interface (start, stop, probe, traffic counters), so both
 // certify, check legitimacy and resume identically.

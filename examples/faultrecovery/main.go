@@ -13,6 +13,7 @@ import (
 
 	"mdst/internal/graph"
 	"mdst/internal/harness"
+	"mdst/internal/metrics"
 )
 
 func main() {
@@ -46,17 +47,21 @@ func main() {
 	fmt.Println("\nrecovery = round of the last state change; 0 faults may still")
 	fmt.Println("show a few rounds while colors and views re-synchronize.")
 
-	// Visualize one recovery: per-round root count and tree degree after
-	// corrupting a quarter of the nodes.
-	res, series := harness.RunTraced(harness.RunSpec{
+	// Visualize one recovery: per-round root count, tree degree and
+	// reduction messages in flight after corrupting a quarter of the
+	// nodes, from the collected run's series.
+	coll := &metrics.Collector{}
+	res := harness.MustRun(harness.RunSpec{
 		Graph:        g,
 		Scheduler:    harness.SchedSync,
 		Start:        harness.StartLegitimate,
 		CorruptNodes: *n / 4,
 		Seed:         *seed + 100,
-	}, 1)
+		Collect:      coll,
+	})
+	series := coll.Series("recovery")
 	fmt.Printf("\ntimeline of one recovery (%d faults, %d rounds):\n", *n/4, res.Rounds)
 	fmt.Printf("  roots   %s\n", series.Sparkline("roots", 60))
 	fmt.Printf("  treeDeg %s\n", series.Sparkline("treeDeg", 60))
-	fmt.Printf("  pending %s\n", series.Sparkline("pending", 60))
+	fmt.Printf("  deficit %s\n", series.Sparkline("deficit", 60))
 }

@@ -8,8 +8,9 @@
 // scenario.FaultModel values rather than per-experiment one-offs, and
 // per-run quantities the engine does not serialize (state bits, message
 // words, broken rounds) ride on scenario.RunResult's programmatic
-// fields. Only the figure-series generators (series.go) still drive
-// single traced runs directly.
+// fields. Only the figure-series generators (series.go) drive single
+// runs directly: each is one harness.Run with a metrics.Collector, and
+// its series is the collector's.
 package benchtab
 
 import (

@@ -7,35 +7,31 @@ import (
 	"mdst/internal/analysis"
 	"mdst/internal/graph"
 	"mdst/internal/harness"
+	"mdst/internal/metrics"
 	"mdst/internal/trace"
 )
 
 // Figure-series generators: per-round traces (the data behind the plots
 // that a paper with an empirical section would show), plus the
-// complexity-model fit table that formalizes E2's "shape check".
+// complexity-model fit table that formalizes E2's "shape check". A
+// figure series is a collected run's metrics.Collector.Series: tree
+// degree, root count, dmax agreement, traffic and detection progress
+// from the initial configuration (epoch 0) to the last round.
 
-// SeriesConvergence traces one stabilization run from a corrupted
-// configuration: tree degree, root count, dmax agreement and traffic per
-// round (figure F-conv).
-func SeriesConvergence(famName string, n int, seed int64, sched harness.SchedulerKind) (*trace.Series, harness.Result) {
-	return SeriesConvergenceVariant(famName, n, seed, sched, harness.VariantCore)
-}
-
-// SeriesConvergenceVariant is SeriesConvergence for a chosen protocol
-// implementation — the time-resolved view of ablation E11.
+// SeriesConvergenceVariant traces one stabilization run from a
+// corrupted configuration under the chosen exchange (figure F-conv, and
+// the time-resolved view of ablation E11).
 func SeriesConvergenceVariant(famName string, n int, seed int64, sched harness.SchedulerKind, variant harness.Variant) (*trace.Series, harness.Result) {
 	fam := graph.MustFamily(famName)
 	rng := rand.New(rand.NewSource(seed))
 	g := fam.Build(n, rng)
-	res, s := runTracedSeries(g, harness.RunSpec{
+	name := fmt.Sprintf("convergence-%s-n%d", famName, n)
+	if variant == harness.VariantLiteral {
+		name = fmt.Sprintf("convergence-literal-%s-n%d", famName, n)
+	}
+	return collectSeries(name, harness.RunSpec{
 		Graph: g, Variant: variant, Scheduler: sched, Start: harness.StartCorrupt, Seed: seed,
 	})
-	if variant == harness.VariantLiteral {
-		s.Name = fmt.Sprintf("convergence-literal-%s-n%d", famName, n)
-	} else {
-		s.Name = fmt.Sprintf("convergence-%s-n%d", famName, n)
-	}
-	return s, res
 }
 
 // SeriesRecovery traces a fault-recovery run: a legitimate configuration
@@ -44,20 +40,22 @@ func SeriesRecovery(famName string, n, faults int, seed int64, sched harness.Sch
 	fam := graph.MustFamily(famName)
 	rng := rand.New(rand.NewSource(seed))
 	g := fam.Build(n, rng)
-	res, s := runTracedSeries(g, harness.RunSpec{
+	return collectSeries(fmt.Sprintf("recovery-%s-n%d-f%d", famName, n, faults), harness.RunSpec{
 		Graph: g, Scheduler: sched, Start: harness.StartLegitimate,
 		CorruptNodes: faults, Seed: seed,
 	})
-	s.Name = fmt.Sprintf("recovery-%s-n%d-f%d", famName, n, faults)
-	return s, res
 }
 
-func runTracedSeries(g *graph.Graph, spec harness.RunSpec) (harness.Result, *trace.Series) {
-	every := 1
-	if g.N() > 32 {
-		every = 4
+// collectSeries runs spec with a collector that samples every round up
+// to n=32 and every fourth round above, and returns its series.
+func collectSeries(name string, spec harness.RunSpec) (*trace.Series, harness.Result) {
+	coll := &metrics.Collector{}
+	if spec.Graph.N() > 32 {
+		coll.Every = 4
 	}
-	return harness.RunTraced(spec, every)
+	spec.Collect = coll
+	res := harness.MustRun(spec)
+	return coll.Series(name), res
 }
 
 // E2Fit regresses the measured convergence rounds of a family against

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSeriesConvergenceShape(t *testing.T) {
-	s, res := SeriesConvergence("gnp", 16, 3, harness.SchedSync)
+	s, res := SeriesConvergenceVariant("gnp", 16, 3, harness.SchedSync, harness.VariantCore)
 	if !res.Legit.OK() {
 		t.Fatalf("run failed: %+v", res.Legit)
 	}
@@ -41,13 +41,13 @@ func TestSeriesRecoveryHealsDegree(t *testing.T) {
 	if s.Last("roots") != 1 {
 		t.Fatalf("roots=%v", s.Last("roots"))
 	}
-	// CSV export is well-formed: header + rows with 6 columns.
+	// CSV export is well-formed: header + rows, one cell per column.
 	lines := strings.Split(strings.TrimSpace(s.CSV()), "\n")
 	if len(lines) != s.Len()+1 {
 		t.Fatalf("csv lines %d vs %d rows", len(lines), s.Len())
 	}
 	for _, l := range lines {
-		if len(strings.Split(l, ",")) != 6 {
+		if len(strings.Split(l, ",")) != len(s.Columns) {
 			t.Fatalf("bad csv row %q", l)
 		}
 	}

@@ -23,9 +23,12 @@
 // One Detector implementation serves every backend:
 //
 //   - The deterministic simulator feeds it per-round samples built from
-//     sim.Network's versioners and pending-message counters; driven this
-//     way it is the sequential reference detector, and tests use it as
-//     ground truth against sim.Network.Run's own quiescence decision.
+//     sim.Network's versioners, cached fingerprint and per-kind sent and
+//     pending counters: a run with a metrics.Collector feeds one
+//     Detector at every sampled round, and its Progress is the stream's
+//     certificate-progress block. The simulator's own stop decision
+//     stays sim.Network.Run's quiescence tracker; tests use a Detector
+//     driven this way as the sequential reference against it.
 //   - The live backend (sim.LiveNetwork) feeds it lock-free samples of
 //     what its node loops post (sim.Board): each loop re-hashes its
 //     node only when the StateVersion moved, so a probe costs O(n)

@@ -28,10 +28,3 @@ func ExampleRandomGnp() {
 	fmt.Println("n:", g.N(), "connected:", g.IsConnected())
 	// Output: n: 10 connected: true
 }
-
-func ExampleGraph_DegreeHistogram() {
-	g := graph.Star(5)
-	h := g.DegreeHistogram()
-	fmt.Println("leaves:", h[1], "hubs:", h[4])
-	// Output: leaves: 4 hubs: 1
-}

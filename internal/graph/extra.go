@@ -4,61 +4,9 @@ import (
 	"math/rand"
 )
 
-// Additional generators (RandomRegular backs the "regular" extra family),
-// and Bridges, the Tarjan lowlink reference that tests check IsBridge
+// RandomRegular, the generator behind the "regular" extra family, and
+// Bridges, the Tarjan lowlink reference that tests check IsBridge
 // against.
-
-// CompleteBipartite returns K_{a,b}: parts {0..a-1} and {a..a+b-1}.
-func CompleteBipartite(a, b int) *Graph {
-	if a < 1 || b < 1 {
-		panic("graph: CompleteBipartite requires positive parts")
-	}
-	g := New(a + b)
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			g.MustAddEdge(u, v)
-		}
-	}
-	return g
-}
-
-// Barbell returns two cliques of size s joined by a path of length
-// bridge (bridge >= 1 edges between the cliques).
-func Barbell(s, bridge int) *Graph {
-	if s < 2 || bridge < 1 {
-		panic("graph: Barbell requires s >= 2, bridge >= 1")
-	}
-	n := 2*s + bridge - 1
-	g := New(n)
-	for i := 0; i < s; i++ {
-		for j := i + 1; j < s; j++ {
-			g.MustAddEdge(i, j)
-			g.MustAddEdge(s+bridge-1+i, s+bridge-1+j)
-		}
-	}
-	prev := s - 1
-	for k := 0; k < bridge-1; k++ {
-		g.MustAddEdge(prev, s+k)
-		prev = s + k
-	}
-	g.MustAddEdge(prev, s+bridge-1)
-	return g
-}
-
-// BinaryTree returns the complete binary tree with `levels` levels
-// (2^levels - 1 nodes). It is its own unique spanning tree (Δ* = 3 for
-// levels >= 3).
-func BinaryTree(levels int) *Graph {
-	if levels < 1 || levels > 24 {
-		panic("graph: BinaryTree levels out of range")
-	}
-	n := (1 << uint(levels)) - 1
-	g := New(n)
-	for v := 1; v < n; v++ {
-		g.MustAddEdge(v, (v-1)/2)
-	}
-	return g
-}
 
 // RandomRegular returns a random d-regular graph on n nodes via the
 // pairing model with retries, stitched to connectivity like the

@@ -6,57 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCompleteBipartite(t *testing.T) {
-	g := CompleteBipartite(2, 3)
-	if g.N() != 5 || g.M() != 6 {
-		t.Fatalf("K23 n=%d m=%d", g.N(), g.M())
-	}
-	if g.HasEdge(0, 1) || !g.HasEdge(0, 2) {
-		t.Fatal("bipartition wrong")
-	}
-	if !g.IsConnected() {
-		t.Fatal("disconnected")
-	}
-}
-
-func TestBarbell(t *testing.T) {
-	g := Barbell(4, 3)
-	if g.N() != 10 {
-		t.Fatalf("n=%d", g.N())
-	}
-	if !g.IsConnected() {
-		t.Fatal("disconnected")
-	}
-	// The bridge path edges are bridges.
-	bridges := g.Bridges()
-	if len(bridges) != 3 {
-		t.Fatalf("bridges=%v, want 3", bridges)
-	}
-}
-
-func TestBarbellDirectJoin(t *testing.T) {
-	g := Barbell(3, 1)
-	if g.N() != 6 || !g.IsConnected() {
-		t.Fatal("barbell-1 wrong")
-	}
-	if len(g.Bridges()) != 1 {
-		t.Fatalf("bridges=%v", g.Bridges())
-	}
-}
-
-func TestBinaryTree(t *testing.T) {
-	g := BinaryTree(4)
-	if g.N() != 15 || g.M() != 14 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
-	}
-	if g.Degree(0) != 2 || g.Degree(1) != 3 || g.Degree(14) != 1 {
-		t.Fatal("degrees wrong")
-	}
-	if !g.IsConnected() {
-		t.Fatal("disconnected")
-	}
-}
-
 func TestRandomRegular(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -64,10 +64,6 @@ func ParseBackend(s string) (Backend, error) {
 	return "", fmt.Errorf("harness: unknown backend %q (want sim|live|tcp)", s)
 }
 
-// Deterministic reports whether the backend's full result (rounds,
-// messages, tree shape) is a pure function of the spec and seed.
-func (b Backend) Deterministic() bool { return b == BackendSim || b == "" }
-
 // ErrTuning is the named error wrapped by every BackendTuning
 // validation failure (errors.Is-matchable).
 var ErrTuning = errors.New("invalid backend tuning")
@@ -315,17 +311,17 @@ func degreeHist(degs []int) (hist []int, maxDeg int) {
 	return hist, maxDeg
 }
 
-// wallSnapshot shapes one wall-clock metrics observation from the
-// detector's certificate progress and the transport's traffic counters.
-// Node state (degrees, protocol stats) is not inspectable while a
-// wall-clock backend runs, so in-flight snapshots carry traffic and
-// detection fields only; the driver appends one final post-stop
-// snapshot with the full per-node view (see wallFinalSnapshot).
-func wallSnapshot(prog detect.Progress, nodes int, sentTotal int64, byKind map[string]int64) metrics.Snapshot {
-	return metrics.Snapshot{
+// snapshot builds every metrics observation, on every backend: the
+// detector's certificate progress, the per-kind send counters and, where
+// node state may be read, the tree and protocol fields. nodes is nil
+// while a wall-clock backend runs (its goroutines or sockets own the
+// nodes), so its in-flight snapshots carry traffic and detection fields
+// only; the simulator passes its nodes on every sample, and the
+// wall-clock driver on its final post-stop sample.
+func snapshot(g *graph.Graph, prog detect.Progress, byKind map[string]int64, nodes []*core.Node) metrics.Snapshot {
+	s := metrics.Snapshot{
 		Epoch:       prog.Epoch,
-		Nodes:       nodes,
-		SentTotal:   sentTotal,
+		Nodes:       g.N(),
 		SentByKind:  byKind,
 		VersionFill: prog.VersionFill,
 		Deficit:     prog.Deficit,
@@ -333,19 +329,30 @@ func wallSnapshot(prog detect.Progress, nodes int, sentTotal int64, byKind map[s
 		Window:      prog.Window,
 		Fingerprint: prog.Fingerprint,
 	}
-}
-
-// wallFinalSnapshot is the post-stop observation: the network is
-// quiesced (or deadline-cut) and stopped, so per-node degrees and
-// protocol event counters are safe to read and complete the stream.
-func wallFinalSnapshot(prog detect.Progress, nodes []*core.Node, sentTotal int64, byKind map[string]int64) metrics.Snapshot {
-	s := wallSnapshot(prog, len(nodes), sentTotal, byKind)
+	for _, c := range byKind {
+		s.SentTotal += c
+	}
+	if nodes == nil {
+		return s
+	}
 	s.DegreeHist, s.MaxDegree = degreeHist(degrees(nodes))
 	st := core.AggregateStats(nodes)
 	s.Exchanges = st.ExchangesComplete
 	s.Aborts = st.Aborted()
 	s.Suppressed = st.SearchesSuppressed
 	s.Deblocks = st.DeblocksTriggered
+	s.TreeDegree = -1
+	if tree, err := core.ExtractTree(g, nodes); err == nil {
+		s.TreeDegree = tree.MaxDegree()
+	}
+	for _, nd := range nodes {
+		if nd.Parent() == nd.ID() {
+			s.Roots++
+		}
+		if s.TreeDegree >= 0 && nd.Dmax() == s.TreeDegree {
+			s.DmaxAgree++
+		}
+	}
 	return s
 }
 
@@ -400,9 +407,9 @@ type wallTransport interface {
 	stop()
 	// sample takes one in-band detection probe of the running network.
 	sample() (detect.Sample, error)
-	// traffic reads the send counters for a snapshot of the running
-	// network.
-	traffic() (sent int64, byKind map[string]int64)
+	// traffic reads the per-kind send counters for a snapshot of the
+	// running network.
+	traffic() map[string]int64
 	// counters writes the stopped transport's final counters into out
 	// and returns its per-kind send counts.
 	counters(out *Result) map[string]int64
@@ -446,8 +453,7 @@ func driveWall(spec RunSpec, p wallParams, nodes []*core.Node, t wallTransport, 
 			// traffic counters (per-node state stays untouchable while
 			// the network runs).
 			if prog := det.Progress(); collect.Due(int(prog.Epoch) - 1) {
-				sent, byKind := t.traffic()
-				collect.Add(wallSnapshot(prog, g.N(), sent, byKind))
+				collect.Add(snapshot(g, prog, t.traffic(), nil))
 			}
 		}
 		if !issued {
@@ -492,7 +498,7 @@ func driveWall(spec RunSpec, p wallParams, nodes []*core.Node, t wallTransport, 
 	}
 	byKind := t.counters(&out)
 	if collect != nil {
-		collect.Add(wallFinalSnapshot(det.Progress(), nodes, out.TotalMessages, byKind))
+		collect.Add(snapshot(g, det.Progress(), byKind, nodes))
 	}
 	if rec != nil {
 		out.AuditChain = rec.ChainHead()
@@ -507,10 +513,14 @@ func driveWall(spec RunSpec, p wallParams, nodes []*core.Node, t wallTransport, 
 // liveTransport adapts the goroutine-per-node runtime to driveWall.
 type liveTransport struct{ ln *sim.LiveNetwork }
 
-func (t liveTransport) start() error                       { t.ln.Start(); return nil }
-func (t liveTransport) stop()                              { t.ln.Stop() }
-func (t liveTransport) sample() (detect.Sample, error)     { return t.ln.ProbeSample(), nil }
-func (t liveTransport) traffic() (int64, map[string]int64) { return t.ln.Traffic() }
+func (t liveTransport) start() error                   { t.ln.Start(); return nil }
+func (t liveTransport) stop()                          { t.ln.Stop() }
+func (t liveTransport) sample() (detect.Sample, error) { return t.ln.ProbeSample(), nil }
+
+func (t liveTransport) traffic() map[string]int64 {
+	_, byKind := t.ln.Traffic()
+	return byKind
+}
 
 func (t liveTransport) counters(out *Result) map[string]int64 {
 	total, byKind := t.ln.Traffic()
@@ -546,15 +556,11 @@ func (t *tcpTransport) stop() {
 
 func (t *tcpTransport) sample() (detect.Sample, error) { return t.probe.Sample() }
 
-// traffic rides the metrics request/reply pair on the probe connection
-// (one extra round trip per due epoch); a failed fetch degrades the
-// snapshot to detection fields rather than failing the run.
-func (t *tcpTransport) traffic() (int64, map[string]int64) {
-	ms, err := t.probe.Metrics()
-	if err != nil {
-		return 0, nil
-	}
-	return ms.SentTotal, ms.SentByKind
+// traffic reads the cluster's send counters in-process, as live does:
+// they are lock-free and safe to read while the cluster runs.
+func (t *tcpTransport) traffic() map[string]int64 {
+	_, byKind := t.c.Traffic()
+	return byKind
 }
 
 // counters reads the stopped cluster directly (the control channel is

@@ -14,15 +14,21 @@
 // backend) pair shares this one orchestration path.
 //
 // Every run that stops on quiescence is driven here, by one driver per
-// execution model: one simulator loop behind Run, RunOn and RunTraced,
-// and one detection loop shared by the live and tcp backends. Callers
-// that need an initial configuration Run cannot build (the scenario
-// churn executor, the scale sweep's decay cell) hand their network to
-// RunOn, so no caller keeps its own round budget or stability window.
+// execution model: one simulator loop behind Run and RunOn, and one
+// detection loop shared by the live and tcp backends. Callers that
+// need an initial configuration Run cannot build (the scenario churn
+// executor, the scale sweep's decay cell) hand their network to RunOn,
+// so no caller keeps its own round budget or stability window.
+//
+// A run is observed only through RunSpec.Collect: both drivers feed a
+// detect.Detector and build every metrics.Snapshot with one function
+// (snapshot), so the figure series, the -metrics exports and the live
+// dashboard all read one stream.
 package harness
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -392,7 +398,7 @@ func Run(spec RunSpec) (Result, error) {
 	case BackendTCP:
 		return runTCP(spec, ops)
 	default:
-		return runSim(spec, ops, nil), nil
+		return runSim(spec, ops), nil
 	}
 }
 
@@ -415,31 +421,27 @@ func RunOn(spec RunSpec, net *sim.Network) (Result, error) {
 	if net.Graph() != spec.Graph {
 		return Result{}, fmt.Errorf("harness: RunOn network is not built over RunSpec.Graph")
 	}
-	return driveSim(spec, variantFor(spec), net, core.NodesOf(net), time.Now(), nil), nil
+	return driveSim(spec, variantFor(spec), net, core.NodesOf(net), time.Now()), nil
 }
-
-// roundObserver watches a simulator run: driveSim calls it with round 0
-// before the first round and with round r+1 after each OnRound(r).
-type roundObserver func(round int, net *sim.Network, nodes []*core.Node)
 
 // runSim executes the spec on the deterministic seeded simulator: the
 // build step (network and initial configuration), then driveSim. Sim
 // results are regression-locked byte for byte by the committed matrix
 // baselines in internal/scenario/testdata.
-func runSim(spec RunSpec, ops variantOps, observe roundObserver) Result {
+func runSim(spec RunSpec, ops variantOps) Result {
 	begin := time.Now()
 	net := sim.NewNetwork(spec.Graph, ops.factory, spec.Seed)
 	nodes, res0, ok := buildInitial(spec, ops, net.Process)
 	if !ok {
 		return res0
 	}
-	return driveSim(spec, ops, net, nodes, begin, observe)
+	return driveSim(spec, ops, net, nodes, begin)
 }
 
-// driveSim is the one simulator run loop behind Run, RunOn and
-// RunTraced: it runs net from its current configuration to quiescence
-// or the round budget and assembles the Result.
-func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node, begin time.Time, observe roundObserver) Result {
+// driveSim is the one simulator run loop behind Run and RunOn: it runs
+// net from its current configuration to quiescence or the round budget
+// and assembles the Result.
+func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node, begin time.Time) Result {
 	g := spec.Graph
 	n := g.N()
 	if spec.DropRate > 0 {
@@ -494,100 +496,67 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 			return true
 		})
 	}
-	var sample func(epoch uint64)
+	var sample func(epoch, fp uint64)
 	if collect := spec.Collect; collect != nil {
 		// All reads below are pure: LastFingerprint/StateVersions touch
 		// neither the fingerprint cache nor its recompute counters, so
 		// sampling cannot perturb the committed deterministic baselines.
-		stride := 1
-		if collect.Every > 1 {
-			stride = collect.Every
-		}
-		window := (quiesceRounds + stride - 1) / stride
-		var prevVers []uint64
-		var prevFP uint64
+		// The detector sees one sample per due round, so its window is
+		// the quiescence window counted in samples.
+		stride := max(collect.Every, 1)
+		det := detect.New(detect.Config{
+			Window:  (quiesceRounds + stride - 1) / stride,
+			Backend: string(BackendSim),
+		})
 		var lastEpoch uint64
-		streak, have := 0, false
-		sample = func(epoch uint64) {
+		sample = func(epoch, fp uint64) {
 			// Never observe the same epoch twice: a re-sample of an
 			// unchanged state would fabricate a complete version-vector
 			// fill for a run that merely stopped (MaxRounds).
-			if have && epoch <= lastEpoch {
+			if det.Epoch() > 0 && epoch <= lastEpoch {
 				return
 			}
 			lastEpoch = epoch
-			vers := net.StateVersions()
-			fp := net.LastFingerprint()
-			var deficit int64
+			byKind := maps.Clone(net.Metrics().SentByKind)
+			var sent, pending int64
 			for _, k := range ops.kinds {
-				deficit += int64(net.PendingKind(k))
+				sent += byKind[k]
+				pending += int64(net.PendingKind(k))
 			}
-			fill := 0.0
-			if have && len(vers) == len(prevVers) && len(vers) > 0 {
-				held := 0
-				for i, v := range vers {
-					if v == prevVers[i] {
-						held++
-					}
-				}
-				fill = float64(held) / float64(len(vers))
-			}
-			if have && fp == prevFP && fill == 1 && deficit == 0 {
-				streak++
-			} else {
-				streak = 0
-			}
-			prevVers, prevFP, have = vers, fp, true
-
-			sentByKind := make(map[string]int64, len(net.Metrics().SentByKind))
-			var sentTotal int64
-			for k, v := range net.Metrics().SentByKind {
-				sentByKind[k] = v
-				sentTotal += v
-			}
-			hist, maxDeg := degreeHist(degrees(nodes))
-			st := core.AggregateStats(nodes)
-			retry := 0
+			det.Observe(detect.Sample{
+				Versions:       net.StateVersions(),
+				Fingerprint:    fp,
+				ActiveSent:     sent,
+				ActiveReceived: sent - pending,
+			})
+			prog := det.Progress()
+			prog.Epoch = epoch // the round, not the sample count
+			s := snapshot(g, prog, byKind, nodes)
 			switch ops.cfg.Retry {
 			case core.RetrySuppress:
-				retry = ops.cfg.EffectiveRetryPeriod()
+				s.RetryPeriod = ops.cfg.EffectiveRetryPeriod()
 			case core.RetryBackoff:
 				// Live per-node tiers: the snapshot series records the
 				// retry spacing climbing toward the cap as the network
 				// goes silent (statically suppressed runs report the flat
 				// window).
-				retry = net.MaxRetryPeriod(ops.cfg.EffectiveRetryPeriod())
+				s.RetryPeriod = net.MaxRetryPeriod(ops.cfg.EffectiveRetryPeriod())
 			}
-			collect.Add(metrics.Snapshot{
-				Epoch:       epoch,
-				Nodes:       n,
-				SentTotal:   sentTotal,
-				SentByKind:  sentByKind,
-				DegreeHist:  hist,
-				MaxDegree:   maxDeg,
-				Exchanges:   st.ExchangesComplete,
-				Aborts:      st.Aborted(),
-				Suppressed:  st.SearchesSuppressed,
-				Deblocks:    st.DeblocksTriggered,
-				VersionFill: fill,
-				Deficit:     deficit,
-				Stable:      streak,
-				Window:      window,
-				Fingerprint: fp,
-				RetryPeriod: retry,
-			})
+			collect.Add(s)
 		}
+		// Epoch 0 is the initial configuration. The run loop re-seeds the
+		// fingerprint cache from it only when the first round starts, so
+		// its fingerprint is combined here from the nodes' own hashes,
+		// outside the cache and its recompute counter.
+		fps := make([]uint64, n)
+		for i, nd := range nodes {
+			fps[i] = nd.Fingerprint()
+		}
+		sample(0, detect.Combine(fps))
 		hooks = append(hooks, func(r int) bool {
-			if collect.Due(r) {
-				sample(uint64(r + 1))
+			if collect.Due(r + 1) {
+				sample(uint64(r+1), net.LastFingerprint())
 			}
-			return true
-		})
-	}
-	if observe != nil {
-		observe(0, net, nodes)
-		hooks = append(hooks, func(r int) bool {
-			observe(r+1, net, nodes)
 			return true
 		})
 	}
@@ -630,7 +599,7 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 		// stream always ends with the quiesced state — a converged run's
 		// last snapshot shows a complete version-vector fill, a run cut
 		// off by MaxRounds a partial one.
-		sample(uint64(res.Rounds))
+		sample(uint64(res.Rounds), net.LastFingerprint())
 	}
 	st := core.AggregateStats(nodes)
 	out := Result{

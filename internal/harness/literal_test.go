@@ -6,6 +6,7 @@ import (
 
 	"mdst/internal/core"
 	"mdst/internal/graph"
+	"mdst/internal/metrics"
 	"mdst/internal/sim"
 )
 
@@ -66,23 +67,24 @@ func TestVariantDefaultIsCore(t *testing.T) {
 	}
 }
 
-func TestRunTracedLiteralSeries(t *testing.T) {
+// A collected literal run's stream ends on the converged tree: the
+// first snapshot of a corrupted start rarely has a valid tree, the last
+// one must, and its TreeDegree must equal the final degree.
+func TestCollectedLiteralSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.RandomGnp(12, 0.4, rng)
-	res, series := RunTraced(RunSpec{
+	coll := &metrics.Collector{}
+	res := MustRun(RunSpec{
 		Graph: g, Variant: VariantLiteral,
-		Scheduler: SchedSync, Start: StartCorrupt, Seed: 4,
-	}, 1)
+		Scheduler: SchedSync, Start: StartCorrupt, Seed: 4, Collect: coll,
+	})
 	if !res.Converged || !res.Legit.OK() {
-		t.Fatalf("traced literal run failed: %+v", res.Legit)
+		t.Fatalf("collected literal run failed: %+v", res.Legit)
 	}
-	if series.Len() < 2 {
-		t.Fatalf("series too short: %d", series.Len())
+	if coll.Len() < 2 {
+		t.Fatalf("stream too short: %d", coll.Len())
 	}
-	// The first sample of a corrupted start rarely has a valid tree; the
-	// last sample must, and its treeDeg must equal the final degree.
-	last := series.Row(series.Len() - 1)
-	if int(last[1]) != res.Legit.MaxDegree {
-		t.Fatalf("final series treeDeg %v != %d", last[1], res.Legit.MaxDegree)
+	if last, _ := coll.Last(); last.TreeDegree != res.Legit.MaxDegree {
+		t.Fatalf("final snapshot TreeDegree %d != %d", last.TreeDegree, res.Legit.MaxDegree)
 	}
 }

@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"mdst/internal/auditlog"
+	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/metrics"
 )
@@ -208,6 +210,66 @@ func TestMetricsOffIsByteIdentical(t *testing.T) {
 	}
 }
 
+// A collected run executes the spec it is given: on lossy links, the
+// event engine, backoff, the literal exchange and a corrupted
+// legitimate start, its Result serializes exactly as the plain run's,
+// and its stream runs from the initial configuration (epoch 0) to the
+// last round.
+func TestCollectedRunRunsTheSpecItIsGiven(t *testing.T) {
+	g := graph.Wheel(10)
+	base := RunSpec{Graph: g, Scheduler: SchedSync, Start: StartCorrupt, Seed: 3}
+	specs := map[string]func(RunSpec) RunSpec{
+		"lossy":   func(s RunSpec) RunSpec { s.DropRate = 0.1; return s },
+		"event":   func(s RunSpec) RunSpec { s.Engine = EngineEvent; return s },
+		"backoff": func(s RunSpec) RunSpec { s.Config = retryConfig(g, core.RetryBackoff); return s },
+		"literal": func(s RunSpec) RunSpec { s.Variant = VariantLiteral; return s },
+		"corrupted-legit": func(s RunSpec) RunSpec {
+			s.Start, s.CorruptNodes = StartLegitimate, 3
+			return s
+		},
+	}
+	for name, mod := range specs {
+		t.Run(name, func(t *testing.T) {
+			spec := mod(base)
+			want, err := json.Marshal(MustRun(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			coll := &metrics.Collector{}
+			spec.Collect = coll
+			res := MustRun(spec)
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("collected run %s\nplain run     %s", got, want)
+			}
+			if !res.Converged || coll.Len() < 2 {
+				t.Fatalf("converged=%v, %d snapshot(s)", res.Converged, coll.Len())
+			}
+			first := coll.Snapshots()[0]
+			last, _ := coll.Last()
+			if first.Epoch != 0 || last.Epoch != uint64(res.Rounds) || coll.Len() > res.Rounds+1 {
+				t.Fatalf("%d snapshots span epochs %d..%d of %d rounds", coll.Len(), first.Epoch, last.Epoch, res.Rounds)
+			}
+		})
+	}
+}
+
+// An invalid spec is Run's error and collects nothing; a failed path
+// preload collects nothing either.
+func TestCollectedRunRejectsInvalidSpec(t *testing.T) {
+	coll := &metrics.Collector{}
+	if _, err := Run(RunSpec{Graph: graph.Wheel(6), DropRate: 1.5, Collect: coll}); err == nil {
+		t.Fatal("Run accepted drop rate 1.5")
+	}
+	res := MustRun(RunSpec{Graph: graph.Star(6), Start: StartPath, Collect: coll})
+	if coll.Len() != 0 || res.Legit.Detail == "" {
+		t.Fatalf("failed path preload collected %d snapshot(s), detail %q", coll.Len(), res.Legit.Detail)
+	}
+}
+
 // TestMetricsWallBackends: the live and tcp drivers stream non-empty
 // snapshots from their detection loops, ending with a complete per-node
 // view (degrees, protocol counters) taken after the final stop.
@@ -246,6 +308,24 @@ func TestMetricsWallBackends(t *testing.T) {
 		if last.SentTotal <= 0 || len(last.SentByKind) == 0 {
 			t.Fatalf("%s: final snapshot missing traffic counters (total=%d kinds=%d)",
 				backend, last.SentTotal, len(last.SentByKind))
+		}
+		// Traffic is read in-process on both backends while they run:
+		// the last in-flight snapshot already counts sends, the per-kind
+		// counts add up to the total and the total never drops.
+		if inFlight := coll.Snapshots()[coll.Len()-2]; inFlight.SentTotal <= 0 {
+			t.Fatalf("%s: in-flight snapshot at epoch %d carries no traffic", backend, inFlight.Epoch)
+		}
+		var prev int64
+		for _, s := range coll.Snapshots() {
+			var sum int64
+			for _, c := range s.SentByKind {
+				sum += c
+			}
+			if sum != s.SentTotal || s.SentTotal < prev {
+				t.Fatalf("%s: epoch %d SentTotal %d (previous %d), per-kind sum %d",
+					backend, s.Epoch, s.SentTotal, prev, sum)
+			}
+			prev = s.SentTotal
 		}
 		if res.AuditRecords == 0 {
 			t.Fatalf("%s: corrupt start chained no mutations", backend)

@@ -3,10 +3,12 @@ package harness
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"mdst/internal/core"
 	"mdst/internal/detect"
 	"mdst/internal/graph"
+	"mdst/internal/metrics"
 	"mdst/internal/sim"
 )
 
@@ -31,11 +33,11 @@ func TestValidateRejectsPartialConfig(t *testing.T) {
 	}
 }
 
-// The incremental fingerprint cache must be invisible: after every
-// round, the combined fingerprint the run loop keeps equals
-// detect.Combine over every node's Fingerprint computed from scratch.
-// Both exchanges run under every scheduler, on reliable and lossy links
-// on the compat core and on the event core.
+// The incremental fingerprint cache must be invisible: every snapshot a
+// collected run takes, from the initial configuration on, carries the
+// combined fingerprint detect.Combine computes over every node's
+// Fingerprint from scratch. Both exchanges run under every scheduler,
+// on reliable and lossy links on the compat core and on the event core.
 func TestLastFingerprintMatchesFromScratchCombine(t *testing.T) {
 	g := graph.RandomGnp(14, 0.3, rand.New(rand.NewSource(9)))
 	modes := []struct {
@@ -50,23 +52,27 @@ func TestLastFingerprintMatchesFromScratchCombine(t *testing.T) {
 				if err := spec.Validate(); err != nil {
 					t.Fatal(err)
 				}
+				ops := variantFor(spec)
+				net := sim.NewNetwork(g, ops.factory, spec.Seed)
+				nodes, _, ok := buildInitial(spec, ops, net.Process)
+				if !ok {
+					t.Fatal("corrupt start failed to build")
+				}
 				checked := 0
-				runSim(spec, variantFor(spec), func(round int, net *sim.Network, nodes []*core.Node) {
-					if round == 0 {
-						return // the corruption has not reached the cache yet; Run re-seeds it
-					}
+				spec.Collect = &metrics.Collector{OnSnapshot: func(s metrics.Snapshot) {
 					fps := make([]uint64, len(nodes))
 					for i, nd := range nodes {
 						fps[i] = nd.Fingerprint()
 					}
-					if got, want := net.LastFingerprint(), detect.Combine(fps); got != want {
-						t.Fatalf("%s/%s/%s/drop=%v round %d: cached fingerprint %x, from scratch %x",
-							variant, sched, m.engine, m.drop, round, got, want)
+					if want := detect.Combine(fps); s.Fingerprint != want {
+						t.Fatalf("%s/%s/%s/drop=%v epoch %d: snapshot fingerprint %x, from scratch %x",
+							variant, sched, m.engine, m.drop, s.Epoch, s.Fingerprint, want)
 					}
 					checked++
-				})
-				if checked == 0 {
-					t.Fatalf("%s/%s/%s/drop=%v: no round observed", variant, sched, m.engine, m.drop)
+				}}
+				driveSim(spec, ops, net, nodes, time.Now())
+				if checked < 2 {
+					t.Fatalf("%s/%s/%s/drop=%v: %d snapshot(s) observed", variant, sched, m.engine, m.drop, checked)
 				}
 			}
 		}

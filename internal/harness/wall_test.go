@@ -32,8 +32,8 @@ func (f *frozenTransport) sample() (detect.Sample, error) {
 	return detect.Sample{Versions: []uint64{1, 2, 3}, Fingerprint: 42}, f.sampleErr
 }
 
-func (f *frozenTransport) traffic() (int64, map[string]int64) { return 0, nil }
-func (f *frozenTransport) counters(*Result) map[string]int64  { return nil }
+func (f *frozenTransport) traffic() map[string]int64         { return nil }
+func (f *frozenTransport) counters(*Result) map[string]int64 { return nil }
 
 // corruptNodes builds the spec's nodes outside any transport, in the
 // spec's initial configuration.

@@ -1,20 +1,25 @@
-// Package metrics is the run-observability surface: a flat,
-// JSON/CSV-serializable Snapshot of a running protocol execution and a
-// Collector that accumulates the snapshot stream into a time series.
+// Package metrics is the run-observability surface, and the one way a
+// run is observed on every backend: a flat, JSON/CSV-serializable
+// Snapshot of a running protocol execution and a Collector that
+// accumulates the snapshot stream into a time series (trace.Series is
+// its serialization, which the figure series print).
 //
-// Snapshots are sampled from counters the backends already maintain —
-// never computed fresh. The deterministic simulator fills them from its
-// run loop using the incremental fingerprint cache's pure reads
+// Snapshots are sampled from counters the backends already maintain.
+// Every collected run feeds one detect.Detector, and the harness builds
+// every snapshot with one function from the detector's progress, the
+// per-kind send counters and — where node state may be read — the
+// nodes. The deterministic simulator samples its run loop using the
+// incremental fingerprint cache's pure reads
 // (sim.Network.LastFingerprint/StateVersions — zero extra hashing, so
 // sampling cannot perturb the committed FingerprintRecomputes
-// baselines); the live backend reads the send counters of its
-// sim.Board; the tcp backend fetches a metricsReply, built from the same
-// counters, over the netrun control channel, next to the
-// quiescence-probe pair. Collection is strictly opt-in
-// (harness.RunSpec.Collect): with no Collector attached, no backend
-// allocates, hashes or counts anything beyond what it always does (the
-// wall-clock backends always count sends per kind) — the committed
-// byte-identical matrix baselines are the enforced proof.
+// baselines) and reads its nodes on every sample; the live and tcp
+// backends read the lock-free send counters of their sim.Board
+// in-process and the nodes only after the final stop. Collection is
+// strictly opt-in (harness.RunSpec.Collect): with no Collector
+// attached, no backend allocates, hashes or counts anything beyond what
+// it always does (the wall-clock backends always count sends per kind)
+// — the committed byte-identical matrix baselines are the enforced
+// proof.
 //
 // The certificate-progress fields (VersionFill, Deficit, Stable/Window)
 // expose how far convergence detection has advanced: a run stopped
@@ -28,11 +33,21 @@ import "mdst/internal/trace"
 // fields are cumulative since run start, never per-interval, so
 // consecutive snapshots can be differenced for rates.
 type Snapshot struct {
-	// Epoch is the observation index: the round for the sim backend, the
-	// detector's probe epoch for the wall-clock backends.
+	// Epoch is the observation index: the round for the sim backend
+	// (epoch 0 is the initial configuration), the detector's probe epoch
+	// for the wall-clock backends.
 	Epoch uint64 `json:"epoch"`
 	// Nodes is the network size.
 	Nodes int `json:"nodes"`
+	// TreeDegree is the degree of the tree the parent pointers form (-1
+	// while they form no spanning tree), Roots the number of
+	// self-parented nodes and DmaxAgree the number of nodes whose dmax
+	// equals TreeDegree — the convergence and recovery figures. Filled
+	// wherever node state may be read: on every sim snapshot and on the
+	// final snapshot of a wall-clock run; zero and omitted otherwise.
+	TreeDegree int `json:"treeDeg,omitempty"`
+	Roots      int `json:"roots,omitempty"`
+	DmaxAgree  int `json:"dmaxAgree,omitempty"`
 	// SentTotal counts messages accepted by the backend's send path.
 	SentTotal int64 `json:"sentTotal"`
 	// SentByKind breaks SentTotal down by message kind, on every
@@ -44,17 +59,22 @@ type Snapshot struct {
 	DegreeHist []int `json:"degreeHist,omitempty"`
 	MaxDegree  int   `json:"maxDegree"`
 	// Protocol event counters (aggregated node stats; sim only while
-	// running, every backend at the final snapshot).
+	// running, every backend at the final snapshot). Exchanges counts
+	// completed edge exchanges the same way for both exchanges.
 	Exchanges  int `json:"exchanges"`
 	Aborts     int `json:"aborts"`
 	Suppressed int `json:"suppressed"`
 	Deblocks   int `json:"deblocks"`
-	// Certificate progress: VersionFill is the fraction of nodes whose
-	// quiescence epoch (state version) held still since the previous
-	// observation — 1.0 means every node is passive; Deficit is the
-	// Dijkstra–Scholten active-kind deficit (messages in flight); Stable
-	// is the detector's consecutive-stable-observation streak out of
-	// Window.
+	// Certificate progress, the run's detect.Progress: VersionFill is
+	// the fraction of nodes whose quiescence epoch (state version) held
+	// still since the previous observation — 1.0 means every node is
+	// passive; Deficit is the Dijkstra–Scholten active-kind deficit
+	// (reduction messages in flight); Stable is the detector's
+	// consecutive-stable-observation streak out of Window, where a
+	// stable observation repeats the previous one's versions,
+	// fingerprint and active-kind counters with a zero deficit (so a
+	// reduction message sent and settled between two observations
+	// breaks the streak).
 	VersionFill float64 `json:"versionFill"`
 	Deficit     int64   `json:"deficit"`
 	Stable      int     `json:"stable"`
@@ -72,22 +92,25 @@ type Snapshot struct {
 }
 
 // SeriesColumns is the fixed column set of Collector.Series — the
-// scalar snapshot fields, in declaration order. Kind breakdowns and the
-// degree histogram stay in the snapshots themselves (JSON export);
+// scalar snapshot fields, in declaration order, less Nodes and Window
+// (fixed for a run) and RetryPeriod. Kind breakdowns and the degree
+// histogram stay in the snapshots themselves (JSON export);
 // Fingerprint is excluded because float64 cells cannot hold a uint64
 // exactly.
 var SeriesColumns = []string{
-	"epoch", "sentTotal", "deficit", "versionFill", "stable",
-	"maxDegree", "exchanges", "aborts", "suppressed", "deblocks",
+	"epoch", "treeDeg", "roots", "dmaxAgree", "sentTotal", "maxDegree",
+	"exchanges", "aborts", "suppressed", "deblocks", "versionFill",
+	"deficit", "stable",
 }
 
 // Collector accumulates a run's snapshot stream. A Collector is owned
 // by one driver at a time and is not safe for concurrent use; the
 // harness samples it from the same loop that drives detection.
 type Collector struct {
-	// Every is the sampling stride: the sim backend samples every Every
-	// rounds, the wall-clock backends every Every detection probes
-	// (values below 1 mean every round/probe).
+	// Every is the sampling stride: the sim backend samples rounds 0,
+	// Every, 2·Every, …, the wall-clock backends every Every detection
+	// probes from the first (values below 1 mean every round/probe).
+	// Both add the run's final observation.
 	Every int
 	// OnSnapshot, if non-nil, is invoked synchronously with each added
 	// snapshot — the live-dashboard hook (mdstviz -live).
@@ -133,16 +156,17 @@ func (c *Collector) Last() (Snapshot, bool) {
 }
 
 // Series renders the scalar snapshot fields as a trace.Series
-// (SeriesColumns), sharing the CSV/JSON export path with the harness's
-// OnRound traces.
+// (SeriesColumns): the figure series (mdstbench -series) and the
+// -metrics exports print it.
 func (c *Collector) Series(name string) *trace.Series {
 	s := trace.NewSeries(name, SeriesColumns...)
 	for _, sn := range c.snaps {
 		s.Append(
-			float64(sn.Epoch), float64(sn.SentTotal), float64(sn.Deficit),
-			sn.VersionFill, float64(sn.Stable), float64(sn.MaxDegree),
+			float64(sn.Epoch), float64(sn.TreeDegree), float64(sn.Roots),
+			float64(sn.DmaxAgree), float64(sn.SentTotal), float64(sn.MaxDegree),
 			float64(sn.Exchanges), float64(sn.Aborts), float64(sn.Suppressed),
-			float64(sn.Deblocks),
+			float64(sn.Deblocks), sn.VersionFill, float64(sn.Deficit),
+			float64(sn.Stable),
 		)
 	}
 	return s

@@ -33,17 +33,12 @@
 // entirely on converging runs (Restarts counts the re-starts it did
 // need).
 //
-// The control channel speaks two request/reply pairs over one
-// connection: the quiescence probe (probeRequest/probeReply, the PR-4
-// protocol) and the metrics stream (metricsRequest/metricsReply —
-// cumulative traffic counters, ProbeConn.Metrics), added for the
-// metrics collection surface (internal/metrics). Requests are
-// gob-encoded as interface values so one decoder dispatches both kinds
-// by type switch; replies are concrete, since the client knows which
-// reply its request earns. The single-encoder/single-decoder-per-conn
-// rule holds exactly as on the edge connections, and the edge wire
-// format itself is untouched — a metrics-polling driver interoperates
-// with the batched framing (batch.go) unchanged.
+// The control channel speaks one request/reply pair over one
+// connection: the quiescence probe (probeRequest/probeReply). The
+// single-encoder/single-decoder-per-conn rule holds exactly as on the
+// edge connections. A driver that also wants traffic counters reads
+// them in-process (Cluster.Traffic, lock-free while the cluster runs),
+// so the probe is the only thing the control channel carries.
 package netrun
 
 import (
@@ -445,25 +440,11 @@ func (c *Cluster) send(from, to int, m sim.Message) {
 	}
 }
 
-// probeRequest/probeReply and metricsRequest/metricsReply are the
-// control channel's wire format: a client sends a sequenced request
-// and gets the cluster's current observation back. Requests travel as
-// gob interface values (registered below) so the server's single
-// decoder dispatches both pairs on one stream by type switch.
+// probeRequest/probeReply are the control channel's wire format: a
+// client sends a sequenced request and gets the cluster's current
+// observation back.
 type probeRequest struct {
 	Seq uint64
-}
-
-// metricsRequest asks for the cluster's cumulative traffic counters.
-type metricsRequest struct {
-	Seq uint64
-}
-
-func init() {
-	// Interface-encoded control requests: both concrete request types
-	// must be registered on both ends of the connection.
-	gob.Register(probeRequest{})
-	gob.Register(metricsRequest{})
 }
 
 type probeReply struct {
@@ -491,29 +472,6 @@ func (c *Cluster) probeReply(seq uint64) probeReply {
 		ActiveSent:     s.ActiveSent,
 		ActiveReceived: s.ActiveReceived,
 	}
-}
-
-// metricsReply carries the cluster's cumulative traffic counters — the
-// metrics stream's wall-clock observables.
-type metricsReply struct {
-	Seq            uint64
-	SentTotal      int64
-	SentByKind     map[string]int64
-	Dropped        int64
-	Frames         int64
-	ActiveSent     int64
-	ActiveReceived int64
-}
-
-// metricsReply builds one metrics observation. The active-kind counters
-// come from one Sample, with its conservative ordering.
-func (c *Cluster) metricsReply(seq uint64) metricsReply {
-	s := c.board.Sample()
-	r := metricsReply{Seq: seq, ActiveSent: s.ActiveSent, ActiveReceived: s.ActiveReceived}
-	r.SentTotal, r.SentByKind = c.board.Traffic()
-	r.Dropped = c.dropped.Load()
-	r.Frames = c.frames.Load()
-	return r
 }
 
 // serveControl accepts probe connections until the listener closes and
@@ -548,24 +506,14 @@ func (c *Cluster) serveControl(ln net.Listener, stop chan struct{}) {
 			dec := gob.NewDecoder(conn)
 			enc := gob.NewEncoder(conn)
 			for {
-				// Requests are interface-encoded so the two request kinds
-				// share one decoder stream (the registered concrete type
-				// rides inside the gob interface value).
-				var req any
+				// Anything that does not decode as a probeRequest drops
+				// the connection.
+				var req probeRequest
 				if err := dec.Decode(&req); err != nil {
-					return // client gone or teardown
+					return // client gone, garbage or teardown
 				}
-				switch r := req.(type) {
-				case probeRequest:
-					if err := enc.Encode(c.probeReply(r.Seq)); err != nil {
-						return
-					}
-				case metricsRequest:
-					if err := enc.Encode(c.metricsReply(r.Seq)); err != nil {
-						return
-					}
-				default:
-					return // unknown request kind: drop the connection
+				if err := enc.Encode(c.probeReply(req.Seq)); err != nil {
+					return
 				}
 			}
 		}()
@@ -606,8 +554,7 @@ func DialProbe(addr string) (*ProbeConn, error) {
 // Sample fetches one quiescence observation, shaped for detect.Detector.
 func (p *ProbeConn) Sample() (detect.Sample, error) {
 	p.seq++
-	var req any = probeRequest{Seq: p.seq}
-	if err := p.enc.Encode(&req); err != nil {
+	if err := p.enc.Encode(probeRequest{Seq: p.seq}); err != nil {
 		return detect.Sample{}, fmt.Errorf("netrun: probe request: %w", err)
 	}
 	var r probeReply
@@ -620,43 +567,6 @@ func (p *ProbeConn) Sample() (detect.Sample, error) {
 	return detect.Sample{
 		Versions:       r.Versions,
 		Fingerprint:    r.Fingerprint,
-		ActiveSent:     r.ActiveSent,
-		ActiveReceived: r.ActiveReceived,
-	}, nil
-}
-
-// MetricsSample is one metrics-stream observation fetched over the
-// control channel: the cluster's cumulative traffic counters.
-type MetricsSample struct {
-	SentTotal      int64
-	SentByKind     map[string]int64
-	Dropped        int64
-	Frames         int64
-	ActiveSent     int64
-	ActiveReceived int64
-}
-
-// Metrics fetches one metrics observation. It shares the connection's
-// sequence space with Sample — the two request kinds interleave freely
-// on one ProbeConn (still not safe for concurrent use).
-func (p *ProbeConn) Metrics() (MetricsSample, error) {
-	p.seq++
-	var req any = metricsRequest{Seq: p.seq}
-	if err := p.enc.Encode(&req); err != nil {
-		return MetricsSample{}, fmt.Errorf("netrun: metrics request: %w", err)
-	}
-	var r metricsReply
-	if err := p.dec.Decode(&r); err != nil {
-		return MetricsSample{}, fmt.Errorf("netrun: metrics reply: %w", err)
-	}
-	if r.Seq != p.seq {
-		return MetricsSample{}, fmt.Errorf("netrun: metrics reply out of sequence: got %d want %d", r.Seq, p.seq)
-	}
-	return MetricsSample{
-		SentTotal:      r.SentTotal,
-		SentByKind:     r.SentByKind,
-		Dropped:        r.Dropped,
-		Frames:         r.Frames,
 		ActiveSent:     r.ActiveSent,
 		ActiveReceived: r.ActiveReceived,
 	}, nil

@@ -91,7 +91,7 @@ func TestDecayCellMeetsAcceptanceBars(t *testing.T) {
 		t.Skip("six cap-length event-core windows plus a fault recovery")
 	}
 	seed := runSeed(1, Cell{Family: "star-of-cliques", N: 256}, 0)
-	cell, err := decayCell("star-of-cliques", 256, seed, 3)
+	cell, err := decayCell("star-of-cliques", 256, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

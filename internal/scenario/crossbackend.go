@@ -29,59 +29,42 @@ import (
 // CrossBackendSpec configures CrossBackendSweep. The zero value selects
 // the committed defaults.
 type CrossBackendSpec struct {
-	Family   string // graph family (default "ring+chords")
-	Sizes    []int  // node counts (default 64, 96, 128, 256)
-	BaseSeed int64  // matrix base seed (default 1)
-	Workers  int    // engine parallelism for the sim+live matrix
-	// LiveDeadline / TCPDeadline cap each wall-clock run (defaults 60s /
-	// 600s — converging runs stop at their certificate long before; the
-	// tcp budget is sized by the n=256 cell, whose certificate can take
-	// several minutes of single-machine wall clock under loopback
-	// contention).
-	LiveDeadline time.Duration
-	TCPDeadline  time.Duration
-	// TCPTick is the tcp cluster's gossip period (default 2ms). Before
-	// frame coalescing the medium-n ladder needed a coarser 8ms tick:
-	// at 2ms the one-syscall-per-message fan-out kept enough stale
-	// tokens in flight that the protocol plateaued in long illegitimate
-	// lulls (certify→fail→restart thrash). With the default TCPBatch
-	// the same instances hold the fast tick through n=256. The live
-	// backend keeps its 200µs default.
-	TCPTick time.Duration
-	// TCPBatch / TCPBatchWait configure the tcp transport's per-link
-	// frame coalescing (defaults 32 messages / 12ms hold — heavier than
-	// the BENCH_tcp.json sweet spot at n=128 because the ladder's n=256
-	// cell needs the extra coalescing to certify at the 2ms tick; at
-	// n=256 it measures ~0.09 frames/message). Set TCPBatch to 1 for
-	// one message per frame.
-	TCPBatch     int
-	TCPBatchWait time.Duration
+	Sizes   []int // node counts (default 64, 96, 128, 256)
+	Workers int   // engine parallelism for the sim+live matrix
 }
 
+// The cross-backend sweep's fixed settings: one ring+chords instance per
+// size, drawn from base seed 1.
+const (
+	crossBackendFamily   = "ring+chords"
+	crossBackendBaseSeed = 1
+	// Each wall-clock run is capped at crossBackendLiveDeadline (live) or
+	// crossBackendTCPDeadline (tcp). Converging runs stop at their
+	// certificate long before; the tcp budget is sized by the n=256 cell,
+	// whose certificate can take several minutes of single-machine wall
+	// clock under loopback contention.
+	crossBackendLiveDeadline = 60 * time.Second
+	crossBackendTCPDeadline  = 600 * time.Second
+	// crossBackendTCPTick is the tcp cluster's gossip period. Before
+	// frame coalescing the medium-n ladder needed a coarser 8ms tick: at
+	// 2ms the one-syscall-per-message fan-out kept enough stale tokens in
+	// flight that the protocol plateaued in long illegitimate lulls
+	// (certify→fail→restart thrash). With crossBackendTCPBatch the same
+	// instances hold the fast tick through n=256. The live backend keeps
+	// its 200µs default.
+	crossBackendTCPTick = 2 * time.Millisecond
+	// crossBackendTCPBatch / crossBackendTCPBatchWait configure the tcp
+	// transport's per-link frame coalescing: 32 messages / 12ms hold —
+	// heavier than the BENCH_tcp.json sweet spot at n=128 because the
+	// ladder's n=256 cell needs the extra coalescing to certify at the
+	// 2ms tick; at n=256 it measures ~0.09 frames/message.
+	crossBackendTCPBatch     = 32
+	crossBackendTCPBatchWait = 12 * time.Millisecond
+)
+
 func (s CrossBackendSpec) normalized() CrossBackendSpec {
-	if s.Family == "" {
-		s.Family = "ring+chords"
-	}
 	if len(s.Sizes) == 0 {
 		s.Sizes = []int{64, 96, 128, 256}
-	}
-	if s.BaseSeed == 0 {
-		s.BaseSeed = 1
-	}
-	if s.LiveDeadline <= 0 {
-		s.LiveDeadline = 60 * time.Second
-	}
-	if s.TCPDeadline <= 0 {
-		s.TCPDeadline = 600 * time.Second
-	}
-	if s.TCPTick <= 0 {
-		s.TCPTick = 2 * time.Millisecond
-	}
-	if s.TCPBatch <= 0 {
-		s.TCPBatch = 32
-	}
-	if s.TCPBatchWait <= 0 {
-		s.TCPBatchWait = 12 * time.Millisecond
 	}
 	return s
 }
@@ -125,23 +108,23 @@ func (r *CrossBackendReport) JSON() ([]byte, error) {
 // axes) from the same corrupted initial configurations, with search
 // suppression on, across the deterministic simulator, the
 // goroutine-per-node runtime and the loopback TCP cluster. The tcp
-// cells run in a second engine pass so they can carry their own coarser
-// tick (see CrossBackendSpec.TCPTick) without touching the live
-// backend's tuning.
+// cells run in a second engine pass so they can carry their own tick and
+// framing (see crossBackendTCPTick) without touching the live backend's
+// tuning.
 func CrossBackendSweep(spec CrossBackendSpec) (*CrossBackendReport, error) {
 	ns := spec.normalized()
 	base := Spec{
-		Families:     []string{ns.Family},
+		Families:     []string{crossBackendFamily},
 		Sizes:        ns.Sizes,
 		Starts:       []harness.StartMode{harness.StartCorrupt},
 		Retry:        []core.RetryPolicy{core.RetrySuppress},
 		SeedsPerCell: 1,
-		BaseSeed:     ns.BaseSeed,
+		BaseSeed:     crossBackendBaseSeed,
 	}
 
 	simLive := base
 	simLive.Backends = []harness.Backend{harness.BackendSim, harness.BackendLive}
-	simLive.Tuning = harness.BackendTuning{Deadline: ns.LiveDeadline}
+	simLive.Tuning = harness.BackendTuning{Deadline: crossBackendLiveDeadline}
 	m1, err := Engine{Workers: ns.Workers}.Execute(simLive)
 	if err != nil {
 		return nil, err
@@ -150,10 +133,10 @@ func CrossBackendSweep(spec CrossBackendSpec) (*CrossBackendReport, error) {
 	tcp := base
 	tcp.Backends = []harness.Backend{harness.BackendTCP}
 	tcp.Tuning = harness.BackendTuning{
-		Tick:         ns.TCPTick,
-		Deadline:     ns.TCPDeadline,
-		BatchSize:    ns.TCPBatch,
-		BatchMaxWait: ns.TCPBatchWait,
+		Tick:         crossBackendTCPTick,
+		Deadline:     crossBackendTCPDeadline,
+		BatchSize:    crossBackendTCPBatch,
+		BatchMaxWait: crossBackendTCPBatchWait,
 	}
 	// The tcp pass runs serially: its cells are wall-clock heavy and at
 	// medium n a single cluster already saturates the socket layer;

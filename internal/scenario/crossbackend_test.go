@@ -41,7 +41,7 @@ func TestCrossBackendTableShape(t *testing.T) {
 			if row.N != n || row.Backend != string(b) {
 				t.Fatalf("row %d is (n=%d, %s), want (n=%d, %s)", i-1, row.N, row.Backend, n, b)
 			}
-			if row.Family != def.Family || row.Suppress != "on" {
+			if row.Family != crossBackendFamily || row.Suppress != "on" {
 				t.Fatalf("row %d: family=%q suppress=%q", i-1, row.Family, row.Suppress)
 			}
 			if !row.Converged || !row.Legitimate || !row.WithinBound {

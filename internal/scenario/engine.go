@@ -26,9 +26,6 @@ type Engine struct {
 	Workers int
 }
 
-// Default returns an engine sized to the machine.
-func Default() Engine { return Engine{} }
-
 // RunResult is the outcome of one run of the matrix.
 type RunResult struct {
 	Run

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mdst/internal/core"
 	"mdst/internal/graph"
@@ -35,39 +36,44 @@ import (
 // grid, hypercube) run the same ladder via -families/-sizes at the
 // cost of O(n) extra convergence rounds of search traffic.
 type ScaleSpec struct {
-	Family    string // graph family (default "star-of-cliques")
-	Sizes     []int  // node counts (default 256, 512, 1024)
-	BaselineN int    // size of the fingerprint-work baseline run (default: smallest size)
-	Seeds     int    // seeds per size (default 1)
-	BaseSeed  int64  // matrix base seed (default 1)
-	Workers   int    // engine parallelism (default GOMAXPROCS)
+	Family  string // graph family (default "star-of-cliques")
+	Sizes   []int  // node counts (default 256, 512, 1024)
+	Workers int    // engine parallelism (default GOMAXPROCS)
 
 	// The event-engine ladder: closure runs at sizes the compat core
 	// cannot reach in CI time, executed on the discrete-event core
-	// (harness.EngineEvent) from the StartPath preload. EventFamily
-	// defaults to "ring+chords" — a canonical-ring family, so the
+	// (harness.EngineEvent) on scaleEventFamily from the StartPath
+	// preload. EventSizes defaults to 4096 and 16384.
+	EventSizes []int
+
+	// The steady-state decay section: paired static-vs-adaptive
+	// suppression runs on the event core from the legitimate preload
+	// (see DecayCell), over decayWindows cap-length observation windows.
+	// DecaySizes defaults to 256 (one cell); the family is
+	// ScaleSpec.Family — star-of-cliques keeps dmax > deg(T) at the
+	// fixed point, so the retry schedule never goes structurally silent
+	// and the decay measured is entirely the backoff's doing.
+	DecaySizes []int
+}
+
+// The scale sweep's fixed settings. Every matrix of the sweep runs one
+// seed per size from scaleBaseSeed, and the fingerprint-work baseline
+// is the smallest ladder size's run.
+const (
+	scaleBaseSeed = 1
+	// scaleEventFamily is a canonical-ring family, so the
 	// Hamiltonian-path configuration (degree 2, Δ* = 2) exists and is a
 	// reduction fixed point with the search module off; the whole
 	// network parks after the first quiet tick and the quiescence window
 	// (2n+Θ(1) derived rounds) is fast-forwarded by the event loop
 	// instead of swept. Compat would execute every one of those rounds
 	// at n ticks + Θ(n) gossip each — hours at n=16384, seconds here.
-	// EventSizes defaults to 4096 and 16384.
-	EventFamily string
-	EventSizes  []int
-
-	// The steady-state decay section: paired static-vs-adaptive
-	// suppression runs on the event core from the legitimate preload
-	// (see DecayCell). DecaySizes defaults to 256 (one cell); the family
-	// is ScaleSpec.Family — star-of-cliques keeps dmax > deg(T) at the
-	// fixed point, so the retry schedule never goes structurally silent
-	// and the decay measured is entirely the backoff's doing.
-	// DecayWindows is the number of cap-length observation windows
-	// (default 3: the first absorbs the tier climb, the last is fully at
-	// the cap).
-	DecaySizes   []int
-	DecayWindows int
-}
+	scaleEventFamily = "ring+chords"
+	// decayWindows is the number of cap-length observation windows of a
+	// decay cell: the first absorbs the tier climb, the last is fully at
+	// the cap.
+	decayWindows = 3
+)
 
 func (s ScaleSpec) normalized() ScaleSpec {
 	if s.Family == "" {
@@ -76,31 +82,11 @@ func (s ScaleSpec) normalized() ScaleSpec {
 	if len(s.Sizes) == 0 {
 		s.Sizes = []int{256, 512, 1024}
 	}
-	if s.BaselineN == 0 {
-		s.BaselineN = s.Sizes[0]
-		for _, n := range s.Sizes {
-			if n < s.BaselineN {
-				s.BaselineN = n
-			}
-		}
-	}
-	if s.Seeds <= 0 {
-		s.Seeds = 1
-	}
-	if s.BaseSeed == 0 {
-		s.BaseSeed = 1
-	}
-	if s.EventFamily == "" {
-		s.EventFamily = "ring+chords"
-	}
 	if len(s.EventSizes) == 0 {
 		s.EventSizes = []int{4096, 16384}
 	}
 	if len(s.DecaySizes) == 0 {
 		s.DecaySizes = []int{256}
-	}
-	if s.DecayWindows <= 0 {
-		s.DecayWindows = 3
 	}
 	return s
 }
@@ -184,7 +170,7 @@ type EventCell struct {
 // DecayCell is one paired steady-state silence measurement: the
 // identical instance (same seed, graph and legitimate preload) executed
 // on the event core with the static suppression window and with
-// adaptive backoff, observed over DecayWindows cap-length windows past
+// adaptive backoff, observed over decayWindows cap-length windows past
 // convergence. The committed figure of merit is DecayRatio — the static
 // twin's last-window message volume over the adaptive twin's — with an
 // acceptance bar of >= 10 enforced by ScaleSweep. The cell then
@@ -275,8 +261,8 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 			Sizes:        sizes,
 			Schedulers:   []harness.SchedulerKind{harness.SchedSync},
 			Starts:       []harness.StartMode{harness.StartCorrupt},
-			SeedsPerCell: ns.Seeds,
-			BaseSeed:     ns.BaseSeed,
+			SeedsPerCell: 1,
+			BaseSeed:     scaleBaseSeed,
 		}
 	}
 
@@ -284,7 +270,7 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := &ScaleReport{BaselineN: ns.BaselineN}
+	report := &ScaleReport{BaselineN: slices.Min(ns.Sizes)}
 	var incBaseline *RunResult
 	for i := range m.Runs {
 		rr := &m.Runs[i]
@@ -306,12 +292,9 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 			WithinBound:           rr.WithinBound,
 			FingerprintRecomputes: rr.FingerprintRecomputes,
 		})
-		if rr.N == ns.BaselineN && rr.SeedIndex == 0 && incBaseline == nil {
+		if rr.N == report.BaselineN && incBaseline == nil {
 			incBaseline = rr
 		}
-	}
-	if incBaseline == nil {
-		return nil, fmt.Errorf("scenario: baseline size %d not in sweep sizes %v", ns.BaselineN, ns.Sizes)
 	}
 
 	// The suppression-on twin of the ladder: the suppression axis is
@@ -371,19 +354,19 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 
 	// The event-engine ladder: closure runs at sizes the compat core
 	// cannot sweep in CI time, one seed per size on the discrete-event
-	// core from the StartPath preload (see ScaleSpec.EventSizes for why
+	// core from the StartPath preload (see scaleEventFamily for why
 	// the closure shape is the one that scales). Acceptance is enforced
 	// here, not just recorded — a cell that fails to converge, reach
 	// legitimacy, stay within the Δ*+1 bracket, or produce a quiescence
 	// certificate fails the whole sweep (and therefore `make drift`).
 	ev, err := Engine{Workers: ns.Workers}.Execute(Spec{
-		Families:     []string{ns.EventFamily},
+		Families:     []string{scaleEventFamily},
 		Sizes:        ns.EventSizes,
 		Schedulers:   []harness.SchedulerKind{harness.SchedSync},
 		Starts:       []harness.StartMode{harness.StartPath},
 		Engines:      []harness.Engine{harness.EngineEvent},
 		SeedsPerCell: 1,
-		BaseSeed:     ns.BaseSeed,
+		BaseSeed:     scaleBaseSeed,
 	})
 	if err != nil {
 		return nil, err
@@ -430,8 +413,8 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 	// missed the deepest tier, or whose recovery blew the budget fails
 	// the whole sweep (and therefore `make drift`).
 	for _, n := range ns.DecaySizes {
-		seed := runSeed(ns.BaseSeed, Cell{Family: ns.Family, N: n}, 0)
-		cell, err := decayCell(ns.Family, n, seed, ns.DecayWindows)
+		seed := runSeed(scaleBaseSeed, Cell{Family: ns.Family, N: n}, 0)
+		cell, err := decayCell(ns.Family, n, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -471,7 +454,7 @@ func ScaleSweep(spec ScaleSpec) (*ScaleReport, error) {
 // the corruption every node must actually step each round for the
 // stability-window accounting (stable rounds = virtual rounds) that the
 // budget bound is stated in.
-func decayCell(family string, size int, seed int64, windows int) (DecayCell, error) {
+func decayCell(family string, size int, seed int64) (DecayCell, error) {
 	fam, ok := graph.LookupFamily(family)
 	if !ok {
 		return DecayCell{}, fmt.Errorf("scenario: unknown graph family %q", family)
@@ -491,7 +474,7 @@ func decayCell(family string, size int, seed int64, windows int) (DecayCell, err
 		CapWindow:    capW,
 		WindowRounds: capW,
 	}
-	total := windows * capW
+	total := decayWindows * capW
 
 	// observe runs one twin from the legitimate preload for `total`
 	// virtual rounds (no quiescence detection — the point is to watch
@@ -509,7 +492,7 @@ func decayCell(family string, size int, seed int64, windows int) (DecayCell, err
 			}
 			return t
 		}
-		per := make([]int64, 0, windows)
+		per := make([]int64, 0, decayWindows)
 		var prev int64
 		net.RunEvents(sim.EventConfig{
 			Policy:    sim.EventPolicySync,
@@ -518,7 +501,7 @@ func decayCell(family string, size int, seed int64, windows int) (DecayCell, err
 				// r+1 = virtual rounds completed; close every window the
 				// execution has crossed (the event core reports only
 				// executed rounds, so a boundary can be crossed mid-gap).
-				for len(per) < windows && r+1 >= (len(per)+1)*capW {
+				for len(per) < decayWindows && r+1 >= (len(per)+1)*capW {
 					cur := sent()
 					per = append(per, cur-prev)
 					prev = cur
@@ -528,10 +511,10 @@ func decayCell(family string, size int, seed int64, windows int) (DecayCell, err
 		})
 		// The final boundary round itself is never reported by OnRound
 		// (the engine stops at the bound); flush the residue.
-		if cur := sent(); len(per) < windows {
+		if cur := sent(); len(per) < decayWindows {
 			per = append(per, cur-prev)
 		}
-		for len(per) < windows {
+		for len(per) < decayWindows {
 			per = append(per, 0)
 		}
 		return per, net, nil
@@ -547,12 +530,12 @@ func decayCell(family string, size int, seed int64, windows int) (DecayCell, err
 	}
 	cell.StaticPerWindow = staticPer
 	cell.BackoffPerWindow = backoffPer
-	if last := backoffPer[windows-1]; last > 0 {
-		cell.DecayRatio = float64(staticPer[windows-1]) / float64(last)
-	} else if staticPer[windows-1] > 0 {
+	if last := backoffPer[decayWindows-1]; last > 0 {
+		cell.DecayRatio = float64(staticPer[decayWindows-1]) / float64(last)
+	} else if staticPer[decayWindows-1] > 0 {
 		// Total silence beats any finite ratio; report the static volume
 		// itself as the (lower-bound) ratio.
-		cell.DecayRatio = float64(staticPer[windows-1])
+		cell.DecayRatio = float64(staticPer[decayWindows-1])
 	}
 
 	// Fault at the deepest tier: corrupt the first node whose retry

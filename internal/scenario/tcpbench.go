@@ -29,44 +29,30 @@ import (
 // TCPBenchSpec configures TCPBenchSweep. The zero value selects the
 // committed defaults.
 type TCPBenchSpec struct {
-	Family   string // graph family (default "ring+chords")
-	N        int    // node count (default 128)
-	Batches  []int  // batch sizes to sweep (default 1, 8, 16)
-	BaseSeed int64  // matrix base seed (default 1)
-	// Tick is the tcp gossip period (default 2ms — the fast tick the
-	// coalescing layer is meant to sustain at medium n).
-	Tick time.Duration
-	// BatchMaxWait is applied to every batch>1 row (default 6ms — three
-	// ticks): the frame hold that lets sends from consecutive gossip
+	N int // node count (default 128)
+}
+
+// The tcp bench's fixed settings: one ring+chords instance drawn from
+// base seed 1, run once per batch size (1, 8 and 16).
+const (
+	tcpBenchFamily   = "ring+chords"
+	tcpBenchBaseSeed = 1
+	// tcpBenchTick is the fast tick the coalescing layer is meant to
+	// sustain at medium n.
+	tcpBenchTick = 2 * time.Millisecond
+	// tcpBenchBatchMaxWait is applied to every batch>1 row — three
+	// ticks: the frame hold that lets sends from consecutive gossip
 	// ticks coalesce into one frame. A hold of one tick or less only
 	// packs same-tick bursts and plateaus near 0.45 frames/message;
 	// three ticks reaches ~0.17 at batch=16 on the default instance.
-	BatchMaxWait time.Duration
-	// Deadline caps each tcp run (default 150s).
-	Deadline time.Duration
-}
+	tcpBenchBatchMaxWait = 6 * time.Millisecond
+	// tcpBenchDeadline caps each tcp run.
+	tcpBenchDeadline = 150 * time.Second
+)
 
 func (s TCPBenchSpec) normalized() TCPBenchSpec {
-	if s.Family == "" {
-		s.Family = "ring+chords"
-	}
 	if s.N <= 0 {
 		s.N = 128
-	}
-	if len(s.Batches) == 0 {
-		s.Batches = []int{1, 8, 16}
-	}
-	if s.BaseSeed == 0 {
-		s.BaseSeed = 1
-	}
-	if s.Tick <= 0 {
-		s.Tick = 2 * time.Millisecond
-	}
-	if s.BatchMaxWait <= 0 {
-		s.BatchMaxWait = 6 * time.Millisecond
-	}
-	if s.Deadline <= 0 {
-		s.Deadline = 150 * time.Second
 	}
 	return s
 }
@@ -125,12 +111,12 @@ func TCPBenchSweep(spec TCPBenchSpec) (*TCPBenchReport, error) {
 	ns := spec.normalized()
 	cell := func(backend harness.Backend, tuning harness.BackendTuning) Spec {
 		return Spec{
-			Families:     []string{ns.Family},
+			Families:     []string{tcpBenchFamily},
 			Sizes:        []int{ns.N},
 			Starts:       []harness.StartMode{harness.StartCorrupt},
 			Retry:        []core.RetryPolicy{core.RetrySuppress},
 			SeedsPerCell: 1,
-			BaseSeed:     ns.BaseSeed,
+			BaseSeed:     tcpBenchBaseSeed,
 			Backends:     []harness.Backend{backend},
 			Tuning:       tuning,
 		}
@@ -149,20 +135,20 @@ func TCPBenchSweep(spec TCPBenchSpec) (*TCPBenchReport, error) {
 	}
 
 	report := &TCPBenchReport{
-		Family:    ns.Family,
+		Family:    tcpBenchFamily,
 		N:         ns.N,
 		Edges:     pair.Edges,
-		TickMS:    round3(float64(ns.Tick) / float64(time.Millisecond)),
+		TickMS:    round3(float64(tcpBenchTick) / float64(time.Millisecond)),
 		SimRounds: pair.Rounds,
 	}
-	for _, batch := range ns.Batches {
+	for _, batch := range []int{1, 8, 16} {
 		tuning := harness.BackendTuning{
-			Tick:      ns.Tick,
-			Deadline:  ns.Deadline,
+			Tick:      tcpBenchTick,
+			Deadline:  tcpBenchDeadline,
 			BatchSize: batch,
 		}
 		if batch > 1 {
-			tuning.BatchMaxWait = ns.BatchMaxWait
+			tuning.BatchMaxWait = tcpBenchBatchMaxWait
 		}
 		m, err := Engine{Workers: 1}.Execute(cell(harness.BackendTCP, tuning))
 		if err != nil {

@@ -1,10 +1,9 @@
 // Package trace records per-round time series of a protocol execution —
 // the figure data behind the experiment tables: tree degree over time,
 // dmax agreement, legitimacy components, traffic. A Series is a dense
-// column-oriented table with CSV and JSON export; the harness fills one
-// via its OnRound hook, and the metrics collector
-// (internal/metrics) renders its snapshot stream through the same
-// Series so both share one export path.
+// column-oriented table with CSV and JSON export; it is the
+// serialization of the metrics collector (internal/metrics), which
+// renders its snapshot stream as one Series.
 package trace
 
 import (
@@ -22,7 +21,8 @@ type Series struct {
 }
 
 // NewSeries creates a series with the given column names. The first
-// column is conventionally the round index.
+// column is conventionally the observation index (the round, or the
+// collector's epoch).
 func NewSeries(name string, columns ...string) *Series {
 	return &Series{Name: name, Columns: append([]string(nil), columns...)}
 }
@@ -37,9 +37,6 @@ func (s *Series) Append(values ...float64) {
 
 // Len returns the number of rows.
 func (s *Series) Len() int { return len(s.rows) }
-
-// Row returns row i (shared slice; do not modify).
-func (s *Series) Row(i int) []float64 { return s.rows[i] }
 
 // Column returns a copy of the named column's values.
 func (s *Series) Column(name string) []float64 {
@@ -118,8 +115,7 @@ type seriesJSON struct {
 }
 
 // WriteJSON writes the series as deterministic indented JSON
-// ({name, columns, rows}) — the export path metrics time series and
-// OnRound traces share.
+// ({name, columns, rows}) — the export path of the metrics time series.
 func (s *Series) WriteJSON(w io.Writer) error {
 	rows := s.rows
 	if rows == nil {

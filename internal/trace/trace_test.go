@@ -20,8 +20,8 @@ func TestSeriesAppendAndColumns(t *testing.T) {
 	if s.Last("deg") != 2 || s.Max("deg") != 5 {
 		t.Fatal("last/max wrong")
 	}
-	if s.Row(1)[1] != 3 {
-		t.Fatal("row access")
+	if col[1] != 3 {
+		t.Fatal("column access")
 	}
 }
 
@@ -112,11 +112,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.Name != s.Name || got.Len() != s.Len() {
 		t.Fatalf("round-trip shape: name=%q len=%d", got.Name, got.Len())
 	}
-	for i := 0; i < s.Len(); i++ {
-		a, bRow := s.Row(i), got.Row(i)
-		for j := range a {
-			if a[j] != bRow[j] {
-				t.Fatalf("row %d col %d: %v != %v", i, j, a[j], bRow[j])
+	for _, c := range s.Columns {
+		a, bCol := s.Column(c), got.Column(c)
+		for i := range a {
+			if a[i] != bCol[i] {
+				t.Fatalf("row %d col %s: %v != %v", i, c, a[i], bCol[i])
 			}
 		}
 	}
