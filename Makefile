@@ -15,7 +15,7 @@ STATICCHECK_VERSION ?= 2024.1.1
 
 RACE_PKGS = ./internal/sim/... ./internal/harness/... ./internal/scenario/... ./internal/netrun/... ./internal/detect/... ./internal/metrics/... ./internal/auditlog/...
 
-.PHONY: ci lint vet build test race smoke benchtest bench gobench matrix regen drift vuln loc clean
+.PHONY: ci lint vet build test race smoke benchtest bench gobench fuzz matrix regen drift vuln loc clean
 
 # (lint already ends with `go vet ./...`, so `vet` is not repeated here.)
 ci: lint build test race smoke benchtest
@@ -123,10 +123,22 @@ bench:
 # Reduced-sweep Go benchmark pass (one iteration per benchmark) over
 # every package that declares Go benchmarks: the root package's
 # experiment benches, the protocol's corrupt-start recovery per exchange,
-# the simulator's round and allocation benches and the harness's n=16384
-# path-start closure run.
+# the simulator's round and allocation benches, the harness's n=16384
+# path-start closure run and the tcp wire codec's frame round trip.
 gobench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./internal/sim/ ./internal/harness/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./internal/sim/ ./internal/harness/ ./internal/netrun/
+
+# Fuzz every decoder that reads bytes from a socket: the tcp frame, the
+# control channel's probe request and its reply, each for FUZZTIME
+# (go test runs one -fuzz target per invocation). The committed seed
+# corpora under internal/netrun/testdata/fuzz also run in plain
+# `go test`.
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/netrun/
+	$(GO) test -run '^$$' -fuzz '^FuzzProbeRequest$$' -fuzztime $(FUZZTIME) ./internal/netrun/
+	$(GO) test -run '^$$' -fuzz '^FuzzProbeReply$$' -fuzztime $(FUZZTIME) ./internal/netrun/
 
 # The default 108-run scenario matrix across all CPUs.
 matrix:

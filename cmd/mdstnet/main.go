@@ -1,6 +1,6 @@
 // Command mdstnet runs the self-stabilizing MDST protocol over real TCP
 // connections on the loopback interface: one goroutine per node, one
-// socket per edge, gob-encoded messages — the paper's asynchronous
+// socket per edge, varint-encoded messages — the paper's asynchronous
 // reliable-FIFO message passing realized by an actual network stack.
 //
 // It is a thin front-end over the harness's tcp execution backend (the

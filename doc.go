@@ -113,15 +113,17 @@
 // (netrun.Config.BatchSize/BatchMaxWait, harness.BackendTuning,
 // `mdstmatrix -batch/-batchwait`, `mdstnet -batch/-batchwait`): each
 // edge direction's writer packs up to batch-size queued messages into
-// one gob frame — flushed on batch-size or max-wait, one syscall burst
-// per frame — so batch size 1 sends one message per frame. One gob
-// encoder and one gob decoder own each connection for its lifetime
-// (decoders buffer ahead; a second decoder on the same conn loses
-// bytes). Coalescing is a transport concern only: the batch=1 vs
-// batch=16 differential test pins identical legitimacy and Δ*+1
-// outcomes, and `make bench` commits the measured frames-per-message
-// and wall-per-round numbers to BENCH_tcp.json (a wall-clock snapshot,
-// unlike the byte-stable BENCH_scale.json).
+// one frame — flushed on batch-size or max-wait, one write per frame —
+// so batch size 1 sends one message per frame. Frames use netrun's
+// fixed-layout codec (internal/netrun/codec.go): a message count, then
+// per message a one-byte type tag and its fields as varints; the sender
+// is known from the connection, not carried. One bufio.Reader reads
+// each connection for its lifetime (it buffers ahead; a second reader
+// on the same conn loses bytes). Coalescing is a transport concern
+// only: the batch=1 vs batch=16 differential test pins identical
+// legitimacy and Δ*+1 outcomes, and `make bench` commits the measured
+// frames-per-message and wall-per-round numbers to BENCH_tcp.json (a
+// wall-clock snapshot, unlike the byte-stable BENCH_scale.json).
 //
 // Observability is a control plane over the same runs
 // (internal/metrics + internal/auditlog, harness.RunSpec.Collect,

@@ -1,5 +1,5 @@
 // TCP cluster: run the protocol over real loopback TCP sockets — one
-// goroutine per node, one socket per edge, gob-encoded messages — and
+// goroutine per node, one socket per edge, varint-encoded messages — and
 // compare both edge exchanges (the chain of single-parent moves and the
 // paper's literal Remove/Back choreography) on the same topology.
 //

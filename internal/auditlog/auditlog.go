@@ -121,19 +121,6 @@ func (r *Recorder) Len() int {
 	return total
 }
 
-// NodeLog returns node's append-order mutation log (read-only view).
-func (r *Recorder) NodeLog(node int) []Record { return r.logs[node] }
-
-// Records returns every record in chain order: node-ID-major, each
-// node's records in append order — the exact order ChainHead folds.
-func (r *Recorder) Records() []Record {
-	out := make([]Record, 0, r.Len())
-	for _, log := range r.logs {
-		out = append(out, log...)
-	}
-	return out
-}
-
 // ChainHead folds the genesis head through every record in chain order
 // (node-ID-major, per-node append order). Each record is chained by
 // four sequential MixNode applications over (Node, Kind, Old, New);

@@ -63,7 +63,7 @@ func TestRoundExcludedFromHash(t *testing.T) {
 	if a.ChainHead() != b.ChainHead() {
 		t.Fatal("Round must not contribute to the chain hash (wall-clock comparability)")
 	}
-	if got := a.NodeLog(0)[0].Round; got != 5 {
+	if got := a.logs[0][0].Round; got != 5 {
 		t.Fatalf("record round = %d, want 5", got)
 	}
 }
@@ -72,12 +72,11 @@ func TestHookBindsNode(t *testing.T) {
 	r := NewRecorder(3, Genesis(1, 3))
 	hook := r.Hook(2)
 	hook(KindExchange, 0, 1)
-	if len(r.NodeLog(2)) != 1 || len(r.NodeLog(0)) != 0 {
+	if len(r.logs[2]) != 1 || len(r.logs[0]) != 0 || len(r.logs[1]) != 0 {
 		t.Fatal("Hook must append to the bound node's log only")
 	}
-	recs := r.Records()
-	if len(recs) != 1 || recs[0].Node != 2 {
-		t.Fatalf("Records() = %+v", recs)
+	if rec := r.logs[2][0]; rec.Node != 2 {
+		t.Fatalf("hooked record = %+v", rec)
 	}
 }
 

@@ -3,10 +3,12 @@ package netrun
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,36 +17,29 @@ import (
 	"mdst/internal/sim"
 )
 
-// pingMsg is a minimal active-kind message for transport-level tests:
-// the protocol under test is the cluster itself, not MDST.
-type pingMsg struct{ Seq int }
-
-func (pingMsg) Kind() string { return "ping" }
-func (pingMsg) Size() int    { return 64 }
-
-func init() { gob.Register(pingMsg{}) }
-
-// pinger sends one ping to every neighbor per tick.
+// pinger sends one numbered UpdateDist to every neighbor per tick: a
+// minimal active-kind traffic source for transport-level tests (the
+// protocol under test is the cluster itself, not MDST).
 type pinger struct{ seq int }
 
 func (p *pinger) Init(ctx *sim.Context) {}
 func (p *pinger) Tick(ctx *sim.Context) {
 	p.seq++
 	for _, u := range ctx.Neighbors() {
-		ctx.Send(u, pingMsg{Seq: p.seq})
+		ctx.Send(u, core.UpdateDistMsg{Dist: p.seq})
 	}
 }
 func (p *pinger) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {}
 
-// --- Bugfix regression: gob stream handoff -------------------------------
+// --- Bugfix regression: hello reader handoff -----------------------------
 
-// The accept side decodes the hello and then hands the SAME decoder to
-// startEdge. A gob decoder buffers ahead, so when the dialer's hello and
-// its first frames arrive in one burst (here: one buffered Write —
-// exactly what the batching writer produces), a second decoder on the
-// conn would read from after the buffered bytes and lose or corrupt
-// every buffered frame. This test drives the handoff directly and
-// fails by timeout under the old two-decoder accept path.
+// The accept side reads the hello and then hands the SAME bufio.Reader
+// to startEdge. It reads ahead, so when the dialer's hello and its first
+// frames arrive in one burst (here: one Write — exactly what the
+// batching writer produces), a second reader on the conn would read
+// from after the buffered bytes and lose every buffered frame. This
+// test drives the handoff directly and fails by timeout under a
+// two-reader accept path.
 func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	g := graph.Path(2)
 	c := NewCluster(g, func(id int, nbrs []int) sim.Process {
@@ -81,46 +76,41 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	server := <-acceptedCh
 	defer server.Close()
 
-	// Dialer: hello + 5 frames gob-encoded back-to-back into ONE
-	// buffer, delivered in ONE Write — the burst the hello decoder will
-	// buffer past the hello.
+	// Dialer: hello + 5 frames back-to-back in ONE Write — the burst the
+	// hello reader will buffer past the hello.
 	const burst = 5
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(hello{From: 1}); err != nil {
-		t.Fatal(err)
-	}
+	wire := appendHello(nil, 1)
 	for i := 0; i < burst; i++ {
-		if err := enc.Encode(frame{From: 1, Msgs: []sim.Message{pingMsg{Seq: i}}}); err != nil {
-			t.Fatal(err)
-		}
+		wire = appendFrame(wire, []sim.Message{core.UpdateDistMsg{Dist: i}})
 	}
-	if _, err := client.Write(buf.Bytes()); err != nil {
+	if _, err := client.Write(wire); err != nil {
 		t.Fatal(err)
 	}
 
-	// Accept path under test: decode the hello, hand the SAME decoder to
-	// startEdge (the fix; a fresh gob.NewDecoder(server) here reproduces
-	// the lost-frame bug).
-	dec := gob.NewDecoder(server)
-	var h hello
-	if err := dec.Decode(&h); err != nil {
+	// Accept path under test: read the hello, hand the SAME reader to
+	// startEdge (the fix; a fresh bufio.NewReader(server) here loses the
+	// buffered frames).
+	br := bufio.NewReader(server)
+	from, err := readHello(br)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if h.From != 1 {
-		t.Fatalf("hello from %d, want 1", h.From)
+	if from != 1 {
+		t.Fatalf("hello from %d, want 1", from)
 	}
-	bw := bufio.NewWriterSize(server, frameBufSize)
-	c.startEdge(0, 1, server, gob.NewEncoder(bw), bw, dec)
+	c.startEdge(0, 1, server, br)
 
 	for i := 0; i < burst; i++ {
 		select {
 		case env := <-c.inbox[0]:
-			if got := env.Msg.(pingMsg).Seq; got != i {
-				t.Fatalf("message %d out of order: seq %d", i, got)
+			if env.From != 1 {
+				t.Fatalf("message %d delivered from %d, want 1", i, env.From)
+			}
+			if got := env.Msg.(core.UpdateDistMsg).Dist; got != i {
+				t.Fatalf("message %d out of order: dist %d", i, got)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("message %d of %d never arrived: the hello decoder's buffered bytes were lost", i, burst)
+			t.Fatalf("message %d of %d never arrived: the hello reader's buffered bytes were lost", i, burst)
 		}
 	}
 }
@@ -131,7 +121,7 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 // deficit permanently positive: sends to the dead direction count as
 // dropped (never sent), and whatever the queue held — all counted sent —
 // is settled as lost. The published deficit must therefore return to
-// zero; before the fix it grows monotonically with every ping queued
+// zero; before the fix it grows monotonically with every message queued
 // onto the dead direction and the probe path can never certify.
 func TestDeadWriterSettlesDeficit(t *testing.T) {
 	g := graph.Path(2)
@@ -139,7 +129,7 @@ func TestDeadWriterSettlesDeficit(t *testing.T) {
 		return &pinger{}
 	}, Config{
 		TickInterval: time.Millisecond,
-		ActiveKinds:  []string{"ping"},
+		ActiveKinds:  []string{core.KindUpdateDist},
 	})
 	// Kill the 0->1 writer on its first frame (and every retry).
 	injected := errors.New("injected encode failure")
@@ -199,17 +189,8 @@ func TestStartFailureDoesNotLeakAcceptGoroutines(t *testing.T) {
 		t.Fatal("Start succeeded despite the closed listener")
 	}
 
-	// Every goroutine Start launched must be gone; allow the runtime a
-	// grace period to observe the exits.
-	ok := false
-	for wait := time.Now().Add(5 * time.Second); time.Now().Before(wait); {
-		if runtime.NumGoroutine() <= before {
-			ok = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !ok {
+	// Every goroutine Start launched must be gone.
+	if !goroutinesBackTo(before) {
 		t.Fatalf("goroutines leaked by failed Start: %d before, %d after", before, runtime.NumGoroutine())
 	}
 
@@ -222,94 +203,151 @@ func TestStartFailureDoesNotLeakAcceptGoroutines(t *testing.T) {
 	c.Stop()
 }
 
+// goroutinesBackTo waits up to five seconds for the goroutine count to
+// fall to before, giving the runtime a grace period to observe exits.
+func goroutinesBackTo(before int) bool {
+	for wait := time.Now().Add(5 * time.Second); time.Now().Before(wait); {
+		if runtime.NumGoroutine() <= before {
+			return true
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return false
+}
+
+// --- Bugfix regression: a hello from a stranger --------------------------
+
+// The accept side must check that a hello names a lower-ID neighbor of
+// the listening node that has not connected yet. Before the fix a hello
+// naming a non-neighbor crashed the process (startEdge took a nil
+// outbox, and its writer dereferenced it), and one naming a higher-ID
+// neighbor or repeating a lower one put a second writer on a direction
+// that already had one. Start must fail instead: an error naming both
+// IDs, no panic, no leaked goroutine, and a following Start that runs.
+func TestStartRejectsBogusHello(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		to, from int
+	}{
+		{"non-neighbor", graph.Path(3), 1, 7},
+		{"higher-ID neighbor", graph.Path(3), 1, 2},
+		// Ring(3): node 2 accepts 0 and 1. The bogus hello is first in
+		// the backlog, so node 0's real dial is the repeat.
+		{"repeated lower-ID neighbor", graph.Ring(3), 2, 0},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(tc.g, func(id int, nbrs []int) sim.Process {
+				return &pinger{}
+			}, Config{TickInterval: time.Millisecond})
+			var bogus net.Conn
+			c.testAfterListen = func() {
+				conn, err := net.Dial("tcp", c.lns[tc.to].Addr().String())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				bogus = conn
+				if _, err := conn.Write(appendHello(nil, tc.from)); err != nil {
+					t.Error(err)
+				}
+			}
+			before := runtime.NumGoroutine()
+			err := c.Start()
+			if bogus != nil {
+				bogus.Close()
+			}
+			if err == nil {
+				c.Stop()
+				t.Fatal("Start accepted a bogus hello")
+			}
+			want := fmt.Sprintf("hello from %d: not an unconnected lower-ID neighbor of %d", tc.from, tc.to)
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("Start error %q does not contain %q", err, want)
+			}
+			if !goroutinesBackTo(before) {
+				t.Fatalf("goroutines leaked by the rejected hello: %d before, %d after", before, runtime.NumGoroutine())
+			}
+			c.testAfterListen = nil
+			if err := c.Start(); err != nil {
+				t.Fatalf("cluster not restartable after the rejected hello: %v", err)
+			}
+			c.Stop()
+		})
+	}
+}
+
 // --- Wire format ---------------------------------------------------------
 
-// encodeWire renders what a writer puts on the wire for one coalesced
-// batch.
-func encodeWire(t *testing.T, me int, batch []sim.Message) []byte {
+// writeWire runs one writer at the given batch size over msgs, all
+// queued before it starts, and returns what it put on the wire and how
+// many frames it counted.
+func writeWire(t *testing.T, batchSize int, msgs []sim.Message) ([]byte, int64) {
 	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := (&Cluster{}).writeFrame(gob.NewEncoder(bw), bw, me, 1, batch); err != nil {
-		t.Fatal(err)
+	c := &Cluster{cfg: Config{BatchSize: batchSize}}
+	link := &sendLink{q: make(chan sim.Message, len(msgs))}
+	for _, m := range msgs {
+		link.q <- m
 	}
-	return buf.Bytes()
+	// A closed stop makes the writer flush its queue and return.
+	stop := make(chan struct{})
+	close(stop)
+	var wire bytes.Buffer
+	c.writeLoop(3, 1, link, &wire, stop)
+	return wire.Bytes(), c.FramesWritten()
 }
 
 // checkFrames decodes wire to its end and requires exactly the given
-// frames from sender 3: count and order of frames and of the messages
-// in each.
+// frames: count and order of frames and of the messages in each.
 func checkFrames(t *testing.T, wire []byte, want [][]sim.Message) {
 	t.Helper()
-	dec := gob.NewDecoder(bytes.NewReader(wire))
+	r := bytes.NewReader(wire)
 	for i, msgs := range want {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
+		got, err := readFrame(r, nil)
+		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if f.From != 3 || len(f.Msgs) != len(msgs) {
-			t.Fatalf("frame %d decoded as from=%d count=%d, want from=3 count=%d", i, f.From, len(f.Msgs), len(msgs))
+		if len(got) != len(msgs) {
+			t.Fatalf("frame %d decoded %d messages, want %d", i, len(got), len(msgs))
 		}
-		for k, m := range f.Msgs {
+		for k, m := range got {
 			if m.(core.UpdateDistMsg) != msgs[k].(core.UpdateDistMsg) {
 				t.Fatalf("frame %d message %d decoded as %+v, want %+v", i, k, m, msgs[k])
 			}
 		}
 	}
-	var extra frame
-	if err := dec.Decode(&extra); err == nil {
-		t.Fatalf("wire held more than %d frames", len(want))
+	if r.Len() != 0 {
+		t.Fatalf("wire held %d bytes past %d frames", r.Len(), len(want))
 	}
 }
 
 // The frame encoding is pinned so the wire format cannot drift
-// silently: every write is one gob-encoded frame — one message per
-// frame at batch size 1, the whole batch in one frame above it — and
-// decodes with sender, count and order intact.
+// silently: every write is one frame (a count, then tagged messages) —
+// one message per frame at batch size 1, the whole batch in one frame
+// above it — and decodes with count and order intact.
 func TestBatchWireFormatPinned(t *testing.T) {
 	msgs := []sim.Message{
 		core.UpdateDistMsg{Dist: 1},
 		core.UpdateDistMsg{Dist: 2},
 		core.UpdateDistMsg{Dist: 3},
 	}
-
-	// Batch size 1: three writes through one encoder, as one writer
-	// makes them, are byte for byte three one-message frames.
-	var want bytes.Buffer
-	enc := gob.NewEncoder(&want)
-	for _, m := range msgs {
-		if err := enc.Encode(frame{From: 3, Msgs: []sim.Message{m}}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		batch  int
+		hex    string // count, then tagUpdateDist and the zigzag Dist per message
+		frames [][]sim.Message
+	}{
+		{1, "010502" + "010504" + "010506", [][]sim.Message{msgs[:1], msgs[1:2], msgs[2:]}},
+		{16, "03" + "0502" + "0504" + "0506", [][]sim.Message{msgs}},
+	} {
+		wire, frames := writeWire(t, tc.batch, msgs)
+		if got := hex.EncodeToString(wire); got != tc.hex {
+			t.Fatalf("batch=%d wire bytes drifted:\n got %s\nwant %s", tc.batch, got, tc.hex)
 		}
-	}
-	var got bytes.Buffer
-	bw := bufio.NewWriter(&got)
-	e := gob.NewEncoder(bw)
-	for _, m := range msgs {
-		if err := (&Cluster{}).writeFrame(e, bw, 3, 1, []sim.Message{m}); err != nil {
-			t.Fatal(err)
+		if frames != int64(len(tc.frames)) {
+			t.Fatalf("batch=%d counted %d frames, want %d", tc.batch, frames, len(tc.frames))
 		}
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("batch=1 wire bytes drifted from one frame per message:\n got %x\nwant %x", got.Bytes(), want.Bytes())
-	}
-	checkFrames(t, got.Bytes(), [][]sim.Message{msgs[:1], msgs[1:2], msgs[2:]})
-
-	// Batched: one frame carrying the whole batch.
-	wire := encodeWire(t, 3, msgs)
-	want.Reset()
-	if err := gob.NewEncoder(&want).Encode(frame{From: 3, Msgs: msgs}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wire, want.Bytes()) {
-		t.Fatalf("batched wire bytes drifted from one frame per batch:\n got %x\nwant %x", wire, want.Bytes())
-	}
-	checkFrames(t, wire, [][]sim.Message{msgs})
-
-	// The batch must cost less than one frame per message — the whole
-	// point of coalescing (one From and one gob header per frame).
-	if perMsg := len(encodeWire(t, 3, msgs[:1])); len(wire) >= 3*perMsg {
-		t.Fatalf("batched frame (%dB) is not smaller than 3 one-message frames (3×%dB)", len(wire), perMsg)
+		checkFrames(t, wire, tc.frames)
 	}
 }
 
@@ -362,7 +400,7 @@ func TestSendPathsWithBatching(t *testing.T) {
 	}
 	// No writer is draining: the third send overflows the queue.
 	for i := 0; i < 3; i++ {
-		c.send(0, 1, pingMsg{Seq: i})
+		c.send(0, 1, core.UpdateDistMsg{Dist: i})
 	}
 	if got := c.Dropped(); got != 1 {
 		t.Fatalf("overflow dropped %d messages, want 1", got)
@@ -372,7 +410,7 @@ func TestSendPathsWithBatching(t *testing.T) {
 	}
 	// A dead link drops every send without touching the queue.
 	c.outbox[0][1].dead.Store(true)
-	c.send(0, 1, pingMsg{Seq: 9})
+	c.send(0, 1, core.UpdateDistMsg{Dist: 9})
 	if got := c.Dropped(); got != 2 {
 		t.Fatalf("dead-link send dropped %d total, want 2", got)
 	}

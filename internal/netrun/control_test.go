@@ -10,7 +10,7 @@ import (
 )
 
 // Satellite regression: a control client that disconnects mid-request —
-// half a gob frame, then gone — must be shed by the server without
+// half a probe request, then gone — must be shed by the server without
 // leaking its per-connection goroutine and without stalling
 // Cluster.Stop. Before the per-connection registry this hung Stop
 // (wg.Wait waited on a handler blocked in Decode on a dead conn).
@@ -22,14 +22,15 @@ func TestControlClientDisconnectMidRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Client 1: connect, write half a gob stream (a type descriptor with
-	// no value), vanish. The server handler must not spin or crash.
+	// Client 1: connect, write half a probe request (the tag and the
+	// first byte of a two-byte Seq), vanish. The server handler must not
+	// spin or crash.
 	raw, err := net.Dial("tcp", c.ControlAddr())
 	if err != nil {
 		c.Stop()
 		t.Fatal(err)
 	}
-	raw.Write([]byte{0x07, 0xff, 0x81, 0x03}) // truncated gob preamble
+	raw.Write(appendProbeRequest(nil, 300)[:2]) // truncated request
 	raw.Close()
 
 	// Client 2: a full handshake followed by an abrupt disconnect while
@@ -75,22 +76,14 @@ func TestControlClientDisconnectMidRequest(t *testing.T) {
 
 	// Every goroutine the run launched — node loops, edge workers, and
 	// all three connection handlers — must be gone.
-	ok := false
-	for wait := time.Now().Add(5 * time.Second); time.Now().Before(wait); {
-		if runtime.NumGoroutine() <= before {
-			ok = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !ok {
+	if !goroutinesBackTo(before) {
 		t.Fatalf("goroutines leaked by disconnected control clients: %d before, %d after",
 			before, runtime.NumGoroutine())
 	}
 }
 
 // TestUnknownControlRequestDropsConnection: a request that does not
-// decode as a probeRequest closes that connection without disturbing
+// decode as a probe request closes that connection without disturbing
 // the listener.
 func TestUnknownControlRequestDropsConnection(t *testing.T) {
 	g := graph.Ring(4)
@@ -104,14 +97,14 @@ func TestUnknownControlRequestDropsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A gob string is no probeRequest: the server's decode fails and it
-	// drops the connection instead of answering.
-	if err := probe.enc.Encode("metrics, please"); err != nil {
+	// Bytes that do not open with the probe tag are no probe request:
+	// the server's decode fails and it drops the connection instead of
+	// answering.
+	if _, err := probe.conn.Write([]byte("metrics, please")); err != nil {
 		t.Fatal(err)
 	}
-	var r probeReply
-	if err := probe.dec.Decode(&r); err == nil {
-		t.Fatal("server answered a request that is not a probeRequest")
+	if _, err := readProbeReply(probe.br); err == nil {
+		t.Fatal("server answered a request that is not a probe request")
 	}
 	probe.Close()
 

@@ -1,19 +1,20 @@
 // Package netrun executes the protocol over real TCP connections: each
 // node is a goroutine with a listener on the loopback interface, each
-// graph edge is one TCP connection carrying gob-encoded messages in
-// both directions, and each direction is written by a single goroutine —
+// graph edge is one TCP connection carrying messages in both
+// directions, and each direction is written by a single goroutine —
 // so every link is a reliable FIFO channel, exactly the paper's §2
 // communication model realized by an actual network stack.
 //
-// The wire carries one format: each per-direction writer sends frames
-// of up to Config.BatchSize queued messages, flushed on batch-size or
-// max-wait, so one node tick costs at most one syscall burst per
-// neighbor (see batch.go); at batch size 1 (the default) every frame
-// carries one message. Exactly one gob encoder and one gob decoder
-// are attached to a connection for its lifetime — gob decoders read
-// ahead through an internal buffer, so a second decoder on the same
-// conn would silently lose buffered bytes (the hello handshake hands
-// its decoder to the edge reader for exactly this reason).
+// The wire carries one fixed-layout format (codec.go): each message is
+// a one-byte type tag and its fields as varints, about as many bytes as
+// its O(log n)-bit words. Each per-direction writer sends frames of up
+// to Config.BatchSize queued messages, flushed on batch-size or
+// max-wait, so one node tick costs at most one syscall per neighbor
+// (see batch.go); at batch size 1 (the default) every frame carries one
+// message. Exactly one bufio.Reader reads a connection for its
+// lifetime — it reads ahead, so a second reader on the same conn would
+// silently lose buffered bytes (the hello handshake hands its reader to
+// the edge reader for exactly this reason).
 //
 // The runtime is restartable: Stop tears down every connection and
 // listener but keeps the node states, and a subsequent Start re-dials.
@@ -34,16 +35,15 @@
 // need).
 //
 // The control channel speaks one request/reply pair over one
-// connection: the quiescence probe (probeRequest/probeReply). The
-// single-encoder/single-decoder-per-conn rule holds exactly as on the
-// edge connections. A driver that also wants traffic counters reads
-// them in-process (Cluster.Traffic, lock-free while the cluster runs),
-// so the probe is the only thing the control channel carries.
+// connection: the quiescence probe (a sequenced request answered by a
+// probeReply), in the same codec. A caller that also wants traffic
+// counters reads them in-process (Cluster.Traffic, lock-free while the
+// cluster runs), so the probe is the only thing the control channel
+// carries.
 package netrun
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -54,11 +54,6 @@ import (
 	"mdst/internal/graph"
 	"mdst/internal/sim"
 )
-
-// hello identifies the dialing endpoint of an edge connection.
-type hello struct {
-	From int
-}
 
 // Config controls a Cluster.
 type Config struct {
@@ -257,16 +252,18 @@ func (c *Cluster) Start() error {
 	go c.serveControl(ctl, c.stop)
 
 	// Accept side: each node expects one connection per lower-ID
-	// neighbor; the dialer sends a hello naming itself. The hello
-	// decoder travels with the connection (bugfix): gob decoders read
-	// ahead through an internal buffer, so a second decoder on the same
-	// conn would silently lose any frame bytes this one buffered past
-	// the hello — rare at one frame per message, near-certain once
-	// batching packs frames back-to-back.
+	// neighbor; the dialer sends a hello naming itself. The hello reader
+	// travels with the connection (bugfix): a bufio.Reader reads ahead,
+	// so a second reader on the same conn would silently lose any frame
+	// bytes this one buffered past the hello — rare at one frame per
+	// message, near-certain once batching packs frames back-to-back.
+	// A hello that names anything but a lower-ID neighbor not yet
+	// connected fails Start (bugfix): its direction has no outbox, or
+	// already has a writer.
 	type accepted struct {
 		to   int
 		conn net.Conn
-		dec  *gob.Decoder
+		br   *bufio.Reader
 		from int
 		err  error
 	}
@@ -297,20 +294,25 @@ func (c *Cluster) Start() error {
 		acceptWG.Add(1)
 		go func(id, want int) {
 			defer acceptWG.Done()
+			seen := make(map[int]bool, want)
 			for k := 0; k < want; k++ {
 				conn, err := c.lns[id].Accept()
 				if err != nil {
 					acceptCh <- accepted{to: id, err: err}
 					return
 				}
-				dec := gob.NewDecoder(conn)
-				var h hello
-				if err := dec.Decode(&h); err != nil {
+				br := bufio.NewReader(conn)
+				from, err := readHello(br)
+				if err == nil && (from < 0 || from >= id || !c.g.HasEdge(from, id) || seen[from]) {
+					err = fmt.Errorf("hello from %d: not an unconnected lower-ID neighbor of %d", from, id)
+				}
+				if err != nil {
 					conn.Close()
 					acceptCh <- accepted{to: id, err: err}
 					return
 				}
-				acceptCh <- accepted{to: id, conn: conn, dec: dec, from: h.From}
+				seen[from] = true
+				acceptCh <- accepted{to: id, conn: conn, br: br, from: from}
 			}
 		}(id, want)
 	}
@@ -345,23 +347,13 @@ func (c *Cluster) Start() error {
 				failStart()
 				return fmt.Errorf("netrun: dial %d->%d: %w", id, u, err)
 			}
-			// One encoder per direction for the connection's lifetime:
-			// it writes the hello and then every frame (a second encoder
-			// would re-emit type definitions mid-stream). The bufio layer
-			// turns each flushed frame into one syscall burst.
-			bw := bufio.NewWriterSize(conn, frameBufSize)
-			enc := gob.NewEncoder(bw)
-			err = enc.Encode(hello{From: id})
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
+			if _, err := conn.Write(appendHello(nil, id)); err != nil {
 				conn.Close()
 				failStart()
 				return fmt.Errorf("netrun: hello %d->%d: %w", id, u, err)
 			}
 			c.conns = append(c.conns, conn)
-			c.startEdge(id, u, conn, enc, bw, gob.NewDecoder(conn))
+			c.startEdge(id, u, conn, bufio.NewReader(conn))
 		}
 	}
 	for k := 0; k < expect; k++ {
@@ -371,8 +363,7 @@ func (c *Cluster) Start() error {
 			return fmt.Errorf("netrun: accept at %d: %w", a.to, a.err)
 		}
 		c.conns = append(c.conns, a.conn)
-		bw := bufio.NewWriterSize(a.conn, frameBufSize)
-		c.startEdge(a.to, a.from, a.conn, gob.NewEncoder(bw), bw, a.dec)
+		c.startEdge(a.to, a.from, a.conn, a.br)
 	}
 
 	// Node loops.
@@ -392,24 +383,23 @@ func (c *Cluster) Start() error {
 
 // startEdge launches the writer (draining me's outbox toward peer,
 // coalescing per batch.go) and the reader (decoding the peer's frames
-// into me's inbox) for one direction pair of an edge connection. enc
-// and dec must be the connection's ONLY encoder/decoder — the accept
-// path hands over the decoder that already read the hello, because a
-// fresh decoder would lose whatever that one buffered ahead.
-func (c *Cluster) startEdge(me, peer int, conn net.Conn, enc *gob.Encoder, bw *bufio.Writer, dec *gob.Decoder) {
-	_ = conn // owned by Stop/teardown; all I/O goes through enc/bw/dec
+// into me's inbox) for one direction pair of an edge connection. br
+// must be the connection's ONLY reader — the accept path hands over the
+// one that already read the hello, because a fresh reader would lose
+// whatever that one buffered ahead.
+func (c *Cluster) startEdge(me, peer int, conn net.Conn, br *bufio.Reader) {
 	stop := c.stop
 	link := c.outbox[me][peer]
 	in := c.inbox[me]
 	c.writers.Add(1)
 	go func() { // writer: me -> peer
 		defer c.writers.Done()
-		c.writeLoop(me, peer, link, enc, bw, stop)
+		c.writeLoop(me, peer, link, conn, stop)
 	}()
 	c.wg.Add(1)
 	go func() { // reader: peer -> me
 		defer c.wg.Done()
-		c.readLoop(in, dec, stop)
+		c.readLoop(in, peer, br, stop)
 	}()
 }
 
@@ -440,13 +430,8 @@ func (c *Cluster) send(from, to int, m sim.Message) {
 	}
 }
 
-// probeRequest/probeReply are the control channel's wire format: a
-// client sends a sequenced request and gets the cluster's current
-// observation back.
-type probeRequest struct {
-	Seq uint64
-}
-
+// probeReply is what the control channel answers a probe request
+// (a sequence number) with: the cluster's current observation.
 type probeReply struct {
 	Seq uint64
 	// Versions is the per-node quiescence-epoch vector (state versions,
@@ -503,16 +488,16 @@ func (c *Cluster) serveControl(ln net.Listener, stop chan struct{}) {
 			// that will never come; the registry close in Stop is then a
 			// harmless double close.
 			defer conn.Close()
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
+			br := bufio.NewReader(conn)
+			var out []byte
 			for {
-				// Anything that does not decode as a probeRequest drops
-				// the connection.
-				var req probeRequest
-				if err := dec.Decode(&req); err != nil {
+				// Anything but a probe request drops the connection.
+				seq, err := readProbeRequest(br)
+				if err != nil {
 					return // client gone, garbage or teardown
 				}
-				if err := enc.Encode(c.probeReply(req.Seq)); err != nil {
+				out = appendProbeReply(out[:0], c.probeReply(seq))
+				if _, err := conn.Write(out); err != nil {
 					return
 				}
 			}
@@ -537,8 +522,7 @@ func (c *Cluster) ControlAddr() string {
 // per Sample. Not safe for concurrent use.
 type ProbeConn struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	br   *bufio.Reader
 	seq  uint64
 }
 
@@ -548,17 +532,17 @@ func DialProbe(addr string) (*ProbeConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netrun: dial control: %w", err)
 	}
-	return &ProbeConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &ProbeConn{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // Sample fetches one quiescence observation, shaped for detect.Detector.
 func (p *ProbeConn) Sample() (detect.Sample, error) {
 	p.seq++
-	if err := p.enc.Encode(probeRequest{Seq: p.seq}); err != nil {
+	if _, err := p.conn.Write(appendProbeRequest(nil, p.seq)); err != nil {
 		return detect.Sample{}, fmt.Errorf("netrun: probe request: %w", err)
 	}
-	var r probeReply
-	if err := p.dec.Decode(&r); err != nil {
+	r, err := readProbeReply(p.br)
+	if err != nil {
 		return detect.Sample{}, fmt.Errorf("netrun: probe reply: %w", err)
 	}
 	if r.Seq != p.seq {

@@ -556,11 +556,6 @@ func (n *Network) NonEmptyLinks() []int { return n.nonEmpty }
 // LinkLen returns the queue length of link li.
 func (n *Network) LinkLen(li int) int { return n.links[li].len() }
 
-// LinkEnds returns the (from, to) endpoints of link li.
-func (n *Network) LinkEnds(li int) (NodeID, NodeID) {
-	return n.links[li].from, n.links[li].to
-}
-
 func (n *Network) resetRoundSnapshot() {
 	n.snapshotSeq = n.nextSeq
 	n.pendingOld = n.pendingTotal

@@ -316,7 +316,7 @@ func TestDeliverEmptyLinkPanics(t *testing.T) {
 
 // TestLinkEnds checks the link lookup on every directed edge of a
 // random graph: a send from u to v must enqueue on the one link whose
-// LinkEnds is (u, v).
+// endpoints are (u, v).
 func TestLinkEnds(t *testing.T) {
 	g := graph.RandomGnp(24, 0.3, rand.New(rand.NewSource(5)))
 	net := newMinNetwork(g, 1)
@@ -330,7 +330,7 @@ func TestLinkEnds(t *testing.T) {
 				t.Fatalf("send %d -> %d: non-empty links %v", u, v, ne)
 			}
 			li := net.NonEmptyLinks()[0]
-			if from, to := net.LinkEnds(li); from != u || to != v {
+			if from, to := net.links[li].from, net.links[li].to; from != u || to != v {
 				t.Fatalf("send %d -> %d enqueued on link %d = %d->%d", u, v, li, from, to)
 			}
 			net.Deliver(li)

@@ -66,17 +66,6 @@ func (s *Series) Last(name string) float64 {
 	return col[len(col)-1]
 }
 
-// Max returns the maximum of the named column, or 0 on empty.
-func (s *Series) Max(name string) float64 {
-	max := 0.0
-	for i, v := range s.Column(name) {
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // WriteCSV writes the series as CSV.
 func (s *Series) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, strings.Join(s.Columns, ",")); err != nil {

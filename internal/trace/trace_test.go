@@ -17,8 +17,8 @@ func TestSeriesAppendAndColumns(t *testing.T) {
 	if len(col) != 3 || col[0] != 5 || col[2] != 2 {
 		t.Fatalf("column %v", col)
 	}
-	if s.Last("deg") != 2 || s.Max("deg") != 5 {
-		t.Fatal("last/max wrong")
+	if s.Last("deg") != 2 {
+		t.Fatal("last wrong")
 	}
 	if col[1] != 3 {
 		t.Fatal("column access")
@@ -58,8 +58,8 @@ func TestSeriesCSV(t *testing.T) {
 
 func TestSeriesEmptyAccessors(t *testing.T) {
 	s := NewSeries("demo", "x")
-	if s.Last("x") != 0 || s.Max("x") != 0 {
-		t.Fatal("empty accessors should return 0")
+	if s.Last("x") != 0 || len(s.Column("x")) != 0 {
+		t.Fatal("empty accessors should return 0 and no values")
 	}
 	if s.CSV() != "x\n" {
 		t.Fatal("empty csv")
