@@ -128,10 +128,11 @@ bench:
 gobench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./internal/sim/ ./internal/harness/ ./internal/netrun/
 
-# Fuzz every decoder that reads bytes from a socket: the tcp frame, the
-# control channel's probe request and its reply, each for FUZZTIME
-# (go test runs one -fuzz target per invocation). The committed seed
-# corpora under internal/netrun/testdata/fuzz also run in plain
+# Fuzz every decoder that reads untrusted bytes: the tcp frame, the
+# control channel's probe request and its reply, and the edge-list
+# graph parser behind `mdstsim -stdin`, each for FUZZTIME (go test runs
+# one -fuzz target per invocation). The committed seed corpora under
+# internal/netrun/testdata/fuzz and FuzzRead's seeds also run in plain
 # `go test`.
 FUZZTIME ?= 10s
 
@@ -139,6 +140,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/netrun/
 	$(GO) test -run '^$$' -fuzz '^FuzzProbeRequest$$' -fuzztime $(FUZZTIME) ./internal/netrun/
 	$(GO) test -run '^$$' -fuzz '^FuzzProbeReply$$' -fuzztime $(FUZZTIME) ./internal/netrun/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/graph/
 
 # The default 108-run scenario matrix across all CPUs.
 matrix:

@@ -362,7 +362,9 @@ func TestLiveNetworkConvergence(t *testing.T) {
 	ln := sim.NewLiveNetwork(g, func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
 		return NewNode(id, nbrs, cfg)
 	}, sim.LiveConfig{TickInterval: 100 * time.Microsecond})
-	ln.RunFor(2 * time.Second)
+	ln.Start()
+	time.Sleep(2 * time.Second)
+	ln.Stop()
 	nodes := make([]*Node, g.N())
 	for i := range nodes {
 		nodes[i] = ln.Process(i).(*Node)

@@ -129,8 +129,6 @@ func (tw *twinNode) compare(what string) {
 	}
 }
 
-func (tw *twinNode) Init(*sim.Context) {}
-
 func (tw *twinNode) Tick(ctx *sim.Context) {
 	tw.step(ctx, "tick", func(n *Node, c *sim.Context) { n.Tick(c) })
 }

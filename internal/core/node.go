@@ -543,10 +543,6 @@ func (n *Node) Corrupt(rng *rand.Rand, idSpace int) {
 	n.version++
 }
 
-// Init implements sim.Process. Deliberately empty: self-stabilization
-// must work from whatever state the node carries.
-func (n *Node) Init(ctx *sim.Context) {}
-
 // Tick implements sim.Process: one iteration of the paper's "do forever"
 // loop — run the modules in priority order, then gossip.
 func (n *Node) Tick(ctx *sim.Context) {

@@ -137,7 +137,6 @@ type minMsg struct {
 func (m minMsg) Kind() string { return m.kind }
 func (m minMsg) Size() int    { return m.width }
 
-func (p *minProc) Init(*sim.Context) {}
 func (p *minProc) Tick(ctx *sim.Context) {
 	for _, nb := range ctx.Neighbors() {
 		ctx.Send(nb, minMsg{val: p.min, kind: "info", width: 1})

@@ -226,6 +226,9 @@ func TestReadErrors(t *testing.T) {
 		"n\n",                   // bare count
 		"n -3\n",                // negative count
 		"n 3000000000\n",        // count above MaxReadNodes
+		"n 0x3\n",               // hex count
+		"n 3x\n",                // trailing junk on the count
+		"n 3\ne 0 1junk\n",      // trailing junk on an endpoint
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

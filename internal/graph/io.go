@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -60,11 +61,11 @@ func Read(r io.Reader) (*Graph, error) {
 			if g != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate node count", line)
 			}
-			var n int
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("graph: line %d: bad node count", line)
 			}
-			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 || n > MaxReadNodes {
+			n, err := strconv.Atoi(fields[1])
+			if err != nil || n < 0 || n > MaxReadNodes {
 				return nil, fmt.Errorf("graph: line %d: bad node count (want 0..%d)", line, MaxReadNodes)
 			}
 			g = New(n)
@@ -72,12 +73,13 @@ func Read(r io.Reader) (*Graph, error) {
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: edge before node count", line)
 			}
-			var u, v int
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graph: line %d: bad edge", line)
 			}
-			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &u, &v); err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad edge: %v", line, err)
+			u, errU := strconv.Atoi(fields[1])
+			v, errV := strconv.Atoi(fields[2])
+			if errU != nil || errV != nil {
+				return nil, fmt.Errorf("graph: line %d: bad edge %q", line, text)
 			}
 			if u < 0 || u >= g.n || v < 0 || v >= g.n {
 				return nil, fmt.Errorf("graph: line %d: edge {%d,%d} out of range", line, u, v)

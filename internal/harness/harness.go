@@ -227,8 +227,8 @@ type Result struct {
 	Backend   Backend `json:"backend"`
 	Converged bool    `json:"converged"`
 	// Rounds: sim counts asynchronous rounds until quiescence was
-	// declared; the wall-clock backends count fingerprint probes (live)
-	// or run phases (tcp) — the driver's unit of observation.
+	// declared; the wall-clock backends count detection probes — the
+	// driver's unit of observation.
 	Rounds int `json:"rounds"`
 	// LastChange is the round of the last state change (the sim
 	// backend's figure of merit). The wall-clock backends have no round

@@ -1,10 +1,9 @@
 package metrics
 
 import (
-	"strings"
+	"encoding/json"
+	"slices"
 	"testing"
-
-	"mdst/internal/trace"
 )
 
 func TestCollectorSeriesRoundTrip(t *testing.T) {
@@ -25,13 +24,18 @@ func TestCollectorSeriesRoundTrip(t *testing.T) {
 	if s.Last("versionFill") != 1 || s.Last("sentTotal") != 24 {
 		t.Fatalf("series values: fill=%v sent=%v", s.Last("versionFill"), s.Last("sentTotal"))
 	}
-	// The series round-trips through the shared trace JSON path.
-	got, err := trace.ReadJSON(strings.NewReader(s.JSON()))
-	if err != nil {
+	// The series round-trips through the shared trace JSON shape.
+	var got struct {
+		Name    string      `json:"name"`
+		Columns []string    `json:"columns"`
+		Rows    [][]float64 `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(s.JSON()), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.Last("maxDegree") != 2 {
-		t.Fatalf("JSON round-trip: len=%d maxDegree=%v", got.Len(), got.Last("maxDegree"))
+	col := slices.Index(got.Columns, "maxDegree")
+	if got.Name != "m" || len(got.Rows) != 2 || col < 0 || got.Rows[1][col] != 2 {
+		t.Fatalf("JSON round-trip: name=%q rows=%d maxDegree column %d", got.Name, len(got.Rows), col)
 	}
 }
 

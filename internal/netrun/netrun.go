@@ -20,19 +20,18 @@
 // listener but keeps the node states, and a subsequent Start re-dials.
 // For a self-stabilizing protocol a restart is just more asynchrony
 // (messages in flight at Stop are lost, which the protocol must — and
-// does — tolerate), so tests can alternate run phases with safe
-// state inspections until the configuration is legitimate.
+// does — tolerate).
 //
 // Convergence is detectable in-band, without stopping anything: every
 // node runs sim.Board's loop, which posts its process's quiescence
 // epoch (StateVersion) and state hash after each step, and Start opens
 // a side-channel control listener serving those observations over a
-// dedicated TCP connection (DialProbe / ProbeConn.Sample). A driver
-// feeds the samples to a detect.Detector and only stops the cluster
-// once a quiescence certificate is issued — which is how the harness's
-// tcp driver avoids the stop-the-world restart-per-inspection loop
-// entirely on converging runs (Restarts counts the re-starts it did
-// need).
+// dedicated TCP connection (DialProbe / ProbeConn.Sample). The
+// harness's wall-clock driver (harness.Run with the tcp backend) feeds
+// the samples to a detect.Detector and stops the cluster only once a
+// quiescence certificate is issued, to check legitimacy; it Starts the
+// cluster again only when that check fails (Restarts counts those
+// re-starts).
 //
 // The control channel speaks one request/reply pair over one
 // connection: the quiescence probe (a sequenced request answered by a
@@ -60,11 +59,6 @@ type Config struct {
 	// TickInterval is the gossip period of each node's "do forever" loop
 	// (default 2ms: TCP round trips are slower than channel sends).
 	TickInterval time.Duration
-	// OutboxSize is the per-direction send buffer in messages (default
-	// 1024). A full outbox drops the newest message — over TCP the
-	// protocol's periodic gossip refreshes any lost state, and dropping
-	// beats deadlocking the node loop.
-	OutboxSize int
 	// ActiveKinds names the message kinds whose sent/received counters
 	// feed the control channel's quiescence samples (the protocol's
 	// reduction kinds: they must both drain and stop flowing at the
@@ -84,6 +78,17 @@ type Config struct {
 	// size 1.
 	BatchMaxWait time.Duration
 }
+
+// outboxSize is the per-direction send buffer in messages. A full
+// outbox drops the newest message — over TCP the protocol's periodic
+// gossip refreshes any lost state, and dropping beats deadlocking the
+// node loop.
+const outboxSize = 1024
+
+// helloTimeout bounds the accept side's wait for a dialer's hello. A
+// real dialer writes its hello right after connecting, so a peer that
+// stays silent fails Start instead of blocking it.
+const helloTimeout = time.Second
 
 // Cluster runs one process per node of g over loopback TCP.
 type Cluster struct {
@@ -170,9 +175,6 @@ func NewCluster(g *graph.Graph, factory func(id int, neighbors []int) sim.Proces
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 2 * time.Millisecond
 	}
-	if cfg.OutboxSize <= 0 {
-		cfg.OutboxSize = 1024
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
@@ -191,9 +193,6 @@ func NewCluster(g *graph.Graph, factory func(id int, neighbors []int) sim.Proces
 // Process returns the process at node id. Only safe to call before Start
 // or after Stop.
 func (c *Cluster) Process(id int) sim.Process { return c.procs[id] }
-
-// Graph returns the topology.
-func (c *Cluster) Graph() *graph.Graph { return c.g }
 
 // Start listens, dials every edge and launches the node loops. It
 // returns once the whole mesh is connected.
@@ -219,7 +218,7 @@ func (c *Cluster) Start() error {
 		c.inbox[id] = make(chan sim.Envelope, 4096)
 		c.outbox[id] = make(map[int]*sendLink, len(c.g.Neighbors(id)))
 		for _, u := range c.g.Neighbors(id) {
-			c.outbox[id][u] = &sendLink{q: make(chan sim.Message, c.cfg.OutboxSize)}
+			c.outbox[id][u] = &sendLink{q: make(chan sim.Message, outboxSize)}
 		}
 	}
 
@@ -259,7 +258,8 @@ func (c *Cluster) Start() error {
 	// message, near-certain once batching packs frames back-to-back.
 	// A hello that names anything but a lower-ID neighbor not yet
 	// connected fails Start (bugfix): its direction has no outbox, or
-	// already has a writer.
+	// already has a writer. So does a hello that does not arrive within
+	// helloTimeout (bugfix): a silent peer held Start until it closed.
 	type accepted struct {
 		to   int
 		conn net.Conn
@@ -267,14 +267,7 @@ func (c *Cluster) Start() error {
 		from int
 		err  error
 	}
-	expect := 0
-	for id := 0; id < n; id++ {
-		for _, u := range c.g.Neighbors(id) {
-			if u < id {
-				expect++
-			}
-		}
-	}
+	expect := c.g.M() // every edge is accepted once, by its higher end
 	// Buffered to every expected connection (bugfix): a Start that fails
 	// mid-dial takes the teardown path without draining acceptCh, and an
 	// unbuffered send would strand accept goroutines — and the conns
@@ -302,7 +295,13 @@ func (c *Cluster) Start() error {
 					return
 				}
 				br := bufio.NewReader(conn)
+				// A failed set means a dead conn, which readHello reports.
+				_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 				from, err := readHello(br)
+				if err == nil {
+					// Left armed, the deadline would end the edge reader.
+					err = conn.SetReadDeadline(time.Time{})
+				}
 				if err == nil && (from < 0 || from >= id || !c.g.HasEdge(from, id) || seen[from]) {
 					err = fmt.Errorf("hello from %d: not an unconnected lower-ID neighbor of %d", from, id)
 				}
@@ -370,7 +369,6 @@ func (c *Cluster) Start() error {
 	halt := c.halt
 	for id := 0; id < n; id++ {
 		ctx := sim.NewContext(id, c.g.Neighbors(id), c.send)
-		c.procs[id].Init(ctx)
 		c.nodes.Add(1)
 		go func(id int) {
 			defer c.nodes.Done()
@@ -579,9 +577,10 @@ func (c *Cluster) closeControlLocked() {
 const stopDrainTimeout = time.Second
 
 // Stop ends the phase and waits for every goroutine: the node loops
-// halt first, the edge writers then flush their queues (readers keep
-// draining the sockets and discard), and connections and listeners are
-// closed last. Node states remain inspectable and a new Start resumes.
+// halt first, then teardownLocked lets the edge writers flush their
+// queues (readers keep draining the sockets and discard) under a drain
+// deadline, and closes connections and listeners last. Node states
+// remain inspectable and a new Start resumes.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -594,6 +593,17 @@ func (c *Cluster) Stop() {
 	for _, conn := range c.conns {
 		conn.SetWriteDeadline(deadline)
 	}
+	c.teardownLocked()
+	c.running = false
+}
+
+// teardownLocked ends a phase once no node loop runs: it closes stop,
+// waits for the edge writers to flush what is queued, closes the
+// control channel, the listeners and the connections, then waits for
+// the readers. Stop calls it after halting the node loops; a failed
+// Start calls it before any node loop ran, so the writers have nothing
+// to flush. Caller holds mu.
+func (c *Cluster) teardownLocked() {
 	close(c.stop)
 	c.writers.Wait()
 	c.closeControlLocked()
@@ -606,53 +616,4 @@ func (c *Cluster) Stop() {
 		conn.Close()
 	}
 	c.wg.Wait()
-	c.running = false
-}
-
-// teardownLocked releases partially created resources after a Start
-// failure. Caller holds mu.
-func (c *Cluster) teardownLocked() {
-	if c.stop != nil {
-		select {
-		case <-c.stop:
-		default:
-			close(c.stop)
-		}
-	}
-	c.closeControlLocked()
-	for _, ln := range c.lns {
-		if ln != nil {
-			ln.Close()
-		}
-	}
-	for _, conn := range c.conns {
-		conn.Close()
-	}
-	c.writers.Wait()
-	c.wg.Wait()
-}
-
-// RunFor starts the cluster, lets it run for d, then stops it.
-func (c *Cluster) RunFor(d time.Duration) error {
-	if err := c.Start(); err != nil {
-		return err
-	}
-	time.Sleep(d)
-	c.Stop()
-	return nil
-}
-
-// RunUntil alternates run phases of `phase` each with safe inspections
-// of the stopped cluster until check returns true or maxPhases phases
-// have run. It reports whether check ever succeeded.
-func (c *Cluster) RunUntil(phase time.Duration, maxPhases int, check func() bool) (bool, error) {
-	for k := 0; k < maxPhases; k++ {
-		if err := c.RunFor(phase); err != nil {
-			return false, err
-		}
-		if check() {
-			return true, nil
-		}
-	}
-	return false, nil
 }

@@ -8,7 +8,6 @@ import (
 // hashOnly is a process with a state hash but no StateVersion.
 type hashOnly struct{ h uint64 }
 
-func (p *hashOnly) Init(*Context)                     {}
 func (p *hashOnly) Tick(*Context)                     {}
 func (p *hashOnly) Receive(*Context, NodeID, Message) {}
 func (p *hashOnly) Fingerprint() uint64               { return p.h }

@@ -88,7 +88,6 @@ type pulseProc struct {
 	pulses       []int
 }
 
-func (p *pulseProc) Init(*Context) {}
 func (p *pulseProc) Tick(*Context) {
 	p.tick++
 	if p.tick%p.period == 0 {

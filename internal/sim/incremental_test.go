@@ -18,7 +18,6 @@ type stepProc struct {
 	steps int
 }
 
-func (p *stepProc) Init(ctx *Context) {}
 func (p *stepProc) Tick(ctx *Context) {
 	p.steps++
 	for _, nb := range ctx.Neighbors() {

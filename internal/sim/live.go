@@ -30,17 +30,13 @@ type LiveNetwork struct {
 	wg    sync.WaitGroup
 	tick  time.Duration
 
-	// stop is replaced on every Start so the network is restartable:
-	// run–pause–inspect loops (e.g. the differential tests that poll the
-	// legitimacy predicate between bursts) Start again after Stop.
-	// lifecycle serializes whole Start/Stop transitions (a Start cannot
-	// overlap a Stop that is still draining goroutines); mu guards the
-	// stop field for concurrent readers in send.
+	// The network is restartable: the harness's wall-clock driver Stops
+	// it to check legitimacy and Starts it again when the check fails.
+	// stop is the running phase's halt channel, nil while stopped;
+	// lifecycle serializes Start and Stop (a Start cannot overlap a Stop
+	// that is still draining goroutines).
 	lifecycle sync.Mutex
-	mu        sync.RWMutex
 	stop      chan struct{}
-	inited    bool
-	running   bool
 }
 
 // LiveConfig controls a LiveNetwork.
@@ -84,29 +80,21 @@ func NewLiveNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) 
 }
 
 // Start launches one goroutine per node, each running Board.Loop until
-// Stop. Start after a Stop resumes execution with the nodes' current
-// state (Init is only called on the first Start: self-stabilizing
-// processes must not reset their state); messages still on the inboxes
-// survive the pause.
+// Stop. A Start after a Stop resumes execution with the nodes' current
+// state, and messages still on the inboxes survive the pause. Each
+// phase's contexts send on that phase's stop channel, so a send needs
+// no lock to find it.
 func (ln *LiveNetwork) Start() {
 	ln.lifecycle.Lock()
 	defer ln.lifecycle.Unlock()
-	if ln.running {
+	if ln.stop != nil {
 		panic("sim: LiveNetwork.Start while running")
 	}
 	stop := make(chan struct{})
-	ln.mu.Lock()
 	ln.stop = stop
-	ln.mu.Unlock()
-	ln.running = true
-	first := !ln.inited
-	ln.inited = true
-
+	send := func(from, to NodeID, m Message) { ln.send(from, to, m, stop) }
 	for id := range ln.procs {
-		ctx := &Context{id: id, nbrs: ln.g.Neighbors(id), send: ln.send}
-		if first {
-			ln.procs[id].Init(ctx)
-		}
+		ctx := &Context{id: id, nbrs: ln.g.Neighbors(id), send: send}
 		ln.wg.Add(1)
 		go func(id NodeID) {
 			defer ln.wg.Done()
@@ -115,13 +103,10 @@ func (ln *LiveNetwork) Start() {
 	}
 }
 
-func (ln *LiveNetwork) send(from, to NodeID, m Message) {
+func (ln *LiveNetwork) send(from, to NodeID, m Message, stop <-chan struct{}) {
 	if !ln.g.HasEdge(from, to) {
 		panic("sim: live send to non-neighbor")
 	}
-	ln.mu.RLock()
-	stop := ln.stop
-	ln.mu.RUnlock()
 	// Read the kind before the handoff: once m is on the inbox the
 	// receiver owns it (see Message).
 	kind := m.Kind()
@@ -142,20 +127,13 @@ func (ln *LiveNetwork) send(from, to NodeID, m Message) {
 func (ln *LiveNetwork) Stop() {
 	ln.lifecycle.Lock()
 	defer ln.lifecycle.Unlock()
-	if !ln.running {
+	if ln.stop == nil {
 		return
 	}
 	close(ln.stop)
 	ln.wg.Wait()
 	// Only now is a subsequent Start safe: every goroutine has exited.
-	ln.running = false
-}
-
-// RunFor starts the network, lets it run for d, then stops it.
-func (ln *LiveNetwork) RunFor(d time.Duration) {
-	ln.Start()
-	time.Sleep(d)
-	ln.Stop()
+	ln.stop = nil
 }
 
 // Process returns the process at node id. Only safe to call before Start

@@ -20,7 +20,6 @@ type liveProc struct {
 	hashes  int
 }
 
-func (p *liveProc) Init(*Context) {}
 func (p *liveProc) Tick(ctx *Context) {
 	for _, nb := range ctx.Neighbors() {
 		ctx.Send(nb, minMsg{p.min})
@@ -137,7 +136,9 @@ func TestLiveQuiescedRestartHashesOncePerNode(t *testing.T) {
 	for id := 0; id < g.N(); id++ {
 		ln.Process(id).(*liveProc).hashes = 0
 	}
-	ln.RunFor(20 * time.Millisecond)
+	ln.Start()
+	time.Sleep(20 * time.Millisecond)
+	ln.Stop()
 	for id := 0; id < g.N(); id++ {
 		if got := ln.Process(id).(*liveProc).hashes; got != 1 {
 			t.Fatalf("node %d hashed %d times in a quiesced restart, want 1", id, got)
@@ -178,18 +179,20 @@ func (m *relayMsg) Size() int { return 1 }
 // relayHops is how many hops each token makes before it stops.
 const relayHops = 200
 
-// relayProc starts one token at Init and, on every receive, counts the
-// hop on the token itself and forwards the same pointer to its first
-// neighbor until the token has made relayHops hops.
+// relayProc starts one token on its first tick and, on every receive,
+// counts the hop on the token itself and forwards the same pointer to
+// its first neighbor until the token has made relayHops hops.
 type relayProc struct {
-	tok  *relayMsg // the token this node started
+	tok  *relayMsg // the token this node starts; nil once sent
 	done *sync.WaitGroup
 }
 
-func (p *relayProc) Init(ctx *Context) {
-	ctx.Send(ctx.Neighbors()[0], p.tok)
+func (p *relayProc) Tick(ctx *Context) {
+	if p.tok != nil {
+		ctx.Send(ctx.Neighbors()[0], p.tok)
+		p.tok = nil
+	}
 }
-func (p *relayProc) Tick(*Context) {}
 func (p *relayProc) Receive(ctx *Context, _ NodeID, m Message) {
 	tok := m.(*relayMsg)
 	tok.hops++

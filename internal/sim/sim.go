@@ -86,13 +86,14 @@ type Message interface {
 
 // Process is a node program. Implementations must confine all state to
 // the process itself: the only interaction with the world is through the
-// Context passed to Init, Tick and Receive. The runner relies on that
+// Context passed to Tick and Receive. The runner relies on that
 // confinement: a step at node v can only change v's own state.
+//
+// There is no start hook. A self-stabilizing run starts from whatever
+// (possibly corrupted) state the process carries, so a runtime's first
+// step at a node is an ordinary Tick or Receive, and a restart is no
+// different from a pause.
 type Process interface {
-	// Init is called once before execution starts. It must NOT reset
-	// state: self-stabilization runs start from whatever (possibly
-	// corrupted) state the process already carries.
-	Init(ctx *Context)
 	// Tick is one iteration of the node's "do forever" loop.
 	Tick(ctx *Context)
 	// Receive handles a single message — one atomic step in the
@@ -328,9 +329,6 @@ func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Proc
 		if vs, ok := net.procs[id].(StateVersioner); ok {
 			net.versioners[id] = vs
 		}
-	}
-	for id := 0; id < n; id++ {
-		net.procs[id].Init(&net.ctxs[id])
 	}
 	net.rehashAllNodes()
 	net.resetRoundSnapshot()

@@ -20,7 +20,6 @@ type minProc struct {
 	min int
 }
 
-func (p *minProc) Init(ctx *Context) {}
 func (p *minProc) Tick(ctx *Context) {
 	for _, nb := range ctx.Neighbors() {
 		ctx.Send(nb, minMsg{p.min})
@@ -153,7 +152,6 @@ func (m fifoMsg) Size() int    { return 1 }
 
 type fifoSender struct{ next int }
 
-func (p *fifoSender) Init(ctx *Context) {}
 func (p *fifoSender) Tick(ctx *Context) {
 	for _, nb := range ctx.Neighbors() {
 		ctx.Send(nb, fifoMsg{p.next})
@@ -167,7 +165,6 @@ type fifoReceiver struct {
 	violate bool
 }
 
-func (p *fifoReceiver) Init(ctx *Context) { p.last = make(map[NodeID]int) }
 func (p *fifoReceiver) Tick(ctx *Context) {}
 func (p *fifoReceiver) Receive(ctx *Context, from NodeID, m Message) {
 	seq := m.(fifoMsg).seq
@@ -181,7 +178,7 @@ func TestFIFOOrderPerLink(t *testing.T) {
 	g := graph.Star(5) // center 0 receives from 4 senders
 	net := NewNetwork(g, func(id NodeID, _ []NodeID) Process {
 		if id == 0 {
-			return &fifoReceiver{}
+			return &fifoReceiver{last: make(map[NodeID]int)}
 		}
 		return &fifoSender{}
 	}, 7)
@@ -284,7 +281,9 @@ func TestLiveNetworkMinFlood(t *testing.T) {
 	ln := NewLiveNetwork(g, func(id NodeID, _ []NodeID) Process {
 		return &minProc{id: id, min: id}
 	}, LiveConfig{TickInterval: 100 * time.Microsecond})
-	ln.RunFor(300 * time.Millisecond)
+	ln.Start()
+	time.Sleep(300 * time.Millisecond)
+	ln.Stop()
 	checkAllMin(t, ln.Process, 16)
 	if ln.ProbeSample().Fingerprint == 0 {
 		t.Fatal("fingerprint should combine node states")

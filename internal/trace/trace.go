@@ -128,24 +128,6 @@ func (s *Series) JSON() string {
 	return b.String()
 }
 
-// ReadJSON parses a series previously written by WriteJSON. Rows with
-// a value count different from the column count are rejected — the
-// same invariant Append enforces.
-func ReadJSON(r io.Reader) (*Series, error) {
-	var sj seriesJSON
-	if err := json.NewDecoder(r).Decode(&sj); err != nil {
-		return nil, fmt.Errorf("trace: decode series: %w", err)
-	}
-	s := NewSeries(sj.Name, sj.Columns...)
-	for i, row := range sj.Rows {
-		if len(row) != len(sj.Columns) {
-			return nil, fmt.Errorf("trace: row %d has %d values for %d columns", i, len(row), len(sj.Columns))
-		}
-		s.Append(row...)
-	}
-	return s, nil
-}
-
 // Sparkline renders one column as a coarse unicode sparkline (terminal
 // figure): useful in example output and logs.
 func (s *Series) Sparkline(name string, width int) string {
