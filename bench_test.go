@@ -278,12 +278,12 @@ func BenchmarkFingerprintQuiescence(b *testing.B) {
 	})
 }
 
-// BenchmarkSimThroughput measures raw simulator event throughput with a
-// trivial gossip protocol (substrate cost floor).
+// BenchmarkSimThroughput measures raw simulator event throughput on a
+// ring, where every spanning tree is a path: dmax = 2, no search
+// launches and a round is pure gossip (substrate cost floor).
 func BenchmarkSimThroughput(b *testing.B) {
-	g := graph.Grid(8, 8)
+	g := graph.Ring(64)
 	cfg := core.DefaultConfig(g.N())
-	cfg.DisableReduction = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		net := core.BuildNetwork(g, cfg, int64(i))

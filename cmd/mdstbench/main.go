@@ -25,6 +25,7 @@ import (
 	"mdst/internal/benchtab"
 	"mdst/internal/graph"
 	"mdst/internal/harness"
+	"mdst/internal/scenario"
 	"mdst/internal/trace"
 )
 
@@ -56,6 +57,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	benchtab.Workers = *workers
 	if _, err := harness.ParseScheduler(*sched); err != nil {
 		fmt.Fprintln(stderr, "mdstbench:", err)
+		return 2
+	}
+	switch harness.Variant(*variant) {
+	case harness.VariantCore, harness.VariantLiteral:
+	default:
+		fmt.Fprintln(stderr, "mdstbench: unknown -variant", *variant)
 		return 2
 	}
 
@@ -114,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var tables []*benchtab.Table
+	var tables []*scenario.Table
 	switch strings.ToUpper(*exp) {
 	case "ALL":
 		tables = benchtab.All(sweep, families)

@@ -82,6 +82,7 @@ func TestRunErrors(t *testing.T) {
 		{"-exp", "E5", "-sizes", "8", "-seeds", "0"},
 		{"-workers", "-1"},
 		{"-series", "recovery", "-faults", "-2"},
+		{"-series", "conv", "-variant", "bogus"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer

@@ -58,6 +58,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "mdstviz: -n must be at least 1")
 		return 2
 	}
+	if *layout != "circle" && *layout != "spring" {
+		fmt.Fprintln(stderr, "mdstviz: unknown -layout", *layout)
+		return 2
+	}
+	if *size < 1 {
+		fmt.Fprintln(stderr, "mdstviz: -size must be at least 1")
+		return 2
+	}
 	g := fam.Build(*n, rand.New(rand.NewSource(*seed)))
 
 	opt := viz.Options{Size: *size, Layout: *layout}

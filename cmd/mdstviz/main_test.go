@@ -66,6 +66,9 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{"-family", "bogus"},
 		{"-n", "-3"},
 		{"-n", "0"},
+		{"-layout", "bogus"},
+		{"-size", "-5"},
+		{"-size", "0"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 || errOut.Len() == 0 {

@@ -84,7 +84,7 @@
 // tcp under the suppress policy.
 //
 // The backoff policy makes the suppression window adaptive
-// (core.RetryBackoff, capped by core.Config.BackoffCap): while a node's
+// (core.RetryBackoff, capped at Config.BackoffCapWindow): while a node's
 // state version — its local image of the neighborhood version vector —
 // is a fixed point, each full pruning window that lapses without an
 // equivalent launch doubles the effective window, from the 4×SearchPeriod

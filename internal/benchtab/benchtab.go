@@ -1,6 +1,6 @@
 // Package benchtab generates the experiment tables E1–E12 (rendered
 // by cmd/mdstbench): each function sweeps a workload, runs the harness and
-// returns a Table that can be rendered as aligned text or CSV. The
+// returns a scenario.Table that can be rendered as aligned text or CSV. The
 // bench targets in the repository root and cmd/mdstbench are thin
 // wrappers over these functions. Every experiment table (E1–E12)
 // executes its runs through the internal/scenario matrix engine,
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"mdst/internal/core"
 	"mdst/internal/graph"
@@ -26,68 +25,6 @@ import (
 	"mdst/internal/scenario"
 	"mdst/internal/spanning"
 )
-
-// Table is a rendered experiment result.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    [][]string
-	Notes   []string
-}
-
-// Render returns an aligned plain-text rendering.
-func (t *Table) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// CSV returns a comma-separated rendering (no quoting needed: cells are
-// numbers and simple identifiers).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Columns, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
 
 func itoa(v int) string      { return fmt.Sprintf("%d", v) }
 func ftoa(v float64) string  { return fmt.Sprintf("%.2f", v) }
@@ -128,8 +65,8 @@ func DefaultSweep() SweepSpec {
 // execute through the scenario engine (one per family × size × seed,
 // sharded across all CPUs); the exact Δ* label is re-derived per row by
 // rebuilding the run's graph from its seed.
-func E1DegreeQuality(sweep SweepSpec, families []graph.Family) *Table {
-	t := &Table{
+func E1DegreeQuality(sweep SweepSpec, families []graph.Family) *scenario.Table {
+	t := &scenario.Table{
 		Title:   "E1: degree quality — deg(T) vs Δ*+1 (Theorem 2)",
 		Columns: []string{"family", "n", "m", "deg(T)", "deltaStar", "bound", "withinBound"},
 		Notes: []string{
@@ -199,8 +136,8 @@ func starUpper(g *graph.Graph) int {
 
 // E2Convergence measures rounds-to-stabilization against the paper's
 // O(m n^2 log n) bound.
-func E2Convergence(sweep SweepSpec, families []graph.Family) *Table {
-	t := &Table{
+func E2Convergence(sweep SweepSpec, families []graph.Family) *scenario.Table {
+	t := &scenario.Table{
 		Title:   "E2: convergence rounds vs O(m n^2 log n) (Lemma 5)",
 		Columns: []string{"family", "n", "m", "rounds", "m*n^2*log2(n)", "ratio(x1e6)"},
 		Notes: []string{
@@ -228,8 +165,8 @@ func E2Convergence(sweep SweepSpec, families []graph.Family) *Table {
 // E3Memory compares measured per-node state with the paper's O(δ log n).
 // The runs execute through the scenario engine (sharded across CPUs);
 // each row's δ is re-derived by rebuilding the run's graph from its seed.
-func E3Memory(sweep SweepSpec, families []graph.Family) *Table {
-	t := &Table{
+func E3Memory(sweep SweepSpec, families []graph.Family) *scenario.Table {
+	t := &scenario.Table{
 		Title:   "E3: memory — max state bits per node vs δ·ceil(log2 n) (Lemma 5)",
 		Columns: []string{"family", "n", "delta", "stateBits", "delta*log2n", "ratio"},
 		Notes:   []string{"ratio = stateBits / (delta*ceil(log2 n)); O(δ log n) means bounded ratio"},
@@ -258,8 +195,8 @@ func E3Memory(sweep SweepSpec, families []graph.Family) *Table {
 
 // E4MessageLength compares the largest message with the paper's
 // O(n log n) buffer claim, one engine-backed run per family × size.
-func E4MessageLength(sweep SweepSpec, families []graph.Family) *Table {
-	t := &Table{
+func E4MessageLength(sweep SweepSpec, families []graph.Family) *scenario.Table {
+	t := &scenario.Table{
 		Title:   "E4: message length — max words vs n (buffer bound O(n log n))",
 		Columns: []string{"family", "n", "maxWords", "kind", "words/n"},
 		Notes:   []string{"one word = O(log n) bits; the paper's bound is O(n) words per message"},
@@ -285,8 +222,8 @@ func E4MessageLength(sweep SweepSpec, families []graph.Family) *Table {
 // count is a scenario.CorruptRandom cell; cells share graph instances
 // (the engine derives seeds from the instance axes only), so the sweep
 // is a paired comparison on identical workloads.
-func E5FaultRecovery(n int, seeds int, sched harness.SchedulerKind) *Table {
-	t := &Table{
+func E5FaultRecovery(n int, seeds int, sched harness.SchedulerKind) *scenario.Table {
+	t := &scenario.Table{
 		Title:   fmt.Sprintf("E5: fault recovery on geometric n=%d — rounds to re-stabilize vs faults", n),
 		Columns: []string{"faults", "rounds(avg)", "rounds(max)", "legitimate"},
 		Notes:   []string{"faults = nodes with fully randomized state injected into a legitimate configuration"},
@@ -328,8 +265,8 @@ func E5FaultRecovery(n int, seeds int, sched harness.SchedulerKind) *Table {
 // (small n) the exact optimum. The protocol runs execute through the
 // scenario engine; the centralized baselines are re-derived per row from
 // the run's rebuilt graph (the random tree draws from a run-seeded RNG).
-func E6Baselines(sweep SweepSpec, families []graph.Family) *Table {
-	t := &Table{
+func E6Baselines(sweep SweepSpec, families []graph.Family) *scenario.Table {
+	t := &scenario.Table{
 		Title:   "E6: baselines — tree degree by construction method",
 		Columns: []string{"family", "n", "bfs", "random", "worstBFS", "FR", "selfstab", "deltaStar"},
 		Notes: []string{
@@ -392,8 +329,8 @@ func Ablations() []AblationSpec {
 // (the scheduler and config mutation are spec-wide axes); all ablations
 // share graph instances because the engine derives seeds from the
 // instance identity only.
-func E7Ablations(n int, seeds int) *Table {
-	t := &Table{
+func E7Ablations(n int, seeds int) *scenario.Table {
+	t := &scenario.Table{
 		Title:   fmt.Sprintf("E7: ablations on gnp n=%d — policy vs cost and quality", n),
 		Columns: []string{"variant", "rounds(avg)", "messages(avg)", "deg(T)", "legitimate"},
 	}
@@ -427,11 +364,11 @@ func E7Ablations(n int, seeds int) *Table {
 
 // All runs the full experiment suite with the default sweep and returns
 // the tables in order. families defaults to graph.Families().
-func All(sweep SweepSpec, families []graph.Family) []*Table {
+func All(sweep SweepSpec, families []graph.Family) []*scenario.Table {
 	if families == nil {
 		families = graph.Families()
 	}
-	return []*Table{
+	return []*scenario.Table{
 		E1DegreeQuality(sweep, families),
 		E2Convergence(sweep, families),
 		E3Memory(sweep, families),

@@ -1,7 +1,6 @@
 package benchtab
 
 import (
-	"strings"
 	"testing"
 
 	"mdst/internal/graph"
@@ -15,25 +14,6 @@ func tinySweep() SweepSpec {
 
 func tinyFamilies() []graph.Family {
 	return []graph.Family{graph.MustFamily("ring+chords"), graph.MustFamily("gnp")}
-}
-
-func TestTableRender(t *testing.T) {
-	tab := &Table{
-		Title:   "demo",
-		Columns: []string{"a", "bb"},
-		Rows:    [][]string{{"1", "2"}, {"333", "4"}},
-		Notes:   []string{"n1"},
-	}
-	out := tab.Render()
-	for _, want := range []string{"== demo ==", "a    bb", "333  4", "note: n1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-	csv := tab.CSV()
-	if !strings.HasPrefix(csv, "a,bb\n1,2\n") {
-		t.Errorf("csv wrong:\n%s", csv)
-	}
 }
 
 func TestE1AllWithinBound(t *testing.T) {

@@ -21,8 +21,8 @@ import (
 // literal variant transiently breaks the spanning tree mid-exchange
 // (brokenRounds > 0 is legal for it, never for core) and pays extra
 // repair churn, which this table quantifies.
-func E11Choreography(sizes []int, seeds int, sched harness.SchedulerKind) *Table {
-	t := &Table{
+func E11Choreography(sizes []int, seeds int, sched harness.SchedulerKind) *scenario.Table {
+	t := &scenario.Table{
 		Title: "E11: exchange choreography ablation — S3 chain (core) vs literal Remove/Back (paper Figs. 1-2)",
 		Columns: []string{"variant", "n", "rounds(avg)", "messages(avg)",
 			"exchanges", "aborts", "brokenRounds", "deg(T)", "legitimate"},

@@ -19,8 +19,8 @@ import (
 // shared Executor fault model; this file only renders the table.
 
 // E10Churn measures re-stabilization per churn operation.
-func E10Churn(famName string, n, seeds int, sched harness.SchedulerKind) *Table {
-	t := &Table{
+func E10Churn(famName string, n, seeds int, sched harness.SchedulerKind) *scenario.Table {
+	t := &scenario.Table{
 		Title:   fmt.Sprintf("E10: topology churn on %s n=%d — re-stabilization by operation (extension)", famName, n),
 		Columns: []string{"operation", "rounds(avg)", "rounds(max)", "legitimate"},
 		Notes: []string{

@@ -22,8 +22,8 @@ import (
 // fault model.
 
 // E9LossyLinks sweeps drop rates on one family.
-func E9LossyLinks(famName string, n, seeds int) *Table {
-	t := &Table{
+func E9LossyLinks(famName string, n, seeds int) *scenario.Table {
+	t := &scenario.Table{
 		Title:   fmt.Sprintf("E9: lossy links on %s n=%d — rounds vs drop rate (extension)", famName, n),
 		Columns: []string{"dropRate", "rounds(avg)", "rounds(max)", "dropped(avg)", "treeOK", "fixedPoint"},
 		Notes: []string{

@@ -8,6 +8,7 @@ import (
 	"mdst/internal/graph"
 	"mdst/internal/harness"
 	"mdst/internal/metrics"
+	"mdst/internal/scenario"
 	"mdst/internal/trace"
 )
 
@@ -62,7 +63,7 @@ func collectSeries(name string, spec harness.RunSpec) (*trace.Series, harness.Re
 // the standard complexity models and reports the ranked fits — the
 // formal version of E2's ratio column. Sizes should span at least a
 // factor of 4 for a meaningful exponent.
-func E2Fit(famName string, sizes []int, seeds int, sched harness.SchedulerKind) *Table {
+func E2Fit(famName string, sizes []int, seeds int, sched harness.SchedulerKind) *scenario.Table {
 	fam := graph.MustFamily(famName)
 	var pts []analysis.Point
 	for _, n := range sizes {
@@ -78,7 +79,7 @@ func E2Fit(famName string, sizes []int, seeds int, sched harness.SchedulerKind) 
 			}
 		}
 	}
-	t := &Table{
+	t := &scenario.Table{
 		Title:   fmt.Sprintf("E2-fit: measured rounds vs complexity models (%s)", famName),
 		Columns: []string{"model", "exponent", "scale", "R2"},
 		Notes: []string{

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mdst/internal/harness"
+	"mdst/internal/scenario"
 )
 
 func TestSeriesConvergenceShape(t *testing.T) {
@@ -80,7 +81,7 @@ func TestE2FitRanksReasonably(t *testing.T) {
 
 func TestE8TargetedFaults(t *testing.T) {
 	tab := E8TargetedFaults("gnp", 14, 1, harness.SchedSync)
-	if len(tab.Rows) != len(TargetRoles()) {
+	if len(tab.Rows) != len(scenario.TargetRoles()) {
 		t.Fatalf("rows=%d", len(tab.Rows))
 	}
 	for _, row := range tab.Rows {

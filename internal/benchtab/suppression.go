@@ -15,8 +15,8 @@ import (
 // is outcome-equivalent — while the traffic columns show what the
 // pruning saves; the committed large-n version of this comparison lives
 // in BENCH_scale.json's suppression section.
-func E12SearchTraffic(famName string, sizes []int, seeds int, sched harness.SchedulerKind) *Table {
-	t := &Table{
+func E12SearchTraffic(famName string, sizes []int, seeds int, sched harness.SchedulerKind) *scenario.Table {
+	t := &scenario.Table{
 		Title: fmt.Sprintf("E12: search-traffic suppression on %s — paired paper/suppress message volume", famName),
 		Columns: []string{"n", "retry", "rounds(avg)", "messages(avg)",
 			"searchMsgs(avg)", "suppressed(avg)", "deg(T)", "legitimate", "within Δ*+1"},

@@ -17,27 +17,11 @@ import (
 //
 // The role machinery lives in internal/scenario (scenario.Targeted /
 // scenario.PickTargets) and is shared with the matrix CLI; this file
-// only renders the table. The aliases below preserve this package's
-// historical API.
-
-// TargetRole names a fault location (moved to internal/scenario).
-type TargetRole = scenario.TargetRole
-
-// Fault locations.
-const (
-	RoleRoot    = scenario.RoleRoot
-	RoleLeaf    = scenario.RoleLeaf
-	RoleMaxDeg  = scenario.RoleMaxDeg
-	RoleRandom  = scenario.RoleRandom
-	RoleParents = scenario.RoleParents
-)
-
-// TargetRoles returns the roles in display order.
-func TargetRoles() []TargetRole { return scenario.TargetRoles() }
+// only renders the table.
 
 // E8TargetedFaults measures recovery cost per fault role on one family.
-func E8TargetedFaults(famName string, n, seeds int, sched harness.SchedulerKind) *Table {
-	t := &Table{
+func E8TargetedFaults(famName string, n, seeds int, sched harness.SchedulerKind) *scenario.Table {
+	t := &scenario.Table{
 		Title:   fmt.Sprintf("E8: targeted faults on %s n=%d — recovery rounds by role (extension)", famName, n),
 		Columns: []string{"role", "nodes", "rounds(avg)", "rounds(max)", "legitimate"},
 		Notes: []string{
@@ -45,7 +29,7 @@ func E8TargetedFaults(famName string, n, seeds int, sched harness.SchedulerKind)
 			"extension beyond the paper: Definition 1 is location-oblivious; operations care",
 		},
 	}
-	roles := TargetRoles()
+	roles := scenario.TargetRoles()
 	faults := make([]scenario.FaultModel, len(roles))
 	for i, role := range roles {
 		faults[i] = scenario.Targeted{Role: role}

@@ -10,17 +10,15 @@ import (
 // adaptive suppression schedule through its whole life cycle: while the
 // node's state version is a fixed point, every full effective window
 // that lapses before an equivalent launch doubles the pruning window
-// (4 → 8 → 16 → 32), saturating at BackoffCapWindow; then a single
-// neighbor version bump at the deepest tier collapses the window back
-// to the base instantly — the very next launch decision passes, before
-// any tick runs.
+// (4 → 8 → 16 → 32 → 64 at SearchPeriod 1), saturating at
+// BackoffCapWindow; then a single neighbor version bump at the deepest
+// tier collapses the window back to the base instantly — the very next
+// launch decision passes, before any tick runs.
 func TestBackoffDeepensToCapAndNeighborBumpResets(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := DefaultConfig(8)
 	cfg.Retry = RetryBackoff
-	cfg.SearchPeriod = 2
-	cfg.SuppressWindow = 4
-	cfg.BackoffCap = 32
+	cfg.SearchPeriod = 1
 	net := BuildNetwork(g, cfg, 1)
 	tr := preload(t, g, net)
 	nodes := NodesOf(net)
@@ -47,7 +45,7 @@ func TestBackoffDeepensToCapAndNeighborBumpResets(t *testing.T) {
 	// pruned; the launch at window expiry passes and earns exactly one
 	// doubling, saturating at the cap.
 	for i, want := range []struct{ window, next int }{
-		{4, 8}, {8, 16}, {16, 32}, {32, 32},
+		{4, 8}, {8, 16}, {16, 32}, {32, 64}, {64, 64},
 	} {
 		if got := nd.CurrentRetryPeriod(); got != want.window {
 			t.Fatalf("step %d: retry period %d, want %d", i, got, want.window)
@@ -112,7 +110,6 @@ func TestBackoffOffIsInert(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := DefaultConfig(8)
 	cfg.Retry = RetrySuppress
-	cfg.SuppressWindow = 4
 	net := BuildNetwork(g, cfg, 1)
 	tr := preload(t, g, net)
 	nodes := NodesOf(net)
@@ -123,7 +120,7 @@ func TestBackoffOffIsInert(t *testing.T) {
 	ctx := net.Context(u)
 	for i := 0; i < 6; i++ {
 		nd.startSearch(ctx, v, -1, 0)
-		if got := nd.CurrentRetryPeriod(); got != cfg.SearchPeriod {
+		if got := nd.CurrentRetryPeriod(); got != cfg.PruneWindow() {
 			t.Fatalf("lapse %d moved the static retry period to %d", i, got)
 		}
 		if nd.backoffTier != 0 {

@@ -40,20 +40,16 @@ func corruptAll(net *sim.Network, rng *rand.Rand) {
 }
 
 // runToQuiescence runs the full protocol with the standard stop rule,
-// waiting for the reduction kinds of the network's exchange to drain.
+// waiting for the reduction kinds to drain.
 func runToQuiescence(net *sim.Network, g *graph.Graph, sched sim.Scheduler, maxRounds int) sim.RunResult {
 	if maxRounds <= 0 {
 		maxRounds = 200*g.N() + 20000
-	}
-	kinds := ReductionKinds()
-	if NodesOf(net)[0].literal {
-		kinds = LiteralReductionKinds()
 	}
 	return net.Run(sim.RunConfig{
 		Scheduler:     sched,
 		MaxRounds:     maxRounds,
 		QuiesceRounds: 2*g.N() + 40,
-		ActiveKinds:   kinds,
+		ActiveKinds:   ReductionKinds(),
 	})
 }
 

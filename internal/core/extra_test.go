@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mdst/internal/graph"
@@ -41,8 +42,9 @@ func TestMessageSizes(t *testing.T) {
 	if (ReverseAuxMsg{}).Kind() != KindReverse {
 		t.Fatal("literal Reverse kind")
 	}
-	if len(ReductionKinds()) != 2 || len(LiteralReductionKinds()) != 4 {
-		t.Fatalf("reduction kinds %v / %v", ReductionKinds(), LiteralReductionKinds())
+	want := []string{KindRemove, KindBack, KindReverse, KindUpdateDist}
+	if got := ReductionKinds(); !slices.Equal(got, want) {
+		t.Fatalf("ReductionKinds() = %v, want %v", got, want)
 	}
 }
 
@@ -211,11 +213,13 @@ func TestCorruptedViewsHealViaGossip(t *testing.T) {
 	}
 }
 
+// The word width of StateBits is bitsFor(MaxDist), so one node's state
+// grows with the network size its Config is built for.
 func TestWordBitsScalesWithN(t *testing.T) {
-	small := DefaultConfig(8)
-	large := DefaultConfig(1 << 16)
-	if small.WordBits >= large.WordBits {
-		t.Fatalf("WordBits: %d vs %d", small.WordBits, large.WordBits)
+	small := NewNode(0, []int{1}, DefaultConfig(8)).StateBits()
+	large := NewNode(0, []int{1}, DefaultConfig(1<<16)).StateBits()
+	if small >= large {
+		t.Fatalf("StateBits: %d at n=8 vs %d at n=65536", small, large)
 	}
 }
 

@@ -172,12 +172,8 @@ func TestShuffledNeighborListSendsAlike(t *testing.T) {
 			for id, tw := range twins {
 				tw.corrupt(int64(100+id), gr.N())
 			}
-			kinds := ReductionKinds()
-			if ex.name == "literal" {
-				kinds = LiteralReductionKinds()
-			}
 			res := net.Run(sim.RunConfig{Scheduler: sim.NewSyncScheduler(), MaxRounds: 20000,
-				QuiesceRounds: 2*gr.N() + 40, ActiveKinds: kinds})
+				QuiesceRounds: 2*gr.N() + 40, ActiveKinds: ReductionKinds()})
 			if !res.Converged {
 				t.Fatal("twin network did not converge")
 			}

@@ -16,21 +16,15 @@ const (
 )
 
 // ReductionKinds lists the message kinds that must drain before a
-// configuration of chain-exchange nodes (NewNode) can be considered
-// quiescent (an in-flight reversal can still change the tree). Search
-// and Deblock are deliberately absent: both keep flowing forever at a
-// fixed point by design (periodic searches, deblock floods that find
-// nothing), and neither mutates state by itself; runners pair this list
-// with a fingerprint-stability window of at least 2n rounds, which
+// configuration can be considered quiescent: an in-flight Remove, Back,
+// Reverse or UpdateDist can still change the tree. One list serves both
+// exchanges, since chain-exchange nodes never send Remove or Back.
+// Search and Deblock are deliberately absent: both keep flowing forever
+// at a fixed point by design (periodic searches, deblock floods that
+// find nothing), and neither mutates state by itself; runners pair this
+// list with a fingerprint-stability window of at least 2n rounds, which
 // covers any token still in flight.
 func ReductionKinds() []string {
-	return []string{KindReverse, KindUpdateDist}
-}
-
-// LiteralReductionKinds is ReductionKinds for literal-exchange nodes
-// (NewLiteralNode): an in-flight Remove, Back, Reverse or UpdateDist can
-// still change the tree.
-func LiteralReductionKinds() []string {
 	return []string{KindRemove, KindBack, KindReverse, KindUpdateDist}
 }
 

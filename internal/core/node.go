@@ -64,23 +64,24 @@ const (
 	// RetrySuppress adds per-initiator duplicate-token pruning: a node
 	// that already launched or forwarded an equivalent Search token —
 	// same fundamental-cycle key {initiator edge, deblock target} —
-	// within the pruning window (PruneWindow) drops re-arrivals instead
-	// of re-walking the cycle, unless its own protocol state changed
-	// since. Launches are also batched: at most SearchBatch tokens leave
-	// per tick. Suppression is a bounded delay, never a permanent block:
-	// every key passes at least once per window at every node, so
-	// convergence to the legitimacy predicate and the Δ*+1 bracket is
-	// preserved (differential-tested).
+	// within the pruning window (PruneWindow, 4×SearchPeriod) drops
+	// re-arrivals instead of re-walking the cycle, unless its own
+	// protocol state changed since. Launches are also batched: at most
+	// two tokens (searchBatch) leave per tick. Suppression is a bounded
+	// delay, never a permanent block: every key passes at least once per
+	// window at every node, so convergence to the legitimacy predicate
+	// and the Δ*+1 bracket is preserved (differential-tested).
 	RetrySuppress
 	// RetryBackoff is RetrySuppress with an adaptive window: while a
 	// node's state version (own variables plus neighbor views — its
 	// local image of the neighborhood version vector) is a fixed point,
 	// the effective pruning window doubles each time a full window
-	// elapses unchanged, from PruneWindow up to BackoffCapWindow; any
-	// version movement collapses it back to the base instantly. The
-	// steady-state retry rate therefore decays geometrically toward zero
-	// while fault recovery keeps the base-window schedule (the reset
-	// happens before the next launch decision).
+	// elapses unchanged, from PruneWindow up to BackoffCapWindow
+	// (16×PruneWindow); any version movement collapses it back to the
+	// base instantly. The steady-state retry rate therefore decays
+	// geometrically toward zero while fault recovery keeps the
+	// base-window schedule (the reset happens before the next launch
+	// decision).
 	RetryBackoff
 )
 
@@ -105,13 +106,15 @@ func ParseRetryPolicy(s string) (RetryPolicy, error) {
 	return 0, fmt.Errorf("core: unknown retry policy %q (want paper|suppress|backoff)", s)
 }
 
-// Config tunes a Node. The zero value is NOT usable; call DefaultConfig.
+// Config tunes a Node. Every retry window derives from SearchPeriod and
+// Retry. The zero value is NOT usable; call DefaultConfig.
 type Config struct {
 	// Repair selects the R2 variant.
 	Repair RepairPolicy
 	// MaxDist bounds legal tree distances (any bound >= n works; the
 	// standard assumption that nodes know an upper bound N on the network
 	// size). It cuts the count-to-infinity livelock of fake root values.
+	// Its width is also the word size of the StateBits metric.
 	MaxDist int
 	// SearchPeriod is the number of ticks between successive cycle
 	// searches for the same non-tree edge.
@@ -121,30 +124,9 @@ type Config struct {
 	// DeblockTieBreak enables the ID tie-break for equal-potential
 	// deblock exchanges, without which such exchanges can oscillate.
 	DeblockTieBreak bool
-	// DisableReduction turns off modules 3-4, leaving only the
-	// self-stabilizing BFS tree (baseline mode for E6).
-	DisableReduction bool
 	// Retry selects the cycle-search retry schedule (RetryPaper, the
 	// zero value, is the paper's).
 	Retry RetryPolicy
-	// SuppressWindow is the duplicate-pruning window in ticks (0 means
-	// 4×SearchPeriod). It must stay well below the quiescence stability
-	// window so a deferred search always retries before quiescence could
-	// be declared around it.
-	SuppressWindow int
-	// SearchBatch caps the plain searches launched per tick under
-	// RetrySuppress and RetryBackoff (0 means 2); deferred edges stay due
-	// and launch on subsequent ticks, spreading token bursts.
-	SearchBatch int
-	// BackoffCap bounds the adaptive window in ticks (0 means
-	// 16×PruneWindow). Quiescence-stability windows derive from it via
-	// EffectiveRetryPeriod: past the cap a retry is guaranteed every
-	// BackoffCap ticks, so certification never waits on an unbounded
-	// schedule.
-	BackoffCap int
-	// WordBits is the width of one variable in bits, used only by the
-	// StateBits metric (harness sets ceil(log2 n)+1).
-	WordBits int
 }
 
 // DefaultConfig returns the configuration used by the experiments for a
@@ -156,55 +138,49 @@ func DefaultConfig(n int) Config {
 		SearchPeriod:    16,
 		DeblockTTL:      8,
 		DeblockTieBreak: true,
-		WordBits:        bitsFor(2*n + 4),
 	}
 }
 
-// PruneWindow resolves the duplicate-pruning window (SuppressWindow,
-// defaulting to 4×SearchPeriod); both variants' suppressors use it.
-func (c Config) PruneWindow() int {
-	if c.SuppressWindow > 0 {
-		return c.SuppressWindow
-	}
-	return 4 * c.SearchPeriod
-}
+// searchBatch caps the plain searches launched per tick under
+// RetrySuppress and RetryBackoff; deferred edges stay due and launch on
+// subsequent ticks, spreading token bursts.
+const searchBatch = 2
 
-// BackoffCapWindow resolves the deepest adaptive pruning window
-// (BackoffCap, defaulting to 16×PruneWindow — four doublings).
-func (c Config) BackoffCapWindow() int {
-	if c.BackoffCap > 0 {
-		return c.BackoffCap
-	}
-	return 16 * c.PruneWindow()
-}
+// maxBackoffTier is the number of times the adaptive window can double
+// above PruneWindow.
+const maxBackoffTier = 4
+
+// PruneWindow is the duplicate-pruning window in ticks, 4×SearchPeriod;
+// both exchanges' suppressors use it. It stays well below the
+// quiescence stability window, so a deferred search always retries
+// before quiescence could be declared around it.
+func (c Config) PruneWindow() int { return 4 * c.SearchPeriod }
+
+// BackoffCapWindow is the deepest adaptive pruning window: PruneWindow
+// doubled maxBackoffTier times. Quiescence-stability windows derive
+// from it via EffectiveRetryPeriod: past the cap a retry is guaranteed
+// every BackoffCapWindow ticks, so certification never waits on an
+// unbounded schedule.
+func (c Config) BackoffCapWindow() int { return c.PruneWindow() << maxBackoffTier }
 
 // EffectiveRetryPeriod is the worst-case spacing between consecutive
 // full passes of an equivalent Search token: SearchPeriod with the
-// paper-literal schedule, additionally the pruning window when
-// duplicate suppression may defer retries, and the backoff cap when
-// the window is adaptive (the deepest tier a node can ever reach).
-// Quiescence-stability windows must be derived from this value, not
-// from SearchPeriod alone — otherwise a suppressed configuration can
-// be certified quiescent before its deferred search ever re-fires.
-// With backoff on this static bound is conservative; the sim cores
-// additionally track the time-varying per-node schedule through
-// Node.CurrentRetryPeriod, and the wall-clock drivers (which cannot
-// cheaply scan node tiers behind sockets) take this cap. Suppression
-// only ever delays retries, so the result is floored at SearchPeriod:
-// a pruning window shorter than the retry period must not shrink the
-// stability window below the paper-literal floor.
+// paper-literal schedule, the pruning window when duplicate suppression
+// may defer retries, and the backoff cap when the window is adaptive
+// (the deepest tier a node can ever reach). Quiescence-stability
+// windows must be derived from this value, not from SearchPeriod alone
+// — otherwise a suppressed configuration can be certified quiescent
+// before its deferred search ever re-fires. With backoff on this static
+// bound is conservative; the sim cores additionally track the
+// time-varying per-node schedule through Node.CurrentRetryPeriod, and
+// the wall-clock drivers (which cannot cheaply scan node tiers behind
+// sockets) take this cap.
 func (c Config) EffectiveRetryPeriod() int {
-	var w int
 	switch c.Retry {
-	case RetryPaper:
-		return c.SearchPeriod
 	case RetrySuppress:
-		w = c.PruneWindow()
+		return c.PruneWindow()
 	case RetryBackoff:
-		w = max(c.PruneWindow(), c.BackoffCapWindow())
-	}
-	if w > c.SearchPeriod {
-		return w
+		return c.BackoffCapWindow()
 	}
 	return c.SearchPeriod
 }
@@ -280,10 +256,10 @@ type Node struct {
 	// the suppressor: never fingerprinted, and moving it must not bump
 	// the state version — the backoff observes quiescence, it is not
 	// part of it. backoffTier is the doubling exponent (effective
-	// window = PruneWindow << tier, capped), earned while version ==
-	// backoffVersion and reset lazily the moment they diverge;
-	// backoffTick limits deepening to once per tick so several edges
-	// lapsing together still advance one tier per round.
+	// window = PruneWindow << tier, at most maxBackoffTier), earned
+	// while version == backoffVersion and reset lazily the moment they
+	// diverge; backoffTick limits deepening to once per tick so several
+	// edges lapsing together still advance one tier per round.
 	backoffTier    int
 	backoffVersion uint64
 	backoffTick    int
@@ -550,9 +526,7 @@ func (n *Node) Tick(ctx *sim.Context) {
 	n.tick++
 	n.runTreeModule()
 	n.runDegreeModule()
-	if !n.cfg.DisableReduction {
-		n.maybeStartSearches(ctx)
-	}
+	n.maybeStartSearches(ctx)
 	n.sendInfo(ctx)
 	n.tickMoved = n.version != entry
 	n.restVersion = n.version
@@ -568,7 +542,7 @@ func (n *Node) NextWork() int {
 	if n.tickMoved || n.version != n.restVersion {
 		return 1
 	}
-	if n.cfg.DisableReduction || n.dmax <= 2 || !n.locallyStabilized() {
+	if n.dmax <= 2 || !n.locallyStabilized() {
 		return sim.NoWork
 	}
 	next := -1
@@ -611,29 +585,17 @@ func (n *Node) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 	case InfoMsg:
 		n.handleInfo(from, msg)
 	case *SearchMsg:
-		if !n.cfg.DisableReduction {
-			n.handleSearch(ctx, from, msg)
-		}
+		n.handleSearch(ctx, from, msg)
 	case ReverseMsg:
-		if !n.cfg.DisableReduction {
-			n.handleReverse(ctx, from, msg)
-		}
+		n.handleReverse(ctx, from, msg)
 	case RemoveMsg:
-		if !n.cfg.DisableReduction {
-			n.handleRemove(ctx, from, msg)
-		}
+		n.handleRemove(ctx, from, msg)
 	case BackMsg:
-		if !n.cfg.DisableReduction {
-			n.handleBack(ctx, from, msg)
-		}
+		n.handleBack(ctx, from, msg)
 	case ReverseAuxMsg:
-		if !n.cfg.DisableReduction {
-			n.handleReverseAux(ctx, from, msg)
-		}
+		n.handleReverseAux(ctx, from, msg)
 	case DeblockMsg:
-		if !n.cfg.DisableReduction {
-			n.handleDeblock(ctx, from, msg)
-		}
+		n.handleDeblock(ctx, from, msg)
 	case UpdateDistMsg:
 		n.handleUpdateDist(ctx, from, msg)
 	}
@@ -694,9 +656,10 @@ func (n *Node) Fingerprint() uint64 {
 func (n *Node) StateVersion() uint64 { return n.version }
 
 // StateBits implements sim.StateSizer: the paper's O(δ log n) memory —
-// six own variables plus a seven-word copy per neighbor, WordBits each
-// (the color bit counted as one word for simplicity).
+// six own variables plus a seven-word copy per neighbor, each word wide
+// enough to hold MaxDist, the largest legal variable value (the color
+// bit counted as one word for simplicity).
 func (n *Node) StateBits() int {
 	words := 6 + 7*len(n.nbrs)
-	return words * n.cfg.WordBits
+	return words * bitsFor(n.cfg.MaxDist)
 }

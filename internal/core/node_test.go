@@ -65,9 +65,6 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.MaxDist != 44 || cfg.SearchPeriod <= 0 || cfg.DeblockTTL <= 0 {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
-	if cfg.WordBits != bitsFor(44) {
-		t.Fatal("WordBits")
-	}
 }
 
 func TestBitsFor(t *testing.T) {
@@ -233,7 +230,7 @@ func TestStateBits(t *testing.T) {
 	cfg := DefaultConfig(5)
 	net := BuildNetwork(g, cfg, 1)
 	hub := NodesOf(net)[0]
-	want := (6 + 7*4) * cfg.WordBits
+	want := (6 + 7*4) * bitsFor(cfg.MaxDist)
 	if hub.StateBits() != want {
 		t.Fatalf("StateBits=%d, want %d", hub.StateBits(), want)
 	}
@@ -292,7 +289,7 @@ func TestQuickMemoryWithinDeltaLogN(t *testing.T) {
 			logN++
 		}
 		bound := 16 * (delta + 1) * logN // generous constant; the point is the shape
-		return net.MaxStateBits() <= bound
+		return sim.MaxStateBitsOf(NodesOf(net)) <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -388,49 +385,21 @@ func TestCheckLegitimacyDetectsWrongDistance(t *testing.T) {
 	}
 }
 
-func TestDisableReduction(t *testing.T) {
-	// With reduction off, the protocol is a plain self-stabilizing BFS
-	// tree: it must converge but never swap edges.
-	g := graph.Wheel(8)
-	cfg := DefaultConfig(8)
-	cfg.DisableReduction = true
-	net := BuildNetwork(g, cfg, 3)
-	res := net.Run(sim.RunConfig{Scheduler: sim.NewSyncScheduler(), MaxRounds: 2000,
-		QuiesceRounds: 56, ActiveKinds: ReductionKinds()})
-	if !res.Converged {
-		t.Fatal("BFS-only mode did not converge")
-	}
-	tree, err := ExtractTree(g, NodesOf(net))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// BFS from the hub-adjacent min root: the wheel's BFS tree from node 0
-	// is the star, degree 7 — reduction would have lowered it.
-	if tree.MaxDegree() != 7 {
-		t.Fatalf("degree=%d, want 7 (no reduction)", tree.MaxDegree())
-	}
-	m := net.Metrics()
-	if m.SentByKind[KindSearch] != 0 || m.SentByKind[KindReverse] != 0 {
-		t.Fatal("reduction messages sent in disabled mode")
-	}
-}
-
-// TestSteadyGossipAllocsPerTick is the allocation gate for gossip: on a
-// converged wheel with reduction off, a sync round is n InfoMsg ticks
-// plus the deliveries of the previous round's gossip. sendInfo shares
-// one boxed InfoMsg across the links and keeps it while the content
-// repeats, so a steady round allocates nothing; boxing once per tick
-// would cost n allocations, boxing at every Send Σdeg = 2m.
+// TestSteadyGossipAllocsPerTick is the allocation gate for gossip: every
+// spanning tree of a ring is a path, so once a ring converges dmax = 2,
+// no search launches and a sync round is n InfoMsg ticks plus the
+// deliveries of the previous round's gossip. sendInfo shares one boxed
+// InfoMsg across the links and keeps it while the content repeats, so a
+// steady round allocates nothing; boxing once per tick would cost n
+// allocations, boxing at every Send Σdeg = 2m.
 func TestSteadyGossipAllocsPerTick(t *testing.T) {
-	g := graph.Wheel(16)
-	cfg := DefaultConfig(g.N())
-	cfg.DisableReduction = true
-	net := BuildNetwork(g, cfg, 3)
+	g := graph.Ring(16)
+	net := BuildNetwork(g, DefaultConfig(g.N()), 3)
 	sched := sim.NewSyncScheduler()
 	res := net.Run(sim.RunConfig{Scheduler: sched, MaxRounds: 2000,
 		QuiesceRounds: 56, ActiveKinds: ReductionKinds()})
 	if !res.Converged {
-		t.Fatal("wheel did not converge")
+		t.Fatal("ring did not converge")
 	}
 	allocs := testing.AllocsPerRun(20, func() { sched.RunRound(net) })
 	if allocs > 0 {

@@ -129,39 +129,23 @@ func (n *Node) suppressSearch(init graph.Edge, block int) bool {
 // gossip, or a local mutation) collapses the tier to the base before
 // it is consulted, so recovery retries run on the base schedule.
 func (n *Node) effectiveWindow() int {
-	if n.cfg.Retry != RetryBackoff {
-		return n.cfg.PruneWindow()
-	}
-	if n.version != n.backoffVersion {
+	if n.cfg.Retry == RetryBackoff && n.version != n.backoffVersion {
 		n.backoffTier = 0
 		n.backoffVersion = n.version
 	}
-	return n.backoffWindowAt(n.backoffTier)
-}
-
-// backoffWindowAt maps a tier to its window: PruneWindow doubled tier
-// times, saturating at BackoffCapWindow.
-func (n *Node) backoffWindowAt(tier int) int {
-	w, cap := n.cfg.PruneWindow(), n.cfg.BackoffCapWindow()
-	for i := 0; i < tier && w < cap; i++ {
-		w <<= 1
-	}
-	if w > cap {
-		w = cap
-	}
-	return w
+	return n.currentWindow()
 }
 
 // deepenBackoff advances the tier after a full effective window lapsed
 // at a fixed point — at most one doubling per tick, so concurrent
-// lapses on several edges deepen like a single one — saturating once
-// the window reaches the cap.
+// lapses on several edges deepen like a single one — saturating at
+// maxBackoffTier, where the window is BackoffCapWindow.
 func (n *Node) deepenBackoff() {
 	if n.cfg.Retry != RetryBackoff || n.backoffTick == n.tick {
 		return
 	}
 	n.backoffTick = n.tick
-	if n.backoffWindowAt(n.backoffTier) < n.cfg.BackoffCapWindow() {
+	if n.backoffTier < maxBackoffTier {
 		n.backoffTier++
 	}
 }
@@ -178,14 +162,15 @@ func (n *Node) searchPassTick(u int) int {
 	return n.suppress.passTick(n.currentWindow(), n.version, graph.Edge{U: n.id, V: u}, -1)
 }
 
-// currentWindow is the read-only view of effectiveWindow: a tier whose
-// version is stale reads as the base window (the reset that
-// effectiveWindow would apply) without mutating the node.
+// currentWindow is the read-only view of effectiveWindow: PruneWindow
+// doubled once per backoff tier, where a tier whose version is stale
+// reads as the base window (the reset that effectiveWindow would apply)
+// without mutating the node.
 func (n *Node) currentWindow() int {
 	if n.cfg.Retry != RetryBackoff || n.version != n.backoffVersion {
 		return n.cfg.PruneWindow()
 	}
-	return n.backoffWindowAt(n.backoffTier)
+	return n.cfg.PruneWindow() << n.backoffTier
 }
 
 // CurrentRetryPeriod is the node's present worst-case spacing between
@@ -195,21 +180,17 @@ func (n *Node) currentWindow() int {
 // quiescence-stability windows from the maximum over nodes, and the
 // metrics plane samples it.
 func (n *Node) CurrentRetryPeriod() int {
-	p := n.cfg.SearchPeriod
 	if n.cfg.Retry == RetryPaper {
-		return p
+		return n.cfg.SearchPeriod
 	}
-	if w := n.currentWindow(); w > p {
-		return w
-	}
-	return p
+	return n.currentWindow()
 }
 
 // maybeStartSearches launches due searches from this node: plain searches
 // (Block = -1) for non-tree edges toward higher IDs, guarded by the
 // paper's locally_stabilized predicate and paced by SearchPeriod. Under
 // RetrySuppress and RetryBackoff, launches are additionally batched: at
-// most SearchBatch tokens leave per tick and the deferred edges stay
+// most searchBatch tokens leave per tick and the deferred edges stay
 // due, so a node with many non-tree edges spreads its token burst over
 // consecutive ticks instead of flooding them all at once.
 func (n *Node) maybeStartSearches(ctx *sim.Context) {
@@ -223,9 +204,7 @@ func (n *Node) maybeStartSearches(ctx *sim.Context) {
 	}
 	batch := -1
 	if n.cfg.Retry != RetryPaper {
-		if batch = n.cfg.SearchBatch; batch <= 0 {
-			batch = 2
-		}
+		batch = searchBatch
 	}
 	for i, u := range n.nbrs {
 		if n.id > u || n.treeEdgeAt(i) {

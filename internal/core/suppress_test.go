@@ -14,7 +14,6 @@ func TestSuppressDuplicateLaunch(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := DefaultConfig(8)
 	cfg.Retry = RetrySuppress
-	cfg.SuppressWindow = 10
 	net := BuildNetwork(g, cfg, 1)
 	preload(t, g, net)
 	nodes := NodesOf(net)
@@ -43,7 +42,7 @@ func TestSuppressDuplicateLaunch(t *testing.T) {
 
 	// Advance past the window (ticks only; the node's state is already
 	// stable so versions stay put) and retry: the launch must pass.
-	for i := 0; i < cfg.SuppressWindow+1; i++ {
+	for i := 0; i < cfg.PruneWindow()+1; i++ {
 		nodes[u].tick++
 	}
 	nodes[u].startSearch(ctx, v, -1, 0)
@@ -119,9 +118,9 @@ func TestSuppressBacktrackNeverPruned(t *testing.T) {
 	}
 }
 
-// TestSearchBatchPacesLaunches: with suppression on, at most SearchBatch
-// plain searches leave per tick; the deferred edges stay due and launch
-// on the following ticks instead of being dropped.
+// TestSearchBatchPacesLaunches: with suppression on, at most searchBatch
+// plain searches leave per tick; the deferred edge stays due and
+// launches on the next tick instead of being dropped.
 func TestSearchBatchPacesLaunches(t *testing.T) {
 	// Tree path 0-1-2-3 branching at 3 (dmax=4 > 2, so searches run) plus
 	// three non-tree chords from 0 toward higher IDs — all due at once.
@@ -137,33 +136,19 @@ func TestSearchBatchPacesLaunches(t *testing.T) {
 	g.MustAddEdge(0, 6)
 	cfg := DefaultConfig(7)
 	cfg.Retry = RetrySuppress
-	cfg.SearchBatch = 1
-	cfg.SuppressWindow = 1 << 20 // isolate pacing from window expiry
 	net := BuildNetwork(g, cfg, 1)
 	tree := chainTree(t, g, [][2]int{{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 3}, {6, 3}})
 	loadTree(g, net, tree)
 	nodes := NodesOf(net)
 
 	ctx := net.Context(0)
-	before := nodes[0].NodeStats().SearchesLaunched
 	nodes[0].Tick(ctx)
-	perTick := nodes[0].NodeStats().SearchesLaunched - before
-	if perTick > 1 {
-		t.Fatalf("batch=1 launched %d searches in one tick", perTick)
+	if got := nodes[0].NodeStats().SearchesLaunched; got != searchBatch {
+		t.Fatalf("first tick launched %d of the 3 due chords, want %d", got, searchBatch)
 	}
-	// Subsequent ticks drain the deferred edges one by one.
-	total := perTick
-	for i := 0; i < 8; i++ {
-		prev := nodes[0].NodeStats().SearchesLaunched
-		nodes[0].Tick(ctx)
-		d := nodes[0].NodeStats().SearchesLaunched - prev
-		if d > 1 {
-			t.Fatalf("tick %d launched %d searches with batch=1", i, d)
-		}
-		total += d
-	}
-	if total != 3 {
-		t.Fatalf("launched %d searches over the paced ticks, want all 3 chords", total)
+	nodes[0].Tick(ctx)
+	if got := nodes[0].NodeStats().SearchesLaunched; got != 3 {
+		t.Fatalf("two ticks launched %d searches, want all 3 chords", got)
 	}
 }
 

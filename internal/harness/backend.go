@@ -367,7 +367,7 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 	begin := time.Now()
 	ln := sim.NewLiveNetwork(spec.Graph, ops.factory, sim.LiveConfig{
 		TickInterval: p.tick,
-		ActiveKinds:  ops.kinds,
+		ActiveKinds:  core.ReductionKinds(),
 	})
 	nodes, res0, ok := buildInitial(spec, ops, ln.Process)
 	if !ok {
@@ -389,7 +389,7 @@ func runTCP(spec RunSpec, ops variantOps) (Result, error) {
 	begin := time.Now()
 	c := netrun.NewCluster(spec.Graph, ops.factory, netrun.Config{
 		TickInterval: p.tick,
-		ActiveKinds:  ops.kinds,
+		ActiveKinds:  core.ReductionKinds(),
 		BatchSize:    spec.Tuning.BatchSize,
 		BatchMaxWait: spec.Tuning.BatchMaxWait,
 	})
@@ -479,33 +479,16 @@ func driveWall(spec RunSpec, p wallParams, nodes []*core.Node, t wallTransport, 
 	// certificate — a certificate alone is stability, not correctness,
 	// and legitimacy without certified quiescence (e.g. reached right at
 	// the deadline) still counts.
-	leg := core.CheckLegitimacy(g, nodes)
-	st := core.AggregateStats(nodes)
-	out := Result{
-		Backend:            b,
-		Converged:          leg.OK(),
-		Rounds:             int(det.Epoch()),
-		LastChange:         int(det.Epoch()),
-		Legit:              leg,
-		MaxStateBits:       sim.MaxStateBitsOf(nodes),
-		Exchanges:          st.ExchangesComplete,
-		Aborts:             st.Aborted(),
-		SearchesSuppressed: st.SearchesSuppressed,
-		Cert:               cert,
-		Restarts:           restarts,
-		Deadline:           p.deadline,
-		WallTime:           time.Since(begin),
-	}
+	out := readStopped(b, g, nodes, rec, begin)
+	out.Converged = out.Legit.OK()
+	out.Rounds = int(det.Epoch())
+	out.LastChange = int(det.Epoch())
+	out.Cert = cert
+	out.Restarts = restarts
+	out.Deadline = p.deadline
 	byKind := t.counters(&out)
 	if collect != nil {
 		collect.Add(snapshot(g, det.Progress(), byKind, nodes))
-	}
-	if rec != nil {
-		out.AuditChain = rec.ChainHead()
-		out.AuditRecords = rec.Len()
-	}
-	if tree, err := core.ExtractTree(g, nodes); err == nil {
-		out.Tree = tree
 	}
 	return out, nil
 }

@@ -293,13 +293,13 @@ func TestSuppressionSmokeLiveTCP(t *testing.T) {
 // With adaptive backoff the wall-clock drivers derive their stability
 // windows from the conservative cap (they cannot scan per-node tiers
 // behind sockets), so a backed-off live/tcp run must still converge and
-// certify within its budget deadline. The windows are shrunk so the
-// cap-derived stability window stays smoke-sized.
+// certify within its budget deadline. SearchPeriod 2 shrinks every
+// window derived from it (base 8 ticks, cap 128), so the cap-derived
+// stability window stays smoke-sized.
 func TestBackoffSmokeLiveTCP(t *testing.T) {
 	cfg := core.DefaultConfig(8)
 	cfg.Retry = core.RetryBackoff
-	cfg.SuppressWindow = 8
-	cfg.BackoffCap = 32
+	cfg.SearchPeriod = 2
 	for _, backend := range []Backend{BackendLive, BackendTCP} {
 		res, err := Run(RunSpec{
 			Graph:   graph.Wheel(8),

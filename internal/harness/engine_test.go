@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/mdstseq"
 	"mdst/internal/sim"
@@ -122,7 +123,7 @@ func TestEventRoundViewMatchesLegacyLoop(t *testing.T) {
 			var fpsA []uint64 // fpsA[r] = fingerprint after legacy round r+1
 			resA := netA.Run(sim.RunConfig{
 				Scheduler: NewScheduler(spec.Scheduler), MaxRounds: maxRounds,
-				QuiesceRounds: window, ActiveKinds: ops.kinds,
+				QuiesceRounds: window, ActiveKinds: core.ReductionKinds(),
 				OnRound: func(int) bool {
 					fpsA = append(fpsA, netA.LastFingerprint())
 					return true
@@ -140,7 +141,7 @@ func TestEventRoundViewMatchesLegacyLoop(t *testing.T) {
 			var execd []exec
 			resB := netB.RunEvents(sim.EventConfig{
 				Policy: sim.EventPolicySync, MaxRounds: maxRounds,
-				QuiesceRounds: window, ActiveKinds: ops.kinds,
+				QuiesceRounds: window, ActiveKinds: core.ReductionKinds(),
 				OnRound: func(r int) bool {
 					execd = append(execd, exec{r, netB.LastFingerprint()})
 					return true

@@ -32,6 +32,7 @@ import (
 	"slices"
 	"time"
 
+	"mdst/internal/auditlog"
 	"mdst/internal/core"
 	"mdst/internal/detect"
 	"mdst/internal/graph"
@@ -460,14 +461,13 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 	quiesceRetry := ops.cfg.EffectiveRetryPeriod()
 	var windowFn func() int
 	if ops.cfg.Retry == core.RetryBackoff {
-		flat := ops.cfg
-		flat.Retry = core.RetrySuppress
-		quiesceRetry = flat.EffectiveRetryPeriod()
+		quiesceRetry = ops.cfg.PruneWindow()
 		windowFn = func() int {
 			return QuiesceWindowRounds(n, net.MaxRetryPeriod(quiesceRetry))
 		}
 	}
 	quiesceRounds := QuiesceWindowRounds(n, quiesceRetry)
+	kinds := core.ReductionKinds()
 
 	// Per-round hooks compose: safety tracking, audit round stamping and
 	// metrics sampling all ride the one OnRound callback (every hook
@@ -519,7 +519,7 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 			lastEpoch = epoch
 			byKind := maps.Clone(net.Metrics().SentByKind)
 			var sent, pending int64
-			for _, k := range ops.kinds {
+			for _, k := range kinds {
 				sent += byKind[k]
 				pending += int64(net.PendingKind(k))
 			}
@@ -579,7 +579,7 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 			MaxRounds:     maxRounds,
 			QuiesceRounds: quiesceRounds,
 			QuiesceWindow: windowFn,
-			ActiveKinds:   ops.kinds,
+			ActiveKinds:   kinds,
 			OnRound:       onRound,
 		})
 	} else {
@@ -588,7 +588,7 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 			MaxRounds:     maxRounds,
 			QuiesceRounds: quiesceRounds,
 			QuiesceWindow: windowFn,
-			ActiveKinds:   ops.kinds,
+			ActiveKinds:   kinds,
 			OnRound:       onRound,
 		})
 	}
@@ -601,26 +601,13 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 		// off by MaxRounds a partial one.
 		sample(uint64(res.Rounds), net.LastFingerprint())
 	}
-	st := core.AggregateStats(nodes)
-	out := Result{
-		Backend:            BackendSim,
-		Converged:          res.Converged,
-		Rounds:             res.Rounds,
-		LastChange:         res.LastChangeRound,
-		Legit:              core.CheckLegitimacy(g, nodes),
-		Metrics:            net.Metrics(),
-		MaxStateBits:       net.MaxStateBits(),
-		BrokenRounds:       broken,
-		Dropped:            net.Dropped(),
-		Exchanges:          st.ExchangesComplete,
-		Aborts:             st.Aborted(),
-		SearchesSuppressed: st.SearchesSuppressed,
-		WallTime:           time.Since(begin),
-	}
-	if rec != nil {
-		out.AuditChain = rec.ChainHead()
-		out.AuditRecords = rec.Len()
-	}
+	out := readStopped(BackendSim, g, nodes, rec, begin)
+	out.Converged = res.Converged
+	out.Rounds = res.Rounds
+	out.LastChange = res.LastChangeRound
+	out.Metrics = net.Metrics()
+	out.BrokenRounds = broken
+	out.Dropped = net.Dropped()
 	for _, c := range out.Metrics.SentByKind {
 		out.TotalMessages += c
 	}
@@ -632,7 +619,7 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 		// counters are equal by construction — Run only declares
 		// quiescence once the active kinds drained.
 		var activeSent int64
-		for _, k := range ops.kinds {
+		for _, k := range kinds {
 			activeSent += out.Metrics.SentByKind[k]
 		}
 		certWindow := quiesceRounds
@@ -653,6 +640,28 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 			Received:    activeSent,
 		}
 	}
+	return out
+}
+
+// readStopped reads a run's stopped nodes into a Result, for both
+// drivers: legitimacy, the protocol counters, the largest node state,
+// the audit chain head and the tree. WallTime is stamped before the
+// tree is extracted, so it spans the run and its legitimacy check.
+func readStopped(b Backend, g *graph.Graph, nodes []*core.Node, rec *auditlog.Recorder, begin time.Time) Result {
+	st := core.AggregateStats(nodes)
+	out := Result{
+		Backend:            b,
+		Legit:              core.CheckLegitimacy(g, nodes),
+		MaxStateBits:       sim.MaxStateBitsOf(nodes),
+		Exchanges:          st.ExchangesComplete,
+		Aborts:             st.Aborted(),
+		SearchesSuppressed: st.SearchesSuppressed,
+	}
+	if rec != nil {
+		out.AuditChain = rec.ChainHead()
+		out.AuditRecords = rec.Len()
+	}
+	out.WallTime = time.Since(begin)
 	if t, err := core.ExtractTree(g, nodes); err == nil {
 		out.Tree = t
 	}

@@ -131,22 +131,19 @@ func TestRunRespectsMaxRounds(t *testing.T) {
 	}
 }
 
+// A custom Config reaches the nodes: under RetrySuppress they prune
+// duplicate searches, which the default paper schedule never does.
 func TestRunCustomConfig(t *testing.T) {
 	g := graph.Wheel(8)
 	cfg := core.DefaultConfig(8)
-	cfg.DisableReduction = true
+	cfg.Retry = core.RetrySuppress
 	res := MustRun(RunSpec{Graph: g, Config: cfg, Scheduler: SchedSync,
-		Start: StartClean, Seed: 8})
-	if !res.Converged {
-		t.Fatal("no convergence")
+		Start: StartCorrupt, Seed: 8})
+	if !res.Converged || !res.Legit.OK() {
+		t.Fatalf("no convergence: %+v", res.Legit)
 	}
-	// Reduction disabled: the tree is the BFS tree (degree 7), and the
-	// fixed-point component of legitimacy fails by design.
-	if res.Tree == nil || res.Tree.MaxDegree() != 7 {
-		t.Fatalf("expected unreduced star tree, got %v", res.Tree)
-	}
-	if res.Legit.FixedPoint {
-		t.Fatal("unreduced wheel tree cannot be a fixed point")
+	if res.SearchesSuppressed <= 0 {
+		t.Fatalf("SearchesSuppressed = %d under RetrySuppress, want > 0", res.SearchesSuppressed)
 	}
 }
 

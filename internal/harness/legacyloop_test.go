@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mdst/internal/core"
 	"mdst/internal/graph"
 	"mdst/internal/sim"
 )
@@ -39,7 +40,7 @@ func TestRunMatchesLegacyLoopReplica(t *testing.T) {
 				Scheduler:     NewScheduler(spec.Scheduler),
 				MaxRounds:     maxRounds,
 				QuiesceRounds: window,
-				ActiveKinds:   ops.kinds,
+				ActiveKinds:   core.ReductionKinds(),
 				OnRound: func(int) bool {
 					fpsA = append(fpsA, netA.LastFingerprint())
 					return true
@@ -69,7 +70,7 @@ func TestRunMatchesLegacyLoopReplica(t *testing.T) {
 					stable++
 				}
 				drained := true
-				for _, k := range ops.kinds {
+				for _, k := range core.ReductionKinds() {
 					if netB.PendingKind(k) > 0 {
 						drained = false
 						break

@@ -10,15 +10,13 @@ import (
 )
 
 // variantOps is what a run's protocol variant decides: the resolved
-// configuration, the node constructor (which fixes the edge exchange)
-// and the message kinds that must drain at quiescence. Every backend
-// builds its processes through factory and then works on the resulting
-// []*core.Node directly, so run orchestration is written once for both
-// exchanges.
+// configuration and the node constructor (which fixes the edge
+// exchange). Every backend builds its processes through factory and
+// then works on the resulting []*core.Node directly, so run
+// orchestration is written once for both exchanges.
 type variantOps struct {
 	cfg     core.Config
 	factory func(id sim.NodeID, nbrs []sim.NodeID) sim.Process
-	kinds   []string
 }
 
 // ProtocolConfig is the node configuration a run of the spec executes
@@ -34,16 +32,15 @@ func (s RunSpec) ProtocolConfig() core.Config {
 // variantFor resolves the spec's protocol variant to its operation set.
 func variantFor(spec RunSpec) variantOps {
 	cfg := spec.ProtocolConfig()
-	newNode, kinds := core.NewNode, core.ReductionKinds()
+	newNode := core.NewNode
 	if spec.Variant == VariantLiteral {
-		newNode, kinds = core.NewLiteralNode, core.LiteralReductionKinds()
+		newNode = core.NewLiteralNode
 	}
 	return variantOps{
 		cfg: cfg,
 		factory: func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
 			return newNode(id, nbrs, cfg)
 		},
-		kinds: kinds,
 	}
 }
 

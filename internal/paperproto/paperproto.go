@@ -33,5 +33,5 @@ func ExtractTree(g *graph.Graph, nodes []*Node) (*spanning.Tree, error) {
 // AggregateStats is core.AggregateStats.
 func AggregateStats(nodes []*Node) core.Stats { return core.AggregateStats(nodes) }
 
-// ReductionKinds is core.LiteralReductionKinds.
-func ReductionKinds() []string { return core.LiteralReductionKinds() }
+// ReductionKinds is core.ReductionKinds.
+func ReductionKinds() []string { return core.ReductionKinds() }

@@ -1,6 +1,7 @@
 package paperproto_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestStateBitsMatchesAccounting(t *testing.T) {
 	cfg := core.DefaultConfig(6)
 	net := buildNetwork(g, cfg, 1)
 	for _, nd := range nodesOf(net) {
-		want := (6 + 7*5) * cfg.WordBits
+		want := (6 + 7*5) * bits.Len(uint(cfg.MaxDist))
 		if nd.StateBits() != want {
 			t.Fatalf("StateBits %d, want %d", nd.StateBits(), want)
 		}
@@ -242,7 +243,7 @@ func TestSearchGuardDropsWhenNotStabilized(t *testing.T) {
 // suppression life cycle through the node's own Tick-driven launches:
 // while the state version is a fixed point, every full window that
 // lapses before an equivalent launch doubles the pruning window
-// (4 → 8 → 16 → 32, saturating at BackoffCapWindow), and a neighbor
+// (4 → 8 → 16 → 32 → 64, saturating at BackoffCapWindow), and a neighbor
 // version bump at the deepest tier resets the schedule to the base.
 // SearchPeriod 1 makes the edge due on every tick, so the pruner alone
 // decides whether a tick launches.
@@ -251,8 +252,6 @@ func TestBackoffDeepensToCapAndNeighborBumpResets(t *testing.T) {
 	cfg := core.DefaultConfig(8)
 	cfg.Retry = core.RetryBackoff
 	cfg.SearchPeriod = 1
-	cfg.SuppressWindow = 4
-	cfg.BackoffCap = 32
 	net := buildNetwork(g, cfg, 1)
 	// The BFS star keeps dmax above 2, so ticks launch searches at all.
 	tree := spanning.BFSTree(g, 0)
@@ -294,7 +293,7 @@ func TestBackoffDeepensToCapAndNeighborBumpResets(t *testing.T) {
 	}
 
 	for i, want := range []struct{ window, next int }{
-		{4, 8}, {8, 16}, {16, 32}, {32, 32},
+		{4, 8}, {8, 16}, {16, 32}, {32, 64}, {64, 64},
 	} {
 		if got := nd.CurrentRetryPeriod(); got != want.window {
 			t.Fatalf("step %d: retry period %d, want %d", i, got, want.window)
@@ -365,18 +364,17 @@ func TestDeterministicExecution(t *testing.T) {
 }
 
 // TestSteadyGossipAllocsPerTick is the literal node's allocation gate
-// for gossip: a steady sync round on a converged wheel with reduction
-// off allocates nothing (the repeated InfoMsg box is re-sent).
+// for gossip: on a converged ring the tree is a path (dmax = 2), so no
+// search launches and a steady sync round allocates nothing (the
+// repeated InfoMsg box is re-sent).
 func TestSteadyGossipAllocsPerTick(t *testing.T) {
-	g := graph.Wheel(16)
-	cfg := core.DefaultConfig(g.N())
-	cfg.DisableReduction = true
-	net := buildNetwork(g, cfg, 3)
+	g := graph.Ring(16)
+	net := buildNetwork(g, core.DefaultConfig(g.N()), 3)
 	sched := sim.NewSyncScheduler()
 	res := net.Run(sim.RunConfig{Scheduler: sched, MaxRounds: 2000,
 		QuiesceRounds: 56, ActiveKinds: core.ReductionKinds()})
 	if !res.Converged {
-		t.Fatal("wheel did not converge")
+		t.Fatal("ring did not converge")
 	}
 	allocs := testing.AllocsPerRun(20, func() { sched.RunRound(net) })
 	if allocs > 0 {

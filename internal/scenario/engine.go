@@ -453,12 +453,11 @@ func aggregate(results []RunResult) *Matrix {
 
 // RenderTable returns an aligned plain-text rendering of the cell table.
 func (m *Matrix) RenderTable() string {
-	cols := []string{"family", "n", "sched", "start", "variant", "backend",
+	t := &Table{Columns: []string{"family", "n", "sched", "start", "variant", "backend",
 		"engine", "retry", "fault", "runs", "conv", "legit", "rounds(avg)", "rounds(max)",
-		"msgs(avg)", "suppr(avg)", "deg", "bound", "within"}
-	rows := make([][]string, 0, len(m.Cells))
+		"msgs(avg)", "suppr(avg)", "deg", "bound", "within"}}
 	for _, c := range m.Cells {
-		rows = append(rows, []string{
+		t.Rows = append(t.Rows, []string{
 			c.Family, fmt.Sprintf("%d", c.Nodes), c.Scheduler, c.Start,
 			c.Variant, c.BackendName(), c.EngineName(), c.Retry().String(), c.Fault,
 			fmt.Sprintf("%d", c.Runs),
@@ -469,39 +468,7 @@ func (m *Matrix) RenderTable() string {
 			fmt.Sprintf("%d", c.DegreeBound), fmt.Sprintf("%v", c.WithinBound),
 		})
 	}
-	widths := make([]int, len(cols))
-	for i, c := range cols {
-		widths[i] = len(c)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(cols)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range rows {
-		writeRow(row)
-	}
-	return b.String()
+	return t.Render()
 }
 
 // CSV returns a comma-separated rendering of the cell table.

@@ -662,10 +662,6 @@ func (n *Network) StateVersions() []uint64 {
 	return out
 }
 
-// MaxStateBits returns the maximum StateBits over all processes, or 0 if
-// unsupported.
-func (n *Network) MaxStateBits() int { return MaxStateBitsOf(n.procs) }
-
 // MaxRetryPeriod returns the maximum CurrentRetryPeriod over processes
 // implementing RetryAware, or def when none do. Pure reads — safe from
 // run-loop observers and deterministic for a seeded run.

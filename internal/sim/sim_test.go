@@ -139,8 +139,8 @@ func TestMetricsAccounting(t *testing.T) {
 	if m.MaxMsgSize != 1 || m.MaxMsgSizeKind != "min" {
 		t.Fatalf("max size %d kind %q", m.MaxMsgSize, m.MaxMsgSizeKind)
 	}
-	if net.MaxStateBits() != 64 {
-		t.Fatalf("state bits %d", net.MaxStateBits())
+	if b := MaxStateBitsOf(net.procs); b != 64 {
+		t.Fatalf("state bits %d", b)
 	}
 }
 
