@@ -46,9 +46,16 @@ test:
 
 # -short skips the full 108-run differential matrix under the race
 # detector (the plain `test` target runs it undetected; race coverage
-# of the engine comes from its smaller concurrency tests).
+# of the engine comes from its smaller concurrency tests). The second
+# job repeats the tcp transport's tests ten times under the detector:
+# a direction's pending slice is shared by its node loop, its writer
+# and killLink. It goes through smoke_run (see smoke), so a renamed
+# test fails the job.
+RACE_TRANSPORT = TestDeadWriterSettlesDeficit|TestWriterFlushPolicy|TestSendPathsWithBatching|TestHelloDecoderHandoffSurvivesBurst
+
 race:
 	$(GO) test -race -short $(RACE_PKGS)
+	$(call smoke_run,$(RACE_TRANSPORT),./internal/netrun/,-race -count=10)
 
 # Backend smoke: the live (goroutine/channel) and tcp (loopback socket)
 # execution backends each drive a tiny run end to end through the shared

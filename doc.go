@@ -111,10 +111,15 @@
 //
 // The tcp backend's transport coalesces frames per link
 // (netrun.Config.BatchSize/BatchMaxWait, harness.BackendTuning,
-// `mdstmatrix -batch/-batchwait`, `mdstnet -batch/-batchwait`): each
-// edge direction's writer packs up to batch-size queued messages into
-// one frame — flushed on batch-size or max-wait, one write per frame —
-// so batch size 1 sends one message per frame. Frames use netrun's
+// `mdstmatrix -batch/-batchwait`, `mdstnet -batch/-batchwait`), and the
+// frame is the unit at every goroutine hop: a send appends to the edge
+// direction's pending slice and wakes its writer only when a frame
+// opens or fills; the writer holds a partial frame for at most
+// max-wait, then writes what is pending as frames of up to batch-size
+// messages, one write per frame; the reader hands each decoded frame to
+// the receiving node's inbox as one sim.Envelope, whose messages
+// sim.Board.Loop receives in order, posting after each. Batch size 1
+// sends one message per frame. Frames use netrun's
 // fixed-layout codec (internal/netrun/codec.go): a message count, then
 // per message a one-byte type tag and its fields as varints; the sender
 // is known from the connection, not carried. One bufio.Reader reads

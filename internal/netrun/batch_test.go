@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -38,7 +39,8 @@ func (p *pinger) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {}
 // batching writer produces), a second reader on the conn would read
 // from after the buffered bytes and lose every buffered frame. This
 // test drives the handoff directly and fails by timeout under a
-// two-reader accept path.
+// two-reader accept path. Each frame must also reach the inbox as one
+// envelope: its three messages together, in wire order, from the peer.
 func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	g := graph.Path(2)
 	c := NewCluster(g, func(id int, nbrs []int) sim.Process {
@@ -48,11 +50,7 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	// inbox is inspected directly).
 	c.stop = make(chan struct{})
 	defer close(c.stop)
-	c.inbox = []chan sim.Envelope{make(chan sim.Envelope, 64), make(chan sim.Envelope, 64)}
-	c.outbox = []map[int]*sendLink{
-		{1: &sendLink{q: make(chan sim.Message, 8)}},
-		{0: &sendLink{q: make(chan sim.Message, 8)}},
-	}
+	c.makeLinks()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -75,12 +73,16 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	server := <-acceptedCh
 	defer server.Close()
 
-	// Dialer: hello + 5 frames back-to-back in ONE Write — the burst the
-	// hello reader will buffer past the hello.
-	const burst = 5
+	// Dialer: hello + 5 frames of 3 messages back-to-back in ONE Write —
+	// the burst the hello reader will buffer past the hello.
+	const burst, perFrame = 5, 3
 	wire := appendHello(nil, 1)
 	for i := 0; i < burst; i++ {
-		wire = appendFrame(wire, []sim.Message{core.UpdateDistMsg{Dist: i}})
+		frame := make([]sim.Message, perFrame)
+		for k := range frame {
+			frame[k] = core.UpdateDistMsg{Dist: i*perFrame + k}
+		}
+		wire = appendFrame(wire, frame)
 	}
 	if _, err := client.Write(wire); err != nil {
 		t.Fatal(err)
@@ -103,13 +105,18 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 		select {
 		case env := <-c.inbox[0]:
 			if env.From != 1 {
-				t.Fatalf("message %d delivered from %d, want 1", i, env.From)
+				t.Fatalf("frame %d delivered from %d, want 1", i, env.From)
 			}
-			if got := env.Msg.(core.UpdateDistMsg).Dist; got != i {
-				t.Fatalf("message %d out of order: dist %d", i, got)
+			if len(env.Msgs) != perFrame {
+				t.Fatalf("frame %d delivered as an envelope of %d messages, want %d", i, len(env.Msgs), perFrame)
+			}
+			for k, m := range env.Msgs {
+				if got := m.(core.UpdateDistMsg).Dist; got != i*perFrame+k {
+					t.Fatalf("frame %d message %d out of order: dist %d", i, k, got)
+				}
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("message %d of %d never arrived: the hello reader's buffered bytes were lost", i, burst)
+			t.Fatalf("frame %d of %d never arrived: the hello reader's buffered bytes were lost", i, burst)
 		}
 	}
 }
@@ -292,16 +299,13 @@ func TestStartRejectsBogusHello(t *testing.T) {
 // --- Wire format ---------------------------------------------------------
 
 // writeWire runs one writer at the given batch size over msgs, all
-// queued before it starts, and returns what it put on the wire and how
+// pending before it starts, and returns what it put on the wire and how
 // many frames it counted.
 func writeWire(t *testing.T, batchSize int, msgs []sim.Message) ([]byte, int64) {
 	t.Helper()
 	c := &Cluster{cfg: Config{BatchSize: batchSize}}
-	link := &sendLink{q: make(chan sim.Message, len(msgs))}
-	for _, m := range msgs {
-		link.q <- m
-	}
-	// A closed stop makes the writer flush its queue and return.
+	link := &sendLink{pending: msgs, wake: make(chan struct{}, 1)}
+	// A closed stop makes the writer flush what is pending and return.
 	stop := make(chan struct{})
 	close(stop)
 	var wire bytes.Buffer
@@ -362,36 +366,193 @@ func TestBatchWireFormatPinned(t *testing.T) {
 	}
 }
 
-// A full outbox must still drop (not block) with the batching layer in
-// place, and a dead link must drop at send.
+// A full direction must drop (not block) once outboxSize messages are
+// pending, and a dead direction must drop at send; neither drop counts
+// as sent.
 func TestSendPathsWithBatching(t *testing.T) {
 	g := graph.Path(2)
 	c := NewCluster(g, func(id int, nbrs []int) sim.Process {
 		return &pinger{}
 	}, Config{BatchSize: 4})
-	c.inbox = []chan sim.Envelope{make(chan sim.Envelope, 4), make(chan sim.Envelope, 4)}
-	c.outbox = []map[int]*sendLink{
-		{1: &sendLink{q: make(chan sim.Message, 2)}},
-		{0: &sendLink{q: make(chan sim.Message, 2)}},
-	}
-	// No writer is draining: the third send overflows the queue.
-	for i := 0; i < 3; i++ {
+	c.makeLinks()
+	// No writer is draining: the send past outboxSize overflows.
+	for i := 0; i <= outboxSize; i++ {
 		c.send(0, 1, core.UpdateDistMsg{Dist: i})
 	}
 	if got := c.Dropped(); got != 1 {
 		t.Fatalf("overflow dropped %d messages, want 1", got)
 	}
-	if got := c.Sent(); got != 2 {
-		t.Fatalf("sent %d, want 2", got)
+	if got := c.Sent(); got != outboxSize {
+		t.Fatalf("sent %d, want %d", got, outboxSize)
 	}
-	// A dead link drops every send without touching the queue.
-	c.outbox[0][1].dead.Store(true)
-	c.send(0, 1, core.UpdateDistMsg{Dist: 9})
+	// A dead link drops every send without touching the pending slice.
+	link := c.link(0, 1)
+	link.mu.Lock()
+	link.dead = true
+	link.mu.Unlock()
+	c.send(0, 1, core.UpdateDistMsg{Dist: -1})
 	if got := c.Dropped(); got != 2 {
 		t.Fatalf("dead-link send dropped %d total, want 2", got)
 	}
-	if got := c.Sent(); got != 2 {
+	if got := c.Sent(); got != outboxSize {
 		t.Fatalf("dead-link send was counted sent (%d)", got)
+	}
+	if got := link.pendingLen(); got != outboxSize {
+		t.Fatalf("dead-link send left %d pending, want %d", got, outboxSize)
+	}
+}
+
+// frameSink is a writer's connection in the flush-policy test: it
+// decodes every write as one whole frame and passes it on.
+type frameSink struct {
+	t      *testing.T
+	frames chan []sim.Message
+}
+
+func (s frameSink) Write(p []byte) (int, error) {
+	r := bytes.NewReader(p)
+	msgs, err := readFrame(r, nil)
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("%d bytes past its frame", r.Len())
+	}
+	if err != nil {
+		s.t.Errorf("a write is not one whole frame: %v", err)
+		return 0, err
+	}
+	s.frames <- msgs
+	return len(p), nil
+}
+
+// The writer's flush rule, at BatchSize 4: a frame leaves when it fills
+// or its hold ends, and Stop flushes a partial one. Each row queues its
+// first messages, starts the writer and lets it take their wake before
+// sending the rest or stopping it. Holds are either 10 s, far beyond
+// the 5 s the test waits for a frame, or 50 ms, which a timer never
+// undercuts, so no row depends on the scheduler's timing.
+func TestWriterFlushPolicy(t *testing.T) {
+	const hold, within = 10 * time.Second, 5 * time.Second
+	for _, tc := range []struct {
+		name      string
+		wait      time.Duration // BatchMaxWait
+		queued    int           // sent before the writer starts
+		sent      int           // sent after it started
+		stop      bool          // Stop after sending
+		notBefore time.Duration // no frame leaves sooner after the first send
+		frames    []int         // the sizes of the frames written, in order
+	}{
+		{"a full frame skips the hold", hold, 1, 3, false, 0, []int{4}},
+		{"a partial frame waits out the hold", 50 * time.Millisecond, 2, 0, false, 50 * time.Millisecond, []int{2}},
+		{"stop flushes a partial frame", hold, 2, 0, true, 0, []int{2}},
+		{"a backlog splits at BatchSize", hold, 6, 0, false, 0, []int{4, 2}},
+		{"no hold sends what is queued at once", 0, 3, 0, false, 0, []int{3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(graph.Path(2), func(id int, nbrs []int) sim.Process {
+				return &pinger{}
+			}, Config{BatchSize: 4, BatchMaxWait: tc.wait})
+			c.makeLinks()
+			dist := 0
+			sendN := func(n int) {
+				for ; n > 0; n-- {
+					c.send(0, 1, core.UpdateDistMsg{Dist: dist})
+					dist++
+				}
+			}
+			first := time.Now()
+			sendN(tc.queued)
+			// One slot per message: room for every non-empty frame the
+			// writer could write, so a wrong one shows instead of blocking.
+			sink := frameSink{t, make(chan []sim.Message, tc.queued+tc.sent)}
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			link := c.link(0, 1)
+			go func() {
+				defer close(done)
+				c.writeLoop(0, 1, link, sink, stop)
+			}()
+			// Once the writer took the wake of the first message, it holds
+			// the frame (or flushes a full one); only then send the rest.
+			for len(link.wake) != 0 {
+				runtime.Gosched()
+			}
+			sendN(tc.sent)
+			if tc.stop {
+				close(stop)
+			}
+			next := 0
+			for i, size := range tc.frames {
+				select {
+				case msgs := <-sink.frames:
+					if i == 0 && time.Since(first) < tc.notBefore {
+						t.Fatalf("frame left %v after the first send, before the %v hold", time.Since(first), tc.notBefore)
+					}
+					if len(msgs) != size {
+						t.Fatalf("frame %d carries %d messages, want %d", i, len(msgs), size)
+					}
+					for _, m := range msgs {
+						if got := m.(core.UpdateDistMsg).Dist; got != next {
+							t.Fatalf("frame %d carries dist %d, want %d", i, got, next)
+						}
+						next++
+					}
+				case <-time.After(within):
+					t.Fatalf("frame %d of %d not written within %v", i, len(tc.frames), within)
+				}
+			}
+			if !tc.stop {
+				close(stop)
+			}
+			<-done
+			if len(sink.frames) != 0 {
+				t.Fatalf("the writer wrote %d frames more than %v", len(sink.frames), tc.frames)
+			}
+			if got := c.FramesWritten(); got != int64(len(tc.frames)) {
+				t.Fatalf("counted %d frames, want %d", got, len(tc.frames))
+			}
+		})
+	}
+}
+
+// The transport's allocation gates. After warm-up one direction's send
+// → take → encode → write cycle allocates nothing: the pending slice
+// and the writer's spare alternate, and the encode buffer is reused.
+// The reader's decode of a frame of k messages into a fresh slice
+// allocates k+1 times: each message's interface box and the one slice
+// the envelope carries.
+func TestTransportAllocs(t *testing.T) {
+	c := NewCluster(graph.Path(2), func(id int, nbrs []int) sim.Process {
+		return &pinger{}
+	}, Config{BatchSize: 16, ActiveKinds: []string{core.KindInfo}})
+	c.makeLinks()
+	link := c.link(0, 1)
+	msgs := gossipFrame()
+	var spare []sim.Message
+	var buf []byte
+	cycle := func() {
+		for _, m := range msgs {
+			c.send(0, 1, m)
+		}
+		var err error
+		if spare, buf, err = c.flush(0, 1, link, io.Discard, spare, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm-up: the pending slice, the spare and the buffer grow once
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a send → take → encode → write cycle of %d messages allocates %.1f times, want 0", len(msgs), allocs)
+	}
+
+	wire := appendFrame(nil, msgs)
+	r := bytes.NewReader(wire)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(wire)
+		if _, err := readFrame(r, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(len(msgs) + 1); allocs != want {
+		t.Fatalf("decoding a frame of %d InfoMsg into a fresh slice allocates %.1f times, want %.0f", len(msgs), allocs, want)
 	}
 }
 

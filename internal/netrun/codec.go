@@ -18,10 +18,12 @@ package netrun
 //     active-kind sent and received counters as zigzag varints.
 //
 // Decoding rejects an unknown tag, a bool byte other than 0 or 1,
-// truncated input and a length above maxWireLen. Slices grow by append
-// from a small capacity, so what a forged length allocates grows with
-// the bytes that actually follow it, not with the length. A nil or
-// empty slice decodes as nil.
+// truncated input and a length above maxWireLen. Slices inside a
+// message grow by append from a small capacity, so what a forged length
+// allocates grows with the bytes that actually follow it, not with the
+// length; a frame's message slice is sized to its count up front, but
+// to at most framePrealloc messages. A nil or empty slice decodes as
+// nil.
 
 import (
 	"encoding/binary"
@@ -55,6 +57,12 @@ const maxWireLen = 1 << 20
 // initialCap is the capacity a decoded slice starts from before it
 // grows by append.
 const initialCap = 16
+
+// framePrealloc caps the capacity a frame's count reserves: a frame of
+// up to that many messages decodes into one slice of its exact size,
+// and a forged count reserves at most 16 KB before the missing bytes
+// fail it.
+const framePrealloc = 1024
 
 func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
 
@@ -283,11 +291,16 @@ func (d *wireReader) msg() sim.Message {
 	}
 }
 
-// readFrame decodes one frame into msgs[:0] and returns the slice. On
-// an error the returned messages are meaningless.
+// readFrame decodes one frame and returns its messages: into msgs[:0]
+// when msgs can hold them all, else into one new slice (so a nil msgs
+// costs one slice per frame, besides the messages). On an error the
+// returned messages are meaningless.
 func readFrame(r io.ByteReader, msgs []sim.Message) ([]sim.Message, error) {
 	d := wireReader{r: r}
 	n := d.length()
+	if cap(msgs) < n {
+		msgs = make([]sim.Message, 0, min(n, framePrealloc))
+	}
 	msgs = msgs[:0]
 	for i := 0; i < n && d.err == nil; i++ {
 		msgs = append(msgs, d.msg())

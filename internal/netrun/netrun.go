@@ -7,11 +7,16 @@
 //
 // The wire carries one fixed-layout format (codec.go): each message is
 // a one-byte type tag and its fields as varints, about as many bytes as
-// its O(log n)-bit words. Each per-direction writer sends frames of up
-// to Config.BatchSize queued messages, flushed on batch-size or
-// max-wait, so one node tick costs at most one syscall per neighbor
-// (see batch.go); at batch size 1 (the default) every frame carries one
-// message. Exactly one bufio.Reader reads a connection for its
+// its O(log n)-bit words. The frame, not the message, is the unit at
+// every goroutine hop (batch.go). A node's send appends to the
+// direction's pending slice and wakes its writer only when a frame
+// opens or reaches Config.BatchSize; the writer holds a partial frame
+// for at most Config.BatchMaxWait, then writes everything pending as
+// frames of at most BatchSize messages, one conn.Write each, so one
+// node tick costs at most one syscall per neighbor. At batch size 1
+// (the default) every frame carries one message. The reader hands each
+// decoded frame to the receiving node's inbox, a channel of frames, as
+// one sim.Envelope. Exactly one bufio.Reader reads a connection for its
 // lifetime — it reads ahead, so a second reader on the same conn would
 // silently lose buffered bytes (the hello handshake hands its reader to
 // the edge reader for exactly this reason).
@@ -45,6 +50,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,8 +74,8 @@ type Config struct {
 	ActiveKinds []string
 	// BatchSize caps how many messages one wire frame may carry
 	// (default 1: one message per frame). Above 1 each per-direction
-	// writer coalesces queued messages into multi-message frames — see
-	// batch.go for the format and the flush policy.
+	// writer coalesces pending messages into multi-message frames — see
+	// batch.go for the flush rule and codec.go for the format.
 	BatchSize int
 	// BatchMaxWait bounds how long a partially filled frame may stay
 	// open for further messages after its first (0: flush immediately
@@ -79,11 +85,21 @@ type Config struct {
 	BatchMaxWait time.Duration
 }
 
-// outboxSize is the per-direction send buffer in messages. A full
-// outbox drops the newest message — over TCP the protocol's periodic
-// gossip refreshes any lost state, and dropping beats deadlocking the
-// node loop.
+// outboxSize caps the messages pending on one direction, its outbox. A
+// full outbox drops the newest message — over TCP the protocol's
+// periodic gossip refreshes any lost state, and dropping beats blocking
+// the node loop.
 const outboxSize = 1024
+
+// inboxFrames is a node's inbox capacity in frames. A reader that finds
+// the inbox full stops reading its socket, so back-pressure reaches the
+// peer's writer through TCP flow control and, past outboxSize, its
+// drops; the inbox only fills when the node loop falls behind. The loop
+// takes a whole frame per wake, and a neighbor's writer sends about one
+// frame per tick at steady state, so 256 frames (8 KB per node) hold
+// many ticks of traffic from every neighbor at the degrees the cluster
+// runs.
+const inboxFrames = 256
 
 // helloTimeout bounds the accept side's wait for a dialer's hello. A
 // real dialer writes its hello right after connecting, so a peer that
@@ -113,7 +129,7 @@ type Cluster struct {
 	writers sync.WaitGroup // edge writers
 	wg      sync.WaitGroup // readers and the control channel
 	inbox   []chan sim.Envelope
-	outbox  []map[int]*sendLink // node -> neighbor -> send direction
+	outbox  [][]sendLink // node -> its directions, aligned with g.Neighbors(node)
 	lns     []net.Listener
 	conns   []net.Conn
 	dropped atomic.Int64
@@ -133,7 +149,8 @@ type Cluster struct {
 	ctlConns []net.Conn
 }
 
-// Dropped returns the number of messages dropped by full outboxes.
+// Dropped returns the number of messages dropped by full or dead
+// outboxes.
 func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
 
 // Sent returns the number of messages accepted onto outboxes so far.
@@ -210,17 +227,9 @@ func (c *Cluster) Start() error {
 	// with its connections, so they are settled (lost), not in flight.
 	// Counters are frozen while stopped, so this is race-free.
 	c.board.Rebaseline()
-	c.inbox = make([]chan sim.Envelope, n)
-	c.outbox = make([]map[int]*sendLink, n)
+	c.makeLinks()
 	c.lns = make([]net.Listener, n)
 	c.conns = nil
-	for id := 0; id < n; id++ {
-		c.inbox[id] = make(chan sim.Envelope, 4096)
-		c.outbox[id] = make(map[int]*sendLink, len(c.g.Neighbors(id)))
-		for _, u := range c.g.Neighbors(id) {
-			c.outbox[id][u] = &sendLink{q: make(chan sim.Message, outboxSize)}
-		}
-	}
 
 	addrs := make([]string, n)
 	for id := 0; id < n; id++ {
@@ -257,7 +266,7 @@ func (c *Cluster) Start() error {
 	// bytes this one buffered past the hello — rare at one frame per
 	// message, near-certain once batching packs frames back-to-back.
 	// A hello that names anything but a lower-ID neighbor not yet
-	// connected fails Start (bugfix): its direction has no outbox, or
+	// connected fails Start (bugfix): its direction does not exist, or
 	// already has a writer. So does a hello that does not arrive within
 	// helloTimeout (bugfix): a silent peer held Start until it closed.
 	type accepted struct {
@@ -379,15 +388,40 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
-// startEdge launches the writer (draining me's outbox toward peer,
-// coalescing per batch.go) and the reader (decoding the peer's frames
-// into me's inbox) for one direction pair of an edge connection. br
-// must be the connection's ONLY reader — the accept path hands over the
-// one that already read the hello, because a fresh reader would lose
-// whatever that one buffered ahead.
+// makeLinks builds a phase's inboxes and send directions. A direction's
+// pending slice grows on demand, so a quiet phase allocates no buffers.
+func (c *Cluster) makeLinks() {
+	n := c.g.N()
+	c.inbox = make([]chan sim.Envelope, n)
+	c.outbox = make([][]sendLink, n)
+	for id := 0; id < n; id++ {
+		c.inbox[id] = make(chan sim.Envelope, inboxFrames)
+		c.outbox[id] = make([]sendLink, len(c.g.Neighbors(id)))
+		for i := range c.outbox[id] {
+			c.outbox[id][i].wake = make(chan struct{}, 1)
+		}
+	}
+}
+
+// link returns the direction from node from to node to. A send to a
+// non-neighbor is a programming error, so it panics.
+func (c *Cluster) link(from, to int) *sendLink {
+	i, ok := slices.BinarySearch(c.g.Neighbors(from), to)
+	if !ok {
+		panic(fmt.Sprintf("netrun: node %d sent to non-neighbor %d", from, to))
+	}
+	return &c.outbox[from][i]
+}
+
+// startEdge launches the writer (flushing me's direction toward peer
+// per batch.go) and the reader (decoding the peer's frames into me's
+// inbox) for one direction pair of an edge connection. br must be the
+// connection's ONLY reader — the accept path hands over the one that
+// already read the hello, because a fresh reader would lose whatever
+// that one buffered ahead.
 func (c *Cluster) startEdge(me, peer int, conn net.Conn, br *bufio.Reader) {
 	stop := c.stop
-	link := c.outbox[me][peer]
+	link := c.link(me, peer)
 	in := c.inbox[me]
 	c.writers.Add(1)
 	go func() { // writer: me -> peer
@@ -399,33 +433,6 @@ func (c *Cluster) startEdge(me, peer int, conn net.Conn, br *bufio.Reader) {
 		defer c.wg.Done()
 		c.readLoop(in, peer, br, stop)
 	}()
-}
-
-// send enqueues a message on the per-direction outbox; a full outbox
-// drops the message (gossip repair handles the loss).
-func (c *Cluster) send(from, to int, m sim.Message) {
-	l, ok := c.outbox[from][to]
-	if !ok {
-		panic(fmt.Sprintf("netrun: node %d sent to non-neighbor %d", from, to))
-	}
-	if l.dead.Load() {
-		// The writer died mid-phase (connection failure): drop — never
-		// counted sent — so the active-kind deficit cannot be starved by
-		// a direction nobody drains (bugfix; see killLink).
-		c.dropped.Add(1)
-		return
-	}
-	// Read the kind before the handoff: once m is on the outbox the
-	// writer owns it (see sim.Message).
-	kind := m.Kind()
-	select {
-	case l.q <- m:
-		c.board.Sent(kind)
-	default:
-		// Dropped before entering any queue: never counted as sent, so
-		// the active-kind deficit stays balanced.
-		c.dropped.Add(1)
-	}
 }
 
 // probeReply is what the control channel answers a probe request

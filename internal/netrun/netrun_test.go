@@ -1,6 +1,8 @@
 package netrun
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,18 +72,28 @@ func TestSentAccumulatesAcrossRestarts(t *testing.T) {
 	}
 }
 
-// TestSendToNonNeighborPanics: locality is enforced over TCP too.
+// TestSendToNonNeighborPanics: locality is enforced over TCP too. Node
+// 2's neighbors are 1 and 4; a send below, between or above them, to
+// itself or outside the node range panics and names the target.
 func TestSendToNonNeighborPanics(t *testing.T) {
-	g := graph.Path(3) // 0-1-2: 0 and 2 are not adjacent
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 4}, {3, 4}, {4, 5}} {
+		g.MustAddEdge(e[0], e[1])
+	}
 	c := buildCore(g)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Error("send to non-neighbor did not panic")
-		}
-	}()
-	c.send(0, 2, core.UpdateDistMsg{Dist: 1})
+	for _, to := range []int{0, 3, 5, 2, g.N(), -1} {
+		func() {
+			want := fmt.Sprintf("node 2 sent to non-neighbor %d", to)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("send to %d recovered %v, want a panic containing %q", to, r, want)
+				}
+			}()
+			c.send(2, to, core.UpdateDistMsg{Dist: 1})
+		}()
+	}
 }

@@ -8,10 +8,13 @@ import (
 	"mdst/internal/detect"
 )
 
-// Envelope is one message in a wall-clock runtime's node inbox.
+// Envelope is one unit of a wall-clock runtime's node inbox: messages
+// from one sender, in the order it sent them. internal/netrun delivers
+// each wire frame as one envelope; LiveNetwork sends one message per
+// envelope. The receiving loop owns Msgs (see Message).
 type Envelope struct {
 	From NodeID
-	Msg  Message
+	Msgs []Message
 }
 
 // Board is what the two wall-clock runtimes (LiveNetwork and
@@ -75,9 +78,12 @@ func NewBoard(procs []Process, activeKinds []string) *Board {
 
 // Loop is node id's "do forever" loop. It posts once on entry, so state
 // written while the network was stopped (corruption, preloads) is
-// visible to Sample, then takes one inbox message or one tick at a time
-// until halt closes, posting after every step. ctx is the node's
-// context and inbox its queue.
+// visible to Sample, then takes one inbox envelope or one tick at a
+// time until halt closes. It receives an envelope's messages in order,
+// each one step, and posts after every step, so Sample sees the same
+// sequence of posts whether the transport delivers one message per
+// envelope or a whole frame. ctx is the node's context and inbox its
+// queue.
 func (b *Board) Loop(id NodeID, ctx *Context, inbox <-chan Envelope, tick time.Duration, halt <-chan struct{}) {
 	p := b.procs[id]
 	b.post(id, true)
@@ -88,17 +94,21 @@ func (b *Board) Loop(id NodeID, ctx *Context, inbox <-chan Envelope, tick time.D
 		case <-halt:
 			return
 		case env := <-inbox:
-			// Read the kind before Receive: the handler may forward the
-			// message, after which it is not ours to read (see Message).
-			active := b.active(env.Msg.Kind())
-			p.Receive(ctx, env.From, env.Msg)
-			if active {
-				b.activeRecv.Add(1)
+			for _, m := range env.Msgs {
+				// Read the kind before Receive: the handler may forward
+				// the message, after which it is not ours to read (see
+				// Message).
+				active := b.active(m.Kind())
+				p.Receive(ctx, env.From, m)
+				if active {
+					b.activeRecv.Add(1)
+				}
+				b.post(id, false)
 			}
 		case <-ticker.C:
 			p.Tick(ctx)
+			b.post(id, false)
 		}
-		b.post(id, false)
 	}
 }
 

@@ -53,9 +53,9 @@ type LiveConfig struct {
 	ActiveKinds []string
 }
 
-// liveInboxSize is each node's channel buffer, the capacity netrun's
-// inboxes have too. A full inbox blocks the sender, which models link
-// back-pressure.
+// liveInboxSize is each node's channel buffer in envelopes, one message
+// each (netrun's inboxes count frames instead). A full inbox blocks the
+// sender, which models link back-pressure.
 const liveInboxSize = 4096
 
 // NewLiveNetwork builds the live runtime over g. The factory contract is
@@ -111,7 +111,7 @@ func (ln *LiveNetwork) send(from, to NodeID, m Message, stop <-chan struct{}) {
 	// receiver owns it (see Message).
 	kind := m.Kind()
 	select {
-	case ln.inbox[to] <- Envelope{From: from, Msg: m}:
+	case ln.inbox[to] <- Envelope{From: from, Msgs: []Message{m}}:
 		ln.board.Sent(kind)
 	case <-stop:
 		// Shutting down: drop the message (links are being torn down).
