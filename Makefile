@@ -2,7 +2,7 @@
 # suite + a short -race job over the concurrency-bearing packages (the
 # live CSP runtime, the harness, and the scenario engine, whose
 # differential test exercises goroutine-per-node execution) + the
-# backend smoke job + the benchmark module's toy test.
+# backend smoke job + the benchmark module's toy test + every example.
 # `.github/workflows/ci.yml` runs the gate on every push/PR, plus the
 # baseline-drift, vuln and gobench jobs.
 
@@ -15,10 +15,10 @@ STATICCHECK_VERSION ?= 2024.1.1
 
 RACE_PKGS = ./internal/sim/... ./internal/harness/... ./internal/scenario/... ./internal/netrun/... ./internal/detect/... ./internal/metrics/... ./internal/auditlog/...
 
-.PHONY: ci lint vet build test race smoke benchtest bench gobench fuzz matrix regen drift vuln loc clean
+.PHONY: ci lint vet build test race smoke benchtest examples bench gobench fuzz matrix regen drift vuln loc clean
 
 # (lint already ends with `go vet ./...`, so `vet` is not repeated here.)
-ci: lint build test race smoke benchtest
+ci: lint build test race smoke benchtest examples
 
 # gofmt -l prints unformatted files; any output fails the target.
 # staticcheck mirrors the vuln soft-fail pattern: absent tool = warning,
@@ -111,6 +111,17 @@ smoke:
 # behaviour digest — the contract a simulator optimisation must keep.
 benchtest:
 	cd benchmark && $(GO) test ./...
+
+# Every example under examples/, with its default flags (~19 s on 2
+# vCPUs). Each one exits non-zero when a run it makes does not end
+# legitimate, so an example that breaks at run time fails the gate.
+EXAMPLES = adhoc faultrecovery livenet p2p quickstart tcpcluster
+
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
 
 # The committed benchmarks. BENCH_scale.json (the n=256/512/1024 ladder
 # on the incremental simulator hot path, the event-core closure cells at

@@ -53,13 +53,21 @@
 // re-hashed only when a node's state version moves (sim.StateVersioner,
 // bumped by the protocol's guarded writes), the asynchronous-round
 // accounting is an epoch-stamped array instead of a per-round map, and
-// pending-message counts are maintained per kind. An oracle test checks
-// after every round that the cached combine equals the combine of every
-// node's fingerprint computed from scratch, and `make bench` commits the
-// fingerprint work saved against hashing every node at every call
-// (nodes × (rounds + 2) on the baseline run). Round accounting under
-// lossy links follows §2 strictly: a dropped delivery settles the
-// old-message obligation but never counts as a step at the recipient.
+// pending-message counts are maintained per kind. The protocol keys its
+// own derived values on the same version: a node's tree degree,
+// tree_stabilized and locally_stabilized are computed once per version
+// rather than on every Search hop, tick and Info receipt, and an idle
+// tick (the last one moved nothing, and nothing moved since) skips the
+// tree and degree modules and re-sends its boxed InfoMsg. An oracle test
+// checks after every round that the cached combine equals the combine
+// of all node fingerprints hashed anew, another checks after every step
+// that a changed state moved its version, that the derived values are
+// fresh and that a skipped module run would have been a no-op, and
+// `make bench` commits the fingerprint work saved against hashing
+// every node at every call (nodes × (rounds + 2) on the baseline run).
+// Round accounting under lossy links follows §2 strictly: a dropped
+// delivery settles the old-message obligation but never counts as a
+// step at the recipient.
 //
 // One retry policy, core.RetryPolicy, picks the cycle-search retry
 // schedule: paper (the default), suppress or backoff

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"mdst/internal/graph"
 	"mdst/internal/sim"
@@ -191,9 +192,10 @@ func TestShuffledNeighborListSendsAlike(t *testing.T) {
 	}
 }
 
-// The memoized parent position reads the parent's view after every kind
-// of parent move: between neighbors, by rule R1, by an exchange hop, to
-// a non-neighbor or to itself through SetState and Corrupt, and back.
+// The memoized parent position reads the parent's view, and the cached
+// derived values match a fresh computation, after every kind of parent
+// move: between neighbors, by rule R1, by an exchange hop, to a
+// non-neighbor or to itself through SetState and Corrupt, and back.
 func TestParentViewFollowsParentMoves(t *testing.T) {
 	g := graph.Complete(5)
 	cfg := DefaultConfig(g.N())
@@ -217,6 +219,7 @@ func TestParentViewFollowsParentMoves(t *testing.T) {
 		if got := n.coherentDistance(); got != wantDist {
 			t.Fatalf("%s: coherentDistance %v, want %v", step, got, wantDist)
 		}
+		checkDerived(t, n, step)
 	}
 	setViews()
 	for _, p := range []int{0, 3, 1, 4, 3} {
@@ -250,6 +253,18 @@ func TestParentViewFollowsParentMoves(t *testing.T) {
 	check("SetState back to a neighbor after Corrupt")
 	n.runTreeModule()
 	check("tree module")
+}
+
+// Node stays in the runtime's 416-byte size class. The closure workload
+// builds 65,536 nodes per repetition, and a Node in the 448-byte class
+// raised its allocation by about 2%. The five bools share one word.
+func TestNodeSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size class is pinned on 64-bit platforms")
+	}
+	if size := unsafe.Sizeof(Node{}); size > 416 {
+		t.Fatalf("core.Node is %d bytes, past the 416-byte size class", size)
+	}
 }
 
 // BenchmarkRecover runs one corrupt-start recovery of a ring+chords

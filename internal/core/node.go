@@ -219,6 +219,21 @@ type Node struct {
 	submax   int
 	color    bool
 
+	// The node's other flags sit next to color so that the five bools
+	// share one word, which keeps Node in the 416-byte size class (the
+	// closure workload builds 65,536 nodes per repetition).
+	//
+	// literal selects the edge exchange this node initiates: the paper's
+	// Remove/Back choreography (NewLiteralNode) instead of the Reverse
+	// chain (NewNode). Every node handles both exchanges' messages.
+	literal bool
+	// tickMoved records whether the last Tick itself mutated state; see
+	// restVersion.
+	tickMoved bool
+	// treeStab and localStab are the cached tree_stabilized and
+	// locally_stabilized; see derivedAt.
+	treeStab, localStab bool
+
 	// Local copies of neighbor variables, dense by neighbor position.
 	views localview.Table
 	// parentPos memoizes the position of parent in nbrs (-1 when the
@@ -227,12 +242,19 @@ type Node struct {
 	parentPos int
 
 	// version counts mutations of the protocol-visible state (own
-	// variables and views). The simulator's incremental fingerprint cache
-	// re-hashes a node only when its version moved — the O(1) dirty check
-	// that keeps quiescence detection off the hot path. Every mutation
-	// site below bumps it (no-op writes are skipped so a quiesced node's
-	// version is a fixed point).
+	// variables and views). Every mutation site below bumps it (no-op
+	// writes are skipped so a quiesced node's version is a fixed point).
+	// Two caches depend on that: the simulator's incremental fingerprint
+	// cache re-hashes a node only when its version moved — the O(1)
+	// dirty check that keeps quiescence detection off the hot path — and
+	// the node's own derived values below are recomputed only then.
 	version uint64
+	// derivedAt is the state version at which deg, treeStab and
+	// localStab were last computed (derive). Every reader of Deg,
+	// treeStabilized and locallyStabilized goes through derive, so each
+	// value costs one pass over the views per version, not one per read.
+	derivedAt uint64
+	deg       int
 
 	// Implementation bookkeeping (transient; not protocol state).
 	tick        int
@@ -241,14 +263,16 @@ type Node struct {
 	// info is the InfoMsg that sendInfo boxed last; it is sent again, as
 	// the same interface value, while the gossip content repeats.
 	info sim.Message
-	// Event-core parking state (sim.EventProcess): restVersion is the
-	// state version at the end of the last Tick, tickMoved records
-	// whether that Tick itself mutated state (a module still converging
-	// to its fixed point must keep ticking even though deliveries have
-	// stopped). A node whose version equals restVersion with tickMoved
-	// false can only produce duplicate gossip by ticking — safe to park.
+	// Idle-tick state, read by NextWork (event-core parking) and by Tick
+	// itself: restVersion is the state version at the end of the last
+	// Tick, tickMoved records whether that Tick itself mutated state (a
+	// module still converging to its fixed point must keep ticking even
+	// though deliveries have stopped). A node whose version equals
+	// restVersion with tickMoved false is idle: its tree and degree
+	// modules sit at their fixed point, so ticking can only repeat its
+	// gossip and its search retries — the event core parks it, and Tick
+	// skips the two modules.
 	restVersion uint64
-	tickMoved   bool
 	// suppress is the duplicate-token pruning state (nil under
 	// RetryPaper); see searchSuppressor.
 	suppress *searchSuppressor
@@ -268,11 +292,6 @@ type Node struct {
 	// MutationHook). It lives on the Node — not on Config — because
 	// Config must stay comparable (the harness keys caches by it).
 	audit MutationHook
-
-	// literal selects the edge exchange this node initiates: the paper's
-	// Remove/Back choreography (NewLiteralNode) instead of the Reverse
-	// chain (NewNode). Every node handles both exchanges' messages.
-	literal bool
 
 	stats Stats
 }
@@ -361,7 +380,8 @@ func NewNode(id int, neighbors []int, cfg Config) *Node {
 		views:      views,
 		parentPos:  -1,
 		nextSearch: make([]int, views.Len()),
-		tickMoved:  true, // never ticked: the first tick must run
+		tickMoved:  true,       // never ticked: the first tick must run
+		derivedAt:  ^uint64(0), // never derived: the first read computes
 	}
 	if cfg.Retry != RetryPaper {
 		n.suppress = newSearchSuppressor()
@@ -411,15 +431,11 @@ func (n *Node) Color() bool { return n.color }
 
 // Deg returns the node's degree in the current tree, derived from its own
 // parent pointer and its neighbors' (locally copied) parent pointers —
-// the paper's edge_status.
+// the paper's edge_status. It is cached: counted once per state version
+// (derive).
 func (n *Node) Deg() int {
-	d := 0
-	for i := range n.nbrs {
-		if n.treeEdgeAt(i) {
-			d++
-		}
-	}
-	return d
+	n.derive()
+	return n.deg
 }
 
 // treeEdgeAt is isTreeEdge for the neighbor at position i of nbrs.
@@ -520,10 +536,19 @@ func (n *Node) Corrupt(rng *rand.Rand, idSpace int) {
 }
 
 // Tick implements sim.Process: one iteration of the paper's "do forever"
-// loop — run the modules in priority order, then gossip.
+// loop — run the modules in priority order, then gossip. An idle tick
+// skips the tree and degree modules and re-sends the boxed InfoMsg: the
+// last tick left both modules at their fixed point on this very state,
+// and they are deterministic functions of it, so running them again
+// would change nothing.
 func (n *Node) Tick(ctx *sim.Context) {
-	entry := n.version
 	n.tick++
+	if n.idle() {
+		n.maybeStartSearches(ctx)
+		n.gossip(ctx)
+		return
+	}
+	entry := n.version
 	n.runTreeModule()
 	n.runDegreeModule()
 	n.maybeStartSearches(ctx)
@@ -532,14 +557,16 @@ func (n *Node) Tick(ctx *sim.Context) {
 	n.restVersion = n.version
 }
 
-// NextWork implements sim.EventProcess. The modules are deterministic
-// functions of the protocol state, so a tick that found a fixed point
-// (tickMoved false) with no input since (version == restVersion) can
-// only repeat itself; the single tick-driven schedule left is the
-// periodic cycle-search retry, whose earliest deadline over the
-// eligible non-tree edges bounds how long the node may sleep.
+// idle reports that the last tick found a fixed point (tickMoved false)
+// and nothing changed since (version == restVersion).
+func (n *Node) idle() bool { return !n.tickMoved && n.version == n.restVersion }
+
+// NextWork implements sim.EventProcess. An idle node's tick can only
+// repeat itself; the single tick-driven schedule left is the periodic
+// cycle-search retry, whose earliest deadline over the eligible non-tree
+// edges bounds how long the node may sleep.
 func (n *Node) NextWork() int {
-	if n.tickMoved || n.version != n.restVersion {
+	if !n.idle() {
 		return 1
 	}
 	if n.dmax <= 2 || !n.locallyStabilized() {
@@ -619,6 +646,11 @@ func (n *Node) sendInfo(ctx *sim.Context) {
 	if last, ok := n.info.(InfoMsg); !ok || last != info {
 		n.info = info
 	}
+	n.gossip(ctx)
+}
+
+// gossip sends the boxed n.info to every neighbor.
+func (n *Node) gossip(ctx *sim.Context) {
 	for _, u := range n.nbrs {
 		ctx.Send(u, n.info)
 	}

@@ -105,7 +105,7 @@ func TestPredicatesOnCleanStart(t *testing.T) {
 	if !n1.coherentParent() || !n1.coherentDistance() {
 		t.Fatal("self-root must be coherent")
 	}
-	if !n1.betterParent() {
+	if n1.bestParentCandidate() != 0 {
 		t.Fatal("node 1 must see node 0 as a better parent")
 	}
 	n1.runTreeModule()
@@ -176,7 +176,7 @@ func TestDistanceBoundCutsFakeRoot(t *testing.T) {
 	// Neighbor 1 advertises an attractive root but an illegal distance.
 	n2.SetView(1, View{Root: -5, Parent: 0, Distance: cfg.MaxDist + 1})
 	n2.SetView(3, View{Root: 3, Parent: 3, Distance: 0})
-	if n2.betterParent() {
+	if n2.bestParentCandidate() >= 0 {
 		t.Fatal("candidate beyond MaxDist must not count as better parent")
 	}
 	n2.runTreeModule()

@@ -13,24 +13,16 @@ package core
 // that the pure rules admit.
 //
 // Every write below goes through a changed-value guard that bumps the
-// node's state version: the simulator's incremental fingerprint cache
-// relies on the version staying put across no-op module runs.
-
-// betterParent is the paper's better_parent(v): some neighbor advertises
-// a strictly smaller root (and would not push us past the distance
-// bound).
-func (n *Node) betterParent() bool {
-	for i := 0; i < n.views.Len(); i++ {
-		v := n.views.At(i)
-		if v.Root < n.root && v.Distance+1 <= n.cfg.MaxDist {
-			return true
-		}
-	}
-	return false
-}
+// node's state version. Two caches rely on the version staying put
+// across no-op module runs and moving on every real write: the
+// simulator's incremental fingerprint cache, and the node's derived
+// values (derive), which the guards of every module read.
 
 // bestParentCandidate returns the neighbor with the minimal advertised
-// root, ties broken by minimal ID (the paper's argmin).
+// root, ties broken by minimal ID (the paper's argmin), among those that
+// satisfy the paper's better_parent(v): a strictly smaller root that
+// would not push us past the distance bound. It is -1 exactly when
+// better_parent is false.
 func (n *Node) bestParentCandidate() int {
 	best := -1
 	var bestRoot int
@@ -84,37 +76,47 @@ func (n *Node) newRootCandidate() bool {
 	return n.root > n.id || !n.coherentParent() || !n.coherentDistance()
 }
 
-// treeStabilized is the paper's tree_stabilized(v).
+// treeStabilized is the paper's tree_stabilized(v): neither
+// better_parent nor new_root_candidate holds. Cached (derive).
 func (n *Node) treeStabilized() bool {
-	return !n.betterParent() && !n.newRootCandidate()
-}
-
-// degreeStabilized is the paper's degree_stabilized(v): all neighbors
-// agree on dmax.
-func (n *Node) degreeStabilized() bool {
-	for i := 0; i < n.views.Len(); i++ {
-		if n.views.At(i).Dmax != n.dmax {
-			return false
-		}
-	}
-	return true
-}
-
-// colorStabilized is the paper's color_stabilized(v).
-func (n *Node) colorStabilized() bool {
-	for i := 0; i < n.views.Len(); i++ {
-		if n.views.At(i).Color != n.color {
-			return false
-		}
-	}
-	return true
+	n.derive()
+	return n.treeStab
 }
 
 // locallyStabilized is the paper's locally_stabilized(v): the guard that
 // freezes the reduction modules while the tree or the degree information
-// is in flux.
+// is in flux — tree_stabilized, degree_stabilized (every neighbor agrees
+// on dmax) and color_stabilized (and on color). Cached (derive).
 func (n *Node) locallyStabilized() bool {
-	return n.treeStabilized() && n.degreeStabilized() && n.colorStabilized()
+	n.derive()
+	return n.localStab
+}
+
+// derive recomputes the derived values — Deg (the paper's edge_status
+// count), tree_stabilized and locally_stabilized — when the state
+// version moved since they were last computed. It is the one place that
+// evaluates them over the views: a single pass counts the tree edges and
+// tests better_parent, degree_stabilized and color_stabilized together.
+func (n *Node) derive() {
+	if n.derivedAt == n.version {
+		return
+	}
+	deg, better, dmaxAgree, colorAgree := 0, false, true, true
+	for i := range n.nbrs {
+		v := n.views.At(i)
+		if n.treeEdgeAt(i) {
+			deg++
+		}
+		if v.Root < n.root && v.Distance+1 <= n.cfg.MaxDist {
+			better = true
+		}
+		dmaxAgree = dmaxAgree && v.Dmax == n.dmax
+		colorAgree = colorAgree && v.Color == n.color
+	}
+	n.deg = deg
+	n.treeStab = !better && !n.newRootCandidate()
+	n.localStab = n.treeStab && dmaxAgree && colorAgree
+	n.derivedAt = n.version
 }
 
 // createNewRoot is the paper's create_new_root(v).
@@ -154,8 +156,16 @@ func (n *Node) setDistance(d int) {
 	}
 }
 
-// runTreeModule applies R2 then R1 — the highest-priority module.
+// runTreeModule applies R2 then R1 — the highest-priority module. R2
+// fires iff new_root_candidate and R1 iff better_parent, so the module
+// is a no-op exactly when the node is tree_stabilized, and it returns at
+// once on the cached predicate. Otherwise one call reaches the fixed
+// point: R2 leaves a coherent parent and distance, and R1 adopts the
+// minimal advertised root.
 func (n *Node) runTreeModule() {
+	if n.treeStabilized() {
+		return
+	}
 	if n.newRootCandidate() {
 		switch n.cfg.Repair {
 		case RepairReset:
@@ -171,7 +181,7 @@ func (n *Node) runTreeModule() {
 			}
 		}
 	}
-	if !n.newRootCandidate() && n.betterParent() {
+	if !n.newRootCandidate() {
 		if u := n.bestParentCandidate(); u >= 0 {
 			n.changeParentTo(u)
 		}

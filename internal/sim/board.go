@@ -10,10 +10,13 @@ import (
 
 // Envelope is one unit of a wall-clock runtime's node inbox: messages
 // from one sender, in the order it sent them. internal/netrun delivers
-// each wire frame as one envelope; LiveNetwork sends one message per
-// envelope. The receiving loop owns Msgs (see Message).
+// each wire frame as one envelope in Msgs; LiveNetwork sends one message
+// per envelope in Msg and leaves Msgs nil, so a send allocates no
+// slice. A non-nil Msg is received before Msgs. The receiving loop owns
+// the messages (see Message).
 type Envelope struct {
 	From NodeID
+	Msg  Message
 	Msgs []Message
 }
 
@@ -94,22 +97,30 @@ func (b *Board) Loop(id NodeID, ctx *Context, inbox <-chan Envelope, tick time.D
 		case <-halt:
 			return
 		case env := <-inbox:
+			if env.Msg != nil {
+				b.receive(id, p, ctx, env.From, env.Msg)
+			}
 			for _, m := range env.Msgs {
-				// Read the kind before Receive: the handler may forward
-				// the message, after which it is not ours to read (see
-				// Message).
-				active := b.active(m.Kind())
-				p.Receive(ctx, env.From, m)
-				if active {
-					b.activeRecv.Add(1)
-				}
-				b.post(id, false)
+				b.receive(id, p, ctx, env.From, m)
 			}
 		case <-ticker.C:
 			p.Tick(ctx)
 			b.post(id, false)
 		}
 	}
+}
+
+// receive is one receive step of node id's loop: it counts an active
+// kind's receive and posts.
+func (b *Board) receive(id NodeID, p Process, ctx *Context, from NodeID, m Message) {
+	// Read the kind before Receive: the handler may forward the message,
+	// after which it is not ours to read (see Message).
+	active := b.active(m.Kind())
+	p.Receive(ctx, from, m)
+	if active {
+		b.activeRecv.Add(1)
+	}
+	b.post(id, false)
 }
 
 // post publishes node id's quiescence epoch and state hash. Unless force

@@ -111,7 +111,7 @@ func (ln *LiveNetwork) send(from, to NodeID, m Message, stop <-chan struct{}) {
 	// receiver owns it (see Message).
 	kind := m.Kind()
 	select {
-	case ln.inbox[to] <- Envelope{From: from, Msgs: []Message{m}}:
+	case ln.inbox[to] <- Envelope{From: from, Msg: m}:
 		ln.board.Sent(kind)
 	case <-stop:
 		// Shutting down: drop the message (links are being torn down).

@@ -241,3 +241,20 @@ func TestLiveTransportLeavesHandedOffMessagesAlone(t *testing.T) {
 			s.ActiveSent, s.ActiveReceived, want, want)
 	}
 }
+
+// A live send of a pre-boxed message into an inbox with room allocates
+// nothing: the envelope carries the message in Msg, not in a
+// one-element slice.
+func TestLiveSendAllocsNothing(t *testing.T) {
+	ln := newLiveMin(graph.Path(2), time.Millisecond)
+	stop := make(chan struct{})
+	var m Message = minMsg{1}
+	send := func() {
+		ln.send(0, 1, m, stop)
+		<-ln.inbox[1]
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("a live send allocates %.1f times, want 0", allocs)
+	}
+}
