@@ -11,7 +11,7 @@
 //	mdstmatrix -format json               # full matrix incl. per-run results
 //	mdstmatrix -families gnp -sizes 16,24 -faults none,lossy:0.05,targeted:root,churn:add-edge
 //	mdstmatrix -scheds sync,async,adversarial -starts clean,corrupt -seeds 5
-//	mdstmatrix -engines compat,event       # paired full-sweep vs discrete-event cells
+//	mdstmatrix -engines compat,event       # paired full-sweep vs discrete-event cells (sync only)
 //	mdstmatrix -workers 1                 # serial execution (same results)
 //	mdstmatrix -scale                     # n=256/512/1024 scale sweep -> BENCH_scale.json content
 //	mdstmatrix -backend live -sizes 8 -seeds 1   # goroutine-per-node runtime
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -53,13 +54,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.SetOutput(stderr)
 	families := fs.String("families", "ring+chords,gnp,geometric", "comma-separated graph families")
 	sizes := fs.String("sizes", "16,24,32", "comma-separated node counts")
-	scheds := fs.String("scheds", "sync,async", "comma-separated schedulers: sync|async|adversarial (sim backend only; defaults to sync when a wall-clock backend is requested)")
+	scheds := fs.String("scheds", "sync,async", "comma-separated schedulers: sync|async|adversarial (sim backend and compat engine only; defaults to sync when a wall-clock backend or the event engine is requested)")
 	starts := fs.String("starts", "corrupt", "comma-separated start modes: clean|corrupt|legitimate|path")
 	variants := fs.String("variants", "core", "comma-separated protocol variants: core|literal")
-	engines := fs.String("engines", "compat", "comma-separated simulator cores: compat|event (sim backend only; event is the frontier-only discrete-event loop, excluded from seed hashing so cells pair with compat)")
+	engines := fs.String("engines", "compat", "comma-separated simulator cores: compat|event (sim backend only; event is the frontier-only discrete-event loop under the sync scheduler, excluded from seed hashing so cells pair with compat)")
 	backends := fs.String("backend", "sim", "comma-separated execution backends: sim|live|tcp (sim is deterministic; live/tcp are wall-clock)")
-	deadline := fs.Duration("deadline", 0, "per-run wall-clock budget for the live/tcp backends (0: 30s default, or -budget)")
-	budget := fs.Float64("budget", 0, "convergence-aware deadlines for the live/tcp backends: scale each cell's deadline from the paired sim run's observed rounds × tick × this factor (0: fixed -deadline)")
+	deadline := fs.Duration("deadline", 0, "per-run wall-clock budget for the live/tcp backends (0: 30s default)")
 	faults := fs.String("faults", "none", "comma-separated fault models: none|lossy:RATE|corrupt:K|targeted:ROLE|churn:OP")
 	seeds := fs.Int("seeds", 6, "seeds (runs) per matrix cell")
 	baseSeed := fs.Int64("baseseed", 1, "base seed perturbing every derived run seed")
@@ -141,17 +141,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	spec.Tuning.Deadline = *deadline
-	spec.Tuning.Budget = *budget
 	spec.Tuning.BatchSize = *batch
 	spec.Tuning.BatchMaxWait = *batchwait
 	if err := spec.Tuning.Validate(); err != nil {
 		fmt.Fprintln(stderr, "mdstmatrix:", err)
 		return 2
 	}
-	// The scheduler axis only exists on the deterministic simulator; when
-	// a wall-clock backend is requested and -scheds was left at its
-	// default, shrink the axis to the sync label instead of expanding
-	// cells the harness would (correctly, loudly) reject.
+	for _, s := range splitList(*engines) {
+		e, err := harness.ParseEngine(s)
+		if err != nil {
+			fmt.Fprintln(stderr, "mdstmatrix:", err)
+			return 2
+		}
+		spec.Engines = append(spec.Engines, e)
+	}
+	// The scheduler axis only exists on the compat core of the
+	// deterministic simulator; when a wall-clock backend or the event
+	// engine is requested and -scheds was left at its default, shrink the
+	// axis to the sync label instead of expanding cells the spec
+	// validation would (correctly, loudly) reject.
 	schedsExplicit := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "scheds" {
@@ -159,11 +167,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	})
 	if !schedsExplicit {
-		for _, b := range spec.Backends {
-			if b != harness.BackendSim {
-				*scheds = "sync"
-				break
-			}
+		wall := slices.ContainsFunc(spec.Backends, func(b harness.Backend) bool { return b != harness.BackendSim })
+		if wall || slices.Contains(spec.Engines, harness.EngineEvent) {
+			*scheds = "sync"
 		}
 	}
 	for _, s := range splitList(*scheds) {
@@ -179,14 +185,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	for _, s := range splitList(*variants) {
 		spec.Variants = append(spec.Variants, harness.Variant(s))
-	}
-	for _, s := range splitList(*engines) {
-		e, err := harness.ParseEngine(s)
-		if err != nil {
-			fmt.Fprintln(stderr, "mdstmatrix:", err)
-			return 2
-		}
-		spec.Engines = append(spec.Engines, e)
 	}
 	for _, s := range splitList(*retry) {
 		p, err := core.ParseRetryPolicy(s)
@@ -356,9 +354,9 @@ func runCrossBackend(fs *flag.FlagSet, sizes string, workers int, quiet bool, st
 
 // runTCPBench executes the tcp frame-coalescing bench (make bench
 // writes its output to BENCH_tcp.json): one medium-n instance per batch
-// size over loopback TCP, with the paired sim run supplying the
-// protocol-round denominator. The output is a wall-clock snapshot, not
-// a byte-identity artifact — it stays out of the drift gate.
+// size over loopback TCP. Its counts depend on the socket timing, so
+// the output is a snapshot, not a byte-identity artifact — it stays out
+// of the drift gate.
 func runTCPBench(fs *flag.FlagSet, sizes string, quiet bool, stdout, stderr io.Writer) int {
 	spec := scenario.TCPBenchSpec{}
 	explicit, ok := explicitSizes(fs, sizes, stderr)
@@ -385,8 +383,8 @@ func runTCPBench(fs *flag.FlagSet, sizes string, quiet bool, stdout, stderr io.W
 	stdout.Write(b)
 	if !quiet {
 		for _, row := range rep.Rows {
-			fmt.Fprintf(stderr, "mdstmatrix: n=%d batch=%-2d frames/msg=%.3f wall/round=%.3fms restarts=%d\n",
-				rep.N, row.Batch, row.FramesPerMessage, row.WallPerRoundMS, row.Restarts)
+			fmt.Fprintf(stderr, "mdstmatrix: n=%d batch=%-2d frames/msg=%.3f restarts=%d\n",
+				rep.N, row.Batch, row.FramesPerMessage, row.Restarts)
 		}
 	}
 	return 0

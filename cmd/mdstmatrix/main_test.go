@@ -52,6 +52,46 @@ func TestRunJSONParses(t *testing.T) {
 	}
 }
 
+// The event core runs only the sync scheduler: with -engines
+// compat,event and no -scheds the default sync,async axis shrinks to
+// sync, so the command header's paired line runs sync cells only, while
+// an explicit non-sync scheduler next to the event engine exits 2 and
+// names it before running.
+func TestRunEventEngineSchedulers(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-engines", "compat,event", "-families", "ring+chords", "-sizes", "8",
+		"-seeds", "1", "-format", "json", "-quiet"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	var m struct {
+		Cells []struct {
+			Scheduler  string `json:"scheduler"`
+			Engine     string `json:"engine"`
+			Legitimate bool   `json:"legitimate"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &m); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if len(m.Cells) != 2 || m.Cells[0].Engine != "" || m.Cells[1].Engine != "event" {
+		t.Fatalf("cells %+v, want one compat and one event cell", m.Cells)
+	}
+	for _, c := range m.Cells {
+		if c.Scheduler != "sync" || !c.Legitimate {
+			t.Fatalf("cell %+v, want a legitimate sync cell", c)
+		}
+	}
+	out.Reset()
+	errOut.Reset()
+	code = run([]string{"-engines", "event", "-scheds", "async", "-families", "ring+chords",
+		"-sizes", "8", "-seeds", "1", "-quiet"}, &out, &errOut)
+	if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), `"async"`) {
+		t.Fatalf("-engines event -scheds async: exit %d, stdout %d bytes, stderr %q; want exit 2 naming the scheduler",
+			code, out.Len(), errOut.String())
+	}
+}
+
 // The matrix must be byte-identical across worker counts: seeding is
 // per-run, aggregation is in expansion order, and no timing leaks into
 // the output.

@@ -15,7 +15,6 @@
 //
 //	mdstnet -family wheel -n 12
 //	mdstnet -family gnp -n 24 -variant literal -corrupt
-//	mdstnet -family wheel -n 12 -budget 8      # deadline scaled from the paired sim run
 //	mdstnet -family gnp -n 64 -retry suppress  # duplicate Search-token pruning
 //	mdstnet -family gnp -n 128 -batch 16 -batchwait 1ms   # coalesced wire frames
 //	mdstnet -family wheel -n 12 -metrics       # metrics time series (JSON) + audit chain head
@@ -51,11 +50,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	seed := fs.Int64("seed", 1, "seed for generation and corruption")
 	variant := fs.String("variant", "core", "protocol implementation: core|literal")
 	corrupt := fs.Bool("corrupt", false, "randomize every node state before starting")
-	probe := fs.Duration("probe", 0, "convergence-detection sampling interval over the control connection (0 = driver default)")
-	deadline := fs.Duration("deadline", 10*time.Second, "total wall-clock budget (ignored when -budget is set)")
-	budget := fs.Float64("budget", 0, "convergence-aware deadline: scale the paired sim run's observed rounds × tick by this factor (0 = fixed -deadline)")
+	deadline := fs.Duration("deadline", 10*time.Second, "total wall-clock budget")
 	tick := fs.Duration("tick", 0, "gossip period (0 = runtime default)")
-	retry := fs.String("retry", "paper", "cycle-search retry policy: paper|suppress|backoff (suppress prunes duplicate Search tokens and batches launches; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change, and the stability window and budget deadline take its conservative cap)")
+	retry := fs.String("retry", "paper", "cycle-search retry policy: paper|suppress|backoff (suppress prunes duplicate Search tokens and batches launches; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change, and the stability window takes its conservative cap)")
 	batch := fs.Int("batch", 0, "messages coalesced per wire frame (0/1 = one message per frame)")
 	batchwait := fs.Duration("batchwait", 0, "max time a partially filled frame is held open (0 = flush immediately)")
 	metricsOn := fs.Bool("metrics", false, "sample the metrics stream at each detection probe and dump it as JSON alongside the result, plus the audit chain head")
@@ -90,27 +87,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "mdstnet: unknown -variant", *variant)
 		return 2
 	}
-	if *probe < 0 || *tick < 0 || *budget < 0 {
-		fmt.Fprintln(stderr, "mdstnet: -probe, -tick and -budget must be non-negative")
+	if *tick < 0 {
+		fmt.Fprintln(stderr, "mdstnet: -tick must be non-negative")
 		return 2
 	}
 	if *batch < 0 || *batchwait < 0 {
 		fmt.Fprintln(stderr, "mdstnet: -batch and -batchwait must be non-negative")
 		return 2
 	}
-	if *deadline <= 0 && *budget == 0 {
-		// A zero budget used to run zero phases silently; reject it loudly
+	if *deadline <= 0 {
+		// A zero deadline used to run zero phases silently; reject it loudly
 		// (the harness driver would otherwise substitute its 30s default).
-		fmt.Fprintln(stderr, "mdstnet: -deadline must be positive (or set -budget)")
+		fmt.Fprintln(stderr, "mdstnet: -deadline must be positive")
 		return 2
 	}
 	policy, err := core.ParseRetryPolicy(*retry)
 	if err != nil {
 		fmt.Fprintln(stderr, "mdstnet:", err)
 		return 2
-	}
-	if *budget > 0 {
-		*deadline = 0 // let the budget mode size the deadline
 	}
 	g := fam.Build(*n, rand.New(rand.NewSource(*seed)))
 	cfg := core.DefaultConfig(g.N())
@@ -135,9 +129,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Collect: coll,
 		Tuning: harness.BackendTuning{
 			Tick:         *tick,
-			Probe:        *probe,
 			Deadline:     *deadline,
-			Budget:       *budget,
 			BatchSize:    *batch,
 			BatchMaxWait: *batchwait,
 		},

@@ -24,9 +24,7 @@ func TestRunCoreOverTCP(t *testing.T) {
 
 func TestRunRejectsBadTuningFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-probe", "-1ms"},
 		{"-deadline", "0"},
-		{"-budget", "-2"},
 		{"-n", "-5"},
 		{"-n", "0"},
 		{"-retry", "bogus"},

@@ -113,6 +113,7 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{"-n", "-5"},
 		{"-n", "0"},
 		{"-sched", "bogus"},
+		{"-engine", "event", "-sched", "async"},
 		{"-start", "legit", "-faults", "-3"},
 	} {
 		var out, errOut bytes.Buffer

@@ -43,9 +43,9 @@
 // those posts in-process without locks (sim.LiveNetwork.ProbeSample),
 // the tcp driver over a side-channel control connection
 // (netrun.ProbeConn), so neither network is stopped just to look, and
-// converging tcp runs take zero restarts. harness.BackendTuning.Budget additionally scales each
-// wall-clock run's deadline from its paired deterministic sim run
-// (`mdstmatrix -budget`), replacing one-size-fits-all deadlines.
+// converging tcp runs take zero restarts. A wall-clock run is bounded
+// by harness.BackendTuning.Deadline alone (`-deadline`, 30s by
+// default).
 //
 // The simulator's hot path is incremental end to end, which is what
 // lets scenario matrices scale past n=256 (up to the committed n=1024
@@ -135,8 +135,11 @@
 // on the same conn loses bytes). Coalescing is a transport concern
 // only: the batch=1 vs batch=16 differential test pins identical
 // legitimacy and Δ*+1 outcomes, and `make bench` commits the measured
-// frames-per-message and wall-per-round numbers to BENCH_tcp.json (a
-// wall-clock snapshot, unlike the byte-stable BENCH_scale.json).
+// frames-per-message per batch size to BENCH_tcp.json (a snapshot whose
+// counts follow the socket timing, unlike the byte-stable
+// BENCH_scale.json; it records no wall time, which varies several-fold
+// between runs — the repository benchmark's tcp workload measures the
+// transport's cost).
 //
 // Observability is a control plane over the same runs
 // (internal/metrics + internal/auditlog, harness.RunSpec.Collect,

@@ -9,7 +9,7 @@ import (
 
 // E11Choreography compares the two edge exchanges of internal/core —
 // the ordered chain of single-parent moves (the "core" variant) and the
-// literal Remove/Back/Reverse choreography of the paper's Figures 1-2 —
+// literal Remove/Back choreography of the paper's Figures 1-2 —
 // on identical workloads, seeds and schedulers.
 // Both variants are axes of ONE scenario matrix (sharded across CPUs);
 // the engine's instance-derived seeding guarantees the same graphs per

@@ -86,63 +86,67 @@ func (c *checkedNode) step(what string, f func()) {
 
 // Every step of a corrupt-start run keeps the state version honest and
 // the derived-value cache fresh, and every idle tick is exact. The runs
-// cover both exchanges under each scheduler on the compat core, on
-// lossy links (which keep views stale and gossip changing) and on the
-// event core, which parks idle nodes and wakes them for search retries.
+// cover both exchanges under each scheduler on the compat core and on
+// lossy links (which keep views stale and gossip changing), and on the
+// event core, which orders its rounds as sync, parks idle nodes and
+// wakes them for search retries.
 func TestCacheAndVersionEveryStep(t *testing.T) {
 	g := graph.RandomGnp(14, 0.3, rand.New(rand.NewSource(9)))
-	modes := []struct {
+	type mode struct {
 		name  string
+		sched func() sim.Scheduler // nil: the event core
 		drop  float64
-		event bool
-	}{{"compat", 0, false}, {"compat-drop0.2", 0.2, false}, {"event", 0, true}}
-	scheds := []struct {
-		name   string
-		sched  func() sim.Scheduler
-		policy sim.EventPolicy
-	}{
-		{"sync", func() sim.Scheduler { return sim.NewSyncScheduler() }, sim.EventPolicySync},
-		{"async", func() sim.Scheduler { return sim.NewAsyncScheduler() }, sim.EventPolicyAsync},
-		{"adversarial", func() sim.Scheduler { return sim.NewAdversarialScheduler() }, sim.EventPolicyAdversarial},
 	}
+	scheds := []struct {
+		name  string
+		sched func() sim.Scheduler
+	}{
+		{"sync", func() sim.Scheduler { return sim.NewSyncScheduler() }},
+		{"async", func() sim.Scheduler { return sim.NewAsyncScheduler() }},
+		{"adversarial", func() sim.Scheduler { return sim.NewAdversarialScheduler() }},
+	}
+	var modes []mode
+	for _, sc := range scheds {
+		modes = append(modes, mode{sc.name + "/compat", sc.sched, 0},
+			mode{sc.name + "/compat-drop0.2", sc.sched, 0.2})
+	}
+	modes = append(modes, mode{"sync/event", nil, 0})
 	for _, ex := range exchanges {
 		var exchanged int
-		for _, sc := range scheds {
-			for _, m := range modes {
-				name := fmt.Sprintf("%s/%s/%s", ex.name, sc.name, m.name)
-				cfg := DefaultConfig(g.N())
-				idles := 0
-				nodes := make([]*Node, g.N())
-				net := sim.NewNetwork(g, func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
-					nodes[id] = ex.newNode(id, nbrs, cfg)
-					return &checkedNode{Node: nodes[id], t: t, idles: &idles}
-				}, 5)
-				rng := rand.New(rand.NewSource(7))
-				for _, nd := range nodes {
-					nd.Corrupt(rng, g.N())
-					checkDerived(t, nd, name+" corrupt")
-				}
-				var res sim.RunResult
-				if m.event {
-					res = net.RunEvents(sim.EventConfig{Policy: sc.policy, MaxRounds: 20000,
-						QuiesceRounds: 2*g.N() + 40, ActiveKinds: ReductionKinds()})
-				} else {
-					net.SetDropRate(m.drop)
-					maxRounds := 20000
-					if m.drop > 0 {
-						maxRounds = 1500 // lossy links need not quiesce
-					}
-					res = net.Run(sim.RunConfig{Scheduler: sc.sched(), MaxRounds: maxRounds,
-						QuiesceRounds: 2*g.N() + 40, ActiveKinds: ReductionKinds()})
-				}
-				if m.drop == 0 && !res.Converged {
-					t.Fatalf("%s: did not converge", name)
-				}
-				if idles == 0 {
-					t.Fatalf("%s: no tick was idle, so the skip was never checked", name)
-				}
-				exchanged += AggregateStats(nodes).ExchangesComplete
+		for _, m := range modes {
+			name := ex.name + "/" + m.name
+			cfg := DefaultConfig(g.N())
+			idles := 0
+			nodes := make([]*Node, g.N())
+			net := sim.NewNetwork(g, func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
+				nodes[id] = ex.newNode(id, nbrs, cfg)
+				return &checkedNode{Node: nodes[id], t: t, idles: &idles}
+			}, 5)
+			rng := rand.New(rand.NewSource(7))
+			for _, nd := range nodes {
+				nd.Corrupt(rng, g.N())
+				checkDerived(t, nd, name+" corrupt")
 			}
+			var res sim.RunResult
+			if m.sched == nil {
+				res = net.RunEvents(sim.EventConfig{MaxRounds: 20000,
+					QuiesceRounds: 2*g.N() + 40, ActiveKinds: ReductionKinds()})
+			} else {
+				net.SetDropRate(m.drop)
+				maxRounds := 20000
+				if m.drop > 0 {
+					maxRounds = 1500 // lossy links need not quiesce
+				}
+				res = net.Run(sim.RunConfig{Scheduler: m.sched(), MaxRounds: maxRounds,
+					QuiesceRounds: 2*g.N() + 40, ActiveKinds: ReductionKinds()})
+			}
+			if m.drop == 0 && !res.Converged {
+				t.Fatalf("%s: did not converge", name)
+			}
+			if idles == 0 {
+				t.Fatalf("%s: no tick was idle, so the skip was never checked", name)
+			}
+			exchanged += AggregateStats(nodes).ExchangesComplete
 		}
 		if exchanged == 0 {
 			t.Fatalf("%s: no run completed an exchange", ex.name)

@@ -24,9 +24,7 @@ import (
 //     cycle; the final hop re-attaches the detached segment through the
 //     initiating edge (the source_remove case).
 //   - UpdateDist floods repair the distances of the reversed region
-//     (Figure 2, lines 25-27), and Reverse (Figure 2, lines 23-24)
-//     reverses a parent chain when a transit node finds the expected
-//     tree edge already gone (the Reverse_Aux handshake).
+//     (Figure 2, lines 25-27).
 //
 // Because the removal happens at the target edge *before* the detached
 // segment is re-attached, intermediate configurations are NOT spanning
@@ -61,8 +59,9 @@ import (
 //     reorientation hop removes the target edge.
 //
 // I2. Where a reorientation hop finds the expected tree edge to its
-// sender gone, the paper runs the Reverse_Aux handshake; this
-// implementation aborts the hop and lets the spanning-tree module repair
+// sender gone, the paper runs the Reverse_Aux handshake (its Reverse
+// message, Figure 2, lines 23-24). This implementation has no Reverse_Aux
+// message: it aborts the hop and lets the spanning-tree module repair
 // the partial exchange.
 
 // improve is the paper's Improve(y, deg, e, path): it freezes the
@@ -272,26 +271,4 @@ func (n *Node) reorientStep(from int, path []int, pos int) int {
 		n.audit(MutationExchange, from, next)
 	}
 	return next
-}
-
-// handleReverseAux is the paper's Reverse handler, literal (Figure 2,
-// lines 23-24): forward up the old parent chain, then adopt the sender
-// as the new parent — reversing the chain's orientation hop by hop until
-// Target is reached.
-func (n *Node) handleReverseAux(ctx *sim.Context, from int, msg ReverseAuxMsg) {
-	if msg.Target != n.id && n.parent != n.id && n.parent != from {
-		ctx.Send(n.parent, ReverseAuxMsg{Target: msg.Target})
-		n.stats.ReversesSent++
-	}
-	if v := n.views.Get(from); v != nil {
-		if n.parent != from || n.distance != v.Distance+1 {
-			old := n.parent
-			n.parent = from
-			n.distance = v.Distance + 1
-			n.version++
-			if n.audit != nil && old != from {
-				n.audit(MutationExchange, old, from)
-			}
-		}
-	}
 }

@@ -249,31 +249,6 @@ func TestChoreoRoutingSurvivesDeletedEdge(t *testing.T) {
 	}
 }
 
-// The literal Reverse handler (Figure 2, lines 23-24): walking up a
-// chain re-parents every node onto the message sender.
-func TestReverseHandlerFlipsChain(t *testing.T) {
-	g := graph.Path(4) // 0-1-2-3, tree = the path itself
-	net := buildNet(g, DefaultConfig(4), 1, NewLiteralNode)
-	tree := chainTree(t, g, [][2]int{{1, 0}, {2, 1}, {3, 2}})
-	loadTree(g, net, tree)
-	nodes := NodesOf(net)
-
-	// Node 3 wants the chain up to node 1 reversed: send Reverse
-	// targeting 1 to its parent 2.
-	net.Context(3).Send(2, ReverseAuxMsg{Target: 1})
-	drain(net, 100)
-
-	// 2 forwarded to its old parent 1 and adopted 3; 1 is the target so
-	// it only adopts 2.
-	if nodes[2].Parent() != 3 || nodes[1].Parent() != 2 {
-		t.Fatalf("chain not reversed: p(2)=%d p(1)=%d", nodes[2].Parent(), nodes[1].Parent())
-	}
-	st := AggregateStats(nodes)
-	if st.ReversesSent != 1 {
-		t.Fatalf("ReversesSent = %d, want 1 (2 forwarding to 1)", st.ReversesSent)
-	}
-}
-
 // Fault injection in the middle of a running exchange: corruptions
 // landing while Remove/Back messages are in flight must not prevent
 // re-convergence (the choreography's staleness checks abort against

@@ -26,11 +26,10 @@ func TestMessageSizes(t *testing.T) {
 	}
 	rm := RemoveMsg{Path: []int{1, 2, 3}}
 	b := BackMsg{Path: []int{1, 2}}
-	if rm.Size() != 11 || b.Size() != 6 || (ReverseAuxMsg{}).Size() != 1 {
+	if rm.Size() != 11 || b.Size() != 6 {
 		t.Fatalf("literal sizes: Remove %d, Back %d", rm.Size(), b.Size())
 	}
-	// Kinds are distinct, except that both exchanges' reversal messages
-	// are "reverse".
+	// Kinds are distinct.
 	kinds := map[string]bool{}
 	for _, k := range []string{(InfoMsg{}).Kind(), s.Kind(), r.Kind(),
 		(DeblockMsg{}).Kind(), (UpdateDistMsg{}).Kind(), rm.Kind(), b.Kind()} {
@@ -38,9 +37,6 @@ func TestMessageSizes(t *testing.T) {
 			t.Fatalf("duplicate kind %s", k)
 		}
 		kinds[k] = true
-	}
-	if (ReverseAuxMsg{}).Kind() != KindReverse {
-		t.Fatal("literal Reverse kind")
 	}
 	want := []string{KindRemove, KindBack, KindReverse, KindUpdateDist}
 	if got := ReductionKinds(); !slices.Equal(got, want) {

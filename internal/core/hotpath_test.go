@@ -234,7 +234,7 @@ func TestParentViewFollowsParentMoves(t *testing.T) {
 	check("SetState to itself")
 	n.changeParentTo(4)
 	check("rule R1 move to 4")
-	n.Receive(ctx, 0, ReverseAuxMsg{Target: 2})
+	n.Receive(ctx, 0, ReverseMsg{Init: graph.Edge{U: 1, V: 3}, Nodes: []int{2, 4, 1}, Dist: 11})
 	if n.parent != 0 {
 		t.Fatalf("Reverse from 0 left parent %d", n.parent)
 	}

@@ -3,8 +3,8 @@ package core
 import "mdst/internal/graph"
 
 // Message kinds, exported for metric queries and stop conditions.
-// Remove and Back travel only in the literal exchange; Reverse names the
-// chain exchange's hops and the literal exchange's Reverse alike.
+// Remove and Back travel only in the literal exchange, Reverse only in
+// the chain exchange.
 const (
 	KindInfo       = "info"
 	KindSearch     = "search"
@@ -180,18 +180,3 @@ func (BackMsg) Kind() string { return KindBack }
 
 // Size implements sim.Message.
 func (m BackMsg) Size() int { return len(m.Path) + 4 }
-
-// ReverseAuxMsg is the literal exchange's Reverse message (Figure 2,
-// lines 23-24): it walks up the parent chain re-parenting every
-// traversed node onto the message's sender until it reaches Target,
-// reversing the chain's orientation. It is the messenger half of the
-// Reverse_Aux handshake.
-type ReverseAuxMsg struct {
-	Target int
-}
-
-// Kind implements sim.Message.
-func (ReverseAuxMsg) Kind() string { return KindReverse }
-
-// Size implements sim.Message.
-func (ReverseAuxMsg) Size() int { return 1 }

@@ -12,8 +12,8 @@
 // twice, and a node's exchange is fixed when it is built. NewNode builds
 // the chain exchange (reduce.go): an ordered chain of single-parent
 // Reverse hops that keeps a spanning tree after every step.
-// NewLiteralNode builds the paper's literal Remove/Back/Reverse
-// choreography of Figures 1-2 (choreo.go), whose intermediate
+// NewLiteralNode builds the paper's literal Remove/Back choreography of
+// Figures 1-2 (choreo.go), whose intermediate
 // configurations are not spanning trees. Every other module is shared.
 //
 // Starting from an arbitrary configuration the network converges to a
@@ -348,7 +348,6 @@ type Stats struct {
 	ReorientHops   int // re-parenting hops applied in the reorientation phase
 	BacksStarted   int // case-(b) Back messages emitted at the target edge
 	ChoreoAborted  int // Remove/Back hops discarded by a staleness check
-	ReversesSent   int // Reverse messages forwarded (Reverse_Aux path)
 }
 
 // Aborted is the number of exchange hops dropped by a staleness check,
@@ -619,8 +618,6 @@ func (n *Node) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 		n.handleRemove(ctx, from, msg)
 	case BackMsg:
 		n.handleBack(ctx, from, msg)
-	case ReverseAuxMsg:
-		n.handleReverseAux(ctx, from, msg)
 	case DeblockMsg:
 		n.handleDeblock(ctx, from, msg)
 	case UpdateDistMsg:

@@ -67,7 +67,6 @@ func AggregateStats(nodes []*Node) Stats {
 		total.ReorientHops += s.ReorientHops
 		total.BacksStarted += s.BacksStarted
 		total.ChoreoAborted += s.ChoreoAborted
-		total.ReversesSent += s.ReversesSent
 	}
 	return total
 }

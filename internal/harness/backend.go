@@ -1,12 +1,8 @@
 package harness
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
-	"sync"
 	"time"
 
 	"mdst/internal/auditlog"
@@ -77,14 +73,9 @@ type BackendTuning struct {
 	// Tick is the gossip period of each node's "do forever" loop
 	// (live default 200µs, tcp default 2ms).
 	Tick time.Duration
-	// Probe is the convergence-detection sampling interval: how often
-	// the driver takes one detect.Sample (live default 2ms over the
-	// in-process probe, tcp default 25ms over the control connection).
-	Probe time.Duration
 	// Deadline is the total wall-clock budget of the run (default 30s).
 	// A run that is not legitimate at the deadline reports
-	// Converged=false. A positive Deadline takes precedence over
-	// Budget.
+	// Converged=false.
 	Deadline time.Duration
 	// BatchSize caps how many protocol messages the tcp backend's
 	// per-direction edge writers coalesce into one wire frame
@@ -97,17 +88,6 @@ type BackendTuning struct {
 	// A positive wait stretches the quiescence stability window — see
 	// resolveWall — so certificates still cover the slowed retries.
 	BatchMaxWait time.Duration
-	// Budget switches the deadline to convergence-aware mode: when
-	// positive (and Deadline is zero), the driver first executes the
-	// paired deterministic sim run — same spec, same seed, so the
-	// identical workload and corruptions — and scales its observed
-	// convergence rounds into this run's wall-clock deadline:
-	// Budget × rounds × tick, floored at twice the certificate
-	// stability window plus startup slack. This is what lets wall-clock
-	// matrix cells grow past toy sizes without a one-size-fits-all 30s
-	// budget. If the paired sim run does not converge, the driver falls
-	// back to the 30s default.
-	Budget float64
 }
 
 // Validate checks the tuning for values that would otherwise hang,
@@ -116,14 +96,8 @@ func (t BackendTuning) Validate() error {
 	if t.Tick < 0 {
 		return fmt.Errorf("harness: %w: negative Tick %v", ErrTuning, t.Tick)
 	}
-	if t.Probe < 0 {
-		return fmt.Errorf("harness: %w: negative Probe %v", ErrTuning, t.Probe)
-	}
 	if t.Deadline < 0 {
 		return fmt.Errorf("harness: %w: negative Deadline %v", ErrTuning, t.Deadline)
-	}
-	if t.Budget < 0 || math.IsNaN(t.Budget) || math.IsInf(t.Budget, 0) {
-		return fmt.Errorf("harness: %w: Budget %v out of range", ErrTuning, t.Budget)
 	}
 	if t.BatchSize < 0 {
 		return fmt.Errorf("harness: %w: negative BatchSize %d", ErrTuning, t.BatchSize)
@@ -134,151 +108,40 @@ func (t BackendTuning) Validate() error {
 	return nil
 }
 
-func (t BackendTuning) deadline() time.Duration {
-	if t.Deadline > 0 {
-		return t.Deadline
-	}
-	return 30 * time.Second
-}
-
 // wallParams are a wall-clock driver's resolved knobs.
 type wallParams struct {
 	tick     time.Duration // gossip period
-	unit     time.Duration // wall time of one protocol round (tick + frame hold)
 	probe    time.Duration // detection sampling interval
-	window   time.Duration // stability window the certificate must cover
-	stable   int           // consecutive stable probes = window/probe
+	stable   int           // consecutive stable probes that cover the window
 	deadline time.Duration // total wall-clock budget
 }
 
-// resolveWall turns the spec's tuning into driver parameters. The
-// stability window mirrors the sim backend's QuiesceRounds formula,
-// converted from rounds to wall time via the wall cost of one protocol
-// round: the tick period, stretched by BatchMaxWait when the transport
-// may hold a frame open that long (a batched retry can lag a full hold
-// behind its tick, and a window counted in bare ticks would certify a
-// slow-searching configuration quiescent mid-plateau, before its
-// reduction fires). With Budget set (and no explicit Deadline) it
-// executes the paired sim run to size the deadline.
-func resolveWall(spec RunSpec, ops variantOps, tickDefault, probeDefault time.Duration) (wallParams, error) {
-	p := wallParams{tick: spec.Tuning.Tick, probe: spec.Tuning.Probe}
+// resolveWall turns the spec's tuning into driver parameters; probe is
+// the backend's detection sampling interval. The stability window
+// mirrors the sim backend's QuiesceRounds formula, converted from rounds
+// to wall time via the wall cost of one protocol round: the tick period,
+// stretched by BatchMaxWait when the transport may hold a frame open
+// that long (a batched retry can lag a full hold behind its tick, and a
+// window counted in bare ticks would certify a slow-searching
+// configuration quiescent mid-plateau, before its reduction fires).
+func resolveWall(spec RunSpec, ops variantOps, tickDefault, probe time.Duration) wallParams {
+	p := wallParams{tick: spec.Tuning.Tick, probe: probe, deadline: spec.Tuning.Deadline}
 	if p.tick <= 0 {
 		p.tick = tickDefault
 	}
-	if p.probe <= 0 {
-		p.probe = probeDefault
+	if p.deadline <= 0 {
+		p.deadline = 30 * time.Second
 	}
-	p.unit = p.tick + spec.Tuning.BatchMaxWait
 	// Under core.RetryBackoff the retry spacing is time-varying per node,
 	// but a wall-clock driver cannot scan node tiers behind goroutines or
 	// sockets, so EffectiveRetryPeriod returns the conservative static
-	// bound (BackoffCapWindow) and the stability window — and through it
-	// the Budget deadline floor — covers the deepest tier. The sim
-	// backend's dynamic window is the optimization; wall backends pay the
-	// cap for soundness.
-	p.window = time.Duration(QuiesceWindowRounds(spec.Graph.N(), ops.cfg.EffectiveRetryPeriod())) * p.unit
-	p.stable = int(p.window/p.probe) + 1
-	p.deadline = spec.Tuning.Deadline
-	if p.deadline == 0 && spec.Tuning.Budget > 0 {
-		d, err := budgetDeadline(spec, ops, p)
-		if err != nil {
-			return p, err
-		}
-		p.deadline = d
-	}
-	if p.deadline <= 0 {
-		p.deadline = spec.Tuning.deadline()
-	}
-	return p, nil
-}
-
-// budgetKey identifies a paired sim instance for the budget cache: it
-// captures every input the deterministic sim result depends on for a
-// wall-clock spec (DropRate/TrackSafety/MaxRounds are rejected on
-// wall-clock backends, so they are always zero here).
-type budgetKey struct {
-	seed         int64
-	start        StartMode
-	variant      Variant
-	corruptNodes int
-	targets      string
-	cfg          core.Config
-	graph        uint64
-}
-
-// budgetRounds caches pairedSimRounds results so a matrix running both
-// wall-clock backends (and possibly the sim backend itself) over the
-// same paired instance pays for the sim pairing once per process, not
-// once per wall-clock cell. One small entry per distinct instance.
-var budgetRounds sync.Map // budgetKey -> int (rounds; -1: did not converge)
-
-// graphHash folds the exact topology into the budget key.
-func graphHash(g *graph.Graph) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(x int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	write(g.N())
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			write(v)
-		}
-		write(-1)
-	}
-	return h.Sum64()
-}
-
-// pairedSimRounds executes (or recalls) the paired deterministic sim
-// instance — same spec and seed, so the same graph and corruptions; run
-// seeds already exclude the backend axis — and reports its observed
-// convergence rounds, -1 when it did not converge. Deterministic, so a
-// cache hit returns exactly what a re-run would.
-func pairedSimRounds(spec RunSpec, ops variantOps) (int, error) {
-	key := budgetKey{
-		seed:         spec.Seed,
-		start:        spec.Start,
-		variant:      spec.Variant,
-		corruptNodes: spec.CorruptNodes,
-		targets:      fmt.Sprint(spec.CorruptTargets),
-		cfg:          ops.cfg,
-		graph:        graphHash(spec.Graph),
-	}
-	if v, ok := budgetRounds.Load(key); ok {
-		return v.(int), nil
-	}
-	simSpec := spec
-	simSpec.Backend = BackendSim
-	simSpec.Tuning = BackendTuning{}
-	res, err := Run(simSpec)
-	if err != nil {
-		return 0, fmt.Errorf("harness: budget pairing: %w", err)
-	}
-	rounds := -1
-	if res.Converged {
-		rounds = res.Rounds
-	}
-	budgetRounds.Store(key, rounds)
-	return rounds, nil
-}
-
-// budgetDeadline scales the paired sim run's convergence rounds into a
-// wall-clock budget. Returns zero (caller defaults) when the sim run
-// does not converge.
-func budgetDeadline(spec RunSpec, ops variantOps, p wallParams) (time.Duration, error) {
-	rounds, err := pairedSimRounds(spec, ops)
-	if err != nil {
-		return 0, err
-	}
-	if rounds < 0 {
-		return 0, nil
-	}
-	d := time.Duration(spec.Tuning.Budget * float64(rounds) * float64(p.unit))
-	if min := 2*p.window + 250*time.Millisecond; d < min {
-		d = min
-	}
-	return d, nil
+	// bound (BackoffCapWindow) and the stability window covers the
+	// deepest tier. The sim backend's dynamic window is the optimization;
+	// wall backends pay the cap for soundness.
+	window := time.Duration(QuiesceWindowRounds(spec.Graph.N(), ops.cfg.EffectiveRetryPeriod())) *
+		(p.tick + spec.Tuning.BatchMaxWait)
+	p.stable = int(window/p.probe) + 1
+	return p
 }
 
 // auditRecorder builds the run's audit recorder and installs its
@@ -360,10 +223,7 @@ func snapshot(g *graph.Graph, prog detect.Progress, byKind map[string]int64, nod
 // the network in-band (lock-free reads of what the node loops post)
 // through driveWall.
 func runLive(spec RunSpec, ops variantOps) (Result, error) {
-	p, err := resolveWall(spec, ops, 200*time.Microsecond, 2*time.Millisecond)
-	if err != nil {
-		return Result{Backend: BackendLive}, err
-	}
+	p := resolveWall(spec, ops, 200*time.Microsecond, 2*time.Millisecond)
 	begin := time.Now()
 	ln := sim.NewLiveNetwork(spec.Graph, ops.factory, sim.LiveConfig{
 		TickInterval: p.tick,
@@ -382,10 +242,7 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 // fingerprint, active-kind deficit), so on converging runs the cluster
 // is stopped once and never restarted (Cluster.Restarts stays zero).
 func runTCP(spec RunSpec, ops variantOps) (Result, error) {
-	p, err := resolveWall(spec, ops, 2*time.Millisecond, 25*time.Millisecond)
-	if err != nil {
-		return Result{Backend: BackendTCP}, err
-	}
+	p := resolveWall(spec, ops, 2*time.Millisecond, 25*time.Millisecond)
 	begin := time.Now()
 	c := netrun.NewCluster(spec.Graph, ops.factory, netrun.Config{
 		TickInterval: p.tick,

@@ -353,9 +353,7 @@ func TestTuningValidation(t *testing.T) {
 	g := graph.Ring(6)
 	bad := []BackendTuning{
 		{Tick: -time.Millisecond},
-		{Probe: -time.Millisecond},
 		{Deadline: -time.Second},
-		{Budget: -1},
 		{BatchSize: -1},
 		{BatchMaxWait: -time.Millisecond},
 	}
@@ -379,43 +377,6 @@ func TestTuningValidation(t *testing.T) {
 	// field the backend never reads.
 	if err := (RunSpec{Graph: g, Tuning: BackendTuning{Tick: -1}}).Validate(); err != nil {
 		t.Fatalf("sim spec rejected over ignored tuning: %v", err)
-	}
-}
-
-// Tuning.Budget sizes the wall-clock deadline from the paired
-// deterministic sim run instead of the one-size-fits-all 30s default.
-func TestBackendBudgetDeadline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock budget run")
-	}
-	g := graph.Wheel(8)
-	res, err := Run(RunSpec{
-		Graph:   g,
-		Start:   StartCorrupt,
-		Seed:    11,
-		Backend: BackendLive,
-		Tuning:  BackendTuning{Budget: 200},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smokeCheck(t, res, BackendLive)
-	if res.Deadline <= 0 || res.Deadline >= 30*time.Second {
-		t.Fatalf("budget deadline %v not derived from the paired sim run", res.Deadline)
-	}
-	// An explicit deadline takes precedence over the budget.
-	res2, err := Run(RunSpec{
-		Graph:   g,
-		Start:   StartCorrupt,
-		Seed:    11,
-		Backend: BackendLive,
-		Tuning:  BackendTuning{Budget: 200, Deadline: 17 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Deadline != 17*time.Second {
-		t.Fatalf("explicit deadline overridden by budget: %v", res2.Deadline)
 	}
 }
 

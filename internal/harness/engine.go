@@ -22,9 +22,10 @@ const (
 	// pending deliveries and node timers live in a calendar queue, idle
 	// nodes park (sim.EventProcess), and rounds without work are skipped
 	// outright — per-round cost tracks the active frontier, which is what
-	// makes n=16384 runs tractable. Reaches the same legitimacy predicate
-	// and Δ*+1 bracket as compat (differential-tested) but not the same
-	// byte-level schedule.
+	// makes n=16384 runs tractable. It orders each round as the sync
+	// scheduler does and runs under no other. Reaches the same legitimacy
+	// predicate and Δ*+1 bracket as compat (differential-tested) but not
+	// the same byte-level schedule.
 	EngineEvent Engine = "event"
 )
 
@@ -43,15 +44,8 @@ func ParseEngine(s string) (Engine, error) {
 	return "", fmt.Errorf("harness: unknown engine %q (want compat|event)", s)
 }
 
-// EventPolicyFor maps a scheduler kind onto the event core's intra-round
-// ordering policy, as the simulator loop applies it under EngineEvent.
-func EventPolicyFor(kind SchedulerKind) sim.EventPolicy {
-	switch kind {
-	case SchedAsync:
-		return sim.EventPolicyAsync
-	case SchedAdversarial:
-		return sim.EventPolicyAdversarial
-	default:
-		return sim.EventPolicySync
-	}
-}
+// EventPolicyFor returns the event core's one ordering, sync, for every
+// scheduler kind (Validate rejects the others on EngineEvent). It
+// remains only because benchmark/trace.go sets sim.EventConfig.Policy
+// with it.
+func EventPolicyFor(SchedulerKind) sim.EventPolicy { return sim.EventPolicySync }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mdst/internal/core"
@@ -45,14 +46,21 @@ func TestValidateRejectsEngineMisuse(t *testing.T) {
 	if err := (RunSpec{Graph: g, Engine: EngineEvent, DropRate: 0.1}).Validate(); err == nil {
 		t.Error("event engine accepted with lossy links")
 	}
+	for _, sched := range []SchedulerKind{SchedAsync, SchedAdversarial} {
+		err := (RunSpec{Graph: g, Engine: EngineEvent, Scheduler: sched}).Validate()
+		if err == nil || !strings.Contains(err.Error(), string(sched)) {
+			t.Errorf("event engine with scheduler %s: error %v, want one naming the scheduler", sched, err)
+		}
+	}
 	if err := (RunSpec{Graph: g, Engine: EngineEvent}).Validate(); err != nil {
 		t.Errorf("valid event spec rejected: %v", err)
 	}
 }
 
-// The tentpole differential: on paired seeds the event core must reach
-// the same legitimacy predicate and the same Δ*+1 degree bracket as the
-// compat core — the schedules differ, the outcome claims may not.
+// The tentpole differential: on paired seeds the event core (which
+// orders every round as sync) must reach the same legitimacy predicate
+// and the same Δ*+1 degree bracket as the compat core under each of its
+// three schedulers — the schedules differ, the outcome claims may not.
 func TestEventEngineMatchesCompatOutcome(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	graphs := map[string]*graph.Graph{
@@ -61,14 +69,20 @@ func TestEventEngineMatchesCompatOutcome(t *testing.T) {
 		"gnp":   graph.RandomGnp(12, 0.35, rng),
 	}
 	for name, g := range graphs {
-		for _, sched := range []SchedulerKind{SchedSync, SchedAsync, SchedAdversarial} {
-			for _, variant := range []Variant{VariantCore, VariantLiteral} {
-				for seed := int64(1); seed <= 2; seed++ {
-					spec := RunSpec{Graph: g, Scheduler: sched, Variant: variant,
-						Start: StartCorrupt, Seed: seed}
+		star, ok := mdstseq.ExactDelta(g, 0)
+		for _, variant := range []Variant{VariantCore, VariantLiteral} {
+			for seed := int64(1); seed <= 2; seed++ {
+				spec := RunSpec{Graph: g, Scheduler: SchedSync, Variant: variant,
+					Start: StartCorrupt, Seed: seed, Engine: EngineEvent}
+				event := MustRun(spec)
+				if ok && event.Legit.OK() && event.Legit.MaxDegree > star+1 {
+					t.Fatalf("%s/%s seed %d: event degree %d > Δ*+1 = %d",
+						name, variant, seed, event.Legit.MaxDegree, star+1)
+				}
+				spec.Engine = EngineCompat
+				for _, sched := range []SchedulerKind{SchedSync, SchedAsync, SchedAdversarial} {
+					spec.Scheduler = sched
 					compat := MustRun(spec)
-					spec.Engine = EngineEvent
-					event := MustRun(spec)
 					label := name + "/" + string(sched) + "/" + string(variant)
 					if compat.Converged != event.Converged {
 						t.Fatalf("%s seed %d: converged compat=%v event=%v",
@@ -77,11 +91,6 @@ func TestEventEngineMatchesCompatOutcome(t *testing.T) {
 					if compat.Legit.OK() != event.Legit.OK() {
 						t.Fatalf("%s seed %d: legit compat=%+v event=%+v",
 							label, seed, compat.Legit, event.Legit)
-					}
-					star, ok := mdstseq.ExactDelta(g, 0)
-					if ok && event.Legit.OK() && event.Legit.MaxDegree > star+1 {
-						t.Fatalf("%s seed %d: event degree %d > Δ*+1 = %d",
-							label, seed, event.Legit.MaxDegree, star+1)
 					}
 				}
 			}
@@ -140,7 +149,7 @@ func TestEventRoundViewMatchesLegacyLoop(t *testing.T) {
 			}
 			var execd []exec
 			resB := netB.RunEvents(sim.EventConfig{
-				Policy: sim.EventPolicySync, MaxRounds: maxRounds,
+				MaxRounds:     maxRounds,
 				QuiesceRounds: window, ActiveKinds: core.ReductionKinds(),
 				OnRound: func(r int) bool {
 					execd = append(execd, exec{r, netB.LastFingerprint()})

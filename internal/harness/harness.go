@@ -139,8 +139,8 @@ const (
 	// VariantCore runs core.NewNode: the edge exchange is an ordered
 	// chain of single-parent moves, each of which keeps a spanning tree.
 	VariantCore Variant = "core"
-	// VariantLiteral runs core.NewLiteralNode: the literal
-	// Remove/Back/Reverse choreography of the paper's Figures 1-2.
+	// VariantLiteral runs core.NewLiteralNode: the literal Remove/Back
+	// choreography of the paper's Figures 1-2.
 	VariantLiteral Variant = "literal"
 )
 
@@ -187,9 +187,11 @@ type RunSpec struct {
 	// Engine selects the sim backend's execution core (empty means
 	// EngineCompat, the full-sweep loop every committed baseline was
 	// generated with). EngineEvent runs the discrete-event core —
-	// frontier-only scheduling for large n. Sim backend only.
+	// frontier-only scheduling for large n — under the sync scheduler
+	// only. Sim backend only.
 	Engine Engine
-	// Tuning adjusts the wall-clock backends; ignored by sim.
+	// Tuning adjusts the wall-clock backends (tick, deadline, tcp frame
+	// batching); ignored by sim.
 	Tuning BackendTuning
 	// Collect, when non-nil, streams metrics.Snapshot observations into
 	// the collector while the run executes: the sim backend samples its
@@ -281,8 +283,8 @@ type Result struct {
 	// execution after a certified-but-not-legitimate stop. Zero on
 	// converging runs — the acceptance claim of in-band detection.
 	Restarts int `json:"-"`
-	// Deadline is the effective wall-clock budget the driver ran under
-	// (after Tuning.Budget resolution); zero for the sim backend.
+	// Deadline is the wall-clock budget the driver ran under
+	// (Tuning.Deadline, or the 30s default); zero for the sim backend.
 	Deadline time.Duration `json:"-"`
 	// AuditChain is the mutation hash-chain head and AuditRecords the
 	// number of chained mutations (recorded when RunSpec.Collect is set;
@@ -339,6 +341,9 @@ func (s RunSpec) Validate() error {
 		}
 		if s.DropRate > 0 {
 			return fmt.Errorf("harness: DropRate requires the compat engine (event-core nodes park and never re-send lost gossip)")
+		}
+		if s.Scheduler != "" && s.Scheduler != SchedSync {
+			return fmt.Errorf("harness: scheduler %q requires the compat engine (the event core orders each round as sync)", s.Scheduler)
 		}
 	}
 	if s.backend() != BackendSim {
@@ -575,7 +580,6 @@ func driveSim(spec RunSpec, ops variantOps, net *sim.Network, nodes []*core.Node
 	var res sim.RunResult
 	if spec.engine() == EngineEvent {
 		res = net.RunEvents(sim.EventConfig{
-			Policy:        EventPolicyFor(spec.Scheduler),
 			MaxRounds:     maxRounds,
 			QuiesceRounds: quiesceRounds,
 			QuiesceWindow: windowFn,

@@ -36,44 +36,49 @@ func TestValidateRejectsPartialConfig(t *testing.T) {
 // The incremental fingerprint cache must be invisible: every snapshot a
 // collected run takes, from the initial configuration on, carries the
 // combined fingerprint detect.Combine computes over every node's
-// Fingerprint from scratch. Both exchanges run under every scheduler,
-// on reliable and lossy links on the compat core and on the event core.
+// Fingerprint from scratch. Both exchanges run under every scheduler on
+// reliable and lossy links on the compat core, and on the event core,
+// whose one ordering is sync.
 func TestLastFingerprintMatchesFromScratchCombine(t *testing.T) {
 	g := graph.RandomGnp(14, 0.3, rand.New(rand.NewSource(9)))
-	modes := []struct {
+	type mode struct {
 		engine Engine
+		sched  SchedulerKind
 		drop   float64
-	}{{EngineCompat, 0}, {EngineCompat, 0.2}, {EngineEvent, 0}}
+	}
+	var modes []mode
+	for _, sched := range []SchedulerKind{SchedSync, SchedAsync, SchedAdversarial} {
+		modes = append(modes, mode{EngineCompat, sched, 0}, mode{EngineCompat, sched, 0.2})
+	}
+	modes = append(modes, mode{EngineEvent, SchedSync, 0})
 	for _, variant := range []Variant{VariantCore, VariantLiteral} {
-		for _, sched := range []SchedulerKind{SchedSync, SchedAsync, SchedAdversarial} {
-			for _, m := range modes {
-				spec := RunSpec{Graph: g, Variant: variant, Scheduler: sched, Start: StartCorrupt,
-					Seed: 5, Engine: m.engine, DropRate: m.drop}
-				if err := spec.Validate(); err != nil {
-					t.Fatal(err)
+		for _, m := range modes {
+			spec := RunSpec{Graph: g, Variant: variant, Scheduler: m.sched, Start: StartCorrupt,
+				Seed: 5, Engine: m.engine, DropRate: m.drop}
+			if err := spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ops := variantFor(spec)
+			net := sim.NewNetwork(g, ops.factory, spec.Seed)
+			nodes, _, ok := buildInitial(spec, ops, net.Process)
+			if !ok {
+				t.Fatal("corrupt start failed to build")
+			}
+			checked := 0
+			spec.Collect = &metrics.Collector{OnSnapshot: func(s metrics.Snapshot) {
+				fps := make([]uint64, len(nodes))
+				for i, nd := range nodes {
+					fps[i] = nd.Fingerprint()
 				}
-				ops := variantFor(spec)
-				net := sim.NewNetwork(g, ops.factory, spec.Seed)
-				nodes, _, ok := buildInitial(spec, ops, net.Process)
-				if !ok {
-					t.Fatal("corrupt start failed to build")
+				if want := detect.Combine(fps); s.Fingerprint != want {
+					t.Fatalf("%s/%s/%s/drop=%v epoch %d: snapshot fingerprint %x, from scratch %x",
+						variant, m.sched, m.engine, m.drop, s.Epoch, s.Fingerprint, want)
 				}
-				checked := 0
-				spec.Collect = &metrics.Collector{OnSnapshot: func(s metrics.Snapshot) {
-					fps := make([]uint64, len(nodes))
-					for i, nd := range nodes {
-						fps[i] = nd.Fingerprint()
-					}
-					if want := detect.Combine(fps); s.Fingerprint != want {
-						t.Fatalf("%s/%s/%s/drop=%v epoch %d: snapshot fingerprint %x, from scratch %x",
-							variant, sched, m.engine, m.drop, s.Epoch, s.Fingerprint, want)
-					}
-					checked++
-				}}
-				driveSim(spec, ops, net, nodes, time.Now())
-				if checked < 2 {
-					t.Fatalf("%s/%s/%s/drop=%v: %d snapshot(s) observed", variant, sched, m.engine, m.drop, checked)
-				}
+				checked++
+			}}
+			driveSim(spec, ops, net, nodes, time.Now())
+			if checked < 2 {
+				t.Fatalf("%s/%s/%s/drop=%v: %d snapshot(s) observed", variant, m.sched, m.engine, m.drop, checked)
 			}
 		}
 	}

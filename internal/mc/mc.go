@@ -203,7 +203,7 @@ func copyMsg(m sim.Message) sim.Message {
 	case core.BackMsg:
 		msg.Path = append([]int(nil), msg.Path...)
 		return msg
-	case core.InfoMsg, core.DeblockMsg, core.UpdateDistMsg, core.ReverseAuxMsg:
+	case core.InfoMsg, core.DeblockMsg, core.UpdateDistMsg:
 		return m // value types without slices
 	default:
 		panic(fmt.Sprintf("mc: copyMsg: unknown message type %T", m))
@@ -309,9 +309,6 @@ func hashMsg(m sim.Message) uint64 {
 		for _, v := range msg.Path {
 			mix(uint64(v))
 		}
-	case core.ReverseAuxMsg:
-		mix(14)
-		mix(uint64(msg.Target))
 	default:
 		panic(fmt.Sprintf("mc: hashMsg: unknown message type %T", m))
 	}

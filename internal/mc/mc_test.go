@@ -143,7 +143,6 @@ func TestCopyMsgIsolatesSlices(t *testing.T) {
 		core.InfoMsg{Root: 1, Deg: 2},
 		core.DeblockMsg{Block: 3, TTL: 1},
 		core.UpdateDistMsg{Dist: 4},
-		core.ReverseAuxMsg{Target: 5},
 		rev, rm, back,
 	} {
 		if hashMsg(copyMsg(m)) != hashMsg(m) {

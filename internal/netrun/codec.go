@@ -4,7 +4,7 @@ package netrun
 // socket. Integers are varints, so a message costs about as many bytes
 // as its O(log n)-bit words (Size) suggest.
 //
-//   - Message: a one-byte tag naming one of core's eight message types,
+//   - Message: a one-byte tag naming one of core's seven message types,
 //     then its fields in declaration order. An int is a zigzag varint, a
 //     bool one byte (0 or 1), a graph.Edge its U then V, and a slice a
 //     uvarint length followed by its elements.
@@ -44,9 +44,9 @@ const (
 	tagUpdateDist
 	tagRemove
 	tagBack
-	tagReverseAux
-	// tagProbe opens a control-channel request.
-	tagProbe
+	// tagProbe opens a control-channel request. It stays 9, and 8 is not
+	// reused, so a tag keeps one meaning across versions.
+	tagProbe byte = 9
 )
 
 // maxWireLen caps every length prefix: frame counts, paths, node lists
@@ -140,9 +140,6 @@ func appendMsg(b []byte, m sim.Message) []byte {
 		b = appendEdge(b, m.Init)
 		b = appendInts(b, m.Path)
 		return appendInt(b, m.Pos)
-	case core.ReverseAuxMsg:
-		b = append(b, tagReverseAux)
-		return appendInt(b, m.Target)
 	default:
 		panic(fmt.Sprintf("netrun: message type %T has no wire tag", m))
 	}
@@ -283,8 +280,6 @@ func (d *wireReader) msg() sim.Message {
 			WDeg: d.varint(), Path: readSlice(d, d.varint), Pos: d.varint(), Reorient: d.flag()}
 	case tagBack:
 		return core.BackMsg{Init: d.edge(), Path: readSlice(d, d.varint), Pos: d.varint()}
-	case tagReverseAux:
-		return core.ReverseAuxMsg{Target: d.varint()}
 	default:
 		d.fail(fmt.Errorf("netrun: unknown message tag %#x", tag))
 		return nil

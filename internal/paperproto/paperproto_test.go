@@ -109,10 +109,6 @@ func TestMessageKindsAndSizes(t *testing.T) {
 	if b.Kind() != core.KindBack || b.Size() != 6 {
 		t.Fatalf("Back kind=%q size=%d", b.Kind(), b.Size())
 	}
-	v := core.ReverseAuxMsg{Target: 3}
-	if v.Kind() != core.KindReverse || v.Size() != 1 {
-		t.Fatalf("Reverse kind=%q size=%d", v.Kind(), v.Size())
-	}
 	kinds := paperproto.ReductionKinds()
 	if len(kinds) != 4 {
 		t.Fatalf("ReductionKinds = %v", kinds)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mdst/internal/harness"
@@ -75,6 +76,21 @@ func TestExpandRejectsBadSpecs(t *testing.T) {
 	for i, spec := range cases {
 		if _, err := spec.Expand(); err == nil {
 			t.Fatalf("case %d: bad spec accepted", i)
+		}
+	}
+}
+
+// The event core runs only the sync scheduler: a spec that lists the
+// event engine next to another scheduler is rejected before expansion,
+// naming the scheduler, instead of failing cell by cell in the workers.
+func TestExpandRejectsEventEngineWithoutSync(t *testing.T) {
+	spec := Spec{Families: []string{"wheel"}, Sizes: []int{8},
+		Engines: []harness.Engine{harness.EngineCompat, harness.EngineEvent}}
+	for _, sched := range []harness.SchedulerKind{harness.SchedAsync, harness.SchedAdversarial} {
+		spec.Schedulers = []harness.SchedulerKind{harness.SchedSync, sched}
+		_, err := spec.Expand()
+		if err == nil || !strings.Contains(err.Error(), string(sched)) {
+			t.Fatalf("event engine next to %s: error %v, want one naming the scheduler", sched, err)
 		}
 	}
 }

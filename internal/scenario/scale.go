@@ -177,8 +177,8 @@ type EventCell struct {
 // injects a fault at the deepest backoff tier (a node whose retry
 // spacing reached the cap) and re-runs under the dynamic
 // quiescence-stability window: re-convergence with a certificate
-// inside RecoveryBudget (twice the cap-based stability window, the
-// wall-clock drivers' budget-deadline floor shape) is also enforced.
+// inside RecoveryBudget (twice the cap-based stability window) is also
+// enforced.
 type DecayCell struct {
 	Family string `json:"family"`
 	N      int    `json:"n"`
@@ -495,7 +495,6 @@ func decayCell(family string, size int, seed int64) (DecayCell, error) {
 		per := make([]int64, 0, decayWindows)
 		var prev int64
 		net.RunEvents(sim.EventConfig{
-			Policy:    sim.EventPolicySync,
 			MaxRounds: total,
 			OnRound: func(r int) bool {
 				// r+1 = virtual rounds completed; close every window the

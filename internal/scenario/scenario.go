@@ -54,7 +54,9 @@ type Spec struct {
 	// yields paired comparisons on identical workloads. The compat label
 	// serializes empty, keeping engine-free matrix JSON byte-identical to
 	// the committed baselines. Event cells require the sim backend and
-	// lossless links (harness.RunSpec.Validate).
+	// lossless links (harness.RunSpec.Validate), and the event core runs
+	// only the sync scheduler, so a spec with an event engine lists no
+	// other.
 	Engines []harness.Engine
 	// Retry defaults to [core.RetryPaper]: each entry runs its cells
 	// under that cycle-search retry policy, written into Config.Retry of
@@ -81,11 +83,8 @@ type Spec struct {
 	// count (zero Config means the core default). Its Retry field is
 	// ignored: the Retry axis sets it.
 	Config func(n int) core.Config `json:"-"`
-	// Tuning adjusts the wall-clock backends (tick, probe interval,
-	// per-run deadline, convergence-aware Budget mode — with Budget set
-	// each wall-clock cell's deadline is scaled from the paired sim
-	// run's observed rounds, since run seeds exclude the backend axis);
-	// the sim backend ignores it.
+	// Tuning adjusts the wall-clock backends (tick, per-run deadline,
+	// tcp frame batching); the sim backend ignores it.
 	Tuning harness.BackendTuning `json:"-"`
 	// Metrics enables the observability plane on every run: a metrics
 	// collector (stride sized to the instance: one snapshot per n
@@ -261,11 +260,17 @@ func (s Spec) validate() error {
 		}
 		seenEngine[ne] = true
 		if ne == harness.EngineEvent {
-			// An event cell on a wall-clock backend would fail run by run
-			// deep in the workers; reject the axis combination up front.
+			// An event cell on a wall-clock backend or under a scheduler
+			// the event core does not have would fail run by run deep in
+			// the workers; reject the axis combination up front.
 			for _, b := range s.Backends {
 				if nb, err := harness.ParseBackend(string(b)); err == nil && nb != harness.BackendSim {
 					return fmt.Errorf("scenario: engine %q requires the sim backend (spec also lists %q)", ne, nb)
+				}
+			}
+			for _, k := range s.Schedulers {
+				if k != harness.SchedSync {
+					return fmt.Errorf("scenario: engine %q runs only the sync scheduler (spec also lists %q)", ne, k)
 				}
 			}
 		}

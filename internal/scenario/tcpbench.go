@@ -11,20 +11,20 @@ import (
 )
 
 // TCP transport bench: the committed BENCH_tcp.json sweep that records
-// what per-link frame coalescing (netrun batching, PR 6) buys on the
-// only backend with a real wire. One drawn instance (ring+chords n=128
-// by default, suppression on — the medium-n sweep conditions) runs once
-// per batch size over loopback TCP; the committed figures of merit are
+// what per-link frame coalescing (netrun batching) buys on the only
+// backend with a real wire. One drawn instance (ring+chords n=128 by
+// default, suppression on — the medium-n sweep conditions) runs once
+// per batch size over loopback TCP; the figure of merit is
 // frames-per-message (how many syscall bursts a message costs; 1.0 at
-// batch=1 by construction) and wall-time-per-round (wall clock divided
-// by the paired deterministic sim run's convergence rounds — the wall
-// cost of one protocol round on this transport, which batching must
-// not inflate).
+// batch=1 by construction), next to the outcome and the restart count.
+// The report carries no wall time: one corrupt-start run's time to
+// certify varies several-fold from run to run, so it could rank neither
+// batch sizes nor commits. The repository benchmark's tcp workload is
+// the measurement of the transport's cost.
 //
-// Unlike BENCH_scale.json, every number here is wall-clock and varies
-// across machines and reruns: the artifact is a recorded snapshot, NOT
-// a byte-identity baseline, and is deliberately excluded from the
-// `make drift` gate.
+// Message and frame counts depend on the socket timing, so the
+// artifact is a recorded snapshot, NOT a byte-identity baseline, and is
+// deliberately excluded from the `make drift` gate.
 
 // TCPBenchSpec configures TCPBenchSweep. The zero value selects the
 // committed defaults.
@@ -68,24 +68,16 @@ type TCPBenchRow struct {
 	// FramesPerMessage = Frames/Messages — the syscall-burst cost of one
 	// message (1.0 at batch=1; the headline is how far below it drops).
 	FramesPerMessage float64 `json:"framesPerMessage"`
-	WallMS           float64 `json:"wallMS"`
-	// WallPerRoundMS = WallMS / SimRounds — the wall cost of one
-	// protocol round on this transport.
-	WallPerRoundMS float64 `json:"wallPerRoundMS"`
-	Restarts       int     `json:"restarts"`
+	Restarts         int     `json:"restarts"`
 }
 
 // TCPBenchReport is the content of BENCH_tcp.json.
 type TCPBenchReport struct {
-	Family string  `json:"family"`
-	N      int     `json:"n"`
-	Edges  int     `json:"edges"`
-	TickMS float64 `json:"tickMS"`
-	// SimRounds is the paired deterministic sim run's convergence round
-	// count — same instance, same corruptions (run seeds exclude the
-	// backend axis) — the denominator of every WallPerRoundMS.
-	SimRounds int           `json:"simRounds"`
-	Rows      []TCPBenchRow `json:"rows"`
+	Family string        `json:"family"`
+	N      int           `json:"n"`
+	Edges  int           `json:"edges"`
+	TickMS float64       `json:"tickMS"`
+	Rows   []TCPBenchRow `json:"rows"`
 }
 
 // JSON renders the report as indented JSON (committed as a snapshot;
@@ -105,41 +97,13 @@ func round3(x float64) float64 { return math.Round(x*1000) / 1000 }
 // TCPBenchSweep measures frame coalescing on the loopback TCP cluster:
 // the identical corrupted instance, once per batch size, serially (a
 // medium-n cluster saturates the socket layer by itself — concurrent
-// clusters would contaminate the wall numbers). The paired sim run
-// supplies the protocol-round denominator.
+// clusters would starve each other).
 func TCPBenchSweep(spec TCPBenchSpec) (*TCPBenchReport, error) {
 	ns := spec.normalized()
-	cell := func(backend harness.Backend, tuning harness.BackendTuning) Spec {
-		return Spec{
-			Families:     []string{tcpBenchFamily},
-			Sizes:        []int{ns.N},
-			Starts:       []harness.StartMode{harness.StartCorrupt},
-			Retry:        []core.RetryPolicy{core.RetrySuppress},
-			SeedsPerCell: 1,
-			BaseSeed:     tcpBenchBaseSeed,
-			Backends:     []harness.Backend{backend},
-			Tuning:       tuning,
-		}
-	}
-
-	sim, err := Engine{Workers: 1}.Execute(cell(harness.BackendSim, harness.BackendTuning{}))
-	if err != nil {
-		return nil, err
-	}
-	pair := &sim.Runs[0]
-	if pair.Err != "" {
-		return nil, fmt.Errorf("scenario: tcp bench sim pairing failed: %s", pair.Err)
-	}
-	if !pair.Converged || pair.Rounds <= 0 {
-		return nil, fmt.Errorf("scenario: tcp bench sim pairing did not converge (rounds=%d)", pair.Rounds)
-	}
-
 	report := &TCPBenchReport{
-		Family:    tcpBenchFamily,
-		N:         ns.N,
-		Edges:     pair.Edges,
-		TickMS:    round3(float64(tcpBenchTick) / float64(time.Millisecond)),
-		SimRounds: pair.Rounds,
+		Family: tcpBenchFamily,
+		N:      ns.N,
+		TickMS: round3(float64(tcpBenchTick) / float64(time.Millisecond)),
 	}
 	for _, batch := range []int{1, 8, 16} {
 		tuning := harness.BackendTuning{
@@ -150,7 +114,16 @@ func TCPBenchSweep(spec TCPBenchSpec) (*TCPBenchReport, error) {
 		if batch > 1 {
 			tuning.BatchMaxWait = tcpBenchBatchMaxWait
 		}
-		m, err := Engine{Workers: 1}.Execute(cell(harness.BackendTCP, tuning))
+		m, err := Engine{Workers: 1}.Execute(Spec{
+			Families:     []string{tcpBenchFamily},
+			Sizes:        []int{ns.N},
+			Starts:       []harness.StartMode{harness.StartCorrupt},
+			Retry:        []core.RetryPolicy{core.RetrySuppress},
+			SeedsPerCell: 1,
+			BaseSeed:     tcpBenchBaseSeed,
+			Backends:     []harness.Backend{harness.BackendTCP},
+			Tuning:       tuning,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -158,6 +131,7 @@ func TCPBenchSweep(spec TCPBenchSpec) (*TCPBenchReport, error) {
 		if rr.Err != "" {
 			return nil, fmt.Errorf("scenario: tcp bench batch=%d failed: %s", batch, rr.Err)
 		}
+		report.Edges = rr.Edges
 		row := TCPBenchRow{
 			Batch:          batch,
 			BatchMaxWaitMS: round3(float64(tuning.BatchMaxWait) / float64(time.Millisecond)),
@@ -165,13 +139,11 @@ func TCPBenchSweep(spec TCPBenchSpec) (*TCPBenchReport, error) {
 			Legitimate:     rr.Legitimate,
 			Messages:       rr.Messages,
 			Frames:         rr.Frames,
-			WallMS:         round3(float64(rr.Wall) / float64(time.Millisecond)),
 			Restarts:       rr.Restarts,
 		}
 		if rr.Messages > 0 {
 			row.FramesPerMessage = round3(float64(rr.Frames) / float64(rr.Messages))
 		}
-		row.WallPerRoundMS = round3(row.WallMS / float64(pair.Rounds))
 		report.Rows = append(report.Rows, row)
 	}
 	return report, nil

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // The event core: a discrete-event alternative to the per-round full
 // sweep of Network.Run. Virtual time is the round index; pending
@@ -41,27 +38,21 @@ type EventProcess interface {
 	SkipTicks(k int)
 }
 
-// EventPolicy selects the intra-round event ordering of the event core,
-// mirroring the three legacy schedulers.
+// EventPolicy names the event core's intra-round ordering. The core has
+// one, EventPolicySync, and RunEvents does not read it; the type remains
+// only because benchmark/trace.go sets EventConfig.Policy.
 type EventPolicy int
 
-const (
-	// EventPolicySync mirrors SyncScheduler: due deliveries first
-	// (randomized link order, FIFO within links), then ticks in
-	// randomized order.
-	EventPolicySync EventPolicy = iota
-	// EventPolicyAsync mirrors AsyncScheduler's spirit: due deliveries
-	// and ticks of the round interleave in one random order.
-	EventPolicyAsync
-	// EventPolicyAdversarial mirrors AdversarialScheduler: due
-	// deliveries always from the currently longest queue (lowest link
-	// index on ties), then ticks in descending ID order.
-	EventPolicyAdversarial
-)
+// EventPolicySync mirrors SyncScheduler: due deliveries first
+// (randomized link order, FIFO within links), then ticks in randomized
+// order. It is the only ordering RunEvents has.
+const EventPolicySync EventPolicy = 0
 
 // EventConfig controls Network.RunEvents. The fields correspond to
-// RunConfig one for one; Policy replaces the Scheduler.
+// RunConfig one for one, without the Scheduler: every round is ordered
+// as SyncScheduler orders it.
 type EventConfig struct {
+	// Policy is not read; it remains only for benchmark/trace.go.
 	Policy EventPolicy
 	// MaxRounds bounds virtual time; RunEvents returns Converged=false
 	// when the bound passes without quiescence.
@@ -108,8 +99,7 @@ func (h *intMinHeap) Pop() interface{} {
 
 // eventEngine is the per-run state of the event core.
 type eventEngine struct {
-	net    *Network
-	policy EventPolicy
+	net *Network
 
 	procs      []EventProcess // nil where the process cannot park
 	nextTickAt []int          // armed tick round per node; 0 = unarmed
@@ -123,16 +113,9 @@ type eventEngine struct {
 	touched     []NodeID
 	touchedMark []bool
 
-	// Scratch for the delivery-ordering policies.
+	// Scratch for the delivery ordering.
 	dueCount []int
 	groups   []int
-	advHeap  *linkMaxHeap
-	async    []asyncItem
-}
-
-type asyncItem struct {
-	tick bool
-	v    int // node ID for ticks, link index for deliveries
 }
 
 func (e *eventEngine) bucket(t int) *eventBucket {
@@ -235,98 +218,31 @@ func (e *eventEngine) rearm(v NodeID) {
 	e.arm(v, due)
 }
 
-// runBucket executes round t's events under the configured policy.
+// runBucket executes round t's events: deliveries first, grouped per
+// link in first-appearance order (FIFO within a link), link order
+// randomized; then ticks in randomized order.
 func (e *eventEngine) runBucket(t int, b *eventBucket) {
 	rng := e.net.rng
-	switch e.policy {
-	case EventPolicyAsync:
-		items := e.async[:0]
-		for _, li := range b.dels {
-			items = append(items, asyncItem{tick: false, v: li})
+	groups := e.groups[:0]
+	for _, li := range b.dels {
+		if e.dueCount[li] == 0 {
+			groups = append(groups, li)
 		}
-		for _, id := range b.ticks {
-			items = append(items, asyncItem{tick: true, v: id})
+		e.dueCount[li]++
+	}
+	e.groups = groups
+	rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
+	for _, li := range groups {
+		cnt := e.dueCount[li]
+		e.dueCount[li] = 0
+		for c := 0; c < cnt; c++ {
+			e.deliver(li)
 		}
-		e.async = items
-		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-		for _, it := range items {
-			if it.tick {
-				e.fireTick(it.v, t)
-			} else {
-				e.deliver(it.v)
-			}
-		}
-	case EventPolicyAdversarial:
-		// Longest-queue-first over the due messages: the heap keys the
-		// links with due deliveries by current total queue length
-		// (lowest index on ties) and is re-keyed after each delivery
-		// and each send a delivery triggers.
-		groups := e.groups[:0]
-		for _, li := range b.dels {
-			if e.dueCount[li] == 0 {
-				groups = append(groups, li)
-			}
-			e.dueCount[li]++
-		}
-		e.groups = groups
-		e.advHeap.Reset()
-		for _, li := range groups {
-			e.advHeap.Update(li, e.net.LinkLen(li))
-		}
-		inner := e.net.sendHook
-		e.net.sendHook = func(li int) {
-			if e.dueCount[li] > 0 {
-				e.advHeap.Update(li, e.net.LinkLen(li))
-			}
-			inner(li)
-		}
-		for {
-			best, ok := e.advHeap.Max()
-			if !ok {
-				break
-			}
-			e.deliver(best)
-			e.dueCount[best]--
-			if e.dueCount[best] > 0 {
-				e.advHeap.Update(best, e.net.LinkLen(best))
-			} else {
-				e.advHeap.Update(best, 0)
-			}
-		}
-		e.net.sendHook = inner
-		for _, li := range groups {
-			e.dueCount[li] = 0
-		}
-		ids := append([]NodeID(nil), b.ticks...)
-		sort.Sort(sort.Reverse(sort.IntSlice(ids)))
-		for _, id := range ids {
-			e.fireTick(id, t)
-		}
-	default: // EventPolicySync
-		// Deliveries first, grouped per link in first-appearance order
-		// (FIFO within a link), link order randomized; then ticks in
-		// randomized order.
-		groups := e.groups[:0]
-		for _, li := range b.dels {
-			if e.dueCount[li] == 0 {
-				groups = append(groups, li)
-			}
-			e.dueCount[li]++
-		}
-		e.groups = groups
-		rng.Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
-		for _, li := range groups {
-			cnt := e.dueCount[li]
-			e.dueCount[li] = 0
-			for c := 0; c < cnt; c++ {
-				e.deliver(li)
-			}
-		}
-		ids := b.ticks
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		for _, id := range ids {
-			e.fireTick(id, t)
-		}
+	}
+	ids := b.ticks
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for _, id := range ids {
+		e.fireTick(id, t)
 	}
 }
 
@@ -348,14 +264,12 @@ func (n *Network) RunEvents(cfg EventConfig) RunResult {
 	nn := n.g.N()
 	e := &eventEngine{
 		net:         n,
-		policy:      cfg.Policy,
 		procs:       make([]EventProcess, nn),
 		nextTickAt:  make([]int, nn),
 		tickSync:    make([]int, nn),
 		buckets:     make(map[int]*eventBucket),
 		touchedMark: make([]bool, nn),
 		dueCount:    make([]int, len(n.links)),
-		advHeap:     newLinkMaxHeap(len(n.links)),
 	}
 	for id := 0; id < nn; id++ {
 		if p, ok := n.procs[id].(EventProcess); ok {

@@ -38,17 +38,15 @@ func newEventMinNetwork(g *graph.Graph, seed int64) *Network {
 }
 
 func TestRunEventsConvergesMinFlood(t *testing.T) {
-	for _, policy := range []EventPolicy{EventPolicySync, EventPolicyAsync, EventPolicyAdversarial} {
-		g := graph.Ring(10)
-		net := newMinNetwork(g, 1) // no EventProcess: ticked every round
-		res := net.RunEvents(EventConfig{Policy: policy, MaxRounds: 200, QuiesceRounds: 3})
-		if !res.Converged {
-			t.Fatalf("policy %d did not converge", policy)
-		}
-		checkAllMin(t, net.Process, 10)
-		if res.LastChangeRound > 10 {
-			t.Fatalf("policy %d took %d rounds to last change", policy, res.LastChangeRound)
-		}
+	g := graph.Ring(10)
+	net := newMinNetwork(g, 1) // no EventProcess: ticked every round
+	res := net.RunEvents(EventConfig{MaxRounds: 200, QuiesceRounds: 3})
+	if !res.Converged {
+		t.Fatal("did not converge")
+	}
+	checkAllMin(t, net.Process, 10)
+	if res.LastChangeRound > 10 {
+		t.Fatalf("took %d rounds to last change", res.LastChangeRound)
 	}
 }
 
@@ -59,7 +57,7 @@ func TestRunEventsDerivedRoundClock(t *testing.T) {
 	g := graph.Ring(16)
 	net := newEventMinNetwork(g, 2)
 	const window = 50
-	res := net.RunEvents(EventConfig{Policy: EventPolicySync, MaxRounds: 1000, QuiesceRounds: window})
+	res := net.RunEvents(EventConfig{MaxRounds: 1000, QuiesceRounds: window})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -103,7 +101,7 @@ func TestRunEventsGapFastForward(t *testing.T) {
 	net := NewNetwork(g, func(NodeID, []NodeID) Process {
 		return &pulseProc{period: 5}
 	}, 3)
-	res := net.RunEvents(EventConfig{Policy: EventPolicySync, MaxRounds: 1000, QuiesceRounds: 7})
+	res := net.RunEvents(EventConfig{MaxRounds: 1000, QuiesceRounds: 7})
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -125,7 +123,7 @@ func TestRunEventsDeterministicReplay(t *testing.T) {
 	g := graph.Grid(3, 5)
 	run := func() (uint64, int64, int) {
 		net := newEventMinNetwork(g, 99)
-		res := net.RunEvents(EventConfig{Policy: EventPolicyAsync, MaxRounds: 500, QuiesceRounds: 10})
+		res := net.RunEvents(EventConfig{MaxRounds: 500, QuiesceRounds: 10})
 		return net.Fingerprint(), net.Metrics().Events, res.Rounds
 	}
 	fp1, ev1, r1 := run()
@@ -256,7 +254,7 @@ func BenchmarkAdversarialRound(b *testing.B) {
 func BenchmarkRunEventsRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := newEventMinNetwork(graph.Ring(1024), 13)
-		res := net.RunEvents(EventConfig{Policy: EventPolicySync, MaxRounds: 1 << 20, QuiesceRounds: 100})
+		res := net.RunEvents(EventConfig{MaxRounds: 1 << 20, QuiesceRounds: 100})
 		if !res.Converged {
 			b.Fatal("no convergence")
 		}

@@ -47,8 +47,9 @@
 //     rounds. Round numbers, Metrics.Rounds, LastChangeRound and the
 //     quiescence window keep their meaning as a derived view of virtual
 //     time, and convergence can be declared by fast-forwarding over
-//     empty buckets (empty queue + expired timers). The three
-//     schedulers map onto bucket-ordering policies (EventPolicy).
+//     empty buckets (empty queue + expired timers). Each round is
+//     ordered as SyncScheduler orders it; the async and adversarial
+//     schedulers exist only on the compat core.
 //
 // Engine selection lives in harness.RunSpec.Engine: "compat" (default,
 // byte-identical baselines) or "event" (frontier-only scheduling for
