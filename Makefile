@@ -123,21 +123,16 @@ examples:
 		$(GO) run ./examples/$$ex || exit 1; \
 	done
 
-# The committed benchmarks. BENCH_scale.json (the n=256/512/1024 ladder
+# The committed benchmark. BENCH_scale.json (the n=256/512/1024 ladder
 # on the incremental simulator hot path, the event-core closure cells at
 # n=4096/16384, plus the fingerprint work saved against a full rehash) holds
 # deterministic fields only — byte-stable across machines, so it is also
-# a drift gate. BENCH_tcp.json (the tcp
-# frame-coalescing sweep: frames-per-message, outcome and restarts per
-# batch size) depends on socket timing and is committed as a snapshot,
-# NOT drifted.
+# a drift gate. Wall-clock costs are the repository benchmark's
+# (benchmark/), not a committed file's.
 bench:
 	$(GO) run ./cmd/mdstmatrix -scale > BENCH_scale.json.tmp
 	mv BENCH_scale.json.tmp BENCH_scale.json
 	@tail -6 BENCH_scale.json
-	$(GO) run ./cmd/mdstmatrix -tcpbench > BENCH_tcp.json.tmp
-	mv BENCH_tcp.json.tmp BENCH_tcp.json
-	@tail -12 BENCH_tcp.json
 
 # Reduced-sweep Go benchmark pass (one iteration per benchmark) over
 # every package that declares Go benchmarks: the root package's
@@ -171,9 +166,9 @@ matrix:
 # BENCH_scale.json — into $(DRIFT_OUT)/, where CI uploads them when the
 # check fails, and `drift` fails on any byte difference from the
 # committed files, enforcing the determinism contract on every CI run
-# (the wall-clock cross-backend table is NOT diffed here: its invariant
-# claims are regression-tested in internal/scenario instead, because
-# wall-clock output is not byte-reproducible).
+# (wall-clock runs are not byte-reproducible, so their cross-backend
+# claims are tested in internal/scenario's TestCrossBackendDifferential
+# instead).
 # The matrix is pinned to -engines compat explicitly: the committed
 # matrix bytes are a compat-core artifact, and the pin keeps them stable
 # even if the default engine axis ever changes. BENCH_scale.json is
@@ -197,23 +192,24 @@ drift: regen
 	@echo "make drift: committed baselines byte-identical"
 
 # Coverage of the committed traffic: which functions the repository's own
-# runs never execute. It rebuilds mdstmatrix, mdstbench, the examples and
-# the benchmark with coverage of every mdst package into
-# $(DRIFT_OUT)/traffic, runs the three drift commands, mdstbench's default
-# suite, -exp fit and both -series, every example with its default flags
-# and every benchmark workload (one repetition plus the traced one), then
-# prints the functions no run reached (about 7 min on 2 vCPUs; not part
-# of ci). The list is evidence, not a deletion order: safety code that a
-# correct run never needs (detect.Detector.Reset, netrun's
-# Cluster.killLink, sim.Board.Lost) stays, and so does code that tests
-# call (mdstseq.HillClimb, mdstseq.FindDirectImprovement).
+# runs never execute. It rebuilds every command, the examples and the
+# benchmark with coverage of every mdst package into $(DRIFT_OUT)/traffic,
+# runs the three drift commands, mdstbench's default suite, -exp fit and
+# both -series, the usage lines of mdstsim, graphgen, mdstnet and mdstviz
+# at small sizes, every example with its default flags and every benchmark
+# workload (one repetition plus the traced one), then prints the functions
+# no run reached (about 8 min on 2 vCPUs; not part of ci). The list is
+# evidence, not a deletion order: safety code that a correct run never
+# needs (detect.Detector.Reset, netrun's Cluster.killLink, sim.Board.Lost)
+# stays, and so does code that tests call (mdstseq.HillClimb,
+# mdstseq.FindDirectImprovement).
 TRAFFIC = $(abspath $(DRIFT_OUT))/traffic
 
 traffic: export GOCOVERDIR = $(TRAFFIC)/cov
 traffic:
 	rm -rf $(TRAFFIC)
 	mkdir -p $(TRAFFIC)/bin $(TRAFFIC)/cov $(TRAFFIC)/out
-	$(GO) build -cover -coverpkg=mdst/... -o $(TRAFFIC)/bin/ ./cmd/mdstmatrix ./cmd/mdstbench $(addprefix ./examples/,$(EXAMPLES))
+	$(GO) build -cover -coverpkg=mdst/... -o $(TRAFFIC)/bin/ ./cmd/... $(addprefix ./examples/,$(EXAMPLES))
 	cd benchmark && $(GO) build -cover -coverpkg=mdst/... -o $(TRAFFIC)/bin/benchmark .
 	$(TRAFFIC)/bin/mdstmatrix -engines compat -format json -quiet > $(TRAFFIC)/out/default_matrix_pr2.json
 	$(TRAFFIC)/bin/mdstmatrix $(LITERAL_MATRIX) -format json -quiet > $(TRAFFIC)/out/literal_matrix.json
@@ -222,6 +218,19 @@ traffic:
 	$(TRAFFIC)/bin/mdstbench -exp fit > $(TRAFFIC)/out/fit.txt
 	$(TRAFFIC)/bin/mdstbench -series conv > $(TRAFFIC)/out/series_conv.csv
 	$(TRAFFIC)/bin/mdstbench -series recovery > $(TRAFFIC)/out/series_recovery.csv
+	$(TRAFFIC)/bin/mdstsim -family geometric -n 32 -start corrupt -sched sync -v > $(TRAFFIC)/out/mdstsim.txt
+	$(TRAFFIC)/bin/graphgen -family gnp -n 24 > $(TRAFFIC)/out/gnp24.edges
+	$(TRAFFIC)/bin/mdstsim -stdin < $(TRAFFIC)/out/gnp24.edges > $(TRAFFIC)/out/mdstsim_stdin.txt
+	$(TRAFFIC)/bin/mdstsim -family ring+chords -n 4096 -start path -engine event -cpuprofile $(TRAFFIC)/out/cpu.pprof -memprofile $(TRAFFIC)/out/mem.pprof > $(TRAFFIC)/out/mdstsim_path.txt
+	$(TRAFFIC)/bin/graphgen -list > $(TRAFFIC)/out/graphgen_list.txt
+	$(TRAFFIC)/bin/graphgen -family gnp -n 24 -dot > $(TRAFFIC)/out/gnp24.dot
+	$(TRAFFIC)/bin/mdstnet -family wheel -n 12 > $(TRAFFIC)/out/mdstnet.txt
+	$(TRAFFIC)/bin/mdstnet -family gnp -n 24 -variant literal -corrupt > $(TRAFFIC)/out/mdstnet_literal.txt
+	$(TRAFFIC)/bin/mdstnet -family gnp -n 24 -retry suppress > $(TRAFFIC)/out/mdstnet_suppress.txt
+	$(TRAFFIC)/bin/mdstnet -family gnp -n 24 -batch 16 -batchwait 1ms > $(TRAFFIC)/out/mdstnet_batch.txt
+	$(TRAFFIC)/bin/mdstnet -family wheel -n 12 -metrics > $(TRAFFIC)/out/mdstnet_metrics.txt
+	$(TRAFFIC)/bin/mdstviz > $(TRAFFIC)/out/mdstviz.svg
+	$(TRAFFIC)/bin/mdstviz -family gnp -n 24 -live > $(TRAFFIC)/out/mdstviz_live.svg 2> $(TRAFFIC)/out/mdstviz_live.txt
 	@for ex in $(EXAMPLES); do \
 		echo "$(TRAFFIC)/bin/$$ex"; \
 		$(TRAFFIC)/bin/$$ex > $(TRAFFIC)/out/$$ex.txt || exit 1; \

@@ -17,16 +17,18 @@
 //	mdstmatrix -backend live -sizes 8 -seeds 1   # goroutine-per-node runtime
 //	mdstmatrix -backend sim,live,tcp      # cross-backend comparison matrix
 //	mdstmatrix -retry paper,suppress,backoff   # paired cycle-search retry policies
-//	mdstmatrix -xbackend                  # medium-n cross-backend preset -> committed table
 //	mdstmatrix -backend tcp -batch 16 -batchwait 1ms   # coalesced tcp frames
-//	mdstmatrix -tcpbench                  # tcp frame-coalescing bench -> BENCH_tcp.json content
+//	mdstmatrix -families ring+chords -sizes 64,96,128,256 -retry suppress -seeds 1 -backend sim,live,tcp -batch 32 -batchwait 12ms -deadline 600s -workers 1   # medium-n cross-backend ladder
+//	mdstnet -family ring+chords -n 128 -corrupt -retry suppress -seed 5812272425470856561 -tick 2ms -batch B -batchwait 6ms -deadline 150s   # one tcp instance at batch B (mdstnet prints frames per message and restarts)
 //	mdstmatrix -metrics -format json      # per-run metrics time series + audit chain heads
 //	mdstmatrix -cpuprofile cpu.pprof -memprofile mem.pprof   # runtime/pprof profiles of the run
 //
 // The sim backend (default) is bit-reproducible; the live and tcp
 // backends execute on the wall clock, so their rounds/messages columns
 // vary across repeats while the legitimacy and degree-bound claims must
-// not.
+// not. Run seeds exclude the backend and retry axes, so -expand prints
+// the instances every backend of a cross-backend matrix runs; the
+// stderr summary counts the wall-clock drivers' restarts.
 package main
 
 import (
@@ -59,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	variants := fs.String("variants", "core", "comma-separated protocol variants: core|literal")
 	engines := fs.String("engines", "compat", "comma-separated simulator cores: compat|event (sim backend only; event is the frontier-only discrete-event loop under the sync scheduler, excluded from seed hashing so cells pair with compat)")
 	backends := fs.String("backend", "sim", "comma-separated execution backends: sim|live|tcp (sim is deterministic; live/tcp are wall-clock)")
-	deadline := fs.Duration("deadline", 0, "per-run wall-clock budget for the live/tcp backends (0: 30s default)")
+	deadline := fs.Duration("deadline", 0, "per-run wall-clock budget for the live/tcp backends (0: 30s default; a sim-only matrix rejects it)")
 	faults := fs.String("faults", "none", "comma-separated fault models: none|lossy:RATE|corrupt:K|targeted:ROLE|churn:OP")
 	seeds := fs.Int("seeds", 6, "seeds (runs) per matrix cell")
 	baseSeed := fs.Int64("baseseed", 1, "base seed perturbing every derived run seed")
@@ -68,20 +70,28 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	format := fs.String("format", "table", "output format: table|csv|json")
 	expand := fs.Bool("expand", false, "dry run: print the expanded run matrix without executing")
 	quiet := fs.Bool("quiet", false, "suppress the execution summary on stderr")
-	fs.Bool("scale", false, "run the large-n scale sweep and print the deterministic BENCH_scale.json report (uses -sizes when given, else 256,512,1024; reads only -sizes, -workers, -quiet and the profile flags)")
+	scale := fs.Bool("scale", false, "run the large-n scale sweep and print the deterministic BENCH_scale.json report (uses -sizes when given, else 256,512,1024; reads only -sizes, -workers, -quiet and the profile flags)")
 	retry := fs.String("retry", "paper", "comma-separated cycle-search retry policies: paper|suppress|backoff (suppress prunes duplicate Search tokens; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change; seeds pair cells on identical workloads)")
-	fs.Bool("xbackend", false, "run the medium-n cross-backend preset (sim/live/tcp, retry policy suppress) and print the committed-table JSON (uses -sizes when given, else the preset ladder; reads only -sizes, -workers, -quiet and the profile flags)")
-	batch := fs.Int("batch", 0, "tcp frame coalescing: messages per wire frame (0/1: one message per frame)")
-	batchwait := fs.Duration("batchwait", 0, "tcp frame coalescing: max time a partially filled frame is held open (0: flush immediately)")
-	fs.Bool("tcpbench", false, "run the tcp frame-coalescing bench (ring+chords, batch 1/8/16) and print the BENCH_tcp.json report (uses the first -sizes entry when given, else n=128; reads only -sizes, -quiet and the profile flags)")
+	batch := fs.Int("batch", 0, "tcp frame coalescing: messages per wire frame (0/1: one message per frame; a sim-only matrix rejects it)")
+	batchwait := fs.Duration("batchwait", 0, "tcp frame coalescing: max time a partially filled frame is held open (0: flush immediately; a sim-only matrix rejects it)")
 	metricsOn := fs.Bool("metrics", false, "enable the observability plane on every run: sampled metrics time series and hash-chained audit heads in per-run JSON output (off keeps committed baselines byte-identical)")
 	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	preset, err := presetMode(fs)
-	if err != nil {
-		fmt.Fprintln(stderr, "mdstmatrix:", err)
+	// A flag the run would not read is named and rejected, never ignored,
+	// so nothing runs with a flag the caller believed took effect.
+	scaleReads := []string{"scale", "sizes", "workers", "quiet", "cpuprofile", "memprofile"}
+	explicit := map[string]bool{}
+	var scaleIgnores []string
+	fs.Visit(func(f *flag.Flag) {
+		explicit[f.Name] = true
+		if !slices.Contains(scaleReads, f.Name) {
+			scaleIgnores = append(scaleIgnores, "-"+f.Name)
+		}
+	})
+	if *scale && len(scaleIgnores) > 0 {
+		fmt.Fprintln(stderr, "mdstmatrix: -scale does not read", strings.Join(scaleIgnores, ", "))
 		return 2
 	}
 	// Out-of-range counts would otherwise fall back to defaults silently
@@ -102,15 +112,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	switch preset {
-	case "scale":
-		return runScale(fs, *sizes, *workers, *quiet, stdout, stderr)
-	case "xbackend":
-		return runCrossBackend(fs, *sizes, *workers, *quiet, stdout, stderr)
-	case "tcpbench":
-		return runTCPBench(fs, *sizes, *quiet, stdout, stderr)
-	}
-
 	spec := scenario.Spec{
 		SeedsPerCell: *seeds,
 		BaseSeed:     *baseSeed,
@@ -126,6 +127,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		spec.Sizes = append(spec.Sizes, v)
 	}
+	if *scale {
+		sweep := scenario.ScaleSpec{Workers: *workers}
+		// -sizes overrides the default 256,512,1024 ladder only when the
+		// caller sets it explicitly (the matrix default would shrink it).
+		if explicit["sizes"] {
+			sweep.Sizes = spec.Sizes
+		}
+		return runScale(sweep, *quiet, stdout, stderr)
+	}
 	for _, s := range splitList(*backends) {
 		b, err := harness.ParseBackend(s)
 		if err != nil {
@@ -133,6 +143,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 2
 		}
 		spec.Backends = append(spec.Backends, b)
+	}
+	// The wall-clock tuning is read by the live and tcp drivers only.
+	wall := slices.ContainsFunc(spec.Backends, func(b harness.Backend) bool { return b != harness.BackendSim })
+	for _, name := range []string{"deadline", "batch", "batchwait"} {
+		if explicit[name] && !wall {
+			fmt.Fprintf(stderr, "mdstmatrix: -backend %s does not read -%s\n", *backends, name)
+			return 2
+		}
 	}
 	if *deadline < 0 {
 		// A negative deadline would silently fall back to the harness's
@@ -160,17 +178,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// engine is requested and -scheds was left at its default, shrink the
 	// axis to the sync label instead of expanding cells the spec
 	// validation would (correctly, loudly) reject.
-	schedsExplicit := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "scheds" {
-			schedsExplicit = true
-		}
-	})
-	if !schedsExplicit {
-		wall := slices.ContainsFunc(spec.Backends, func(b harness.Backend) bool { return b != harness.BackendSim })
-		if wall || slices.Contains(spec.Engines, harness.EngineEvent) {
-			*scheds = "sync"
-		}
+	if !explicit["scheds"] && (wall || slices.Contains(spec.Engines, harness.EngineEvent)) {
+		*scheds = "sync"
 	}
 	for _, s := range splitList(*scheds) {
 		spec.Schedulers = append(spec.Schedulers, harness.SchedulerKind(s))
@@ -244,64 +253,25 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		stdout.Write(b)
 	}
 	if !*quiet {
-		fmt.Fprintf(stderr, "mdstmatrix: %d runs in %d cells, %d workers, %s\n",
+		summary := fmt.Sprintf("mdstmatrix: %d runs in %d cells, %d workers, %s",
 			m.TotalRuns, len(m.Cells), m.Workers, m.Elapsed.Round(1e6))
+		if wall {
+			// Restarts (a certified stop that was not legitimate) are
+			// json:"-", so a wall-clock matrix reports them here.
+			restarts := 0
+			for _, rr := range m.Runs {
+				restarts += rr.Restarts
+			}
+			summary += fmt.Sprintf(", %d restarts", restarts)
+		}
+		fmt.Fprintln(stderr, summary)
 	}
 	return 0
 }
 
-// presetReads lists the flags each preset mode reads besides the
-// profile flags; the matrix flags would be ignored.
-var presetReads = map[string][]string{
-	"scale":    {"sizes", "workers", "quiet"},
-	"xbackend": {"sizes", "workers", "quiet"},
-	"tcpbench": {"sizes", "quiet"},
-}
-
-// presetMode returns the preset the flags select ("" for the matrix).
-// A second preset, or an explicitly set flag the preset does not read,
-// is an error naming the flag, so a preset never runs with a flag the
-// caller believed took effect.
-func presetMode(fs *flag.FlagSet) (string, error) {
-	var chosen []string
-	for _, name := range []string{"scale", "xbackend", "tcpbench"} {
-		if fs.Lookup(name).Value.String() == "true" {
-			chosen = append(chosen, name)
-		}
-	}
-	if len(chosen) == 0 {
-		return "", nil
-	}
-	if len(chosen) > 1 {
-		return "", fmt.Errorf("-%s and -%s are separate presets", chosen[0], chosen[1])
-	}
-	reads := map[string]bool{chosen[0]: true, "cpuprofile": true, "memprofile": true}
-	for _, name := range presetReads[chosen[0]] {
-		reads[name] = true
-	}
-	var ignored []string
-	fs.Visit(func(f *flag.Flag) {
-		if !reads[f.Name] {
-			ignored = append(ignored, "-"+f.Name)
-		}
-	})
-	if len(ignored) > 0 {
-		return "", fmt.Errorf("-%s does not read %s", chosen[0], strings.Join(ignored, ", "))
-	}
-	return chosen[0], nil
-}
-
 // runScale executes the deterministic large-n scale sweep (make bench
 // writes its output to BENCH_scale.json).
-func runScale(fs *flag.FlagSet, sizes string, workers int, quiet bool, stdout, stderr io.Writer) int {
-	spec := scenario.ScaleSpec{Workers: workers}
-	// -sizes overrides the default 256,512,1024 ladder only when the
-	// caller sets it explicitly (the matrix default would shrink it).
-	explicit, ok := explicitSizes(fs, sizes, stderr)
-	if !ok {
-		return 2
-	}
-	spec.Sizes = explicit
+func runScale(spec scenario.ScaleSpec, quiet bool, stdout, stderr io.Writer) int {
 	rep, err := scenario.ScaleSweep(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "mdstmatrix:", err)
@@ -318,102 +288,6 @@ func runScale(fs *flag.FlagSet, sizes string, workers int, quiet bool, stdout, s
 			len(rep.Cells), rep.OverheadReduction, rep.BaselineN)
 	}
 	return 0
-}
-
-// runCrossBackend executes the committed medium-n cross-backend preset
-// (the content of internal/scenario/testdata/crossbackend_medium.json):
-// the same drawn instances across sim, live and tcp with search
-// suppression on. Only deterministic/invariant columns are printed;
-// wall times and restarts go to the stderr summary.
-func runCrossBackend(fs *flag.FlagSet, sizes string, workers int, quiet bool, stdout, stderr io.Writer) int {
-	spec := scenario.CrossBackendSpec{Workers: workers}
-	explicit, ok := explicitSizes(fs, sizes, stderr)
-	if !ok {
-		return 2
-	}
-	spec.Sizes = explicit
-	rep, err := scenario.CrossBackendSweep(spec)
-	if err != nil {
-		fmt.Fprintln(stderr, "mdstmatrix:", err)
-		return 1
-	}
-	b, err := rep.JSON()
-	if err != nil {
-		fmt.Fprintln(stderr, "mdstmatrix:", err)
-		return 1
-	}
-	stdout.Write(b)
-	if !quiet {
-		for i, row := range rep.Rows {
-			fmt.Fprintf(stderr, "mdstmatrix: n=%d %-4s converged=%v restarts=%d wall=%s\n",
-				row.N, row.Backend, row.Converged, rep.Restarts[i], rep.Walls[i].Round(1e6))
-		}
-	}
-	return 0
-}
-
-// runTCPBench executes the tcp frame-coalescing bench (make bench
-// writes its output to BENCH_tcp.json): one medium-n instance per batch
-// size over loopback TCP. Its counts depend on the socket timing, so
-// the output is a snapshot, not a byte-identity artifact — it stays out
-// of the drift gate.
-func runTCPBench(fs *flag.FlagSet, sizes string, quiet bool, stdout, stderr io.Writer) int {
-	spec := scenario.TCPBenchSpec{}
-	explicit, ok := explicitSizes(fs, sizes, stderr)
-	if !ok {
-		return 2
-	}
-	if len(explicit) > 1 {
-		fmt.Fprintln(stderr, "mdstmatrix: -tcpbench takes at most one -sizes entry")
-		return 2
-	}
-	if len(explicit) == 1 {
-		spec.N = explicit[0]
-	}
-	rep, err := scenario.TCPBenchSweep(spec)
-	if err != nil {
-		fmt.Fprintln(stderr, "mdstmatrix:", err)
-		return 1
-	}
-	b, err := rep.JSON()
-	if err != nil {
-		fmt.Fprintln(stderr, "mdstmatrix:", err)
-		return 1
-	}
-	stdout.Write(b)
-	if !quiet {
-		for _, row := range rep.Rows {
-			fmt.Fprintf(stderr, "mdstmatrix: n=%d batch=%-2d frames/msg=%.3f restarts=%d\n",
-				rep.N, row.Batch, row.FramesPerMessage, row.Restarts)
-		}
-	}
-	return 0
-}
-
-// explicitSizes parses -sizes for the preset modes (-scale, -xbackend),
-// but only when the caller set the flag explicitly — the matrix-mode
-// default would otherwise shrink each preset's own ladder. A nil result
-// with ok=true means "use the preset default".
-func explicitSizes(fs *flag.FlagSet, sizes string, stderr io.Writer) ([]int, bool) {
-	explicit := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "sizes" {
-			explicit = true
-		}
-	})
-	if !explicit {
-		return nil, true
-	}
-	var out []int
-	for _, s := range splitList(sizes) {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			fmt.Fprintln(stderr, "mdstmatrix: bad -sizes:", err)
-			return nil, false
-		}
-		out = append(out, v)
-	}
-	return out, true
 }
 
 func splitList(s string) []string {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -123,11 +124,15 @@ func TestRunWallClockBackends(t *testing.T) {
 		var out, errOut bytes.Buffer
 		// No -scheds: the default sync,async axis must shrink to sync for
 		// a wall-clock backend instead of expanding rejected async cells.
+		// No -quiet: the summary of a wall-clock matrix counts restarts.
 		code := run([]string{"-backend", backend, "-families", "wheel",
 			"-sizes", "8", "-seeds", "1",
-			"-format", "json", "-quiet"}, &out, &errOut)
+			"-format", "json"}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("backend %s: exit %d: %s", backend, code, errOut.String())
+		}
+		if !regexp.MustCompile(`^mdstmatrix: 1 runs in 1 cells, .*, \d+ restarts\n$`).MatchString(errOut.String()) {
+			t.Fatalf("backend %s: summary %q does not end in a restart count", backend, errOut.String())
 		}
 		var m struct {
 			Cells []struct {
@@ -198,40 +203,6 @@ func TestRunSuppressionAxis(t *testing.T) {
 	}
 }
 
-// -xbackend runs the medium-n cross-backend preset; the reduced ladder
-// keeps test runtime low (the committed full table is regression-locked
-// by internal/scenario's TestCrossBackendTableReproduces).
-func TestRunCrossBackendPreset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock cross-backend preset")
-	}
-	var out, errOut bytes.Buffer
-	code := run([]string{"-xbackend", "-sizes", "64", "-quiet"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	var rep struct {
-		Rows []struct {
-			Backend     string `json:"backend"`
-			Suppress    string `json:"suppress"`
-			Converged   bool   `json:"converged"`
-			Legitimate  bool   `json:"legitimate"`
-			WithinBound bool   `json:"withinBound"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows=%d, want sim+live+tcp", len(rep.Rows))
-	}
-	for _, row := range rep.Rows {
-		if row.Suppress != "on" || !row.Converged || !row.Legitimate || !row.WithinBound {
-			t.Fatalf("preset row broke a claim: %+v", row)
-		}
-	}
-}
-
 func TestRunBadFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-faults", "lossy:2"},
@@ -255,24 +226,22 @@ func TestRunBadFlagsRejected(t *testing.T) {
 			t.Fatalf("args %v: exit %d, want 2", args, code)
 		}
 	}
-	// A preset reads only -sizes, -workers (not -tcpbench), -quiet and
-	// the profile flags: any other flag, or a second preset, is named and
-	// rejected before the preset runs.
+	// -scale reads only -sizes, -workers, -quiet and the profile flags,
+	// and a matrix reads -deadline, -batch and -batchwait only with a
+	// live or tcp backend: any other set flag is named and rejected
+	// before anything runs.
 	for _, c := range []struct {
 		args []string
 		flag string
 	}{
-		{[]string{"-xbackend", "-sizes", "8", "-retry", "bogus"}, "-retry"},
 		{[]string{"-scale", "-sizes", "8", "-retry", "bogus"}, "-retry"},
-		{[]string{"-tcpbench", "-sizes", "8", "-retry", "bogus"}, "-retry"},
-		{[]string{"-xbackend", "-sizes", "8", "-retry", "paper"}, "-retry"},
-		{[]string{"-xbackend", "-faults", "nonsense"}, "-faults"},
+		{[]string{"-scale", "-sizes", "8", "-retry", "paper"}, "-retry"},
 		{[]string{"-scale", "-families", "gnp"}, "-families"},
 		{[]string{"-scale", "-seeds", "3"}, "-seeds"},
-		{[]string{"-tcpbench", "-workers", "2"}, "-workers"},
-		{[]string{"-tcpbench", "-batch", "8"}, "-batch"},
-		{[]string{"-scale", "-xbackend"}, "-xbackend"},
-		{[]string{"-xbackend", "-tcpbench", "-sizes", "8"}, "-tcpbench"},
+		{[]string{"-scale", "-batch", "8"}, "-batch"},
+		{[]string{"-batch", "16", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-batch"},
+		{[]string{"-deadline", "5s", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-deadline"},
+		{[]string{"-backend", "sim", "-batchwait", "1ms", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-batchwait"},
 	} {
 		var out, errOut bytes.Buffer
 		code := run(c.args, &out, &errOut)

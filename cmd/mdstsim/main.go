@@ -49,10 +49,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "mdstsim: -n must be at least 1")
 		return 2
 	}
-	if *faults < 0 {
-		fmt.Fprintln(stderr, "mdstsim: -faults must be non-negative")
-		return 2
-	}
 	stopProfiles, err := profiles.Start()
 	if err != nil {
 		fmt.Fprintln(stderr, "mdstsim:", err)

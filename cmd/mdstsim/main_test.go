@@ -115,6 +115,8 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{"-sched", "bogus"},
 		{"-engine", "event", "-sched", "async"},
 		{"-start", "legit", "-faults", "-3"},
+		{"-start", "corrupt", "-faults", "3"},
+		{"-start", "clean", "-faults", "5"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, nil, &out, &errOut); code != 2 || errOut.Len() == 0 {

@@ -86,10 +86,10 @@
 // deferred search re-fires. Under the paper policy the schedule is
 // paper-literal and every committed baseline is byte-identical.
 // BENCH_scale.json commits the paired paper/suppress comparison (~3.4×
-// fewer Search-kind messages at n=512), and the committed cross-backend
-// table (internal/scenario/testdata/crossbackend_medium.json,
-// `mdstmatrix -xbackend`) runs the medium-n ladder across sim, live and
-// tcp under the suppress policy.
+// fewer Search-kind messages at n=512), and scenario's
+// TestCrossBackendDifferential runs ring+chords n=64 and 96 across sim,
+// live and tcp under the suppress policy (`mdstmatrix`'s usage header
+// gives the whole 64–256 ladder as one command).
 //
 // The backoff policy makes the suppression window adaptive
 // (core.RetryBackoff, capped at Config.BackoffCapWindow): while a node's
@@ -134,12 +134,9 @@
 // each connection for its lifetime (it buffers ahead; a second reader
 // on the same conn loses bytes). Coalescing is a transport concern
 // only: the batch=1 vs batch=16 differential test pins identical
-// legitimacy and Δ*+1 outcomes, and `make bench` commits the measured
-// frames-per-message per batch size to BENCH_tcp.json (a snapshot whose
-// counts follow the socket timing, unlike the byte-stable
-// BENCH_scale.json; it records no wall time, which varies several-fold
-// between runs — the repository benchmark's tcp workload measures the
-// transport's cost).
+// legitimacy and Δ*+1 outcomes. `mdstnet -batch` prints one run's frames
+// per message, and the repository benchmark's tcp workload measures the
+// transport's cost.
 //
 // Observability is a control plane over the same runs
 // (internal/metrics + internal/auditlog, harness.RunSpec.Collect,

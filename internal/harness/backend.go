@@ -85,8 +85,8 @@ type BackendTuning struct {
 	// BatchMaxWait bounds how long the tcp backend may hold a partially
 	// filled frame open for further messages (netrun.Config.BatchMaxWait;
 	// 0: flush immediately with whatever is queued, adding no latency).
-	// A positive wait stretches the quiescence stability window — see
-	// resolveWall — so certificates still cover the slowed retries.
+	// A positive wait stretches a tcp run's quiescence stability window —
+	// see resolveWall — so certificates still cover the slowed retries.
 	BatchMaxWait time.Duration
 }
 
@@ -120,10 +120,11 @@ type wallParams struct {
 // the backend's detection sampling interval. The stability window
 // mirrors the sim backend's QuiesceRounds formula, converted from rounds
 // to wall time via the wall cost of one protocol round: the tick period,
-// stretched by BatchMaxWait when the transport may hold a frame open
-// that long (a batched retry can lag a full hold behind its tick, and a
-// window counted in bare ticks would certify a slow-searching
-// configuration quiescent mid-plateau, before its reduction fires).
+// stretched on tcp by BatchMaxWait, since the transport may hold a frame
+// open that long (a batched retry can lag a full hold behind its tick,
+// and a window counted in bare ticks would certify a slow-searching
+// configuration quiescent mid-plateau, before its reduction fires). The
+// live runtime holds no frames, so its window ignores the hold.
 func resolveWall(spec RunSpec, ops variantOps, tickDefault, probe time.Duration) wallParams {
 	p := wallParams{tick: spec.Tuning.Tick, probe: probe, deadline: spec.Tuning.Deadline}
 	if p.tick <= 0 {
@@ -138,8 +139,11 @@ func resolveWall(spec RunSpec, ops variantOps, tickDefault, probe time.Duration)
 	// bound (BackoffCapWindow) and the stability window covers the
 	// deepest tier. The sim backend's dynamic window is the optimization;
 	// wall backends pay the cap for soundness.
-	window := time.Duration(QuiesceWindowRounds(spec.Graph.N(), ops.cfg.EffectiveRetryPeriod())) *
-		(p.tick + spec.Tuning.BatchMaxWait)
+	round := p.tick
+	if spec.backend() == BackendTCP {
+		round += spec.Tuning.BatchMaxWait
+	}
+	window := time.Duration(QuiesceWindowRounds(spec.Graph.N(), ops.cfg.EffectiveRetryPeriod())) * round
 	p.stable = int(window/p.probe) + 1
 	return p
 }

@@ -154,6 +154,10 @@ func TestBackendValidation(t *testing.T) {
 		{"sched-live", RunSpec{Graph: g, Backend: BackendLive, Scheduler: SchedAsync}, "scheduler \"async\" requires"},
 		{"rounds-tcp", RunSpec{Graph: g, Backend: BackendTCP, MaxRounds: 100}, "MaxRounds requires"},
 		{"unknown-sched", RunSpec{Graph: g, Scheduler: "bogus"}, "unknown scheduler"},
+		{"negative-corrupt", RunSpec{Graph: g, Start: StartLegitimate, CorruptNodes: -1}, "negative"},
+		{"corrupt-count-corrupt-start", RunSpec{Graph: g, Start: StartCorrupt, CorruptNodes: 3}, `not "corrupt"`},
+		{"corrupt-count-clean-start", RunSpec{Graph: g, CorruptNodes: 5}, `not "clean"`},
+		{"targets-clean-start", RunSpec{Graph: g, CorruptTargets: []int{0}}, `not "clean"`},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -171,6 +175,11 @@ func TestBackendValidation(t *testing.T) {
 	}
 	if err := (RunSpec{Graph: g, Scheduler: ""}).Validate(); err != nil {
 		t.Fatalf("empty scheduler (sync) rejected: %v", err)
+	}
+	for _, start := range []StartMode{StartLegitimate, StartPath} {
+		if err := (RunSpec{Graph: g, Start: start, CorruptNodes: 2, CorruptTargets: []int{0}}).Validate(); err != nil {
+			t.Fatalf("corruptions after a %s preload rejected: %v", start, err)
+		}
 	}
 }
 
@@ -377,6 +386,22 @@ func TestTuningValidation(t *testing.T) {
 	// field the backend never reads.
 	if err := (RunSpec{Graph: g, Tuning: BackendTuning{Tick: -1}}).Validate(); err != nil {
 		t.Fatalf("sim spec rejected over ignored tuning: %v", err)
+	}
+}
+
+// Only the tcp transport holds frames open, so only a tcp run's
+// stability window stretches by BatchMaxWait; the live runtime ignores
+// both batch knobs, as BackendTuning documents.
+func TestTuningFrameHoldStretchesTCPWindowOnly(t *testing.T) {
+	for _, b := range []Backend{BackendLive, BackendTCP} {
+		spec := RunSpec{Graph: graph.Wheel(8), Backend: b}
+		bare := resolveWall(spec, variantFor(spec), time.Millisecond, time.Millisecond)
+		spec.Tuning.BatchMaxWait = 12 * time.Millisecond
+		held := resolveWall(spec, variantFor(spec), time.Millisecond, time.Millisecond)
+		if stretched := held.stable > bare.stable; stretched != (b == BackendTCP) {
+			t.Errorf("%s: a 12ms frame hold moved the stability window from %d to %d probes",
+				b, bare.stable, held.stable)
+		}
 	}
 }
 

@@ -157,11 +157,12 @@ type RunSpec struct {
 	Start     StartMode
 	// CorruptNodes: with a pre-loaded start (StartLegitimate, StartPath),
 	// the number of nodes to corrupt after pre-loading (fault-recovery
-	// experiment E5).
+	// experiment E5). Validate rejects it on any other start.
 	CorruptNodes int
 	// CorruptTargets: with a pre-loaded start, the specific node IDs
 	// to corrupt after pre-loading (targeted-fault models pick roles such
-	// as the root or a maximum-degree node). Applied before CorruptNodes.
+	// as the root or a maximum-degree node). Applied before CorruptNodes;
+	// Validate rejects it on any other start.
 	CorruptTargets []int
 	// DropRate enables lossy links: every delivery is independently lost
 	// with this probability (the E9 fault model; zero keeps the paper's
@@ -266,7 +267,7 @@ type Result struct {
 	SearchesSuppressed int `json:"searchesSuppressed,omitempty"`
 	// Frames counts wire frames flushed by the tcp backend's edge
 	// writers; Frames/TotalMessages is the coalescing ratio (1.0 at
-	// batch=1 by construction, the BENCH_tcp.json headline below it).
+	// batch=1 by construction; `mdstnet -batch` prints it).
 	// Zero for the other backends; excluded from JSON like every
 	// wall-clock-shaped counter.
 	Frames int64 `json:"-"`
@@ -305,6 +306,14 @@ func (s RunSpec) Validate() error {
 	}
 	if s.DropRate < 0 || s.DropRate >= 1 {
 		return fmt.Errorf("harness: drop rate %v out of [0,1)", s.DropRate)
+	}
+	if s.CorruptNodes < 0 {
+		return fmt.Errorf("harness: CorruptNodes %d is negative", s.CorruptNodes)
+	}
+	if (s.CorruptNodes > 0 || len(s.CorruptTargets) > 0) && s.Start != StartLegitimate && s.Start != StartPath {
+		// Corruptions are applied after a preload; any other start would
+		// run as if none were asked for.
+		return fmt.Errorf("harness: CorruptNodes and CorruptTargets need a legitimate or path start, not %q", s.Start)
 	}
 	if s.Config != (core.Config{}) && s.Config.MaxDist == 0 {
 		// A partial Config (say, only Retry set) would otherwise run as

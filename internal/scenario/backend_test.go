@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mdst/internal/core"
 	"mdst/internal/harness"
 )
 
@@ -42,63 +43,95 @@ func TestSimMatrixByteIdenticalToCommittedBaseline(t *testing.T) {
 // configurations, and every backend must converge to a legitimate
 // spanning tree within the assertable Δ*+1 bracket. Tie-breaking (and
 // hence the exact tree) may differ across backends; the guarantee may
-// not.
+// not. Each case runs in two passes over one spec: sim and live on the
+// default workers, then tcp alone on one worker, because a medium-n
+// cluster saturates the socket layer by itself.
 func TestCrossBackendDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock live/tcp backends")
 	}
-	spec := Spec{
-		Families:     []string{"ring+chords", "wheel"},
-		Sizes:        []int{8},
-		Backends:     []harness.Backend{harness.BackendSim, harness.BackendLive, harness.BackendTCP},
-		SeedsPerCell: 2,
-		BaseSeed:     5,
-		Tuning:       harness.BackendTuning{Deadline: 60 * time.Second},
-	}
-	m, err := Engine{}.Execute(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TotalRuns != 2*3*2 {
-		t.Fatalf("expanded to %d runs, want 12", m.TotalRuns)
-	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"small", Spec{
+			Families:     []string{"ring+chords", "wheel"},
+			Sizes:        []int{8},
+			SeedsPerCell: 2,
+			BaseSeed:     5,
+			Tuning:       harness.BackendTuning{Deadline: 60 * time.Second},
+		}},
+		// The medium-n ladder under the suppress policy. tcp keeps its
+		// 2ms default tick by coalescing up to 32 messages per frame,
+		// held for at most 12ms; the live runtime ignores both.
+		{"medium", Spec{
+			Families:     []string{"ring+chords"},
+			Sizes:        []int{64, 96},
+			Starts:       []harness.StartMode{harness.StartCorrupt},
+			Retry:        []core.RetryPolicy{core.RetrySuppress},
+			SeedsPerCell: 1,
+			BaseSeed:     1,
+			Tuning: harness.BackendTuning{
+				Deadline:     600 * time.Second,
+				BatchSize:    32,
+				BatchMaxWait: 12 * time.Millisecond,
+			},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			simLive, tcp := tc.spec, tc.spec
+			simLive.Backends = []harness.Backend{harness.BackendSim, harness.BackendLive}
+			tcp.Backends = []harness.Backend{harness.BackendTCP}
+			m1, err := Engine{}.Execute(simLive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2, err := Engine{Workers: 1}.Execute(tcp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if 2*m2.TotalRuns != m1.TotalRuns || len(m1.Cells) != 2*len(m2.Cells) {
+				t.Fatalf("sim+live pass: %d runs in %d cells; tcp pass: %d runs in %d cells",
+					m1.TotalRuns, len(m1.Cells), m2.TotalRuns, len(m2.Cells))
+			}
 
-	// Paired workloads: the same (family, seed index) run draws the same
-	// seed — and therefore the same graph and corruptions — on every
-	// backend.
-	seeds := map[[2]string]map[int]int64{}
-	for _, rr := range m.Runs {
-		if rr.Err != "" {
-			t.Fatalf("%s seed[%d]: %s", rr.Cell, rr.SeedIndex, rr.Err)
-		}
-		if !rr.Converged || !rr.Legitimate || !rr.TreeValid {
-			t.Fatalf("%s seed[%d] backend %q: converged=%v legit=%v tree=%v",
-				rr.Cell, rr.SeedIndex, rr.BackendName(), rr.Converged, rr.Legitimate, rr.TreeValid)
-		}
-		if !rr.WithinBound {
-			t.Fatalf("%s seed[%d] backend %q: degree %d violates bound %d",
-				rr.Cell, rr.SeedIndex, rr.BackendName(), rr.MaxDegree, rr.DegreeBound)
-		}
-		key := [2]string{rr.Family, rr.Start}
-		if seeds[key] == nil {
-			seeds[key] = map[int]int64{}
-		}
-		if prev, ok := seeds[key][rr.SeedIndex]; ok && prev != rr.Seed {
-			t.Fatalf("backend axis changed the run seed: %s idx %d: %d vs %d",
-				rr.Family, rr.SeedIndex, prev, rr.Seed)
-		}
-		seeds[key][rr.SeedIndex] = rr.Seed
-	}
-
-	// Every backend's wall-clock cells must aggregate separately and the
-	// degree guarantee must hold per cell.
-	if len(m.Cells) != 6 {
-		t.Fatalf("aggregated to %d cells, want 6 (2 families x 3 backends)", len(m.Cells))
-	}
-	for _, c := range m.Cells {
-		if !c.WithinBound {
-			t.Fatalf("cell %s (backend %s): outside the Δ*+1 bracket", c.Cell, c.BackendName())
-		}
+			// Paired workloads: the same (family, size, seed index) run
+			// draws the same seed — and therefore the same graph and
+			// corruptions — on every backend, so edge count and degree
+			// bound match the sim twin's.
+			type inst struct {
+				family string
+				n, idx int
+			}
+			twin := map[inst]RunResult{}
+			for _, rr := range append(m1.Runs, m2.Runs...) {
+				if rr.Err != "" {
+					t.Fatalf("%s seed[%d]: %s", rr.Cell, rr.SeedIndex, rr.Err)
+				}
+				if !rr.Converged || !rr.Legitimate || !rr.TreeValid {
+					t.Fatalf("%s seed[%d] backend %q: converged=%v legit=%v tree=%v",
+						rr.Cell, rr.SeedIndex, rr.BackendName(), rr.Converged, rr.Legitimate, rr.TreeValid)
+				}
+				if !rr.WithinBound {
+					t.Fatalf("%s seed[%d] backend %q: degree %d violates bound %d",
+						rr.Cell, rr.SeedIndex, rr.BackendName(), rr.MaxDegree, rr.DegreeBound)
+				}
+				key := inst{rr.Family, rr.N, rr.SeedIndex}
+				if rr.BackendName() == string(harness.BackendSim) {
+					twin[key] = rr
+					continue
+				}
+				want, ok := twin[key]
+				if !ok {
+					t.Fatalf("no sim twin for %s seed[%d]", rr.Cell, rr.SeedIndex)
+				}
+				if rr.Seed != want.Seed || rr.Edges != want.Edges || rr.DegreeBound != want.DegreeBound {
+					t.Fatalf("%s seed[%d] backend %q: seed %d, %d edges, bound %d; sim twin: seed %d, %d edges, bound %d",
+						rr.Cell, rr.SeedIndex, rr.BackendName(), rr.Seed, rr.Edges, rr.DegreeBound,
+						want.Seed, want.Edges, want.DegreeBound)
+				}
+			}
+		})
 	}
 }
 

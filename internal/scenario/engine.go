@@ -90,9 +90,6 @@ type RunResult struct {
 	// harness.Result json:"-" pattern) so output stays byte-identical
 	// across machines; only the wall-clock backends make it meaningful.
 	Wall time.Duration `json:"-"`
-	// Frames counts wire frames the tcp backend flushed (zero elsewhere);
-	// Frames/Messages is the coalescing ratio TCPBenchSweep reports.
-	Frames int64 `json:"-"`
 	// Cert is the quiescence certificate that decided convergence
 	// (internal/detect; nil when the run never certified). Excluded from
 	// JSON like every cross-run-varying field, so the committed sim
@@ -326,7 +323,6 @@ func executeRun(spec Spec, fault FaultModel, r Run) RunResult {
 	out.MaxStateBits = res.MaxStateBits
 	out.BrokenRounds = res.BrokenRounds
 	out.Wall = res.WallTime
-	out.Frames = res.Frames
 	out.Cert = res.Cert
 	out.Restarts = res.Restarts
 	if coll != nil {
