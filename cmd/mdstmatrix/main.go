@@ -72,15 +72,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	quiet := fs.Bool("quiet", false, "suppress the execution summary on stderr")
 	scale := fs.Bool("scale", false, "run the large-n scale sweep and print the deterministic BENCH_scale.json report (uses -sizes when given, else 256,512,1024; reads only -sizes, -workers, -quiet and the profile flags)")
 	retry := fs.String("retry", "paper", "comma-separated cycle-search retry policies: paper|suppress|backoff (suppress prunes duplicate Search tokens; backoff also doubles the pruning window each full unchanged window, resetting on any neighborhood change; seeds pair cells on identical workloads)")
-	batch := fs.Int("batch", 0, "tcp frame coalescing: messages per wire frame (0/1: one message per frame; a sim-only matrix rejects it)")
-	batchwait := fs.Duration("batchwait", 0, "tcp frame coalescing: max time a partially filled frame is held open (0: flush immediately; a sim-only matrix rejects it)")
+	batch := fs.Int("batch", 0, "tcp frame coalescing: messages per wire frame (0/1: one message per frame; a matrix without a tcp backend rejects it)")
+	batchwait := fs.Duration("batchwait", 0, "tcp frame coalescing: max time a partially filled frame is held open (0: flush immediately; a matrix without a tcp backend rejects it)")
 	metricsOn := fs.Bool("metrics", false, "enable the observability plane on every run: sampled metrics time series and hash-chained audit heads in per-run JSON output (off keeps committed baselines byte-identical)")
 	profiles := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// A flag the run would not read is named and rejected, never ignored,
-	// so nothing runs with a flag the caller believed took effect.
+	// -scale names and rejects every set flag it would not read, so
+	// nothing runs with a flag the caller believed took effect.
 	scaleReads := []string{"scale", "sizes", "workers", "quiet", "cpuprofile", "memprofile"}
 	explicit := map[string]bool{}
 	var scaleIgnores []string
@@ -144,11 +144,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		spec.Backends = append(spec.Backends, b)
 	}
-	// The wall-clock tuning is read by the live and tcp drivers only.
+	// The deadline is read by the live and tcp drivers only, the frame
+	// knobs by the tcp transport alone; a matrix that would not read one
+	// rejects it by name too.
 	wall := slices.ContainsFunc(spec.Backends, func(b harness.Backend) bool { return b != harness.BackendSim })
-	for _, name := range []string{"deadline", "batch", "batchwait"} {
-		if explicit[name] && !wall {
-			fmt.Fprintf(stderr, "mdstmatrix: -backend %s does not read -%s\n", *backends, name)
+	tcp := slices.Contains(spec.Backends, harness.BackendTCP)
+	for _, f := range []struct {
+		name string
+		read bool
+	}{{"deadline", wall}, {"batch", tcp}, {"batchwait", tcp}} {
+		if explicit[f.name] && !f.read {
+			fmt.Fprintf(stderr, "mdstmatrix: -backend %s does not read -%s\n", *backends, f.name)
 			return 2
 		}
 	}

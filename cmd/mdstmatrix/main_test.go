@@ -227,9 +227,9 @@ func TestRunBadFlagsRejected(t *testing.T) {
 		}
 	}
 	// -scale reads only -sizes, -workers, -quiet and the profile flags,
-	// and a matrix reads -deadline, -batch and -batchwait only with a
-	// live or tcp backend: any other set flag is named and rejected
-	// before anything runs.
+	// a matrix reads -deadline only with a live or tcp backend, and
+	// -batch and -batchwait only with a tcp backend: any other set flag
+	// is named and rejected before anything runs.
 	for _, c := range []struct {
 		args []string
 		flag string
@@ -242,6 +242,8 @@ func TestRunBadFlagsRejected(t *testing.T) {
 		{[]string{"-batch", "16", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-batch"},
 		{[]string{"-deadline", "5s", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-deadline"},
 		{[]string{"-backend", "sim", "-batchwait", "1ms", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-batchwait"},
+		{[]string{"-backend", "live", "-batch", "16", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-batch"},
+		{[]string{"-backend", "sim,live", "-deadline", "5s", "-batchwait", "1ms", "-families", "gnp", "-sizes", "8", "-seeds", "1"}, "-batchwait"},
 	} {
 		var out, errOut bytes.Buffer
 		code := run(c.args, &out, &errOut)

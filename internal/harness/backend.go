@@ -117,15 +117,14 @@ type wallParams struct {
 }
 
 // resolveWall turns the spec's tuning into driver parameters; probe is
-// the backend's detection sampling interval. The stability window
-// mirrors the sim backend's QuiesceRounds formula, converted from rounds
-// to wall time via the wall cost of one protocol round: the tick period,
-// stretched on tcp by BatchMaxWait, since the transport may hold a frame
-// open that long (a batched retry can lag a full hold behind its tick,
-// and a window counted in bare ticks would certify a slow-searching
-// configuration quiescent mid-plateau, before its reduction fires). The
-// live runtime holds no frames, so its window ignores the hold.
-func resolveWall(spec RunSpec, ops variantOps, tickDefault, probe time.Duration) wallParams {
+// the backend's detection sampling interval and hold the longest time
+// its transport may hold a frame open. The stability window mirrors the
+// sim backend's QuiesceRounds formula, converted from rounds to wall
+// time via the wall cost of one protocol round: the tick period plus
+// the hold (a batched retry can lag a full hold behind its tick, and a
+// window counted in bare ticks would certify a slow-searching
+// configuration quiescent mid-plateau, before its reduction fires).
+func resolveWall(spec RunSpec, ops variantOps, tickDefault, probe, hold time.Duration) wallParams {
 	p := wallParams{tick: spec.Tuning.Tick, probe: probe, deadline: spec.Tuning.Deadline}
 	if p.tick <= 0 {
 		p.tick = tickDefault
@@ -139,11 +138,8 @@ func resolveWall(spec RunSpec, ops variantOps, tickDefault, probe time.Duration)
 	// bound (BackoffCapWindow) and the stability window covers the
 	// deepest tier. The sim backend's dynamic window is the optimization;
 	// wall backends pay the cap for soundness.
-	round := p.tick
-	if spec.backend() == BackendTCP {
-		round += spec.Tuning.BatchMaxWait
-	}
-	window := time.Duration(QuiesceWindowRounds(spec.Graph.N(), ops.cfg.EffectiveRetryPeriod())) * round
+	window := time.Duration(QuiesceWindowRounds(spec.Graph.N(), ops.cfg.EffectiveRetryPeriod())) *
+		(p.tick + hold)
 	p.stable = int(window/p.probe) + 1
 	return p
 }
@@ -227,7 +223,8 @@ func snapshot(g *graph.Graph, prog detect.Progress, byKind map[string]int64, nod
 // the network in-band (lock-free reads of what the node loops post)
 // through driveWall.
 func runLive(spec RunSpec, ops variantOps) (Result, error) {
-	p := resolveWall(spec, ops, 200*time.Microsecond, 2*time.Millisecond)
+	// The live runtime has no wire and holds no frames.
+	p := resolveWall(spec, ops, 200*time.Microsecond, 2*time.Millisecond, 0)
 	begin := time.Now()
 	ln := sim.NewLiveNetwork(spec.Graph, ops.factory, sim.LiveConfig{
 		TickInterval: p.tick,
@@ -246,7 +243,7 @@ func runLive(spec RunSpec, ops variantOps) (Result, error) {
 // fingerprint, active-kind deficit), so on converging runs the cluster
 // is stopped once and never restarted (Cluster.Restarts stays zero).
 func runTCP(spec RunSpec, ops variantOps) (Result, error) {
-	p := resolveWall(spec, ops, 2*time.Millisecond, 25*time.Millisecond)
+	p := resolveWall(spec, ops, 2*time.Millisecond, 25*time.Millisecond, spec.Tuning.BatchMaxWait)
 	begin := time.Now()
 	c := netrun.NewCluster(spec.Graph, ops.factory, netrun.Config{
 		TickInterval: p.tick,

@@ -391,16 +391,27 @@ func TestTuningValidation(t *testing.T) {
 
 // Only the tcp transport holds frames open, so only a tcp run's
 // stability window stretches by BatchMaxWait; the live runtime ignores
-// both batch knobs, as BackendTuning documents.
+// both batch knobs, as BackendTuning documents. Each run's certificate
+// records the window its driver counted, from a legitimate start that
+// certifies after one window.
 func TestTuningFrameHoldStretchesTCPWindowOnly(t *testing.T) {
 	for _, b := range []Backend{BackendLive, BackendTCP} {
-		spec := RunSpec{Graph: graph.Wheel(8), Backend: b}
-		bare := resolveWall(spec, variantFor(spec), time.Millisecond, time.Millisecond)
-		spec.Tuning.BatchMaxWait = 12 * time.Millisecond
-		held := resolveWall(spec, variantFor(spec), time.Millisecond, time.Millisecond)
-		if stretched := held.stable > bare.stable; stretched != (b == BackendTCP) {
+		window := func(hold time.Duration) int {
+			tuning := smokeTuning(t)
+			tuning.BatchSize, tuning.BatchMaxWait = 32, hold
+			res, err := Run(RunSpec{Graph: graph.Wheel(8), Start: StartLegitimate, Backend: b, Tuning: tuning})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cert == nil {
+				t.Fatalf("%s: no certificate from a legitimate start", b)
+			}
+			return res.Cert.Window
+		}
+		bare, held := window(0), window(12*time.Millisecond)
+		if stretched := held > bare; stretched != (b == BackendTCP) {
 			t.Errorf("%s: a 12ms frame hold moved the stability window from %d to %d probes",
-				b, bare.stable, held.stable)
+				b, bare, held)
 		}
 	}
 }

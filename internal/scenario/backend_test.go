@@ -50,9 +50,11 @@ func TestCrossBackendDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock live/tcp backends")
 	}
+	backends := []harness.Backend{harness.BackendSim, harness.BackendLive, harness.BackendTCP}
 	for _, tc := range []struct {
-		name string
-		spec Spec
+		name        string
+		spec        Spec
+		runs, cells int // over all three backends
 	}{
 		{"small", Spec{
 			Families:     []string{"ring+chords", "wheel"},
@@ -60,7 +62,7 @@ func TestCrossBackendDifferential(t *testing.T) {
 			SeedsPerCell: 2,
 			BaseSeed:     5,
 			Tuning:       harness.BackendTuning{Deadline: 60 * time.Second},
-		}},
+		}, 2 * 2 * 3, 2 * 3},
 		// The medium-n ladder under the suppress policy. tcp keeps its
 		// 2ms default tick by coalescing up to 32 messages per frame,
 		// held for at most 12ms; the live runtime ignores both.
@@ -76,12 +78,11 @@ func TestCrossBackendDifferential(t *testing.T) {
 				BatchSize:    32,
 				BatchMaxWait: 12 * time.Millisecond,
 			},
-		}},
+		}, 2 * 3, 2 * 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			simLive, tcp := tc.spec, tc.spec
-			simLive.Backends = []harness.Backend{harness.BackendSim, harness.BackendLive}
-			tcp.Backends = []harness.Backend{harness.BackendTCP}
+			simLive.Backends, tcp.Backends = backends[:2], backends[2:]
 			m1, err := Engine{}.Execute(simLive)
 			if err != nil {
 				t.Fatal(err)
@@ -90,9 +91,8 @@ func TestCrossBackendDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if 2*m2.TotalRuns != m1.TotalRuns || len(m1.Cells) != 2*len(m2.Cells) {
-				t.Fatalf("sim+live pass: %d runs in %d cells; tcp pass: %d runs in %d cells",
-					m1.TotalRuns, len(m1.Cells), m2.TotalRuns, len(m2.Cells))
+			if runs, cells := m1.TotalRuns+m2.TotalRuns, len(m1.Cells)+len(m2.Cells); runs != tc.runs || cells != tc.cells {
+				t.Fatalf("expanded to %d runs in %d cells, want %d in %d", runs, cells, tc.runs, tc.cells)
 			}
 
 			// Paired workloads: the same (family, size, seed index) run
@@ -104,7 +104,9 @@ func TestCrossBackendDifferential(t *testing.T) {
 				n, idx int
 			}
 			twin := map[inst]RunResult{}
+			perBackend := map[string]int{}
 			for _, rr := range append(m1.Runs, m2.Runs...) {
+				perBackend[rr.BackendName()]++
 				if rr.Err != "" {
 					t.Fatalf("%s seed[%d]: %s", rr.Cell, rr.SeedIndex, rr.Err)
 				}
@@ -129,6 +131,19 @@ func TestCrossBackendDifferential(t *testing.T) {
 					t.Fatalf("%s seed[%d] backend %q: seed %d, %d edges, bound %d; sim twin: seed %d, %d edges, bound %d",
 						rr.Cell, rr.SeedIndex, rr.BackendName(), rr.Seed, rr.Edges, rr.DegreeBound,
 						want.Seed, want.Edges, want.DegreeBound)
+				}
+			}
+			for _, b := range backends {
+				if perBackend[string(b)] != tc.runs/len(backends) {
+					t.Fatalf("backend %s ran %d runs, want %d", b, perBackend[string(b)], tc.runs/len(backends))
+				}
+			}
+
+			// Every backend's wall-clock cells must aggregate separately
+			// and the degree guarantee must hold per cell.
+			for _, c := range append(m1.Cells, m2.Cells...) {
+				if !c.WithinBound {
+					t.Fatalf("cell %s (backend %s): outside the Δ*+1 bracket", c.Cell, c.BackendName())
 				}
 			}
 		})
