@@ -50,12 +50,16 @@ test:
 # job repeats the tcp transport's tests ten times under the detector:
 # a direction's pending slice is shared by its node loop, its writer
 # and killLink. It goes through smoke_run (see smoke), so a renamed
-# test fails the job.
+# test fails the job. The third repeats core's pooled-token run on the
+# live runtime ten times: Search tokens go back to a pool shared by
+# every node goroutine, so a token released twice or touched after its
+# release shows up as a race report.
 RACE_TRANSPORT = TestDeadWriterSettlesDeficit|TestWriterFlushPolicy|TestSendPathsWithBatching|TestHelloDecoderHandoffSurvivesBurst
 
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 	$(call smoke_run,$(RACE_TRANSPORT),./internal/netrun/,-race -count=10)
+	$(call smoke_run,TestPooledSearchTokensOnLive,./internal/core/,-race -count=10)
 
 # Backend smoke: the live (goroutine/channel) and tcp (loopback socket)
 # execution backends each drive a tiny run end to end through the shared

@@ -138,3 +138,26 @@ func TestRunTinySizes(t *testing.T) {
 		}
 	}
 }
+
+// Above the exact solver's n ≤ 20, a canonical-ring family prints the
+// ring's path witness (Δ* = 2, exact at every n) instead of the
+// Fürer–Raghavachari bracket, and a family without the ring keeps the
+// bracket.
+func TestRunCanonicalRingWitness(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-family", "ring+chords", "-n", "64"},
+			"delta*: 2 (canonical ring witness) — bound delta*+1 = 3, within: true"},
+		{[]string{"-family", "gnp", "-n", "24"}, "(FR bracket)"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, nil, &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d\n%s%s", tc.args, code, out.String(), errOut.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Fatalf("%v: missing %q in output:\n%s", tc.args, tc.want, out.String())
+		}
+	}
+}

@@ -53,9 +53,17 @@
 // re-hashed only when a node's state version moves (sim.StateVersioner,
 // bumped by the protocol's guarded writes), the asynchronous-round
 // accounting is an epoch-stamped array instead of a per-round map, and
-// pending-message counts are maintained per kind. The protocol keys its
-// own derived values on the same version: a node's tree degree,
-// tree_stabilized and locally_stabilized are computed once per version
+// pending-message counts are maintained per kind. A message hop does no
+// lookup and no allocation: a link is addressed by the neighbor's
+// position in the sender's sorted neighbor list (sim.Context.SendAt),
+// every link records the sender's position in the receiver's list, so
+// a delivery hands it to the handler (sim.Context.FromPos) and the
+// receiver reads that neighbor's view at the same position, and Search
+// tokens come from a pool and go back to it where they die
+// (core.TestSearchHopAllocsNothing gates a token's launch, hops and
+// deaths at 0 allocations). The protocol keys its own derived values
+// on the state version: a node's tree degree, tree_stabilized and
+// locally_stabilized are computed once per version
 // rather than on every Search hop, tick and Info receipt, and an idle
 // tick (the last one moved nothing, and nothing moved since) skips the
 // tree and degree modules and re-sends its boxed InfoMsg. An oracle test

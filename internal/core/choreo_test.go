@@ -321,9 +321,7 @@ func scanRuleSends(newNode func(int, []int, Config) *Node) (*Node, []sentMsg) {
 	x.SetView(1, View{Root: 0, Parent: 0, Distance: 1, Dmax: 3, Submax: 3, Deg: 1})
 	x.SetView(3, View{Root: 0, Parent: 2, Distance: 3, Dmax: 3, Submax: 3, Deg: 2})
 	var sent []sentMsg
-	ctx := sim.NewContext(4, g.Neighbors(4), func(_, to int, m sim.Message) {
-		sent = append(sent, sentMsg{to, m})
-	})
+	ctx := recordingContext(4, g.Neighbors(4), &sent)
 	x.actionOnCycle(ctx, &SearchMsg{
 		Init:  graph.Edge{U: 1, V: 4},
 		Block: -1,

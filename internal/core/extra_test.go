@@ -97,14 +97,15 @@ func TestDeblockTieBreakBlocksEqualPotentialSwap(t *testing.T) {
 	}
 
 	netA, nodesA := build(true)
-	nodesA[0].handleSearch(netA.Context(0), 1, msg)
+	deliver(netA.Context(0), nodesA[0], 1, cloneToken(msg))
 	if netA.PendingKind(KindReverse) != 0 {
 		t.Fatal("tie-break enabled: reversal must not start (rising ID 4 > blocker 1)")
 	}
 
-	// The terminus only reads a token, so both nodes may see this one.
+	// The terminus releases the token it classified, so each node gets
+	// its own copy.
 	netB, nodesB := build(false)
-	nodesB[0].handleSearch(netB.Context(0), 1, msg)
+	deliver(netB.Context(0), nodesB[0], 1, cloneToken(msg))
 	if netB.PendingKind(KindReverse) == 0 {
 		t.Fatal("tie-break disabled: reversal must start")
 	}
@@ -145,7 +146,7 @@ func TestDeblockRecursionRespectsTTL(t *testing.T) {
 			{Node: 4, Deg: 2, Parent: 3, Cursor: 5},
 		},
 	}
-	nodes[5].handleSearch(net.Context(5), 4, msg)
+	deliver(net.Context(5), nodes[5], 4, msg)
 	if net.PendingKind(KindDeblock) != 0 {
 		t.Fatal("TTL-0 deblock search must not recurse")
 	}
@@ -182,7 +183,7 @@ func TestInfoMsgRefreshesViewAndRunsRules(t *testing.T) {
 	n2 := NodesOf(net)[2]
 	// Node 2 starts as its own root; learning node 1's adoption of root 0
 	// via InfoMsg must trigger R1.
-	n2.handleInfo(1, InfoMsg{Root: 0, Parent: 0, Distance: 1, Deg: 1})
+	deliver(net.Context(2), n2, 1, InfoMsg{Root: 0, Parent: 0, Distance: 1, Deg: 1})
 	if n2.Root() != 0 || n2.Parent() != 1 || n2.Distance() != 2 {
 		t.Fatalf("R1 after InfoMsg: root=%d parent=%d dist=%d",
 			n2.Root(), n2.Parent(), n2.Distance())

@@ -4,17 +4,22 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"mdst/internal/graph"
 	"mdst/internal/sim"
 )
 
-// A Search hop through Receive allocates nothing: the token travels by
-// pointer and its Path starts with spare capacity. The fixture is node 1
-// of the tree 0-1, 1-2, 1-3, 1-4 (rooted at 0), holding a token that
-// seeks node 5 from initiator 0.
+// A Search token's whole life allocates nothing once the token pool is
+// warm: its launch by a Tick, each kind of hop (the token travels by
+// pointer and its Path has spare capacity) and each kind of death (the
+// node that ends a token releases it to the pool). The fixture is the
+// tree 0-1, 1-2, 1-3, 1-4, 4-5 rooted at 0, with the non-tree edge
+// {0,5}: node 0 launches tokens seeking 5. Every sent token is recorded
+// and then released, as its death somewhere downstream would.
 func TestSearchHopAllocsNothing(t *testing.T) {
 	g := graph.New(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {1, 3}, {1, 4}, {4, 5}, {0, 5}} {
@@ -22,48 +27,136 @@ func TestSearchHopAllocsNothing(t *testing.T) {
 	}
 	net := BuildNetwork(g, DefaultConfig(g.N()), 1)
 	loadTree(g, net, chainTree(t, g, [][2]int{{1, 0}, {2, 1}, {3, 1}, {4, 1}, {5, 4}}))
-	x := NodesOf(net)[1]
-	if !x.locallyStabilized() {
-		t.Fatal("fixture node is not locally stabilized")
+	nodes := NodesOf(net)
+	for _, id := range []int{0, 1, 5} {
+		if !nodes[id].locallyStabilized() {
+			t.Fatalf("fixture node %d is not locally stabilized", id)
+		}
 	}
-	sentTo := -1
-	var sent sim.Message
-	ctx := sim.NewContext(1, g.Neighbors(1), func(_, to int, m sim.Message) {
-		sentTo, sent = to, m
-	})
-	tok := &SearchMsg{Init: graph.Edge{U: 0, V: 5}, Block: -1,
-		Path: make([]PathEntry, 0, searchPathCap)}
+	sentTo, sent, path := -1, (*SearchMsg)(nil), make([]PathEntry, 0, searchPathCap)
+	ctxs := make([]*sim.Context, g.N())
+	for id := range ctxs {
+		nbrs := g.Neighbors(id)
+		ctxs[id] = sim.NewContext(id, nbrs, func(_, i int, m sim.Message) {
+			if tok, ok := m.(*SearchMsg); ok {
+				sentTo, sent, path = nbrs[i], tok, append(path[:0], tok.Path...)
+				tok.release()
+			}
+		})
+	}
 	initiator := PathEntry{Node: 0, Deg: 1, Parent: 0, Cursor: 1}
 	for _, tc := range []struct {
-		name   string
-		from   int
-		path   []PathEntry // the token's stack on arrival
-		wantTo int
-		want   []PathEntry // the stack it leaves with
+		name     string
+		at, from int         // the receiving node and the sender; from -1 is a Tick at node at
+		path     []PathEntry // the token's stack on arrival
+		wantTo   int         // -1: the token dies here
+		want     []PathEntry // the stack it leaves with
 	}{
-		{"descent", 0, []PathEntry{initiator}, 2,
+		{"launch", 0, -1, nil, 1, []PathEntry{initiator}},
+		{"descent", 1, 0, []PathEntry{initiator}, 2,
 			[]PathEntry{initiator, {Node: 1, Deg: 4, Parent: 0, Cursor: 2}}},
-		{"backtrack arrival to next child", 2,
+		{"backtrack arrival to next child", 1, 2,
 			[]PathEntry{initiator, {Node: 1, Deg: 4, Parent: 0, Cursor: 2}}, 3,
 			[]PathEntry{initiator, {Node: 1, Deg: 4, Parent: 0, Cursor: 3}}},
-		{"backtrack", 4,
+		{"backtrack", 1, 4,
 			[]PathEntry{initiator, {Node: 1, Deg: 4, Parent: 0, Cursor: 4}}, 0,
 			[]PathEntry{initiator}},
+		{"stale token dropped", 1, 2, // 1 re-parented since the token passed
+			[]PathEntry{initiator, {Node: 1, Deg: 4, Parent: 3, Cursor: 2}}, -1, nil},
+		{"terminus whose cycle triggers nothing", 5, 4, // no maximum-degree node on it
+			[]PathEntry{initiator, {Node: 1, Deg: 3, Parent: 0, Cursor: 4}, {Node: 4, Deg: 2, Parent: 1, Cursor: 5}}, -1, nil},
 	} {
-		hop := func() {
+		x, ctx := nodes[tc.at], ctxs[tc.at]
+		var tok *SearchMsg
+		life := func() {
+			if tc.from < 0 {
+				x.nextSearch[1] = 0 // the edge {0,5} is due
+				x.Tick(ctx)
+				return
+			}
+			tok = searchPool.Get().(*SearchMsg)
+			tok.Init, tok.Block, tok.TTL = graph.Edge{U: 0, V: 5}, -1, 0
 			tok.Path = append(tok.Path[:0], tc.path...)
-			x.Receive(ctx, tc.from, tok)
+			deliver(ctx, x, tc.from, tok)
 		}
-		sentTo, sent = -1, nil
-		hop()
-		if sentTo != tc.wantTo || sent != sim.Message(tok) || !slices.Equal(tok.Path, tc.want) {
-			t.Fatalf("%s: sent %v to %d with path %+v; want the same token to %d with path %+v",
-				tc.name, sent, sentTo, tok.Path, tc.wantTo, tc.want)
+		sentTo, sent, path = -1, nil, path[:0]
+		classified := x.NodeStats().CyclesClassified
+		life()
+		if sentTo != tc.wantTo || (tok != nil && sent != nil && sent != tok) || !slices.Equal(path, tc.want) {
+			t.Fatalf("%s: sent %v to %d with path %+v; want the token to %d with path %+v",
+				tc.name, sent, sentTo, path, tc.wantTo, tc.want)
 		}
-		if allocs := testing.AllocsPerRun(100, hop); allocs != 0 {
-			t.Errorf("%s: a Search hop allocates %.1f times, want 0", tc.name, allocs)
+		if tc.at == 5 && x.NodeStats().CyclesClassified != classified+1 {
+			t.Fatalf("%s: the terminus did not classify the cycle", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(100, life); allocs != 0 {
+			t.Errorf("%s: allocates %.1f times, want 0", tc.name, allocs)
 		}
 	}
+}
+
+// searchCounter counts the Search tokens its node receives into a
+// counter every node shares.
+type searchCounter struct {
+	*Node
+	searches *atomic.Int64
+}
+
+func (c searchCounter) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
+	if _, ok := m.(*SearchMsg); ok {
+		c.searches.Add(1)
+	}
+	c.Node.Receive(ctx, from, m)
+}
+
+// Pooled Search tokens cross goroutines on the live runtime: a token
+// released by one node loop is taken by another's next launch. Under
+// the race detector (make race repeats this test ten times), a token
+// released twice, or touched after it was sent or released, shows up
+// as a race report. The run lasts a fixed 300 ms from a corrupt start,
+// longer only while no token has arrived yet, and asserts only that
+// tokens flowed, not convergence.
+func TestPooledSearchTokensOnLive(t *testing.T) {
+	fam, _ := graph.LookupFamily("ring+chords")
+	g := fam.Build(16, rand.New(rand.NewSource(7)))
+	cfg := DefaultConfig(g.N())
+	rng := rand.New(rand.NewSource(8))
+	var received atomic.Int64
+	ln := sim.NewLiveNetwork(g, func(id sim.NodeID, nbrs []sim.NodeID) sim.Process {
+		n := NewNode(id, nbrs, cfg)
+		n.Corrupt(rng, g.N())
+		return searchCounter{Node: n, searches: &received}
+	}, sim.LiveConfig{ActiveKinds: ReductionKinds()})
+	ln.Start()
+	time.Sleep(300 * time.Millisecond)
+	for deadline := time.Now().Add(10 * time.Second); received.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	ln.Stop()
+	_, byKind := ln.Traffic()
+	if byKind[KindSearch] == 0 || received.Load() == 0 {
+		t.Fatalf("%d Search tokens sent and %d received: the pool was not exercised", byKind[KindSearch], received.Load())
+	}
+}
+
+// deliver hands m to node n over ctx the way a driver does: from node
+// from, named by its position in ctx's neighbor list.
+func deliver(ctx *sim.Context, n *Node, from int, m sim.Message) {
+	ctx.Deliver(n, slices.Index(ctx.Neighbors(), from), m)
+}
+
+// recordingContext is node id's context over the sorted neighbor list
+// nbrs; every send is appended to *sent with its destination's ID.
+func recordingContext(id int, nbrs []int, sent *[]sentMsg) *sim.Context {
+	return sim.NewContext(id, nbrs, func(_, i int, m sim.Message) { *sent = append(*sent, sentMsg{nbrs[i], m}) })
+}
+
+// cloneToken copies a Search token with its stack, so that two
+// receivers never hold one token.
+func cloneToken(tok *SearchMsg) *SearchMsg {
+	cp := *tok
+	cp.Path = slices.Clone(tok.Path)
+	return &cp
 }
 
 // twinNode runs two copies of one node side by side: one built from the
@@ -86,8 +179,8 @@ func newTwinNode(t *testing.T, id int, nbrs []int, cfg Config, rng *rand.Rand,
 		shuf[0], shuf[1] = shuf[1], shuf[0]
 	}
 	tw := &twinNode{t: t, sorted: newNode(id, nbrs, cfg), shuffled: newNode(id, shuf, cfg)}
-	tw.ctxA = sim.NewContext(id, nbrs, func(_, to int, m sim.Message) { tw.sentA = append(tw.sentA, sentMsg{to, m}) })
-	tw.ctxB = sim.NewContext(id, nbrs, func(_, to int, m sim.Message) { tw.sentB = append(tw.sentB, sentMsg{to, m}) })
+	tw.ctxA = recordingContext(id, nbrs, &tw.sentA)
+	tw.ctxB = recordingContext(id, nbrs, &tw.sentB)
 	return tw
 }
 
@@ -139,15 +232,14 @@ func (tw *twinNode) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 	// is an immutable value.
 	mb := m
 	if tok, ok := m.(*SearchMsg); ok {
-		cp := *tok
-		cp.Path = slices.Clone(tok.Path)
-		mb = &cp
+		mb = cloneToken(tok)
 	}
+	at := ctx.FromPos()
 	tw.step(ctx, fmt.Sprintf("receive %T from %d", m, from), func(n *Node, c *sim.Context) {
 		if n == tw.shuffled {
-			n.Receive(c, from, mb)
+			c.Deliver(n, at, mb)
 		} else {
-			n.Receive(c, from, m)
+			c.Deliver(n, at, m)
 		}
 	})
 }
@@ -234,7 +326,7 @@ func TestParentViewFollowsParentMoves(t *testing.T) {
 	check("SetState to itself")
 	n.changeParentTo(4)
 	check("rule R1 move to 4")
-	n.Receive(ctx, 0, ReverseMsg{Init: graph.Edge{U: 1, V: 3}, Nodes: []int{2, 4, 1}, Dist: 11})
+	deliver(ctx, n, 0, ReverseMsg{Init: graph.Edge{U: 1, V: 3}, Nodes: []int{2, 4, 1}, Dist: 11})
 	if n.parent != 0 {
 		t.Fatalf("Reverse from 0 left parent %d", n.parent)
 	}

@@ -70,6 +70,11 @@ type PathEntry struct {
 // cursors in place, then forwards the same pointer, so a hop allocates
 // nothing. A holder that sends the token gives it away: from then on
 // it neither reads nor writes it, and a token is never sent twice.
+// Tokens are recycled: startSearch takes one from a pool, and the node
+// where a token's life ends (it is dropped, its DFS is exhausted, or
+// its cycle is classified at the terminus) releases it back instead of
+// sending it. Releasing is a handoff too: the node touches the token
+// no more, and it is never both sent and released.
 type SearchMsg struct {
 	Init  graph.Edge // Init.U = initiator, Init.V = sought endpoint
 	Block int

@@ -208,7 +208,10 @@ type Node struct {
 	cfg Config
 	// nbrs is the sorted neighbor list, shared with the view table:
 	// the neighbor at position i of nbrs has its view at position i of
-	// views, so loops over nbrs read views without an ID lookup.
+	// views and its link at position i of the context (sim.Context
+	// SendAt and FromPos), so loops over nbrs and the handlers of
+	// gossip and Search tokens read views and send without an ID
+	// lookup.
 	nbrs []int
 
 	// The paper's per-node variables (§3.1).
@@ -609,7 +612,7 @@ func (n *Node) SkipTicks(k int) { n.tick += k }
 func (n *Node) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
 	switch msg := m.(type) {
 	case InfoMsg:
-		n.handleInfo(from, msg)
+		n.handleInfo(ctx.FromPos(), msg)
 	case *SearchMsg:
 		n.handleSearch(ctx, from, msg)
 	case ReverseMsg:
@@ -648,20 +651,18 @@ func (n *Node) sendInfo(ctx *sim.Context) {
 
 // gossip sends the boxed n.info to every neighbor.
 func (n *Node) gossip(ctx *sim.Context) {
-	for _, u := range n.nbrs {
-		ctx.Send(u, n.info)
+	for i := range n.nbrs {
+		ctx.SendAt(i, n.info)
 	}
 }
 
-// handleInfo is the paper's Update_State: refresh the local copy, then
-// re-run the correction rules. The copy is skipped (and the state
-// version left untouched) when the gossip repeats what we already hold —
-// the common case once the neighborhood quiesces.
-func (n *Node) handleInfo(from int, m InfoMsg) {
-	v := n.views.Get(from)
-	if v == nil {
-		return
-	}
+// handleInfo is the paper's Update_State: refresh the local copy of the
+// sender, the neighbor at position at, then re-run the correction
+// rules. The copy is skipped (and the state version left untouched)
+// when the gossip repeats what we already hold — the common case once
+// the neighborhood quiesces.
+func (n *Node) handleInfo(at int, m InfoMsg) {
+	v := n.views.At(at)
 	if v.Root != m.Root || v.Parent != m.Parent || v.Distance != m.Distance ||
 		v.Dmax != m.Dmax || v.Submax != m.Submax || v.Deg != m.Deg ||
 		v.Color != m.Color {

@@ -163,7 +163,7 @@ func (n *Node) broadcastDeblock(ctx *sim.Context, block, ttl, except int) {
 			continue
 		}
 		if n.views.At(i).Parent == n.id { // children only: subtree flood
-			ctx.Send(u, DeblockMsg{Block: block, TTL: ttl})
+			ctx.SendAt(i, DeblockMsg{Block: block, TTL: ttl})
 		}
 	}
 	// Cycle_Search(idblock) for every incident non-tree edge: deblock
@@ -276,7 +276,7 @@ func (n *Node) handleReverse(ctx *sim.Context, from int, msg ReverseMsg) {
 	if first {
 		// Attachment hop: re-validate the improving-edge conditions with
 		// this node's exact local knowledge before mutating anything.
-		if n.isTreeEdge(from) || n.dmax != msg.DegMax || n.Deg() > msg.DegMax-2 {
+		if n.treeEdgeAt(ctx.FromPos()) || n.dmax != msg.DegMax || n.Deg() > msg.DegMax-2 {
 			n.stats.ChainsAborted++
 			return
 		}
@@ -319,7 +319,7 @@ func (n *Node) handleReverse(ctx *sim.Context, from int, msg ReverseMsg) {
 func (n *Node) notifyChildrenDist(ctx *sim.Context, except int) {
 	for i, u := range n.nbrs {
 		if u != except && n.views.At(i).Parent == n.id {
-			ctx.Send(u, UpdateDistMsg{Dist: n.distance})
+			ctx.SendAt(i, UpdateDistMsg{Dist: n.distance})
 		}
 	}
 }

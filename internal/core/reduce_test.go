@@ -100,7 +100,7 @@ func TestReverseStaleChainAborts(t *testing.T) {
 	nodes := NodesOf(net)
 	before := nodes[2].Parent()
 	// Chain claiming node 2's parent is 3 (it is 1): must abort.
-	nodes[2].handleReverse(net.Context(2), 1, ReverseMsg{
+	deliver(net.Context(2), nodes[2], 1, ReverseMsg{
 		Init:       graph.Edge{U: 0, V: 4},
 		DegMax:     2,
 		TargetNode: 3,
@@ -130,7 +130,7 @@ func TestReverseFinalHopValidatesTarget(t *testing.T) {
 	loadTree(g, net, tree)
 	nodes := NodesOf(net)
 	// Directly hand node 1 the final hop with a wrong TargetDeg.
-	nodes[1].handleReverse(net.Context(1), 3, ReverseMsg{
+	deliver(net.Context(1), nodes[1], 3, ReverseMsg{
 		Init:       graph.Edge{U: 3, V: 4},
 		DegMax:     3,
 		TargetNode: 1,
@@ -156,7 +156,7 @@ func TestReverseFirstHopValidatesEdgeAndDegree(t *testing.T) {
 	nodes := NodesOf(net)
 	// First hop at node 0 (attachment) arriving from 3 (other endpoint of
 	// init edge {0,3}) with a mismatched dmax: abort.
-	nodes[0].handleReverse(net.Context(0), 3, ReverseMsg{
+	deliver(net.Context(0), nodes[0], 3, ReverseMsg{
 		Init:       graph.Edge{U: 3, V: 0}, // hypothetical reverse direction
 		DegMax:     7,                      // wrong dmax
 		TargetNode: 1,

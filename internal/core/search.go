@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"mdst/internal/graph"
 	"mdst/internal/sim"
 )
@@ -260,36 +262,49 @@ func (n *Node) startSearch(ctx *sim.Context, target, block, ttl int) {
 		return
 	}
 	n.stats.SearchesLaunched++
-	path := make([]PathEntry, 1, searchPathCap)
-	path[0] = PathEntry{Node: n.id, Deg: n.Deg(), Parent: n.parent, Cursor: first}
-	ctx.Send(first, &SearchMsg{
-		Init:  graph.Edge{U: n.id, V: target},
-		Block: block,
-		TTL:   ttl,
-		Path:  path,
-	})
+	tok := searchPool.Get().(*SearchMsg)
+	tok.Init, tok.Block, tok.TTL = graph.Edge{U: n.id, V: target}, block, ttl
+	tok.Path = append(tok.Path[:0], PathEntry{Node: n.id, Deg: n.Deg(), Parent: n.parent, Cursor: n.nbrs[first]})
+	ctx.SendAt(first, tok)
 }
 
-// searchPathCap is the Path capacity a token starts with: enough for a
-// typical fundamental cycle, so most tokens never regrow their stack.
+// searchPathCap is the Path capacity a new token starts with: enough
+// for a typical fundamental cycle, so most tokens never regrow their
+// stack.
 const searchPathCap = 8
 
-// firstTreeNeighbor returns the smallest tree neighbor with ID > after,
-// excluding `exclude` and any node already on the path; -1 if none.
+// searchPool recycles Search tokens: startSearch takes one, and the
+// handler that ends a token's life — drops it, finds its DFS exhausted
+// or classifies its cycle at the terminus — puts it back (release), so
+// a token's whole life allocates nothing once the pool is warm. The
+// one-holder rule (SearchMsg) is what makes this safe: the releasing
+// node is the token's only holder, and a token that is released was not
+// sent.
+var searchPool = sync.Pool{New: func() any {
+	return &SearchMsg{Path: make([]PathEntry, 0, searchPathCap)}
+}}
+
+// release ends the token's life at its current holder. The holder
+// touches it no more: the next startSearch, at any node, may take it.
+func (m *SearchMsg) release() { searchPool.Put(m) }
+
+// firstTreeNeighbor returns the position of the smallest tree neighbor
+// with ID > after, excluding `exclude` and any node already on the
+// path; -1 if none.
 func (n *Node) firstTreeNeighbor(after, exclude int, path []PathEntry) int {
 	for i, u := range n.nbrs {
 		if u <= after || u == exclude || !n.treeEdgeAt(i) {
 			continue
 		}
 		onPath := false
-		for i := range path {
-			if path[i].Node == u {
+		for j := range path {
+			if path[j].Node == u {
 				onPath = true
 				break
 			}
 		}
 		if !onPath {
-			return u
+			return i
 		}
 	}
 	return -1
@@ -297,71 +312,86 @@ func (n *Node) firstTreeNeighbor(after, exclude int, path []PathEntry) int {
 
 // handleSearch advances a DFS token through this node. The node holds
 // the token for the duration of the call: it edits the token in place
-// and forwards the same pointer.
+// and forwards the same pointer, or ends its life and releases it.
 func (n *Node) handleSearch(ctx *sim.Context, from int, msg *SearchMsg) {
+	if !n.advanceSearch(ctx, from, msg) {
+		msg.release()
+	}
+}
+
+// advanceSearch is handleSearch's step; it reports whether it sent the
+// token on. One that it did not send has died here.
+func (n *Node) advanceSearch(ctx *sim.Context, from int, msg *SearchMsg) bool {
 	// The paper freezes the reduction modules until the neighborhood is
 	// locally stabilized; tokens are simply dropped (searches repeat).
 	if !n.locallyStabilized() {
-		return
+		return false
 	}
 	if len(msg.Path) == 0 {
-		return
+		return false
 	}
+	at := ctx.FromPos() // the sender's position: its view and its link
 	// Terminus: the token reached the sought endpoint of the init edge.
 	if n.id == msg.Init.V {
-		if from != msg.Path[len(msg.Path)-1].Node || !n.isTreeEdge(from) {
-			return // stale token: the final hop is no longer a tree edge
+		if from != msg.Path[len(msg.Path)-1].Node || !n.treeEdgeAt(at) {
+			return false // stale token: the final hop is no longer a tree edge
 		}
 		if n.isTreeEdge(msg.Init.U) {
-			return // init edge joined the tree meanwhile: no cycle
+			return false // init edge joined the tree meanwhile: no cycle
 		}
 		// Terminus pruning: an equivalent cycle was classified here within
 		// the window with this node unchanged — the classification (and
 		// any reversal or deblock it triggered) would repeat verbatim.
 		if n.cfg.Retry != RetryPaper && n.suppressSearch(msg.Init, msg.Block) {
-			return
+			return false
 		}
-		n.actionOnCycle(ctx, msg)
-		return
+		n.actionOnCycle(ctx, msg) // copies what it keeps of the path
+		return false
 	}
 	top := len(msg.Path) - 1
+	prevAt := -1 // position of the previous node on the stack, when known
 	if msg.Path[top].Node == n.id {
 		// Backtrack arrival: resume scanning from the stored cursor.
 		if n.parent != msg.Path[top].Parent {
-			return // this node re-parented since the token passed: drop
+			return false // this node re-parented since the token passed: drop
 		}
 	} else {
 		// Descent arrival over a tree edge: push our entry. Backtrack
 		// arrivals (the branch above) are one token's own DFS walk and are
 		// never pruned — only this first arrival of a token is a candidate
 		// duplicate of an earlier equivalent token.
-		if !n.isTreeEdge(from) || msg.Path[top].Node != from {
-			return
+		if !n.treeEdgeAt(at) || msg.Path[top].Node != from {
+			return false
 		}
 		if n.cfg.Retry != RetryPaper && n.suppressSearch(msg.Init, msg.Block) {
-			return
+			return false
 		}
 		msg.Path = append(msg.Path, PathEntry{Node: n.id, Deg: n.Deg(), Parent: n.parent, Cursor: -1})
 		top++
+		prevAt = at // the sender pushed the entry below ours
 	}
 	prev := -1
 	if top > 0 {
 		prev = msg.Path[top-1].Node
 	}
-	next := n.firstTreeNeighbor(msg.Path[top].Cursor, prev, msg.Path[:top])
-	if next >= 0 {
-		msg.Path[top].Cursor = next
-		ctx.Send(next, msg)
-		return
+	if next := n.firstTreeNeighbor(msg.Path[top].Cursor, prev, msg.Path[:top]); next >= 0 {
+		msg.Path[top].Cursor = n.nbrs[next]
+		ctx.SendAt(next, msg)
+		return true
 	}
 	// Subtree exhausted: backtrack.
 	msg.Path = msg.Path[:top]
 	if len(msg.Path) == 0 {
-		return // initiator exhausted every branch without finding the
-		// endpoint (the tree changed underneath): the search dies and a
-		// later periodic search retries
+		return false // initiator exhausted every branch without finding
+		// the endpoint (the tree changed underneath): the search dies and
+		// a later periodic search retries
 	}
-	if prev >= 0 && n.isTreeEdge(prev) {
-		ctx.Send(prev, msg)
+	if prevAt < 0 {
+		prevAt = n.views.Index(prev)
 	}
+	if prevAt < 0 || !n.treeEdgeAt(prevAt) {
+		return false
+	}
+	ctx.SendAt(prevAt, msg)
+	return true
 }

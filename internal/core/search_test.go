@@ -89,7 +89,7 @@ func TestSearchGuardDropsWhenNotStabilized(t *testing.T) {
 	nodes[2].SetView(1, View{Root: 0, Parent: 0, Dmax: 9})
 	msg := &SearchMsg{Init: graph.Edge{U: 1, V: 3}, Block: -1,
 		Path: []PathEntry{{Node: 1, Deg: 2, Parent: 0, Cursor: 2}}}
-	nodes[2].handleSearch(net.Context(2), 1, msg)
+	deliver(net.Context(2), nodes[2], 1, msg)
 	if net.Pending() != 0 {
 		t.Fatal("destabilized node must drop the token, not forward it")
 	}
@@ -143,7 +143,7 @@ func TestSearchStaleTreeEdgeDropped(t *testing.T) {
 	// entry is node 3 (mismatch): must be dropped at the terminus.
 	msg := &SearchMsg{Init: graph.Edge{U: 1, V: 2}, Block: -1,
 		Path: []PathEntry{{Node: 1, Deg: 2, Parent: 0, Cursor: 3}, {Node: 3, Deg: 2, Parent: 2, Cursor: -1}}}
-	nodes[2].handleSearch(net.Context(2), 1, msg)
+	deliver(net.Context(2), nodes[2], 1, msg)
 	if net.Pending() != 0 {
 		t.Fatal("stale token must be dropped")
 	}

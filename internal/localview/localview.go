@@ -1,9 +1,12 @@
 // Package localview is the dense per-neighbor view storage of the
 // protocol nodes (internal/core). Table stores a node's local copies of
 // its neighbors' variables in one contiguous slice. A table position is
-// the neighbor's position in the node's sorted neighbor list, so a node
-// that walks its neighbors in order reads view i at position i, with no
-// lookup; Get finds a view by ID with a binary search.
+// the neighbor's position in the node's sorted neighbor list, which is
+// also its link's address in the node's sim.Context: a node that walks
+// its neighbors in order reads view i at position i, and a handler
+// reads the sender's view at the position the delivery names
+// (Context.FromPos), both with no lookup. Get and Index find a view by
+// ID with a binary search, for the IDs a message carries.
 //
 // The package also hosts Fingerprint, the hash over (own variables,
 // view table) that both exchanges share.

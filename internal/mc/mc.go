@@ -20,6 +20,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 
 	"mdst/internal/core"
 	"mdst/internal/graph"
@@ -143,8 +144,15 @@ func Explore(g *graph.Graph, nodes []*core.Node, cfg Config, every, quiescent []
 
 // deliver runs one receive step on the cloned state.
 func deliver(g *graph.Graph, st *state, to, from int, msg sim.Message, maxQueue int) {
-	ctx := contextFor(g, st, to, maxQueue)
-	st.nodes[to].Receive(ctx, from, copyMsg(msg))
+	receive(contextFor(g, st, to, maxQueue), st.nodes[to], from, copyMsg(msg))
+}
+
+// receive hands m from neighbor from to p over its context, naming the
+// sender by its position in the receiver's neighbor list as every
+// driver does.
+func receive(ctx *sim.Context, p sim.Process, from int, m sim.Message) {
+	at, _ := slices.BinarySearch(ctx.Neighbors(), from)
+	ctx.Deliver(p, at, m)
 }
 
 // tick runs one tick step on the cloned state.
@@ -155,8 +163,9 @@ func tick(g *graph.Graph, st *state, id, maxQueue int) {
 
 // contextFor wires sends into the state's queues, capping queue length.
 func contextFor(g *graph.Graph, st *state, id, maxQueue int) *sim.Context {
-	return sim.NewContext(id, g.Neighbors(id), func(from, to int, m sim.Message) {
-		key := [2]int{from, to}
+	nbrs := g.Neighbors(id)
+	return sim.NewContext(id, nbrs, func(from, i int, m sim.Message) {
+		key := [2]int{from, nbrs[i]}
 		if len(st.queues[key]) >= maxQueue {
 			return // prune: model a slow link absorbing the overflow
 		}

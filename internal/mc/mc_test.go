@@ -226,3 +226,49 @@ func TestNodeCloneIndependence(t *testing.T) {
 		t.Fatal("clone shares views")
 	}
 }
+
+// posProbe checks the position contract on every receive: the position
+// handed with a delivery (FromPos) names the sender, which sends its
+// own ID. Its Tick sends one message per link, by position.
+type posProbe struct{ received, bad int }
+
+func (p *posProbe) Tick(ctx *sim.Context) {
+	for i := range ctx.Neighbors() {
+		ctx.SendAt(i, core.UpdateDistMsg{Dist: ctx.ID()})
+	}
+}
+
+func (p *posProbe) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
+	p.received++
+	i := ctx.FromPos()
+	if i < 0 || i >= len(ctx.Neighbors()) || ctx.Neighbors()[i] != from || m.(core.UpdateDistMsg).Dist != from {
+		p.bad++
+	}
+}
+
+// The checker's steps keep the position contract: a tick's sends land
+// on the queue of the link they address, and each queued message is
+// received, as Explore delivers it, with its sender's position.
+func TestPositionContractMC(t *testing.T) {
+	g := graph.RandomGnp(10, 0.4, rand.New(rand.NewSource(1)))
+	st := &state{queues: map[[2]int][]sim.Message{}}
+	probes := make([]*posProbe, g.N())
+	for id := range probes {
+		probes[id] = &posProbe{}
+		probes[id].Tick(contextFor(g, st, id, 2))
+	}
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			q := st.queues[[2]int{u, v}]
+			if len(q) != 1 {
+				t.Fatalf("link %d->%d queued %d messages, want 1", u, v, len(q))
+			}
+			receive(contextFor(g, st, v, 2), probes[v], u, q[0])
+		}
+	}
+	for id, p := range probes {
+		if p.bad > 0 || p.received != g.Degree(id) {
+			t.Fatalf("node %d: %d of %d receives named the wrong sender (degree %d)", id, p.bad, p.received, g.Degree(id))
+		}
+	}
+}

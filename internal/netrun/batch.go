@@ -5,7 +5,8 @@ package netrun
 // at every goroutine hop is the frame, not the message.
 //
 // Send side. Each direction has a sendLink: a mutex-guarded pending
-// slice and a one-slot wake channel. Cluster.send appends to the slice
+// slice and a one-slot wake channel, addressed by the peer's position
+// in the sender's neighbor list. Cluster.send appends to the slice
 // and wakes the direction's writer only when a frame opens (the first
 // pending message) or fills (the BatchSize-th); it drops at outboxSize
 // or on a dead link. The woken writer holds a partial frame open for at
@@ -18,6 +19,7 @@ package netrun
 //
 // Receive side. The direction's reader decodes each frame into a fresh
 // slice and hands it to the receiving node's inbox as one sim.Envelope,
+// stamped with the sender's position the connection was started with,
 // whose messages sim.Board.Loop receives in order. Frame order is
 // socket order and in-frame order is slice order, so the link stays
 // reliable FIFO.
@@ -50,11 +52,12 @@ type sendLink struct {
 	wake    chan struct{} // one slot: a frame opened or filled
 }
 
-// send appends a message to the direction's pending slice and wakes
-// its writer when the message opens a frame or fills one. A full or
-// dead direction drops the message (gossip repair handles the loss).
-func (c *Cluster) send(from, to int, m sim.Message) {
-	l := c.link(from, to)
+// send appends a message to the pending slice of node from's direction
+// toward its neighbor at position i (sim.Context.SendAt checked i) and
+// wakes its writer when the message opens a frame or fills one. A full
+// or dead direction drops the message (gossip repair handles the loss).
+func (c *Cluster) send(from, i int, m sim.Message) {
+	l := &c.outbox[from][i]
 	// Read the kind before the handoff: once m is pending the writer
 	// owns it (see sim.Message).
 	kind := m.Kind()
@@ -216,12 +219,13 @@ func (c *Cluster) killLink(link *sendLink, unsent []sim.Message) {
 }
 
 // readLoop decodes the peer's stream into me's inbox, one envelope per
-// frame. A connection carries one sender, so every frame is from peer.
-// Once stop is closed it keeps reading until the connection closes but
-// discards what it decodes, so the peer's writer can always flush its
-// final frames. A frame that does not decode ends the reader, as the
-// connection's end does.
-func (c *Cluster) readLoop(in chan<- sim.Envelope, peer int, br *bufio.Reader, stop chan struct{}) {
+// frame. A connection carries one sender, so every frame is from the
+// peer, which sits at position at of me's neighbor list. Once stop is
+// closed it keeps reading until the connection closes but discards what
+// it decodes, so the peer's writer can always flush its final frames. A
+// frame that does not decode ends the reader, as the connection's end
+// does.
+func (c *Cluster) readLoop(in chan<- sim.Envelope, at int, br *bufio.Reader, stop chan struct{}) {
 	for {
 		msgs, err := readFrame(br, nil)
 		if err != nil {
@@ -229,7 +233,7 @@ func (c *Cluster) readLoop(in chan<- sim.Envelope, peer int, br *bufio.Reader, s
 		}
 		select {
 		case <-stop:
-		case in <- sim.Envelope{From: peer, Msgs: msgs}:
+		case in <- sim.Envelope{At: at, Msgs: msgs}:
 		}
 	}
 }

@@ -99,13 +99,13 @@ func TestHelloDecoderHandoffSurvivesBurst(t *testing.T) {
 	if from != 1 {
 		t.Fatalf("hello from %d, want 1", from)
 	}
-	c.startEdge(0, 1, server, br)
+	c.startEdge(0, 0, server, br) // node 1 is node 0's neighbor at position 0
 
 	for i := 0; i < burst; i++ {
 		select {
 		case env := <-c.inbox[0]:
-			if env.From != 1 {
-				t.Fatalf("frame %d delivered from %d, want 1", i, env.From)
+			if env.At != 0 {
+				t.Fatalf("frame %d delivered from position %d, want 0 (node 1)", i, env.At)
 			}
 			if len(env.Msgs) != perFrame {
 				t.Fatalf("frame %d delivered as an envelope of %d messages, want %d", i, len(env.Msgs), perFrame)
@@ -377,7 +377,7 @@ func TestSendPathsWithBatching(t *testing.T) {
 	c.makeLinks()
 	// No writer is draining: the send past outboxSize overflows.
 	for i := 0; i <= outboxSize; i++ {
-		c.send(0, 1, core.UpdateDistMsg{Dist: i})
+		c.send(0, 0, core.UpdateDistMsg{Dist: i})
 	}
 	if got := c.Dropped(); got != 1 {
 		t.Fatalf("overflow dropped %d messages, want 1", got)
@@ -386,11 +386,11 @@ func TestSendPathsWithBatching(t *testing.T) {
 		t.Fatalf("sent %d, want %d", got, outboxSize)
 	}
 	// A dead link drops every send without touching the pending slice.
-	link := c.link(0, 1)
+	link := &c.outbox[0][0]
 	link.mu.Lock()
 	link.dead = true
 	link.mu.Unlock()
-	c.send(0, 1, core.UpdateDistMsg{Dist: -1})
+	c.send(0, 0, core.UpdateDistMsg{Dist: -1})
 	if got := c.Dropped(); got != 2 {
 		t.Fatalf("dead-link send dropped %d total, want 2", got)
 	}
@@ -454,7 +454,7 @@ func TestWriterFlushPolicy(t *testing.T) {
 			dist := 0
 			sendN := func(n int) {
 				for ; n > 0; n-- {
-					c.send(0, 1, core.UpdateDistMsg{Dist: dist})
+					c.send(0, 0, core.UpdateDistMsg{Dist: dist})
 					dist++
 				}
 			}
@@ -465,7 +465,7 @@ func TestWriterFlushPolicy(t *testing.T) {
 			sink := frameSink{t, make(chan []sim.Message, tc.queued+tc.sent)}
 			stop := make(chan struct{})
 			done := make(chan struct{})
-			link := c.link(0, 1)
+			link := &c.outbox[0][0]
 			go func() {
 				defer close(done)
 				c.writeLoop(0, 1, link, sink, stop)
@@ -524,13 +524,13 @@ func TestTransportAllocs(t *testing.T) {
 		return &pinger{}
 	}, Config{BatchSize: 16, ActiveKinds: []string{core.KindInfo}})
 	c.makeLinks()
-	link := c.link(0, 1)
+	link := &c.outbox[0][0]
 	msgs := gossipFrame()
 	var spare []sim.Message
 	var buf []byte
 	cycle := func() {
 		for _, m := range msgs {
-			c.send(0, 1, m)
+			c.send(0, 0, m)
 		}
 		var err error
 		if spare, buf, err = c.flush(0, 1, link, io.Discard, spare, buf); err != nil {

@@ -273,7 +273,7 @@ func (c *Cluster) Start() error {
 		to   int
 		conn net.Conn
 		br   *bufio.Reader
-		from int
+		at   int // the dialer's position in to's neighbor list
 		err  error
 	}
 	expect := c.g.M() // every edge is accepted once, by its higher end
@@ -311,7 +311,10 @@ func (c *Cluster) Start() error {
 					// Left armed, the deadline would end the edge reader.
 					err = conn.SetReadDeadline(time.Time{})
 				}
-				if err == nil && (from < 0 || from >= id || !c.g.HasEdge(from, id) || seen[from]) {
+				// The connection's one search: the dialer's position in
+				// id's neighbor list addresses both of its directions.
+				at, isNbr := slices.BinarySearch(c.g.Neighbors(id), from)
+				if err == nil && (from >= id || !isNbr || seen[from]) {
 					err = fmt.Errorf("hello from %d: not an unconnected lower-ID neighbor of %d", from, id)
 				}
 				if err != nil {
@@ -320,7 +323,7 @@ func (c *Cluster) Start() error {
 					return
 				}
 				seen[from] = true
-				acceptCh <- accepted{to: id, conn: conn, br: br, from: from}
+				acceptCh <- accepted{to: id, conn: conn, br: br, at: at}
 			}
 		}(id, want)
 	}
@@ -346,7 +349,7 @@ func (c *Cluster) Start() error {
 
 	// Dial side: the lower-ID endpoint of each edge dials the higher.
 	for id := 0; id < n; id++ {
-		for _, u := range c.g.Neighbors(id) {
+		for i, u := range c.g.Neighbors(id) {
 			if u < id { // u dials id; we dial only our higher neighbors
 				continue
 			}
@@ -361,7 +364,7 @@ func (c *Cluster) Start() error {
 				return fmt.Errorf("netrun: hello %d->%d: %w", id, u, err)
 			}
 			c.conns = append(c.conns, conn)
-			c.startEdge(id, u, conn, bufio.NewReader(conn))
+			c.startEdge(id, i, conn, bufio.NewReader(conn))
 		}
 	}
 	for k := 0; k < expect; k++ {
@@ -371,7 +374,7 @@ func (c *Cluster) Start() error {
 			return fmt.Errorf("netrun: accept at %d: %w", a.to, a.err)
 		}
 		c.conns = append(c.conns, a.conn)
-		c.startEdge(a.to, a.from, a.conn, a.br)
+		c.startEdge(a.to, a.at, a.conn, a.br)
 	}
 
 	// Node loops.
@@ -403,25 +406,18 @@ func (c *Cluster) makeLinks() {
 	}
 }
 
-// link returns the direction from node from to node to. A send to a
-// non-neighbor is a programming error, so it panics.
-func (c *Cluster) link(from, to int) *sendLink {
-	i, ok := slices.BinarySearch(c.g.Neighbors(from), to)
-	if !ok {
-		panic(fmt.Sprintf("netrun: node %d sent to non-neighbor %d", from, to))
-	}
-	return &c.outbox[from][i]
-}
-
-// startEdge launches the writer (flushing me's direction toward peer
-// per batch.go) and the reader (decoding the peer's frames into me's
-// inbox) for one direction pair of an edge connection. br must be the
-// connection's ONLY reader — the accept path hands over the one that
-// already read the hello, because a fresh reader would lose whatever
-// that one buffered ahead.
-func (c *Cluster) startEdge(me, peer int, conn net.Conn, br *bufio.Reader) {
+// startEdge launches the writer (flushing me's direction toward its
+// neighbor at position i per batch.go) and the reader (decoding that
+// peer's frames into me's inbox) for one direction pair of an edge
+// connection. The one position addresses both: me's outbox toward the
+// peer, and the peer as the sender of every frame the reader delivers.
+// br must be the connection's ONLY reader — the accept path hands over
+// the one that already read the hello, because a fresh reader would
+// lose whatever that one buffered ahead.
+func (c *Cluster) startEdge(me, i int, conn net.Conn, br *bufio.Reader) {
 	stop := c.stop
-	link := c.link(me, peer)
+	peer := c.g.Neighbors(me)[i]
+	link := &c.outbox[me][i]
 	in := c.inbox[me]
 	c.writers.Add(1)
 	go func() { // writer: me -> peer
@@ -431,7 +427,7 @@ func (c *Cluster) startEdge(me, peer int, conn net.Conn, br *bufio.Reader) {
 	c.wg.Add(1)
 	go func() { // reader: peer -> me
 		defer c.wg.Done()
-		c.readLoop(in, peer, br, stop)
+		c.readLoop(in, i, br, stop)
 	}()
 }
 

@@ -2,7 +2,9 @@ package netrun
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,9 +74,11 @@ func TestSentAccumulatesAcrossRestarts(t *testing.T) {
 	}
 }
 
-// TestSendToNonNeighborPanics: locality is enforced over TCP too. Node
-// 2's neighbors are 1 and 4; a send below, between or above them, to
-// itself or outside the node range panics and names the target.
+// TestSendToNonNeighborPanics: locality is enforced over TCP too. A
+// node loop sends through a sim.Context over Cluster.send. Node 2's
+// neighbors are 1 and 4; a send below, between or above them, to
+// itself or outside the node range panics and names the target, and so
+// does a send to a position outside the list.
 func TestSendToNonNeighborPanics(t *testing.T) {
 	g := graph.New(6)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 4}, {3, 4}, {4, 5}} {
@@ -85,6 +89,7 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	ctx := sim.NewContext(2, g.Neighbors(2), c.send)
 	for _, to := range []int{0, 3, 5, 2, g.N(), -1} {
 		func() {
 			want := fmt.Sprintf("node 2 sent to non-neighbor %d", to)
@@ -93,7 +98,77 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 					t.Errorf("send to %d recovered %v, want a panic containing %q", to, r, want)
 				}
 			}()
-			c.send(2, to, core.UpdateDistMsg{Dist: 1})
+			ctx.Send(to, core.UpdateDistMsg{Dist: 1})
 		}()
+	}
+	for _, i := range []int{-1, 2} {
+		func() {
+			want := "send to a position outside the neighbor list"
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("send to position %d recovered %v, want a panic containing %q", i, r, want)
+				}
+			}()
+			ctx.SendAt(i, core.UpdateDistMsg{Dist: 1})
+		}()
+	}
+}
+
+// posProbe checks the position contract on every receive: the position
+// the node loop hands with a delivery (FromPos) names the sender, which
+// sends its own ID. The counters are atomic so the test can wait on
+// them while the cluster runs.
+type posProbe struct{ received, bad atomic.Int64 }
+
+func (p *posProbe) Tick(ctx *sim.Context) {
+	for i := range ctx.Neighbors() {
+		ctx.SendAt(i, core.UpdateDistMsg{Dist: ctx.ID()})
+	}
+}
+
+func (p *posProbe) Receive(ctx *sim.Context, from sim.NodeID, m sim.Message) {
+	i := ctx.FromPos()
+	if i < 0 || i >= len(ctx.Neighbors()) || ctx.Neighbors()[i] != from || m.(core.UpdateDistMsg).Dist != from {
+		p.bad.Add(1)
+	}
+	p.received.Add(1)
+}
+
+// Over tcp a frame's reader stamps every envelope with the position the
+// connection was started with, on the dial side and the accept side,
+// with one message per frame and with coalesced frames.
+func TestPositionContractTCP(t *testing.T) {
+	g := graph.RandomGnp(12, 0.4, rand.New(rand.NewSource(2)))
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			probes := make([]*posProbe, g.N())
+			c := NewCluster(g, func(id int, _ []int) sim.Process {
+				probes[id] = &posProbe{}
+				return probes[id]
+			}, Config{TickInterval: time.Millisecond, BatchSize: batch, BatchMaxWait: time.Millisecond})
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			// Every node has received a frame from every neighbor once it
+			// has received as many messages as it has neighbors, at the
+			// earliest; wait for that or a deadline.
+			waiting := func() bool {
+				for id, p := range probes {
+					if p.received.Load() < int64(g.Degree(id)) {
+						return true
+					}
+				}
+				return false
+			}
+			for deadline := time.Now().Add(10 * time.Second); waiting() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			c.Stop()
+			for id, p := range probes {
+				if bad, got := p.bad.Load(), p.received.Load(); bad > 0 || got == 0 {
+					t.Fatalf("node %d: %d of %d receives named the wrong sender", id, bad, got)
+				}
+			}
+		})
 	}
 }

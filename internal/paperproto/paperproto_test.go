@@ -229,7 +229,7 @@ func TestSearchGuardDropsWhenNotStabilized(t *testing.T) {
 		Path:  []core.PathEntry{{Node: 1, Deg: 2, Parent: 0, Cursor: 2}},
 	}
 	before := nodes[2].NodeStats().CyclesClassified
-	nodes[2].Receive(net.Context(2), 1, token)
+	net.Context(2).Deliver(nodes[2], 0, token) // node 1 is node 2's neighbor at position 0
 	if nodes[2].NodeStats().CyclesClassified != before {
 		t.Fatal("token processed despite destabilized neighborhood")
 	}

@@ -9,13 +9,16 @@ import (
 )
 
 // Envelope is one unit of a wall-clock runtime's node inbox: messages
-// from one sender, in the order it sent them. internal/netrun delivers
-// each wire frame as one envelope in Msgs; LiveNetwork sends one message
-// per envelope in Msg and leaves Msgs nil, so a send allocates no
-// slice. A non-nil Msg is received before Msgs. The receiving loop owns
-// the messages (see Message).
+// from one sender, in the order it sent them. At names the sender by its
+// position in the receiving node's neighbor list (Context.FromPos), so
+// the loop finds it without a search. internal/netrun delivers each wire
+// frame as one envelope in Msgs, its reader knowing At once per
+// connection; LiveNetwork sends one message per envelope in Msg and
+// leaves Msgs nil, so a send allocates no slice, and reads At from its
+// reverse index. A non-nil Msg is received before Msgs. The receiving
+// loop owns the messages (see Message).
 type Envelope struct {
-	From NodeID
+	At   int
 	Msg  Message
 	Msgs []Message
 }
@@ -85,8 +88,8 @@ func NewBoard(procs []Process, activeKinds []string) *Board {
 // time until halt closes. It receives an envelope's messages in order,
 // each one step, and posts after every step, so Sample sees the same
 // sequence of posts whether the transport delivers one message per
-// envelope or a whole frame. ctx is the node's context and inbox its
-// queue.
+// envelope or a whole frame. It sets the sender's position (FromPos)
+// once per envelope. ctx is the node's context and inbox its queue.
 func (b *Board) Loop(id NodeID, ctx *Context, inbox <-chan Envelope, tick time.Duration, halt <-chan struct{}) {
 	p := b.procs[id]
 	b.post(id, true)
@@ -97,12 +100,15 @@ func (b *Board) Loop(id NodeID, ctx *Context, inbox <-chan Envelope, tick time.D
 		case <-halt:
 			return
 		case env := <-inbox:
+			from := ctx.nbrs[env.At]
+			ctx.at = env.At
 			if env.Msg != nil {
-				b.receive(id, p, ctx, env.From, env.Msg)
+				b.receive(id, p, ctx, from, env.Msg)
 			}
 			for _, m := range env.Msgs {
-				b.receive(id, p, ctx, env.From, m)
+				b.receive(id, p, ctx, from, m)
 			}
+			ctx.at = -1
 		case <-ticker.C:
 			p.Tick(ctx)
 			b.post(id, false)

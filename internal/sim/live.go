@@ -27,8 +27,12 @@ type LiveNetwork struct {
 	procs []Process
 	board *Board
 	inbox []chan Envelope
-	wg    sync.WaitGroup
-	tick  time.Duration
+	// Node u's link to its i-th neighbor is entry linkOff[u]+i of at,
+	// which holds u's position in that neighbor's list (Envelope.At).
+	linkOff []int
+	at      []int
+	wg      sync.WaitGroup
+	tick    time.Duration
 
 	// The network is restartable: the harness's wall-clock driver Stops
 	// it to check legitimacy and Starts it again when the check fails.
@@ -66,14 +70,20 @@ func NewLiveNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) 
 	}
 	n := g.N()
 	ln := &LiveNetwork{
-		g:     g,
-		procs: make([]Process, n),
-		inbox: make([]chan Envelope, n),
-		tick:  cfg.TickInterval,
+		g:       g,
+		procs:   make([]Process, n),
+		inbox:   make([]chan Envelope, n),
+		linkOff: make([]int, n),
+		at:      make([]int, 0, 2*g.M()),
+		tick:    cfg.TickInterval,
 	}
 	for id := 0; id < n; id++ {
 		ln.inbox[id] = make(chan Envelope, liveInboxSize)
 		ln.procs[id] = factory(id, g.Neighbors(id))
+		ln.linkOff[id] = len(ln.at)
+		for _, v := range g.Neighbors(id) {
+			ln.at = append(ln.at, posIn(g, v, id))
+		}
 	}
 	ln.board = NewBoard(ln.procs, cfg.ActiveKinds)
 	return ln
@@ -92,9 +102,9 @@ func (ln *LiveNetwork) Start() {
 	}
 	stop := make(chan struct{})
 	ln.stop = stop
-	send := func(from, to NodeID, m Message) { ln.send(from, to, m, stop) }
+	send := func(from NodeID, i int, m Message) { ln.send(from, i, m, stop) }
 	for id := range ln.procs {
-		ctx := &Context{id: id, nbrs: ln.g.Neighbors(id), send: send}
+		ctx := &Context{id: id, nbrs: ln.g.Neighbors(id), send: send, at: -1}
 		ln.wg.Add(1)
 		go func(id NodeID) {
 			defer ln.wg.Done()
@@ -103,15 +113,16 @@ func (ln *LiveNetwork) Start() {
 	}
 }
 
-func (ln *LiveNetwork) send(from, to NodeID, m Message, stop <-chan struct{}) {
-	if !ln.g.HasEdge(from, to) {
-		panic("sim: live send to non-neighbor")
-	}
+// send puts m on the inbox of node from's neighbor at position i
+// (Context.SendAt checked i), naming the sender by its position there.
+func (ln *LiveNetwork) send(from NodeID, i int, m Message, stop <-chan struct{}) {
+	to := ln.g.Neighbors(from)[i]
+	at := ln.at[ln.linkOff[from]+i]
 	// Read the kind before the handoff: once m is on the inbox the
 	// receiver owns it (see Message).
 	kind := m.Kind()
 	select {
-	case ln.inbox[to] <- Envelope{From: from, Msg: m}:
+	case ln.inbox[to] <- Envelope{At: at, Msg: m}:
 		ln.board.Sent(kind)
 	case <-stop:
 		// Shutting down: drop the message (links are being torn down).

@@ -250,7 +250,7 @@ func TestLiveSendAllocsNothing(t *testing.T) {
 	stop := make(chan struct{})
 	var m Message = minMsg{1}
 	send := func() {
-		ln.send(0, 1, m, stop)
+		ln.send(0, 0, m, stop) // node 0's only neighbor, 1
 		<-ln.inbox[1]
 	}
 	send()

@@ -16,13 +16,19 @@
 // bookkeeping): per-node fingerprints are cached and re-hashed only for
 // nodes whose state version moved since the last round; round accounting
 // is an epoch-stamped step array (no per-round map churn). The message
-// path does no hashing: a send finds its link from the sender's link
-// offset plus a binary search of its sorted neighbor list, and sent and
-// pending messages are counted per kind in a small per-network table
-// (a network sees a handful of kinds) that Metrics copies into
-// SentByKind. The prefix-sum index behind RandomPendingLink is built on
-// its first call, so only networks that draw random deliveries (the
-// async scheduler) keep it up to date on every send and delivery.
+// path does no search and no hashing. A link is addressed by the
+// neighbor's position in the sender's sorted neighbor list
+// (Context.SendAt), so a send finds it at the sender's link offset plus
+// that position; each link records the sender's position in the
+// receiver's list, built once with the links, so a delivery hands it to
+// the receiver (Context.FromPos). Context.Send, by neighbor ID, is the
+// one place that searches. Sent and pending messages are counted per
+// kind in a small per-network table (a network sees a handful of kinds)
+// that Metrics copies into SentByKind; a queued message carries its row,
+// so a delivery neither asks its kind nor scans the table. The
+// prefix-sum index behind RandomPendingLink is built on its first call,
+// so only networks that draw random deliveries (the async scheduler)
+// keep it up to date on every send and delivery.
 //
 // # Dual execution cores
 //
@@ -74,12 +80,14 @@ type NodeID = int
 // for metrics; Size is the abstract message length in O(log n)-bit words,
 // used by experiment E4 to check the paper's O(n log n) buffer claim.
 //
-// Sending hands a message off. Once Context.Send returns, neither the
-// sender nor the transport reads or writes it; it belongs to the link
-// and then to the receiver. A transport reads what it needs (Kind, Size)
-// before the handoff. The rule costs nothing for immutable values, and
-// it lets a message travel by pointer and be edited in place by each
-// holder in turn.
+// Sending hands a message off. Once Context.Send or Context.SendAt
+// returns, neither the sender nor the transport reads or writes it; it
+// belongs to the link and then to the receiver. A transport reads what
+// it needs (Kind, Size) before the handoff. The rule costs nothing for
+// immutable values, and it lets a message travel by pointer and be
+// edited in place by each holder in turn. A receiver that ends a
+// message's life may recycle it (a pool), since no one else holds it:
+// the last holder's release is just one more handoff.
 type Message interface {
 	Kind() string
 	Size() int
@@ -97,8 +105,9 @@ type Message interface {
 type Process interface {
 	// Tick is one iteration of the node's "do forever" loop.
 	Tick(ctx *Context)
-	// Receive handles a single message — one atomic step in the
-	// send/receive atomicity model.
+	// Receive handles a single message from neighbor from — one atomic
+	// step in the send/receive atomicity model. ctx.FromPos() is from's
+	// position in ctx.Neighbors() for the duration of the call.
 	Receive(ctx *Context, from NodeID, m Message)
 }
 
@@ -136,45 +145,96 @@ type RetryAware interface {
 }
 
 // Context gives a process its identity, neighborhood and send primitive.
+// A link is addressed by the neighbor's position in Neighbors, as the
+// CONGEST model addresses a node's incident edges: SendAt(i, m) sends on
+// the link to Neighbors()[i], and while a message is received FromPos
+// names the link it came in on. Every transport implements its send by
+// position; Send, by neighbor ID, is the only ID→position search.
 type Context struct {
 	id   NodeID
 	nbrs []NodeID
-	send func(from, to NodeID, m Message)
+	send func(from NodeID, i int, m Message)
+	// at is the position in nbrs of the sender of the message being
+	// received, -1 outside a receive step.
+	at int
 }
 
 // NewContext builds a standalone context for harnesses outside Network
-// (e.g. the exhaustive model checker): the send function receives every
-// outgoing message.
-func NewContext(id NodeID, neighbors []NodeID, send func(from, to NodeID, m Message)) *Context {
-	return &Context{id: id, nbrs: append([]NodeID(nil), neighbors...), send: send}
+// (netrun's node loops, the exhaustive model checker, tests): send
+// receives every outgoing message with its destination's position in
+// neighbors. A position means something only against the sorted list,
+// so NewContext panics unless neighbors is strictly increasing.
+func NewContext(id NodeID, neighbors []NodeID, send func(from NodeID, i int, m Message)) *Context {
+	for i := 1; i < len(neighbors); i++ {
+		if neighbors[i-1] >= neighbors[i] {
+			panic(fmt.Sprintf("sim: node %d's neighbor list %v is not strictly increasing", id, neighbors))
+		}
+	}
+	return &Context{id: id, nbrs: append([]NodeID(nil), neighbors...), send: send, at: -1}
 }
 
 // ID returns the node's identifier.
 func (c *Context) ID() NodeID { return c.id }
 
-// Neighbors returns the node's neighbor IDs in increasing order. The
-// slice is shared; callers must not modify it.
+// Neighbors returns the node's neighbor IDs in increasing order; a
+// neighbor's index in it is its position. The slice is shared; callers
+// must not modify it.
 func (c *Context) Neighbors() []NodeID { return c.nbrs }
 
-// Send enqueues m on the FIFO link to neighbor `to`. Sending to a
-// non-neighbor panics: the paper's algorithm is strictly local. Send
-// hands m off (see Message): after it, the caller neither reads nor
-// writes m.
-func (c *Context) Send(to NodeID, m Message) { c.send(c.id, to, m) }
-
-// envelope is a queued message with a global sequence number used for
-// round accounting.
-type envelope struct {
-	from NodeID
-	msg  Message
-	seq  uint64
+// SendAt enqueues m on the FIFO link to the neighbor at position i of
+// Neighbors. A position outside the list panics. SendAt hands m off
+// (see Message): after it, the caller neither reads nor writes m.
+func (c *Context) SendAt(i int, m Message) {
+	if uint(i) >= uint(len(c.nbrs)) {
+		panic("sim: send to a position outside the neighbor list")
+	}
+	c.send(c.id, i, m)
 }
 
-// link is one directed FIFO queue implemented as a re-slicing deque.
+// Send enqueues m on the FIFO link to neighbor `to`: SendAt at to's
+// position. Sending to a non-neighbor panics: the paper's algorithm is
+// strictly local. Send hands m off (see Message).
+func (c *Context) Send(to NodeID, m Message) {
+	i, ok := slices.BinarySearch(c.nbrs, to)
+	if !ok {
+		panic(fmt.Sprintf("sim: node %d sent to non-neighbor %d", c.id, to))
+	}
+	c.send(c.id, i, m)
+}
+
+// FromPos returns the position in Neighbors of the sender of the
+// message being received: Neighbors()[FromPos()] is Receive's from. It
+// is -1 outside a receive step.
+func (c *Context) FromPos() int { return c.at }
+
+// Deliver runs p's receive step for m from the neighbor at position i
+// of Neighbors, with FromPos reading i for its duration. Drivers outside
+// this package, and tests that call a handler directly, deliver
+// through it.
+func (c *Context) Deliver(p Process, i int, m Message) {
+	from := c.nbrs[i]
+	c.at = i
+	p.Receive(c, from, m)
+	c.at = -1
+}
+
+// envelope is a queued message with a global sequence number used for
+// round accounting and its row of the network's kind table. The sender
+// is the link's.
+type envelope struct {
+	msg  Message
+	seq  uint64
+	kind int
+}
+
+// link is one directed FIFO queue implemented as a re-slicing deque. at
+// is the sending node's position in the receiver's neighbor list, the
+// reverse index a delivery hands to the receiver.
 type link struct {
-	from, to NodeID
-	buf      []envelope
-	head     int
+	to   NodeID
+	at   int
+	buf  []envelope
+	head int
 }
 
 func (l *link) empty() bool { return l.head >= len(l.buf) }
@@ -232,7 +292,8 @@ type Network struct {
 	// links holds node u's outgoing links at linkOff[u] onward, in the
 	// order of u's sorted neighbor list, so the link from u to its i-th
 	// neighbor is links[linkOff[u]+i]. Links and contexts are held by
-	// value, so a network's build allocates each array once.
+	// value, so a network's build allocates each array once, and the
+	// reverse index lives in the links (link.at) at no extra size.
 	links    []link
 	linkOff  []int
 	nonEmpty []int // indices of non-empty links
@@ -315,7 +376,7 @@ func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Proc
 	for u := 0; u < n; u++ {
 		net.linkOff[u] = len(net.links)
 		for _, v := range g.Neighbors(u) {
-			net.links = append(net.links, link{from: u, to: v})
+			net.links = append(net.links, link{to: v, at: posIn(g, v, u)})
 		}
 	}
 	net.nePos = make([]int, len(net.links))
@@ -325,7 +386,7 @@ func NewNetwork(g *graph.Graph, factory func(id NodeID, neighbors []NodeID) Proc
 	send := net.send // one method value shared by every context
 	for id := 0; id < n; id++ {
 		ctx := &net.ctxs[id]
-		*ctx = Context{id: id, nbrs: g.Neighbors(id), send: send}
+		*ctx = Context{id: id, nbrs: g.Neighbors(id), send: send, at: -1}
 		net.procs[id] = factory(id, ctx.nbrs)
 		if vs, ok := net.procs[id].(StateVersioner); ok {
 			net.versioners[id] = vs
@@ -401,37 +462,38 @@ func (n *Network) PendingKind(kind string) int {
 	return 0
 }
 
-// kindOf returns kind's row of the counter table, adding it on the
+// kindOf returns the row of kind in the counter table, adding it on the
 // kind's first send. Kinds are few and their names are constants, so the
 // scan is a handful of pointer-equal string compares.
-func (n *Network) kindOf(kind string) *kindCount {
+func (n *Network) kindOf(kind string) int {
 	for i := range n.kinds {
 		if n.kinds[i].kind == kind {
-			return &n.kinds[i]
+			return i
 		}
 	}
 	n.kinds = append(n.kinds, kindCount{kind: kind})
-	return &n.kinds[len(n.kinds)-1]
+	return len(n.kinds) - 1
 }
 
-// linkOf returns the index of the link from node from to node to.
-func (n *Network) linkOf(from, to NodeID) int {
-	i, ok := slices.BinarySearch(n.ctxs[from].nbrs, to)
-	if !ok {
-		panic(fmt.Sprintf("sim: node %d sent to non-neighbor %d", from, to))
-	}
-	return n.linkOff[from] + i
+// posIn returns u's position in v's sorted neighbor list, for an edge
+// {u, v} of g.
+func posIn(g *graph.Graph, v, u NodeID) int {
+	i, _ := slices.BinarySearch(g.Neighbors(v), u)
+	return i
 }
 
-func (n *Network) send(from, to NodeID, m Message) {
-	li := n.linkOf(from, to)
+// send is every context's transport: it queues m on the link from node
+// from to its neighbor at position i (Context.SendAt checked i).
+func (n *Network) send(from NodeID, i int, m Message) {
+	li := n.linkOff[from] + i
 	l := &n.links[li]
 	wasEmpty := l.empty()
 	n.nextSeq++
-	l.push(envelope{from: from, msg: m, seq: n.nextSeq})
-	n.pendingTotal++
 	kind := m.Kind()
-	kc := n.kindOf(kind)
+	k := n.kindOf(kind)
+	l.push(envelope{msg: m, seq: n.nextSeq, kind: k})
+	n.pendingTotal++
+	kc := &n.kinds[k]
 	kc.sent++
 	kc.pending++
 	if wasEmpty {
@@ -504,7 +566,7 @@ func (n *Network) Deliver(li int) {
 	}
 	env := l.pop()
 	n.pendingTotal--
-	n.kindOf(env.msg.Kind()).pending--
+	n.kinds[env.kind].pending--
 	if n.idxLive {
 		n.pendingIdx.Add(n.nePos[li], -1)
 	}
@@ -522,7 +584,7 @@ func (n *Network) Deliver(li int) {
 	n.metrics.Deliveries++
 	n.markStepped(l.to)
 	n.touch(l.to)
-	n.procs[l.to].Receive(&n.ctxs[l.to], env.from, env.msg)
+	n.ctxs[l.to].Deliver(n.procs[l.to], l.at, env.msg)
 }
 
 // SetDropRate configures lossy links: every delivery is independently

@@ -189,9 +189,10 @@ func TestFIFOOrderPerLink(t *testing.T) {
 }
 
 func TestSendToNonNeighborPanics(t *testing.T) {
-	// The link lookup is a binary search of the sender's sorted neighbor
-	// list, so the targets miss below, between and above the neighbors,
-	// and also name the sender itself and IDs outside the graph.
+	// Send finds the position by a binary search of the sender's sorted
+	// neighbor list, so the targets miss below, between and above the
+	// neighbors, and also name the sender itself and IDs outside the
+	// graph; SendAt rejects positions outside the list.
 	// Neighbors: 0:{1,2} 1:{0} 2:{0,4} 3:{4} 4:{2,3,5} 5:{4}.
 	g := graph.New(6)
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 4}, {3, 4}, {4, 5}} {
@@ -216,6 +217,17 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 				}
 			}()
 			net.ctxs[c.from].Send(c.to, minMsg{0})
+		}()
+	}
+	for _, c := range []struct{ from, i int }{{0, -1}, {0, 2}, {1, 1}, {4, 3}, {5, 1 << 40}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for send from %d at position %d (neighbors %v)",
+						c.from, c.i, g.Neighbors(c.from))
+				}
+			}()
+			net.ctxs[c.from].SendAt(c.i, minMsg{0})
 		}()
 	}
 	if net.Pending() != 0 {
@@ -313,9 +325,10 @@ func TestDeliverEmptyLinkPanics(t *testing.T) {
 	net.Deliver(0)
 }
 
-// TestLinkEnds checks the link lookup on every directed edge of a
-// random graph: a send from u to v must enqueue on the one link whose
-// endpoints are (u, v).
+// TestLinkEnds checks the link addressing on every directed edge of a
+// random graph: a send from u to v, by ID or by position, must enqueue
+// on the one link that leads to v and names u by its position in v's
+// neighbor list.
 func TestLinkEnds(t *testing.T) {
 	g := graph.RandomGnp(24, 0.3, rand.New(rand.NewSource(5)))
 	net := newMinNetwork(g, 1)
@@ -323,16 +336,22 @@ func TestLinkEnds(t *testing.T) {
 		t.Fatalf("%d links for %d edges", len(net.links), g.M())
 	}
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			net.Context(u).Send(v, minMsg{u})
-			if ne := net.NonEmptyLinks(); len(ne) != 1 || net.LinkLen(ne[0]) != 1 {
-				t.Fatalf("send %d -> %d: non-empty links %v", u, v, ne)
+		for i, v := range g.Neighbors(u) {
+			for _, send := range []func(){
+				func() { net.Context(u).Send(v, minMsg{u}) },
+				func() { net.Context(u).SendAt(i, minMsg{u}) },
+			} {
+				send()
+				if ne := net.NonEmptyLinks(); len(ne) != 1 || net.LinkLen(ne[0]) != 1 {
+					t.Fatalf("send %d -> %d: non-empty links %v", u, v, ne)
+				}
+				li := net.NonEmptyLinks()[0]
+				l := net.links[li]
+				if l.to != v || g.Neighbors(v)[l.at] != u {
+					t.Fatalf("send %d -> %d enqueued on link %d to %d from position %d", u, v, li, l.to, l.at)
+				}
+				net.Deliver(li)
 			}
-			li := net.NonEmptyLinks()[0]
-			if from, to := net.links[li].from, net.links[li].to; from != u || to != v {
-				t.Fatalf("send %d -> %d enqueued on link %d = %d->%d", u, v, li, from, to)
-			}
-			net.Deliver(li)
 		}
 	}
 }
