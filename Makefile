@@ -83,6 +83,10 @@ race:
 # and cross-backend-identical audit chain heads (those two harness
 # tests skip under -short, so the job runs them without it — they
 # finish in well under a second).
+# The mdstsim job drives the one run command on every backend: a wheel
+# on sim, live and tcp; tcp runs of both exchanges, under suppress and
+# with -metrics; the live snapshot stream; and the exit-2 rejection of a
+# flag the chosen backend does not read or a bad tuning value.
 # Every job with a -run pattern goes through smoke_run, which first
 # lists each |-separated name with `go test -list` and fails when one
 # matches no test: a deleted or renamed test would otherwise leave its
@@ -102,7 +106,7 @@ smoke:
 	$(call smoke_run,TestControlChannel|TestControlClientDisconnectMidRequest|TestUnknownControlRequestDropsConnection|TestSentAccumulates,./internal/netrun/,-short)
 	$(call smoke_run,TestBatchedTCPDifferentialOutcome|TestBackendTCPZeroRestartsOnConvergence,./internal/harness/,-short)
 	$(call smoke_run,TestBatch|TestTCPBatchedWheelConverges,./internal/netrun/,-short)
-	$(GO) test -short ./cmd/mdstnet/
+	$(call smoke_run,TestRunBackendsAgree|TestRunCoreOverTCP|TestRunLiteralCorrupted|TestRunSuppressedOverTCP|TestRunMetricsOverTCP|TestRunLiveStreamsMetrics|TestRunRejectsUnreadFlags|TestRunRejectsBadTuningFlags,./cmd/mdstsim/,-short)
 	$(call smoke_run,TestRunEvents,./internal/sim/,-short)
 	$(call smoke_run,TestEventEngine|TestParseEngine|TestStartPathClosure,./internal/harness/,-short)
 	$(call smoke_run,TestMetricsWallBackends|TestAuditChainGenesisCrossBackend,./internal/harness/)
@@ -199,8 +203,8 @@ drift: regen
 # runs never execute. It rebuilds every command, the examples and the
 # benchmark with coverage of every mdst package into $(DRIFT_OUT)/traffic,
 # runs the three drift commands, mdstbench's default suite, -exp fit and
-# both -series, the usage lines of mdstsim, graphgen, mdstnet and mdstviz
-# at small sizes, every example with its default flags and every benchmark
+# both -series, the usage lines of mdstsim (on all three backends) and
+# graphgen at small sizes, every example with its default flags and every benchmark
 # workload (one repetition plus the traced one), then prints the functions
 # no run reached (about 8 min on 2 vCPUs; not part of ci). The list is
 # evidence, not a deletion order: safety code that a correct run never
@@ -228,13 +232,15 @@ traffic:
 	$(TRAFFIC)/bin/mdstsim -family ring+chords -n 4096 -start path -engine event -cpuprofile $(TRAFFIC)/out/cpu.pprof -memprofile $(TRAFFIC)/out/mem.pprof > $(TRAFFIC)/out/mdstsim_path.txt
 	$(TRAFFIC)/bin/graphgen -list > $(TRAFFIC)/out/graphgen_list.txt
 	$(TRAFFIC)/bin/graphgen -family gnp -n 24 -dot > $(TRAFFIC)/out/gnp24.dot
-	$(TRAFFIC)/bin/mdstnet -family wheel -n 12 > $(TRAFFIC)/out/mdstnet.txt
-	$(TRAFFIC)/bin/mdstnet -family gnp -n 24 -variant literal -corrupt > $(TRAFFIC)/out/mdstnet_literal.txt
-	$(TRAFFIC)/bin/mdstnet -family gnp -n 24 -retry suppress > $(TRAFFIC)/out/mdstnet_suppress.txt
-	$(TRAFFIC)/bin/mdstnet -family gnp -n 24 -batch 16 -batchwait 1ms > $(TRAFFIC)/out/mdstnet_batch.txt
-	$(TRAFFIC)/bin/mdstnet -family wheel -n 12 -metrics > $(TRAFFIC)/out/mdstnet_metrics.txt
-	$(TRAFFIC)/bin/mdstviz > $(TRAFFIC)/out/mdstviz.svg
-	$(TRAFFIC)/bin/mdstviz -family gnp -n 24 -live > $(TRAFFIC)/out/mdstviz_live.svg 2> $(TRAFFIC)/out/mdstviz_live.txt
+	$(TRAFFIC)/bin/graphgen -family geometric -n 32 -svg > $(TRAFFIC)/out/geometric32.svg
+	$(TRAFFIC)/bin/mdstsim -family geometric -n 32 -layout spring -svg $(TRAFFIC)/out/mdstsim.svg > $(TRAFFIC)/out/mdstsim_svg.txt
+	$(TRAFFIC)/bin/mdstsim -backend live -family gnp -n 24 -metrics -svg $(TRAFFIC)/out/mdstsim_live.svg > $(TRAFFIC)/out/mdstsim_live.txt 2> $(TRAFFIC)/out/mdstsim_live_stream.txt
+	$(TRAFFIC)/bin/mdstsim -backend tcp -family wheel -n 12 -start clean > $(TRAFFIC)/out/mdstsim_tcp.txt
+	$(TRAFFIC)/bin/mdstsim -backend tcp -family gnp -n 24 -variant literal -start corrupt > $(TRAFFIC)/out/mdstsim_tcp_literal.txt
+	$(TRAFFIC)/bin/mdstsim -backend tcp -family gnp -n 24 -start clean -retry suppress > $(TRAFFIC)/out/mdstsim_tcp_suppress.txt
+	$(TRAFFIC)/bin/mdstsim -backend tcp -family gnp -n 24 -start clean -batch 16 -batchwait 1ms > $(TRAFFIC)/out/mdstsim_tcp_batch.txt
+	$(TRAFFIC)/bin/mdstsim -backend tcp -family wheel -n 12 -start clean -metrics > $(TRAFFIC)/out/mdstsim_tcp_metrics.txt 2> $(TRAFFIC)/out/mdstsim_tcp_stream.txt
+	$(TRAFFIC)/bin/mdstsim -backend tcp -family gnp -n 24 -start clean -cpuprofile $(TRAFFIC)/out/tcp_cpu.pprof -memprofile $(TRAFFIC)/out/tcp_mem.pprof > $(TRAFFIC)/out/mdstsim_tcp_profile.txt
 	@for ex in $(EXAMPLES); do \
 		echo "$(TRAFFIC)/bin/$$ex"; \
 		$(TRAFFIC)/bin/$$ex > $(TRAFFIC)/out/$$ex.txt || exit 1; \

@@ -42,6 +42,24 @@ func TestRunDOT(t *testing.T) {
 	}
 }
 
+// -svg draws the network alone: thin grey edges, no thick tree edges.
+func TestRunSVG(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-family", "grid", "-n", "9", "-svg"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	svg := out.String()
+	if !strings.HasPrefix(svg, "<svg ") || !strings.Contains(svg, "grid n=9 m=12") {
+		t.Fatalf("not a titled SVG:\n%.80s", svg)
+	}
+	if strings.Contains(svg, `stroke-width="3"`) {
+		t.Fatal("tree edges drawn for a bare graph")
+	}
+	if code := run([]string{"-dot", "-svg"}, &out, &errOut); code != 2 {
+		t.Fatalf("-dot -svg: exit %d, want 2", code)
+	}
+}
+
 func TestRunUnknownFamily(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-family", "nope"}, &out, &errOut); code != 2 {

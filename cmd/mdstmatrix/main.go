@@ -19,7 +19,7 @@
 //	mdstmatrix -retry paper,suppress,backoff   # paired cycle-search retry policies
 //	mdstmatrix -backend tcp -batch 16 -batchwait 1ms   # coalesced tcp frames
 //	mdstmatrix -families ring+chords -sizes 64,96,128,256 -retry suppress -seeds 1 -backend sim,live,tcp -batch 32 -batchwait 12ms -deadline 600s -workers 1   # medium-n cross-backend ladder
-//	mdstnet -family ring+chords -n 128 -corrupt -retry suppress -seed 5812272425470856561 -tick 2ms -batch B -batchwait 6ms -deadline 150s   # one tcp instance at batch B (mdstnet prints frames per message and restarts)
+//	mdstsim -backend tcp -family ring+chords -n 128 -start corrupt -retry suppress -seed 5812272425470856561 -tick 2ms -batch B -batchwait 6ms -deadline 150s   # one tcp instance at batch B (mdstsim prints frames per message and restarts)
 //	mdstmatrix -metrics -format json      # per-run metrics time series + audit chain heads
 //	mdstmatrix -cpuprofile cpu.pprof -memprofile mem.pprof   # runtime/pprof profiles of the run
 //

@@ -3,10 +3,10 @@
 // (Blin, Gradinariu Potop-Butucaru, Rovedakis; IPDPS 2009).
 //
 // The public surface lives in the commands (cmd/mdstsim, cmd/mdstbench,
-// cmd/mdstmatrix, cmd/mdstnet, cmd/mdstviz, cmd/graphgen) and the
-// examples; the library packages are under internal/ (graph, spanning,
-// mdstseq, sim, core, paperproto, localview, detect, netrun, harness,
-// scenario, benchtab, trace, analysis, viz, mc, metrics, auditlog).
+// cmd/mdstmatrix, cmd/graphgen) and the examples; the library packages
+// are under internal/ (graph, spanning, mdstseq, sim, core, paperproto,
+// localview, detect, netrun, harness, scenario, benchtab, trace,
+// analysis, viz, mc, metrics, auditlog).
 // The protocol is one engine, internal/core, with two edge exchanges
 // chosen when a node is built: core.NewNode carries out an improving
 // exchange as a chain of single-parent moves that keeps a spanning tree
@@ -25,8 +25,9 @@
 // (internal/netrun), one TCP connection per edge. The scenario engine
 // exposes the backend as a matrix axis (Spec.Backends, `mdstmatrix
 // -backend sim,live,tcp`), runs draw identical workloads and
-// corruptions across backends, and cmd/mdstnet is a thin front-end over
-// the tcp driver. The live and tcp backends execute on the wall clock:
+// corruptions across backends, and cmd/mdstsim makes one run on any of
+// them (`mdstsim -backend sim|live|tcp`), every flag mapped onto one
+// harness.RunSpec. The live and tcp backends execute on the wall clock:
 // their round/message counts vary across repeats, while the legitimacy
 // and Δ*+1 degree claims must not.
 //
@@ -80,7 +81,7 @@
 // One retry policy, core.RetryPolicy, picks the cycle-search retry
 // schedule: paper (the default), suppress or backoff
 // (core.Config.Retry, the scenario engine's Spec.Retry axis,
-// `mdstmatrix -retry paper,suppress,backoff`, `mdstnet -retry NAME`).
+// `mdstmatrix -retry paper,suppress,backoff`, `mdstsim -retry NAME`).
 // The suppress policy is the protocol's traffic hot path:
 // per-initiator duplicate Search-token pruning — a node that already
 // launched or forwarded an equivalent token (same fundamental-cycle key
@@ -127,14 +128,15 @@
 //
 // The tcp backend's transport coalesces frames per link
 // (netrun.Config.BatchSize/BatchMaxWait, harness.BackendTuning,
-// `mdstmatrix -batch/-batchwait`, `mdstnet -batch/-batchwait`), and the
-// frame is the unit at every goroutine hop: a send appends to the edge
-// direction's pending slice and wakes its writer only when a frame
-// opens or fills; the writer holds a partial frame for at most
-// max-wait, then writes what is pending as frames of up to batch-size
-// messages, one write per frame; the reader hands each decoded frame to
-// the receiving node's inbox as one sim.Envelope, whose messages
-// sim.Board.Loop receives in order, posting after each. Batch size 1
+// `mdstmatrix -batch/-batchwait`, `mdstsim -backend tcp
+// -batch/-batchwait`), and the frame is the unit at every goroutine
+// hop: a send appends to the edge direction's pending slice and wakes
+// its writer only when a frame opens or fills; the writer holds a
+// partial frame for at most max-wait, then writes what is pending as
+// frames of up to batch-size messages, one write per frame; the reader
+// hands each decoded frame to the receiving node's inbox as one
+// sim.Envelope, whose messages sim.Board.Loop receives in order,
+// posting after each. Batch size 1
 // sends one message per frame. Frames use netrun's
 // fixed-layout codec (internal/netrun/codec.go): a message count, then
 // per message a one-byte type tag and its fields as varints; the sender
@@ -142,14 +144,14 @@
 // each connection for its lifetime (it buffers ahead; a second reader
 // on the same conn loses bytes). Coalescing is a transport concern
 // only: the batch=1 vs batch=16 differential test pins identical
-// legitimacy and Δ*+1 outcomes. `mdstnet -batch` prints one run's frames
-// per message, and the repository benchmark's tcp workload measures the
-// transport's cost.
+// legitimacy and Δ*+1 outcomes. `mdstsim -backend tcp` prints one run's
+// frames per message, and the repository benchmark's tcp workload
+// measures the transport's cost.
 //
 // Observability is a control plane over the same runs
 // (internal/metrics + internal/auditlog, harness.RunSpec.Collect,
-// scenario Spec.Metrics, `mdstmatrix -metrics`, `mdstnet -metrics`,
-// `mdstviz -live`, `mdstbench -series`): a metrics.Collector is the one
+// scenario Spec.Metrics, `mdstmatrix -metrics`, `mdstsim -metrics` on
+// every backend, `mdstbench -series`): a metrics.Collector is the one
 // way a run is observed on every backend. Each collected run feeds one
 // detect.Detector, and one harness function builds every flat JSON/CSV
 // snapshot — tree degree, root count and dmax agreement, message counts

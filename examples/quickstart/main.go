@@ -31,11 +31,11 @@ func main() {
 		log.Fatalf("did not stabilize: %+v", res.Legit)
 	}
 
-	star, _ := mdstseq.ExactDelta(g, 0)
+	star := mdstseq.DeltaStar(g, false)
 	fmt.Printf("stabilized after round %d (quiescence declared at round %d)\n",
 		res.LastChange, res.Rounds)
-	fmt.Printf("tree degree: %d   Δ* = %d   guarantee Δ*+1 = %d\n",
-		res.Tree.MaxDegree(), star, star+1)
+	fmt.Printf("tree degree: %d   Δ*: %v   guarantee Δ*+1 <= %d\n",
+		res.Tree.MaxDegree(), star, star.Hi+1)
 	fmt.Println("tree edges:")
 	for _, e := range res.Tree.Edges() {
 		fmt.Printf("  %v\n", e)

@@ -24,8 +24,8 @@ import (
 func main() {
 	g := graph.RandomGeometric(16, 0.5, rand.New(rand.NewSource(7)))
 	fmt.Printf("network: n=%d m=%d (random geometric — an ad-hoc radio layout)\n", g.N(), g.M())
-	lo := mdstseq.LowerBoundDelta(g)
-	fmt.Printf("Δ* >= %d, so the protocol guarantees degree <= Δ*+1\n\n", lo)
+	star := mdstseq.DeltaStar(g, false)
+	fmt.Printf("Δ*: %v, so the protocol guarantees tree degree <= Δ*+1 <= %d\n\n", star, star.Hi+1)
 
 	exchanges := []struct {
 		name    string

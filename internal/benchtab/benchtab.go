@@ -70,8 +70,8 @@ func E1DegreeQuality(sweep SweepSpec, families []graph.Family) *scenario.Table {
 		Title:   "E1: degree quality — deg(T) vs Δ*+1 (Theorem 2)",
 		Columns: []string{"family", "n", "m", "deg(T)", "deltaStar", "bound", "withinBound"},
 		Notes: []string{
-			"deltaStar is exact (branch-and-bound) when n <= 20, otherwise bracketed by [FR-1, FR]",
-			"withinBound asserts deg(T) <= deltaStar+1 (paper Theorem 2)",
+			"deltaStar is exact when the branch-and-bound finishes (n <= 20), 2 on canonical-ring families, otherwise bracketed by [LowerBoundDelta, FR]",
+			"withinBound asserts deg(T) <= deltaStar+1, with a bracket's upper end for deltaStar (paper Theorem 2)",
 		},
 	}
 	m := mustExecute(scenario.Spec{
@@ -92,18 +92,10 @@ func E1DegreeQuality(sweep SweepSpec, families []graph.Family) *scenario.Table {
 		if err != nil {
 			panic("benchtab: " + err.Error())
 		}
-		deg := rr.MaxDegree
-		star, exact := deltaStar(g)
-		bound := star + 1
-		within := deg <= bound
-		label := itoa(star)
-		if !exact {
-			label = fmt.Sprintf("[%d..%d]", star, starUpper(g))
-			bound = starUpper(g) + 1
-			within = deg <= bound
-		}
+		star := mdstseq.DeltaStar(g, graph.MustFamily(rr.Family).CanonicalRing)
+		bound := star.Hi + 1
 		t.Rows = append(t.Rows, []string{rr.Family, itoa(rr.Nodes), itoa(rr.Edges),
-			itoa(deg), label, itoa(bound), btos(within)})
+			itoa(rr.MaxDegree), starLabel(star), itoa(bound), btos(rr.MaxDegree <= bound)})
 	}
 	return t
 }
@@ -118,20 +110,12 @@ func familyNames(families []graph.Family) []string {
 	return names
 }
 
-// deltaStar returns the exact Δ* for small graphs, else the FR-derived
-// lower end of the bracket (Δ* >= deg(T_FR)-1).
-func deltaStar(g *graph.Graph) (int, bool) {
-	if g.N() <= 20 {
-		if star, ok := mdstseq.ExactDelta(g, 2_000_000); ok {
-			return star, true
-		}
+// starLabel renders a Δ* bracket as a table cell: "2", or "[2..4]".
+func starLabel(b mdstseq.Bracket) string {
+	if b.Lo == b.Hi {
+		return itoa(b.Lo)
 	}
-	return starUpper(g) - 1, false
-}
-
-// starUpper returns deg of the FR tree, an upper bound on Δ*+1's base.
-func starUpper(g *graph.Graph) int {
-	return mdstseq.Approximate(g).MaxDegree()
+	return fmt.Sprintf("[%d..%d]", b.Lo, b.Hi)
 }
 
 // E2Convergence measures rounds-to-stabilization against the paper's
@@ -292,13 +276,9 @@ func E6Baselines(sweep SweepSpec, families []graph.Family) *scenario.Table {
 		random := spanning.RandomTree(g, 0, rng).MaxDegree()
 		worst := spanning.WorstDegreeTree(g, 0).MaxDegree()
 		fr := mdstseq.Approximate(g).MaxDegree()
-		star, exact := deltaStar(g)
-		label := itoa(star)
-		if !exact {
-			label = fmt.Sprintf(">=%d", star)
-		}
+		star := mdstseq.DeltaStar(g, graph.MustFamily(rr.Family).CanonicalRing)
 		t.Rows = append(t.Rows, []string{rr.Family, itoa(rr.Nodes), itoa(bfs),
-			itoa(random), itoa(worst), itoa(fr), itoa(rr.MaxDegree), label})
+			itoa(random), itoa(worst), itoa(fr), itoa(rr.MaxDegree), starLabel(star)})
 	}
 	return t
 }

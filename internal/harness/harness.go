@@ -267,7 +267,7 @@ type Result struct {
 	SearchesSuppressed int `json:"searchesSuppressed,omitempty"`
 	// Frames counts wire frames flushed by the tcp backend's edge
 	// writers; Frames/TotalMessages is the coalescing ratio (1.0 at
-	// batch=1 by construction; `mdstnet -batch` prints it).
+	// batch=1 by construction; `mdstsim -backend tcp` prints it).
 	// Zero for the other backends; excluded from JSON like every
 	// wall-clock-shaped counter.
 	Frames int64 `json:"-"`

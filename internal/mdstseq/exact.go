@@ -1,6 +1,8 @@
 package mdstseq
 
 import (
+	"fmt"
+
 	"mdst/internal/graph"
 )
 
@@ -42,6 +44,48 @@ func ExactDelta(g *graph.Graph, budget int) (delta int, ok bool) {
 		}
 	}
 	return n - 1, true
+}
+
+// exactMaxN is the largest graph DeltaStar runs ExactDelta on: the
+// search is exponential in n, and past this size a search that exhausts
+// its budget costs time and proves nothing.
+const exactMaxN = 20
+
+// Bracket is what is known about the optimal degree Δ* of one graph:
+// Lo <= Δ* <= Hi, with Lo == Hi when Δ* is proven. Source names the
+// proof.
+type Bracket struct {
+	Lo, Hi int
+	Source string
+}
+
+// String renders the bracket as "2 (exact)" or "in [2, 4] (lower bound,
+// F-R tree)".
+func (b Bracket) String() string {
+	if b.Lo == b.Hi {
+		return fmt.Sprintf("%d (%s)", b.Lo, b.Source)
+	}
+	return fmt.Sprintf("in [%d, %d] (%s)", b.Lo, b.Hi, b.Source)
+}
+
+// DeltaStar brackets Δ* of the connected graph g: the exact value when
+// g has at most exactMaxN nodes and ExactDelta finishes; 2 when
+// canonicalRing says g holds the ring edges {i, (i+1) mod n}, as a
+// graph.Family with CanonicalRing builds them (the path 0-1-…-(n-1) is
+// then a degree-2 spanning tree); and otherwise [LowerBoundDelta,
+// deg(T_FR)], T_FR being the tree Approximate returns. The lower end is
+// never deg(T_FR)-1: that bound is only as sound as the
+// Fürer–Raghavachari search, which can stop more than one above Δ*.
+func DeltaStar(g *graph.Graph, canonicalRing bool) Bracket {
+	if g.N() <= exactMaxN {
+		if d, ok := ExactDelta(g, 0); ok {
+			return Bracket{d, d, "exact"}
+		}
+	}
+	if canonicalRing {
+		return Bracket{2, 2, "canonical ring witness"}
+	}
+	return Bracket{LowerBoundDelta(g), Approximate(g).MaxDegree(), "lower bound, F-R tree"}
 }
 
 // HasSpanningTreeWithDegree reports whether g has a spanning tree of

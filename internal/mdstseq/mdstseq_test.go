@@ -164,6 +164,42 @@ func TestExactBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// DeltaStar states Δ* one way for every caller: exact where the search
+// finishes, the ring witness on a canonical-ring graph, and otherwise
+// [LowerBoundDelta, deg(T_FR)] — also at n <= 20 when ExactDelta runs
+// out of budget, as it does on K_{3,12}.
+func TestDeltaStar(t *testing.T) {
+	k312 := graph.New(15)
+	for i := 0; i < 3; i++ {
+		for j := 3; j < 15; j++ {
+			k312.MustAddEdge(i, j)
+		}
+	}
+	ring := graph.MustFamily("ring+chords").Build(64, rand.New(rand.NewSource(1)))
+	gnp := graph.MustFamily("gnp").Build(24, rand.New(rand.NewSource(6)))
+	const bracket = "lower bound, F-R tree"
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		ring bool
+		want Bracket
+		text string
+	}{
+		{"wheel", graph.Wheel(10), false, Bracket{2, 2, "exact"}, "2 (exact)"},
+		{"ring+chords", ring, true, Bracket{2, 2, "canonical ring witness"}, "2 (canonical ring witness)"},
+		{"K3,12", k312, false, Bracket{2, 5, bracket}, "in [2, 5] (lower bound, F-R tree)"},
+		{"gnp", gnp, false, Bracket{LowerBoundDelta(gnp), Approximate(gnp).MaxDegree(), bracket}, ""},
+	} {
+		got := DeltaStar(tc.g, tc.ring)
+		if got != tc.want || got.Lo > got.Hi {
+			t.Errorf("%s: DeltaStar = %+v, want %+v", tc.name, got, tc.want)
+		}
+		if tc.text != "" && got.String() != tc.text {
+			t.Errorf("%s: String() = %q, want %q", tc.name, got.String(), tc.text)
+		}
+	}
+}
+
 func TestLowerBoundDelta(t *testing.T) {
 	if b := LowerBoundDelta(graph.Star(6)); b != 5 {
 		t.Fatalf("star bound %d, want 5", b)

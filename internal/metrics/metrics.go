@@ -113,7 +113,8 @@ type Collector struct {
 	// Both add the run's final observation.
 	Every int
 	// OnSnapshot, if non-nil, is invoked synchronously with each added
-	// snapshot — the live-dashboard hook (mdstviz -live).
+	// snapshot — the hook behind `mdstsim -metrics`, which streams each
+	// snapshot to stderr while the run executes.
 	OnSnapshot func(Snapshot)
 
 	snaps []Snapshot

@@ -14,10 +14,11 @@ import (
 	"mdst/internal/spanning"
 )
 
+// canvasSize is the side of the square canvas in pixels.
+const canvasSize = 720
+
 // Options controls the rendering.
 type Options struct {
-	// Size is the square canvas side in pixels (default 640).
-	Size int
 	// Layout chooses node placement: "circle" (default) or "spring".
 	Layout string
 	// Title is drawn in the top-left corner when non-empty.
@@ -27,18 +28,15 @@ type Options struct {
 // Render writes an SVG of g (and, if tree is non-nil, of the tree
 // embedded in it) to w.
 func Render(w io.Writer, g *graph.Graph, tree *spanning.Tree, opt Options) error {
-	if opt.Size <= 0 {
-		opt.Size = 640
-	}
 	var pos [][2]float64
 	if opt.Layout == "spring" {
-		pos = springLayout(g, opt.Size)
+		pos = springLayout(g)
 	} else {
-		pos = circleLayout(g.N(), opt.Size)
+		pos = circleLayout(g.N())
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		opt.Size, opt.Size, opt.Size, opt.Size)
+		canvasSize, canvasSize, canvasSize, canvasSize)
 	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 
 	var treeSet map[graph.Edge]bool
@@ -66,7 +64,7 @@ func Render(w io.Writer, g *graph.Graph, tree *spanning.Tree, opt Options) error
 			pos[e.U][0], pos[e.U][1], pos[e.V][0], pos[e.V][1])
 	}
 	// Nodes colored by tree degree: green (low) to red (max).
-	r := float64(opt.Size) / 60
+	r := float64(canvasSize) / 60
 	for v := 0; v < g.N(); v++ {
 		fill := "#888888"
 		if degs != nil {
@@ -110,9 +108,9 @@ func escape(s string) string {
 }
 
 // circleLayout places n nodes on a circle.
-func circleLayout(n, size int) [][2]float64 {
+func circleLayout(n int) [][2]float64 {
 	pos := make([][2]float64, n)
-	c := float64(size) / 2
+	c := float64(canvasSize) / 2
 	rad := c * 0.85
 	for v := 0; v < n; v++ {
 		a := 2 * math.Pi * float64(v) / float64(maxInt(n, 1))
@@ -123,13 +121,13 @@ func circleLayout(n, size int) [][2]float64 {
 
 // springLayout runs a small deterministic Fruchterman–Reingold-style
 // relaxation seeded from the circle layout.
-func springLayout(g *graph.Graph, size int) [][2]float64 {
+func springLayout(g *graph.Graph) [][2]float64 {
 	n := g.N()
-	pos := circleLayout(n, size)
+	pos := circleLayout(n)
 	if n < 3 {
 		return pos
 	}
-	area := float64(size) * float64(size)
+	area := float64(canvasSize) * float64(canvasSize)
 	k := math.Sqrt(area / float64(n))
 	disp := make([][2]float64, n)
 	for iter := 0; iter < 120; iter++ {
@@ -161,15 +159,15 @@ func springLayout(g *graph.Graph, size int) [][2]float64 {
 			disp[e.V][1] += dy / d * f
 		}
 		// Bounded displacement with cooling.
-		temp := float64(size) / 10 * (1 - float64(iter)/120)
+		temp := float64(canvasSize) / 10 * (1 - float64(iter)/120)
 		for v := 0; v < n; v++ {
 			dx, dy := disp[v][0], disp[v][1]
 			d := math.Hypot(dx, dy) + 1e-9
 			step := math.Min(d, temp)
 			pos[v][0] += dx / d * step
 			pos[v][1] += dy / d * step
-			pos[v][0] = clamp(pos[v][0], 20, float64(size)-20)
-			pos[v][1] = clamp(pos[v][1], 20, float64(size)-20)
+			pos[v][0] = clamp(pos[v][0], 20, canvasSize-20)
+			pos[v][1] = clamp(pos[v][1], 20, canvasSize-20)
 		}
 	}
 	return pos

@@ -52,11 +52,11 @@ func TestRenderSpringLayout(t *testing.T) {
 	g := graph.Grid(3, 3)
 	tr := spanning.BFSTree(g, 0)
 	var buf bytes.Buffer
-	if err := Render(&buf, g, tr, Options{Layout: "spring", Size: 320}); err != nil {
+	if err := Render(&buf, g, tr, Options{Layout: "spring"}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `width="320"`) {
-		t.Fatal("size not applied")
+	if !strings.Contains(buf.String(), `width="720"`) {
+		t.Fatal("canvas size not applied")
 	}
 }
 
