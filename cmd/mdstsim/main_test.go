@@ -77,28 +77,36 @@ func TestRunDOTOutput(t *testing.T) {
 	}
 }
 
-// -cpuprofile and -memprofile write two non-empty runtime/pprof files on
-// the simulator and over tcp; an unwritable path is reported as an error
-// before the run, not a panic.
+// -cpuprofile and -memprofile write two non-empty runtime/pprof files; an
+// unwritable path is reported as an error before the run, not a panic.
 func TestRunWritesProfiles(t *testing.T) {
+	checkProfiles(t, "sim")
+}
+
+// The profile flags are started before the backend is picked, so a tcp
+// run writes the same two files and refuses the same unwritable paths.
+func TestRunWritesProfilesOverTCP(t *testing.T) {
+	checkProfiles(t, "tcp")
+}
+
+func checkProfiles(t *testing.T, backend string) {
+	t.Helper()
 	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	var out, errOut bytes.Buffer
-	for _, backend := range []string{"sim", "tcp"} {
-		cpu, mem := filepath.Join(dir, backend+"-cpu.pprof"), filepath.Join(dir, backend+"-mem.pprof")
-		args := []string{"-backend", backend, "-cpuprofile", cpu, "-memprofile", mem}
-		if code := run(append(args, "-family", "ring+chords", "-n", "12"), nil, &out, &errOut); code != 0 {
-			t.Fatalf("%s: exit %d: %s%s", backend, code, out.String(), errOut.String())
-		}
-		for _, f := range []string{cpu, mem} {
-			if st, err := os.Stat(f); err != nil || st.Size() == 0 {
-				t.Fatalf("profile %s not written: %v", f, err)
-			}
+	args := []string{"-backend", backend, "-cpuprofile", cpu, "-memprofile", mem}
+	if code := run(append(args, "-family", "ring+chords", "-n", "12"), nil, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s%s", code, out.String(), errOut.String())
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Fatalf("profile %s not written: %v", f, err)
 		}
 	}
 	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
 		out.Reset()
 		errOut.Reset()
-		args := []string{flag, filepath.Join(dir, "missing", "x.pprof")}
+		args := []string{"-backend", backend, flag, filepath.Join(dir, "missing", "x.pprof")}
 		code := run(append(args, "-family", "ring+chords", "-n", "12"), nil, &out, &errOut)
 		if code != 1 || !strings.Contains(errOut.String(), flag) {
 			t.Fatalf("%s to an unwritable path: exit %d, stderr %q; want exit 1 naming the flag", flag, code, errOut.String())
@@ -121,10 +129,7 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 		{"-start", "legit", "-faults", "-3"},
 		{"-start", "corrupt", "-faults", "3"},
 		{"-start", "clean", "-faults", "5"},
-		{"-variant", "nope"},
-		{"-layout", "bogus"},
 		{"-backend", "bogus"},
-		{"-nope"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, nil, &out, &errOut); code != 2 || errOut.Len() == 0 {
@@ -134,16 +139,64 @@ func TestRunRejectsBadFlagValues(t *testing.T) {
 }
 
 // The smallest sizes still run: one node, and a ring+chords count below
-// three, which the family rounds up, on the simulator and over tcp.
+// three, which the family rounds up.
 func TestRunTinySizes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-family", "gnp", "-n", "1"},
 		{"-family", "ring+chords", "-n", "2"},
-		{"-backend", "tcp", "-family", "ring+chords", "-n", "2"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, nil, &out, &errOut); code != 0 || !strings.Contains(out.String(), "legitimate: true") {
 			t.Fatalf("%v: exit %d\n%s%s", args, code, out.String(), errOut.String())
+		}
+	}
+}
+
+// The rounded-up ring+chords count also runs over tcp.
+func TestRunTinyRingChordsOverTCP(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := []string{"-backend", "tcp", "-family", "ring+chords", "-n", "2"}
+	if code := run(args, nil, &out, &errOut); code != 0 || !strings.Contains(out.String(), "legitimate: true") {
+		t.Fatalf("exit %d\n%s%s", code, out.String(), errOut.String())
+	}
+}
+
+// An unknown flag exits 2 with a message.
+func TestRunBadFlag(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-nope"}, nil, &out, &errOut); code != 2 || errOut.Len() == 0 {
+		t.Fatalf("exit %d, stderr %q; want exit 2 with a message", code, errOut.String())
+	}
+}
+
+// An unknown -variant exits 2 on every backend, before any run.
+func TestRunUnknownVariant(t *testing.T) {
+	for _, backend := range []string{"sim", "live", "tcp"} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-backend", backend, "-variant", "nope"}, nil, &out, &errOut)
+		if code != 2 || errOut.Len() == 0 || out.Len() != 0 {
+			t.Fatalf("%s: exit %d, stderr %q, stdout %q; want exit 2 with a message and no run",
+				backend, code, errOut.String(), out.String())
+		}
+	}
+}
+
+// A bad graph or -layout value next to -svg exits 2 with a message and
+// writes no image.
+func TestRunRejectsBadSVGFlagValues(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tree.svg")
+	for _, args := range [][]string{
+		{"-family", "bogus"},
+		{"-n", "-3"},
+		{"-n", "0"},
+		{"-layout", "bogus"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(append([]string{"-svg", path}, args...), nil, &out, &errOut); code != 2 || errOut.Len() == 0 {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 2 with a message", args, code, errOut.String())
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%v: an image was written (stat: %v)", args, err)
 		}
 	}
 }
